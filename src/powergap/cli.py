@@ -376,7 +376,7 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False,
     sol1 = None
     case = JumpCase.NONE
     if law is not None and scene.inclusion is not None:
-        sol1 = solve_perturbed(mesh, background, law, g)
+        sol1 = solve_perturbed(mesh, background, law, g, op=op)
         report["solve"]["residual_u1"] = sol1.residual
         d_pts = mesh.centroids[mesh.in_d]
         if len(d_pts):

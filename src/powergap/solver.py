@@ -6,8 +6,11 @@ chiral term, so it is split into real and imaginary parts and assembled as
 a 2x2 block system whose blocks are (sigma+zeta, -eps; eps, sigma-zeta)
 inside the inclusion and (sigma, -eps; eps, sigma) outside. The zero-mean
 constraint is enforced exactly through one scalar Lagrange multiplier per
-real component. Direct sparse factorization throughout: robustness over
-speed at desk scale.
+real component. The background system is factorized by a sparse direct LU.
+The block system is solved by GMRES preconditioned with that same complex
+LU: outside the inclusion the block system is exactly the real form of the
+background operator, so the preconditioned system is the identity plus a
+perturbation supported on D and converges in a few tens of iterations.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ __all__ = [
 # 3-point Gauss on [0, 1] for boundary edge quadrature
 _EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+# GMRES on the chiral block system: restart length, restart cycles and
+# relative tolerance. rtol=1e-13 sits on the rounding floor and stagnates.
+_GMRES_RESTART = 50
+_GMRES_MAXITER = 4
+_GMRES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,11 +240,15 @@ class BackgroundOperator:
         self._lu = _bordered_factor(self.k, self.m)
         self._solve_lock = threading.Lock()
 
+    def solve_bordered(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the inverse of the bordered operator [[K, m], [m^T, 0]]."""
+        with self._solve_lock:
+            return self._lu.solve(rhs)
+
     def solve(self, g: NeumannData) -> Solution:
         b, mean = boundary_load(self.mesh, g)
         rhs = np.concatenate([b, [0.0]]).astype(complex)
-        with self._solve_lock:
-            x = self._lu.solve(rhs)
+        x = self.solve_bordered(rhs)
         u, lam = x[:-1], complex(x[-1])
         res = np.linalg.norm(self.k @ u + self.m * lam - b)
         res /= max(np.linalg.norm(b), 1e-300)
@@ -259,9 +272,63 @@ def solve_background(mesh: Mesh, background: BackgroundTensor,
     return BackgroundOperator(mesh, background, lower_order).solve(g)
 
 
+def _chiral_system(mesh: Mesh, sigma: np.ndarray, eps: np.ndarray,
+                   zeta: Optional[np.ndarray]) -> sp.csr_matrix:
+    """Real 2x2 block operator of the chiral problem with its mean borders.
+
+    Unknowns and rows are ordered (Re u, Im u, lambda_re, lambda_im); the
+    blocks are (sigma+zeta, -eps; eps, sigma-zeta) per element.
+    """
+    if zeta is None:
+        zeta = np.zeros_like(sigma)
+    n = mesh.num_points
+    k_eps = assemble_stiffness(mesh, eps)
+    mcol = sp.csr_matrix(mesh.node_mass().reshape(n, 1))
+    z1 = sp.csr_matrix((n, 1))
+    return sp.bmat([[assemble_stiffness(mesh, sigma + zeta), -k_eps, mcol, z1],
+                    [k_eps, assemble_stiffness(mesh, sigma - zeta), z1, mcol],
+                    [mcol.T, z1.T, None, None],
+                    [z1.T, mcol.T, None, None]], format="csr")
+
+
+def _chiral_load_residual(sol: Solution, b: np.ndarray) -> np.ndarray:
+    """K u + m lambda - b over the 2n load rows of the block system."""
+    mesh = sol.mesh
+    a = _chiral_system(mesh, sol.sigma_e, sol.eps_e, sol.zeta_e)
+    x = np.concatenate([sol.u.real, sol.u.imag, sol.multipliers])
+    return (a @ x)[:2 * mesh.num_points] - np.concatenate([b.real, b.imag])
+
+
+def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
+    """The complex bordered LU of `op` acting on real block vectors.
+
+    (x_re, x_im, lam_re, lam_im) is solved as (x_re + i x_im, lam_re +
+    i lam_im) and split back into real and imaginary parts.
+    """
+    n = op.mesh.num_points
+
+    def apply(r):
+        z = op.solve_bordered(np.concatenate(
+            [r[:n] + 1j * r[n:2 * n], [r[2 * n] + 1j * r[2 * n + 1]]]))
+        return np.concatenate([z[:n].real, z[:n].imag, [z[n].real, z[n].imag]])
+
+    return spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=apply,
+                               dtype=float)
+
+
 def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
-                    law: InclusionLaw, g: NeumannData) -> Solution:
-    """Weak solution of the chiral problem via the real 2x2 block split."""
+                    law: InclusionLaw, g: NeumannData,
+                    op: Optional[BackgroundOperator] = None) -> Solution:
+    """Weak solution of the chiral problem via the real 2x2 block split.
+
+    The bordered block system is solved by restarted GMRES, preconditioned
+    by the complex LU of `op`, the background operator on the same mesh
+    (built here when not given). The GMRES iteration count and the final
+    true relative residual of the whole system land in
+    ``diagnostics["krylov_iterations"]`` and ``["krylov_residual"]``; a
+    miss of the GMRES tolerance or of the 1e-6 residual gate raises
+    SolverError.
+    """
     sigma, eps, zeta = element_coefficients(mesh, background, law)
     if mesh.in_d.any():
         d = mesh.in_d
@@ -271,39 +338,40 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
             raise SolverError(
                 f"block system loses coercivity: min eig(sigma1 +/- zeta1) = "
                 f"{lo:.3e} (hypothesis (se0))")
+    if op is None:
+        op = BackgroundOperator(mesh, background)
+    elif op.mesh is not mesh:
+        raise ValueError("the background operator lives on another mesh")
 
-    kpp = assemble_stiffness(mesh, sigma + zeta)
-    kmm = assemble_stiffness(mesh, sigma - zeta)
-    kpm = assemble_stiffness(mesh, -eps)
-    kmp = assemble_stiffness(mesh, eps)
-    m = mesh.node_mass()
     n = mesh.num_points
-    mcol = sp.csr_matrix(m.reshape(n, 1))
-    z1 = sp.csr_matrix((n, 1))
-    a = sp.bmat([[kpp, kpm, mcol, z1],
-                 [kmp, kmm, z1, mcol],
-                 [mcol.T, z1.T, None, None],
-                 [z1.T, mcol.T, None, None]], format="csc")
+    a = _chiral_system(mesh, sigma, eps, zeta)
     b, mean = boundary_load(mesh, g)
     rhs = np.concatenate([b.real, b.imag, [0.0, 0.0]])
-    try:
-        lu = spla.splu(a)
-    except RuntimeError as exc:
-        raise SolverError(f"perturbed factorization failed: {exc}") from exc
-    x = lu.solve(rhs)
-    u = x[:n] + 1j * x[n:2 * n]
-    lams = (float(x[-2]), float(x[-1]))
-    res_re = kpp @ x[:n] + kpm @ x[n:2 * n] + m * lams[0] - b.real
-    res_im = kmp @ x[:n] + kmm @ x[n:2 * n] + m * lams[1] - b.imag
-    res = math.hypot(np.linalg.norm(res_re), np.linalg.norm(res_im))
-    res /= max(np.linalg.norm(b), 1e-300)
-    if not np.isfinite(res) or res > 1e-6:
-        raise SolverError(f"perturbed solve residual {res:.3e}")
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
+                         restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
+                         M=_real_form_preconditioner(op), callback=count,
+                         callback_type="pr_norm")
+    r = a @ x - rhs
+    bnorm = max(np.linalg.norm(b), 1e-300)
+    krylov_res = float(np.linalg.norm(r) / bnorm)  # |rhs| = |b|
+    res = float(np.linalg.norm(r[:2 * n]) / bnorm)
+    if info != 0 or not np.isfinite(krylov_res) or res > 1e-6:
+        raise SolverError(
+            f"perturbed GMRES failed (info {info}): {iterations} iterations, "
+            f"true relative residual {krylov_res:.3e}")
     return Solution(
-        mesh=mesh, u=u, g=g, background=background, law=law,
-        multipliers=lams, residual=float(res), kind="perturbed",
-        sigma_e=sigma, eps_e=eps, zeta_e=zeta,
-        diagnostics={"g_mean_offset": complex(mean)})
+        mesh=mesh, u=x[:n] + 1j * x[n:2 * n], g=g, background=background,
+        law=law, multipliers=(float(x[-2]), float(x[-1])), residual=res,
+        kind="perturbed", sigma_e=sigma, eps_e=eps, zeta_e=zeta,
+        diagnostics={"g_mean_offset": complex(mean),
+                     "krylov_iterations": iterations,
+                     "krylov_residual": krylov_res})
 
 
 def weak_residual(sol: Solution) -> float:
@@ -316,17 +384,9 @@ def weak_residual(sol: Solution) -> float:
         if sol.diagnostics.get("lower_order") is not None:
             k = k + sol.diagnostics["lower_order"]
         r = k @ sol.u + m * sol.multipliers[0] - b
-        return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
-    zeta = sol.zeta_e if sol.zeta_e is not None else np.zeros_like(sol.sigma_e)
-    kpp = assemble_stiffness(mesh, sol.sigma_e + zeta)
-    kmm = assemble_stiffness(mesh, sol.sigma_e - zeta)
-    kpm = assemble_stiffness(mesh, -sol.eps_e)
-    kmp = assemble_stiffness(mesh, sol.eps_e)
-    ur, ui = sol.u.real, sol.u.imag
-    r_re = kpp @ ur + kpm @ ui + m * sol.multipliers[0] - b.real
-    r_im = kmp @ ur + kmm @ ui + m * sol.multipliers[1] - b.imag
-    r = math.hypot(np.linalg.norm(r_re), np.linalg.norm(r_im))
-    return float(r / max(np.linalg.norm(b), 1e-300))
+    else:
+        r = _chiral_load_residual(sol, b)
+    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
 def export_solution_csv(sol: Solution, prefix) -> list:
@@ -403,15 +463,9 @@ def flux_balance(sol: Solution) -> dict:
         k = assemble_stiffness(mesh, sol.sigma_e + 1j * sol.eps_e)
         weak = complex((k @ sol.u + m * sol.multipliers[0] - b).sum())
     else:
-        zeta = sol.zeta_e if sol.zeta_e is not None else np.zeros_like(sol.sigma_e)
-        kpp = assemble_stiffness(mesh, sol.sigma_e + zeta)
-        kmm = assemble_stiffness(mesh, sol.sigma_e - zeta)
-        kpm = assemble_stiffness(mesh, -sol.eps_e)
-        kmp = assemble_stiffness(mesh, sol.eps_e)
-        ur, ui = sol.u.real, sol.u.imag
-        weak = complex(
-            (kpp @ ur + kpm @ ui + m * sol.multipliers[0] - b.real).sum()
-            + 1j * (kmp @ ur + kmm @ ui + m * sol.multipliers[1] - b.imag).sum())
+        r = _chiral_load_residual(sol, b)
+        n = mesh.num_points
+        weak = complex(r[:n].sum() + 1j * r[n:].sum())
     # geometric version: element fluxes through boundary edges vs applied g
     loop = mesh.boundary_loop()
     pts = mesh.points

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     InclusionLaw,
@@ -17,11 +19,19 @@ from powergap import (
     solve_perturbed,
     weak_residual,
 )
+from powergap.cli import parse_config
 from powergap.errors import SolverError
 from powergap.mesh import build_mesh
+from powergap.scenarios import all_scenarios, scenario
 from powergap.solver import boundary_load
 
-from oracles import LayeredDiskSolution, constitutive_matrix
+from oracles import LayeredDiskSolution, constitutive_matrix, direct_block_solve
+
+CORPUS = [(name, case) for case in ("case_ii", "case_i")
+          for name in all_scenarios(case)]
+# contrast corners: sigma1 far below and far above the background, with
+# zeta1 / sigma1 = 0.999 so that sigma1 - zeta1 nearly loses coercivity
+CONTRAST = [("contrast", 1e-3), ("contrast", 1e3)]
 
 
 def h1_seminorm_error(mesh, u, exact_nodal):
@@ -169,6 +179,67 @@ class TestPerturbedSolve:
                            lambda1=0.01, varrho=0.4)
         with pytest.raises(SolverError, match=r"\(se0\)"):
             solve_perturbed(mesh, bg, law, cos_data)
+
+
+@functools.lru_cache(maxsize=None)
+def krylov_case(name, param):
+    """(mesh, background, law, g) of a corpus config or contrast corner at h=0.06."""
+    if name == "contrast":
+        cfg = parse_config(scenario("concentric_disk", mesh={"h": 0.06}))
+        law = InclusionLaw(sigma1=MatrixField.isotropic(param),
+                           zeta1=MatrixField.isotropic(0.999 * param),
+                           lambda1=0.5 * min(param, 1.0 / param),
+                           varrho=0.5)
+    else:
+        cfg = parse_config(scenario(name, case=param, mesh={"h": 0.06}))
+        law = cfg.build_law()
+    mesh = build_mesh(cfg.build_scene(), 0.06)
+    return mesh, cfg.build_background(), law, cfg.build_boundary_data()
+
+
+class TestKrylovSolve:
+    @pytest.mark.parametrize("name,param", CORPUS + CONTRAST)
+    def test_matches_direct_block_lu(self, name, param):
+        mesh, bg, law, g = krylov_case(name, param)
+        sol = solve_perturbed(mesh, bg, law, g)
+        u_ref, lams_ref = direct_block_solve(mesh, bg, law, g)
+        assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        # the multipliers vanish to rounding for compatible data, so they
+        # are compared on the scale of the load they balance
+        b, _ = boundary_load(mesh, g)
+        gap = np.abs(np.subtract(sol.multipliers, lams_ref)).max()
+        assert gap * np.linalg.norm(mesh.node_mass()) \
+            <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name,case", CORPUS)
+    def test_corpus_converges_quickly(self, name, case):
+        sol = solve_perturbed(*krylov_case(name, case))
+        assert 0 < sol.diagnostics["krylov_iterations"] <= 40
+        assert sol.diagnostics["krylov_residual"] <= 1e-12
+        # the block residual and flux balance re-assemble the same system
+        assert weak_residual(sol) == pytest.approx(sol.residual, rel=1e-12)
+        assert flux_balance(sol)["weak"] < 1e-12
+
+    def test_operator_on_other_mesh_rejected(self, disk_mesh_h05):
+        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
+        with pytest.raises(ValueError, match="another mesh"):
+            solve_perturbed(mesh, bg, law, g,
+                            op=BackgroundOperator(disk_mesh_h05, bg))
+
+    @pytest.mark.parametrize("info", [200, 0])
+    def test_unconverged_gmres_raises(self, monkeypatch, info):
+        # an iterate that misses the gate raises whether or not GMRES
+        # itself reports the miss
+        def unconverged(a, rhs, **kwargs):
+            for _ in range(3):
+                kwargs["callback"](1.0)
+            return np.zeros_like(rhs), info
+
+        monkeypatch.setattr("powergap.solver.spla.gmres", unconverged)
+        with pytest.raises(SolverError,
+                           match=r"3 iterations, true relative residual "
+                                 r"1\.000e\+00"):
+            solve_perturbed(*krylov_case("concentric_disk", "case_ii"))
 
 
 class TestResidualsAndFluxes:
