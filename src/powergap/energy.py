@@ -88,7 +88,11 @@ def state_vectors(sol: Solution) -> np.ndarray:
 
 
 def element_cg(sol: Solution) -> np.ndarray:
-    return cg_transform(sol.sigma_e, sol.eps_e, sol.zeta_e)
+    """Per-element 4x4 matrices of the solution's law, computed once per solution."""
+    if sol._cg is None:
+        sol._cg = cg_transform(sol.sigma_e, sol.eps_e, sol.zeta_e)
+        sol._cg.flags.writeable = False
+    return sol._cg
 
 
 def gradient_to_state_matrices(sol: Solution) -> np.ndarray:
@@ -224,12 +228,14 @@ class BracketReport:
 
 
 def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
-                   tol: float = 0.05) -> BracketReport:
+                   tol: float = 0.05,
+                   identities: Optional[IdentityReport] = None) -> BracketReport:
     """Two-sided eigenvalue bracket for |Re dW| / int_D |grad u0|^2.
 
     Case (i) brackets -Re dW, case (ii) brackets +Re dW; refuses when no
     jump case holds, and returns a degenerate marker when the inclusion
-    carries no gradient energy (identical laws).
+    carries no gradient energy (identical laws). identities is the
+    verify_identities report of the same pair, computed here when omitted.
     """
     if case is JumpCase.NONE:
         raise StructuralError(
@@ -238,8 +244,9 @@ def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
     _require_same_mesh(sol0, sol1)
     mesh = sol0.mesh
     d = mesh.in_d
-    rep = verify_identities(sol0, sol1)
-    re_dw = rep.re_dw_boundary
+    if identities is None:
+        identities = verify_identities(sol0, sol1)
+    re_dw = identities.re_dw_boundary
     denom = grad_energy_inclusion(sol0)
     total = float((np.abs(sol0.gradient()) ** 2).sum(axis=1) @ mesh.areas)
     if denom <= 1e-14 * max(total, 1e-300):
@@ -348,11 +355,12 @@ def power_report(sol0: Solution, sol1: Solution, case: JumpCase,
     w0 = boundary_power(sol0)
     w1 = boundary_power(sol1)
     fe = free_energy(sol0)
+    identities = verify_identities(sol0, sol1)
     bracket = None
     if case is not JumpCase.NONE:
-        bracket = energy_bracket(sol0, sol1, case, tol=tol)
+        bracket = energy_bracket(sol0, sol1, case, tol=tol,
+                                 identities=identities)
     return PowerReport(
         w0=w0, w1=w1, delta_w=w0 - w1, w0_free=fe.volume,
         grad_energy_d=grad_energy_inclusion(sol0),
-        identities=verify_identities(sol0, sol1),
-        bracket=bracket, case=case.value)
+        identities=identities, bracket=bracket, case=case.value)

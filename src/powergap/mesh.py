@@ -14,12 +14,17 @@ import math
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import CoverageError, MeshingError
 from .geometry import Circle, as_points, polyline_min_distance
 
 __all__ = ["Mesh", "build_mesh"]
+
+# Points sampled per locate in Mesh.interpolate; bounds its temporaries.
+_SAMPLE_BLOCK = 65_536
 
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> np.ndarray:
@@ -174,53 +179,50 @@ class Mesh:
         return idx
 
     def interpolate(self, nodal, points) -> np.ndarray:
-        """P1 interpolation of nodal values at arbitrary points."""
+        """P1 interpolation of a real or complex nodal field at arbitrary points.
+
+        One locate per point, blocked: the points are taken in blocks of
+        ``_SAMPLE_BLOCK``, each block is located once, and its barycentric
+        weights are applied to the nodal values in the field's own dtype.
+        """
         p = as_points(points)
-        idx = self.locate(p)
-        T = self._tri.transform[idx]
-        b = np.einsum("nij,nj->ni", T[:, :2, :], p - T[:, 2, :])
-        bary = np.column_stack([b, 1.0 - b.sum(axis=1)])
-        vals = np.asarray(nodal)[self._tri.simplices[idx]]
-        return (vals * bary).sum(axis=1)
+        nodal = np.asarray(nodal)
+        out = np.empty(len(p), dtype=np.result_type(nodal, float))
+        for start in range(0, len(p), _SAMPLE_BLOCK):
+            q = p[start:start + _SAMPLE_BLOCK]
+            idx = self.locate(q)
+            T = self._tri.transform[idx]
+            d = q - T[:, 2, :]
+            b0 = T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1]
+            b1 = T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1]
+            b2 = 1.0 - (b0 + b1)
+            v = nodal[self._tri.simplices[idx]]
+            out[start:start + len(q)] = v[:, 0] * b0 + v[:, 1] * b1 \
+                + v[:, 2] * b2
+        return out
 
     def gradient_per_element(self, nodal) -> np.ndarray:
         """Constant gradient of a P1 field on each element, shape (m, 2)."""
         vals = np.asarray(nodal)[self.triangles]
         return np.einsum("mi,mid->md", vals, self.grads)
 
-    def gradient_at(self, nodal, points) -> np.ndarray:
-        idx = self.locate(points)
-        return self.gradient_per_element(nodal)[idx]
-
     def component_clusters(self) -> dict:
-        """Connected element clusters per component tag (flood fill).
+        """Connected element clusters per component tag.
 
-        A valid two-component scene yields exactly one cluster for each
-        tag, i.e. the domain minus the interface has two pieces.
+        Elements are joined across every shared edge whose two sides carry
+        the same tag. A valid two-component scene yields exactly one cluster
+        for each tag, i.e. the domain minus the interface has two pieces.
         """
-        parent = np.arange(self.num_triangles)
-
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        nb = self._tri.neighbors
-        for m in range(self.num_triangles):
-            for k in range(3):
-                n = nb[m, k]
-                if n > m and self.comp[m] == self.comp[n]:
-                    ra, rb = find(m), find(int(n))
-                    if ra != rb:
-                        parent[rb] = ra
-        out = {}
-        for tag in np.unique(self.comp):
-            members = np.nonzero(self.comp == tag)[0]
-            out[int(tag)] = len({find(int(i)) for i in members})
-        return out
+        m = self.num_triangles
+        a = np.repeat(np.arange(m), 3)
+        b = self._tri.neighbors.ravel()
+        a, b = a[b >= 0], b[b >= 0]
+        same = self.comp[a] == self.comp[b]
+        graph = sp.coo_matrix((np.ones(int(same.sum())), (a[same], b[same])),
+                              shape=(m, m))
+        _, labels = connected_components(graph, directed=False)
+        return {int(tag): len(np.unique(labels[self.comp == tag]))
+                for tag in np.unique(self.comp)}
 
     def boundary_loop(self) -> np.ndarray:
         """Boundary node indices ordered counterclockwise."""

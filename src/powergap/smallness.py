@@ -401,7 +401,9 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     inclusion is a region object (or closed curve) for D; requires
     B_r(x0) inside D and dist(D, boundary) >= h. Radii are h/30, h/10, h/2
     as in the constructive proof; r/2 > h is recorded but not required for
-    building the certificate.
+    building the certificate. Chains share balls (every chain starts at
+    x0), so the ball norms are cached by centre: one integral per distinct
+    centre.
     """
     region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
     x0 = np.asarray(x0, float)
@@ -432,15 +434,22 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     w = cands[region.signed_distance(cands) < r1]
 
     u_norm = math.sqrt(l2_norm_sq(u))
-    m0 = math.sqrt(ball_l2_sq(u, x0, r1, n_grid)) / u_norm
+    m_by_center = {}
+
+    def m_at(c) -> float:
+        key = c.tobytes()
+        if key not in m_by_center:
+            m_by_center[key] = math.sqrt(ball_l2_sq(u, c, r1, n_grid)) / u_norm
+        return m_by_center[key]
+
+    m0 = m_at(x0)
     chains = []
     n_max = 0
     bound_sq = 0.0
     for wj in w:
         path = _straight_or_grid_path(dtil, x0, wj, r1)
         centers = _chain_centers(path, r1)
-        ms = np.array([math.sqrt(ball_l2_sq(u, c, r1, n_grid)) / u_norm
-                       for c in centers])
+        ms = np.array([m_at(c) for c in centers])
         links = np.maximum(ms[1:], 1e-300) / np.maximum(ms[:-1], 1e-300) ** tau
         cmax = float(links.max()) if len(links) else 1.0
         cert = ChainCertificate(centers=centers, radii=(r1, r2, r3), tau=tau,

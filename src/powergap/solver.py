@@ -109,6 +109,8 @@ class Solution:
     zeta_e: Optional[np.ndarray]
     diagnostics: dict = field(default_factory=dict)
     _grad: Optional[np.ndarray] = None
+    # per-element Cherkaev-Gibiansky matrices, filled by energy.element_cg
+    _cg: Optional[np.ndarray] = None
 
     def gradient(self) -> np.ndarray:
         """Per-element complex gradient, shape (m, 2)."""
@@ -120,8 +122,7 @@ class Solution:
         return complex(self.mesh.node_mass() @ self.u)
 
     def evaluate(self, points) -> np.ndarray:
-        return self.mesh.interpolate(self.u.real, points) \
-            + 1j * self.mesh.interpolate(self.u.imag, points)
+        return self.mesh.interpolate(self.u, points)
 
     def grad_at(self, points) -> np.ndarray:
         return self.gradient()[self.mesh.locate(points)]

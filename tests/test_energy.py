@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -268,3 +269,26 @@ class TestPowerReport:
                     "case"):
             assert key in d
         assert d["case"] == "case_ii"
+
+    def test_identities_and_cg_computed_once(self, inclusion_setup,
+                                             monkeypatch):
+        import powergap.energy as energy
+        _, _, sol0, sol_ii, _ = inclusion_setup
+        sol0 = dataclasses.replace(sol0, _cg=None)
+        sol_ii = dataclasses.replace(sol_ii, _cg=None)
+        counts = {"verify_identities": 0, "cg_transform": 0}
+
+        def counting(name):
+            fn = getattr(energy, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(energy, name, counting(name))
+        rep = energy.power_report(sol0, sol_ii, JumpCase.CASE_II)
+        assert counts == {"verify_identities": 1, "cg_transform": 2}
+        alone = energy_bracket(sol0, sol_ii, JumpCase.CASE_II)
+        assert alone == rep.bracket

@@ -3,7 +3,12 @@ import pytest
 
 from powergap import Circle, Ellipse, Scene
 from powergap.errors import MeshingError
-from powergap.mesh import build_mesh, circle_circle_intersections
+from powergap.mesh import (
+    _SAMPLE_BLOCK,
+    Mesh,
+    build_mesh,
+    circle_circle_intersections,
+)
 
 
 class TestBuildMesh:
@@ -77,6 +82,43 @@ class TestBuildMesh:
         vals = disk_mesh_h05.interpolate(nodal, pts)
         assert np.allclose(vals, 2.0 * pts[:, 0] - pts[:, 1], atol=1e-12)
 
+    @pytest.mark.parametrize("n", [500, _SAMPLE_BLOCK + 4_464])
+    def test_complex_interpolation_is_two_real_ones(self, disk_mesh_h05,
+                                                    rng, n):
+        m = disk_mesh_h05.num_points
+        nodal = rng.normal(size=m) + 1j * rng.normal(size=m)
+        pts = rng.uniform(-0.7, 0.7, (n, 2))
+        vals = disk_mesh_h05.interpolate(nodal, pts)
+        assert vals.dtype == np.complex128
+        assert np.array_equal(
+            vals, disk_mesh_h05.interpolate(nodal.real, pts)
+            + 1j * disk_mesh_h05.interpolate(nodal.imag, pts))
+
+    def test_integer_field_interpolates_to_floats(self, disk_mesh_h05, rng):
+        nodal = np.arange(disk_mesh_h05.num_points)
+        pts = rng.uniform(-0.6, 0.6, (500, 2))
+        vals = disk_mesh_h05.interpolate(nodal, pts)
+        assert vals.dtype == np.float64
+        assert np.array_equal(
+            vals, disk_mesh_h05.interpolate(nodal.astype(float), pts))
+
+    @pytest.mark.parametrize("n, blocks", [(500, 1),
+                                           (2 * _SAMPLE_BLOCK + 7, 3)])
+    def test_evaluate_locates_once_per_block(self, disk_solution, rng,
+                                             monkeypatch, n, blocks):
+        located = []
+        locate = Mesh.locate
+
+        def counting_locate(self, points):
+            located.append(len(points))
+            return locate(self, points)
+
+        monkeypatch.setattr(Mesh, "locate", counting_locate)
+        vals = disk_solution.evaluate(rng.uniform(-0.6, 0.6, (n, 2)))
+        assert len(vals) == n
+        assert len(located) == blocks
+        assert sum(located) == n
+
     def test_gradient_per_element_linear(self, disk_mesh_h05):
         nodal = 3.0 * disk_mesh_h05.points[:, 1]
         g = disk_mesh_h05.gradient_per_element(nodal)
@@ -104,3 +146,8 @@ class TestComponents:
 
     def test_one_phase_single_component(self, disk_mesh_h05):
         assert disk_mesh_h05.component_clusters() == {1: 1}
+
+    def test_same_tag_split_counts_two_clusters(self, disk_scene):
+        mesh = build_mesh(disk_scene, 0.1)
+        mesh.comp = np.where(np.abs(mesh.centroids[:, 0]) > 0.5, 1, -1)
+        assert mesh.component_clusters() == {-1: 1, 1: 2}

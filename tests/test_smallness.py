@@ -199,6 +199,35 @@ class TestChain:
         assert cert.n_max <= cert.n_bound
         assert cert.direct_d_norm_sq <= cert.bound_d_norm_sq * (1 + 1e-9)
 
+    def test_one_integral_per_distinct_centre(self, cos_data, monkeypatch):
+        import powergap.smallness as smallness
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
+        mesh = build_mesh(scene, 0.04)
+        bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05)
+        sol = solve_background(mesh, bg,
+                               fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
+        calls = []
+
+        def counting_ball(u, center, radius, n_grid=110):
+            calls.append(np.asarray(center, float).tobytes())
+            return ball_l2_sq(u, center, radius, n_grid)
+
+        monkeypatch.setattr(smallness, "ball_l2_sq", counting_ball)
+        x0 = np.array([0.1, 0.0])
+        cert = propagate_chain(sol, scene.inclusion, x0, r=0.1, h=0.6)
+        centres = [x0.tobytes()] + [c.tobytes() for ch in cert.chains
+                                    for c in ch.centers]
+        # the chains share balls, so a cache has something to save
+        assert len(set(centres)) < len(centres)
+        assert len(calls) == len(set(centres))
+        assert len(set(calls)) == len(calls)
+        r1 = cert.radii[0]
+        for ch in cert.chains:
+            direct = [math.sqrt(ball_l2_sq(sol, c, r1, 96)) / cert.u_norm
+                      for c in ch.centers]
+            assert np.array_equal(ch.m_values, direct)
+
     def test_seed_ball_outside_rejected(self, disk_solution):
         from powergap.errors import StructuralError
         with pytest.raises(StructuralError, match="seed"):
