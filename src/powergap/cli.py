@@ -1,8 +1,9 @@
 """Configuration ingestion, experiment orchestration, and report emission.
 
 One JSON document describes a scene, its coefficient laws, the injected
-boundary current, the weight geometry, and the list of checks to run. The
-run pipeline executes mesh -> solve -> energy -> checks -> estimate and
+boundary current, the weight geometry, and the list of checks to run. `run`
+walks one table of stages, mesh -> solve -> energy -> checks -> estimate
+(`_stages`, which also gives the known checks and their preconditions), and
 writes a deterministic JSON report (timings only on request, so repeated
 runs are byte-identical) plus tidy CSV artifacts for plotting.
 
@@ -20,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .errors import (
 from .geometry import (
     Circle,
     Ellipse,
+    RectRegion,
     Scene,
     WeightParams,
     build_regions,
@@ -51,6 +53,7 @@ from .geometry import (
 from .mesh import build_mesh
 from .solver import (
     BackgroundOperator,
+    export_solution_csv,
     fourier_data,
     solve_perturbed,
 )
@@ -58,10 +61,6 @@ from .solver import (
 EXIT_OK = 0
 EXIT_STRUCTURAL = 2
 EXIT_VIOLATION = 3
-
-KNOWN_CHECKS = ("admissibility", "energy", "bracket", "three_region",
-                "three_ball", "chain", "scaling", "lipschitz",
-                "boundary_layer", "vitali", "size")
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +170,16 @@ class ExperimentConfig:
         return WeightParams(**self.raw.get("weights", {}))
 
 
+# What a stage can need: how an error names it, and whether a config has it.
+_NEEDS = {
+    "interface": ("scene.interface", lambda r: r["scene"].get("interface")),
+    "inclusion": ("scene.inclusion", lambda r: r["scene"].get("inclusion")),
+    "law": ("a 'law' section", lambda r: r.get("law")),
+    "chain": ("a 'chain' section (x0, r, h)", lambda r: "chain" in r),
+    "energy": ("check 'energy'", lambda r: "energy" in r.get("checks", [])),
+}
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -180,10 +189,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "h" not in doc["mesh"]:
         _fail("mesh.h", "required")
     cfg = ExperimentConfig(raw=doc)
-    for name in cfg.checks:
-        if name not in KNOWN_CHECKS:
-            _fail("checks", f"unknown check {name!r}; known: {KNOWN_CHECKS}")
-    issues = validate_check_preconditions(cfg)
+    # unknown checks and unmet needs are named before anything is solved
+    issues = [f"config field 'checks': unknown check {name!r}; known: "
+              f"{KNOWN_CHECKS}" for name in cfg.checks
+              if name not in KNOWN_CHECKS]
+    issues += [f"check '{stage.name}' needs {_NEEDS[need][0]}"
+               for stage in _stages() if stage.name in cfg.checks
+               for need in stage.needs if not _NEEDS[need][1](doc)]
     if issues:
         raise ConfigError("; ".join(issues))
     # constructing the objects validates numeric ranges
@@ -194,27 +206,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def validate_check_preconditions(cfg: ExperimentConfig) -> list:
-    """Named-precondition validation before anything is solved."""
-    issues = []
-    scene = cfg.raw.get("scene", {})
-    has_interface = scene.get("interface") is not None
-    has_inclusion = scene.get("inclusion") is not None
-    has_law = cfg.raw.get("law") is not None
-    for name in cfg.checks:
-        if name in ("three_region", "vitali") and not has_interface:
-            issues.append(f"check '{name}' needs scene.interface")
-        if name in ("bracket", "size", "energy") and not (has_law and
-                                                          has_inclusion):
-            issues.append(f"check '{name}' needs an inclusion and a law")
-        if name == "chain" and not has_inclusion:
-            issues.append("check 'chain' needs scene.inclusion")
-        if name == "chain" and "chain" not in cfg.raw:
-            issues.append("check 'chain' needs a 'chain' section (x0, r, h)")
-    return issues
-
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse a config file, its top-level keys replaced by `overrides`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -223,6 +216,8 @@ def load_config(path) -> ExperimentConfig:
                           f"{exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update(overrides)
     return parse_config(doc)
 
 
@@ -230,12 +225,38 @@ def load_config(path) -> ExperimentConfig:
 # Run pipeline
 
 
-def _admissibility_stage(cfg, scene, mesh, background, law) -> dict:
+class _Run:
+    """What the stages of one run share; each stage fills in its part."""
+
+    def __init__(self, cfg: ExperimentConfig, threads: int = 1):
+        self.cfg = cfg
+        self.threads = threads
+        self.violations = []
+        self.scene = cfg.build_scene()
+        self.background = cfg.build_background()
+        self.law = cfg.build_law()
+        self.g = cfg.build_boundary_data()
+        self.mesh = self.op = self.sol0 = self.sol1 = self.power = None
+        self.case = JumpCase.NONE
+
+
+def _mesh_stage(st: _Run) -> dict:
+    validation = st.scene.validate()
+    st.mesh = build_mesh(st.scene, st.cfg.mesh_h,
+                         float(st.cfg.raw["mesh"].get("min_angle_deg", 5.0)))
+    return {"scene_validation": validation,
+            "mesh": {"n_points": st.mesh.num_points,
+                     "n_triangles": st.mesh.num_triangles,
+                     **st.mesh.diagnostics}}
+
+
+def _admissibility_stage(st: _Run) -> dict:
+    mesh, scene = st.mesh, st.scene
     pts = np.vstack([mesh.centroids, mesh.points])
     comp = np.concatenate([mesh.comp, scene.component(mesh.points)])
     plus, minus = pts[comp > 0], pts[comp < 0]
     d_mask = scene.in_inclusion(pts)
-    report = validate_admissibility(background, law, plus, minus,
+    report = validate_admissibility(st.background, st.law, plus, minus,
                                     pts[d_mask], comp[d_mask], strict=False)
     # the jump classification "none" is a valid outcome (it only disables
     # the energy bracket), so it does not fail admissibility
@@ -248,28 +269,61 @@ def _admissibility_stage(cfg, scene, mesh, background, law) -> dict:
     return report
 
 
-def _three_region_stage(cfg, scene, op, rng, violations,
-                        threads: int = 1) -> dict:
+def _solve_stage(st: _Run) -> dict:
+    mesh, background = st.mesh, st.background
+    st.op = BackgroundOperator(mesh, background)
+    st.sol0 = st.op.solve(st.g)
+    out = {"residual_u0": st.sol0.residual,
+           "g_defect": st.g.compatibility_defect(mesh)}
+    if st.law is not None and st.scene.inclusion is not None:
+        st.sol1 = solve_perturbed(mesh, background, st.law, st.g, op=st.op)
+        out["residual_u1"] = st.sol1.residual
+        d_pts = mesh.centroids[mesh.in_d]
+        if len(d_pts):
+            st.case = check_jump_condition(
+                background.sigma(d_pts, mesh.comp[mesh.in_d]),
+                st.law.sigma1(d_pts), st.law.zeta1(d_pts), st.law.varrho)
+    return out
+
+
+def _energy_stage(st: _Run) -> dict:
+    want_bracket = "bracket" in st.cfg.checks and st.case is not JumpCase.NONE
+    st.power = energy.power_report(
+        st.sol0, st.sol1, st.case if want_bracket else JumpCase.NONE,
+        tol=float(st.cfg.raw.get("bracket_tol", 0.05)))
+    bracket = st.power.bracket
+    if want_bracket and not bracket.degenerate \
+            and not (bracket.sign_ok and bracket.bracket_ok):
+        st.violations.append(
+            f"energy bracket failed (sign_ok={bracket.sign_ok}, "
+            f"bracket_ok={bracket.bracket_ok})")
+    return {**st.power.as_dict(), "case": st.case.value}
+
+
+def _three_region_stage(st: _Run) -> dict:
+    cfg = st.cfg
     wp = cfg.build_weights()
     rcfg = cfg.raw.get("regions", {})
     regions = build_regions(wp, float(rcfg.get("R1", 0.4)),
                             float(rcfg.get("R2", 0.1)),
                             float(rcfg.get("theta", 0.09)))
-    fmap = flattening_map(scene.interface, float(rcfg.get("anchor_t", 0.0)),
-                          scene.rho0, scene.K0)
+    fmap = flattening_map(st.scene.interface,
+                          float(rcfg.get("anchor_t", 0.0)),
+                          st.scene.rho0, st.scene.K0)
     n_family = int(rcfg.get("n_family", 8))
     # draw every mode set up front so the family is seed-deterministic
-    # regardless of worker scheduling
+    # regardless of worker scheduling; no other stage draws from the seed
+    rng = np.random.default_rng(cfg.seed)
     mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
                   for k in range(1, 6)] for _ in range(n_family)]
 
     def one(modes):
-        sol = op.solve(fourier_data(modes))
+        sol = st.op.solve(fourier_data(modes))
         return smallness.check_three_region(sol, regions, fmap)
 
-    if threads > 1:
+    if st.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=st.threads) as pool:
             checks = list(pool.map(one, mode_sets))
     else:
         checks = [one(m) for m in mode_sets]
@@ -280,29 +334,37 @@ def _three_region_stage(cfg, scene, op, rng, violations,
                      "margin": chk.margin,
                      "violation": chk.violation_candidate})
         if chk.violation_candidate:
-            violations.append(f"three_region family member {i}: "
-                              "I1 = 0 with I2 > 0")
+            st.violations.append(f"three_region family member {i}: "
+                                 "I1 = 0 with I2 > 0")
     consts = [r["constant"] for r in rows if math.isfinite(r["constant"])]
     med = float(np.median(consts)) if consts else math.nan
-    out = {"R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
-           "exponents": regions.exponents(), "rows": rows,
-           "max_constant": max(consts) if consts else math.nan,
-           "median_constant": med,
-           "uniformity": (max(consts) / med) if consts and med > 0
-           else math.nan}
-    return out
+    return {"R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
+            "exponents": regions.exponents(), "rows": rows,
+            "max_constant": max(consts) if consts else math.nan,
+            "median_constant": med,
+            "uniformity": (max(consts) / med) if consts and med > 0
+            else math.nan}
 
 
-def _chain_stage(cfg, scene, sol0, violations) -> dict:
-    ch = cfg.raw["chain"]
-    cert = smallness.propagate_chain(sol0, scene.inclusion,
+def _three_ball_stage(st: _Run) -> dict:
+    tb = st.cfg.raw.get("three_ball", {"center": [0.3, 0.2],
+                                      "radii": [0.02, 0.06, 0.3]})
+    chk = smallness.check_three_ball(st.sol0, tb["center"], *tb["radii"])
+    return {"constant": chk.constant, "margin": chk.margin,
+            "tau": chk.params["tau"],
+            "crosses_interface": chk.params["crosses_interface"]}
+
+
+def _chain_stage(st: _Run) -> dict:
+    ch = st.cfg.raw["chain"]
+    cert = smallness.propagate_chain(st.sol0, st.scene.inclusion,
                                      np.asarray(ch["x0"], dtype=float),
                                      float(ch["r"]), float(ch["h"]))
     inv_ok = all(all(c.invariants_ok().values()) for c in cert.chains)
     holds = cert.holds()
     if not (inv_ok and holds):
-        violations.append("chain certificate failed "
-                          f"(invariants={inv_ok}, bound={holds})")
+        st.violations.append("chain certificate failed "
+                             f"(invariants={inv_ok}, bound={holds})")
     return {"n_chains": len(cert.chains), "n_max": cert.n_max,
             "n_bound": cert.n_bound, "tau": cert.tau, "m0": cert.m0,
             "delta": cert.delta, "direct_d_norm_sq": cert.direct_d_norm_sq,
@@ -311,7 +373,51 @@ def _chain_stage(cfg, scene, sol0, violations) -> dict:
             "r_over_2h_ok": cert.r_over_2h_ok}
 
 
-def _size_stage(cfg, scene, power, bracket, sol0, violations) -> dict:
+def _scaling_stage(st: _Run) -> dict:
+    res = {f"theta_{theta}": smallness.scaling_identity_check(
+        st.sol0, RectRegion((-0.2, -0.2), (0.2, 0.2)), theta)
+        for theta in (0.5, 0.7, 1.0)}
+    worst = max(res.values())
+    res["max_residual"] = worst
+    if worst >= 1e-3:
+        st.violations.append(f"scaling identity residual {worst:.3e}")
+    return res
+
+
+def _lipschitz_stage(st: _Run) -> dict:
+    a = float(st.cfg.raw.get("lipschitz_a", 0.1))
+    ls = smallness.lipschitz_smallness(st.sol0, a)
+    return {"a": a, "c_a": ls["c_a"], "argmin": list(ls["argmin"])}
+
+
+def _boundary_layer_stage(st: _Run) -> dict:
+    avals = st.cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
+    bl = smallness.boundary_layer(st.sol0, avals)
+    return {"a": list(map(float, bl["a"])),
+            "layer_energy": list(map(float, bl["layer_energy"])),
+            "exponent": bl["exponent"]}
+
+
+def _vitali_stage(st: _Run) -> dict:
+    radius = float(st.cfg.raw.get("vitali_radius", 0.05))
+    centers = vitali_cover(st.scene.interface, radius)
+    return {"radius": radius, "n_centers": int(len(centers)),
+            "cover_constant":
+                len(centers) * radius / st.scene.interface.perimeter}
+
+
+def _size_stage(st: _Run) -> dict:
+    cfg, scene, power, sol0 = st.cfg, st.scene, st.power, st.sol0
+    bracket = power.bracket
+    if bracket is None or bracket.degenerate:
+        if abs(power.delta_w.real) <= 1e-8 * max(abs(power.w0.real), 1e-300):
+            # identical laws: dW ~ 0 gives the degenerate [0, 0] bounds
+            return estimator.estimate_size(
+                power, (0.0, 0.0), fatness_ok=True,
+                true_area=scene.inclusion.area,
+                constants_source="degenerate").as_dict()
+        return {"refused": "jump condition (a0) classifies as 'none'; size "
+                           "bounds not asserted"}
     fat = estimator.check_fatness(scene)
     constants = cfg.raw.get("size_constants")
     if constants is not None:
@@ -323,7 +429,7 @@ def _size_stage(cfg, scene, power, bracket, sol0, violations) -> dict:
         ls = smallness.lipschitz_smallness(sol0, ell / 2.0, max_centers=60)
         c1, c2 = estimator.surrogate_size_constants(
             bracket.kappa_lo, bracket.kappa_hi, interior["ratio"],
-            ls["c_a"], cfg.build_background().lambda0, ell)
+            ls["c_a"], st.background.lambda0, ell)
         source = "analytic-surrogate"
     est = estimator.estimate_size(power, (c1, c2), fatness_ok=fat["passed"],
                                   true_area=scene.inclusion.area,
@@ -333,172 +439,84 @@ def _size_stage(cfg, scene, power, bracket, sol0, violations) -> dict:
     out["g_norm_ratio"] = estimator.boundary_data_norm_ratio(sol0.mesh,
                                                              sol0.g)
     if est.brackets_truth() is False and source == "calibrated":
-        violations.append(
+        st.violations.append(
             f"size bounds [{est.lower:.4g}, {est.upper:.4g}] miss the true "
             f"area {est.true_area:.4g}")
     return out
 
 
+class _Stage(NamedTuple):
+    name: str
+    always: bool
+    fn: Optional[Callable]
+    needs: tuple = ()
+    key: str = "checks"
+
+
+def _stages() -> tuple:
+    """The pipeline's stages, in run order.
+
+    A stage runs always, or when named in `checks`, and then needs what
+    `needs` names in `_NEEDS`. `fn(run)` returns its report fragment, put
+    at checks.<name> for key "checks" and merged into the report for key
+    "". `bracket` has no stage; the energy stage reads it. Built per call,
+    so a stage function wrapped at run time (as perfbench/tracer.py does)
+    is the one that runs.
+    """
+    return (
+        _Stage("mesh", True, _mesh_stage, key=""),
+        _Stage("admissibility", False, _admissibility_stage,
+               key="admissibility"),
+        _Stage("solve", True, _solve_stage, key="solve"),
+        _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power"),
+        _Stage("bracket", False, None, ("energy",)),
+        _Stage("three_region", False, _three_region_stage, ("interface",)),
+        _Stage("three_ball", False, _three_ball_stage),
+        _Stage("chain", False, _chain_stage, ("inclusion", "chain")),
+        _Stage("scaling", False, _scaling_stage),
+        _Stage("lipschitz", False, _lipschitz_stage),
+        _Stage("boundary_layer", False, _boundary_layer_stage),
+        _Stage("vitali", False, _vitali_stage, ("interface",)),
+        _Stage("size", False, _size_stage, ("energy",), "size"),
+    )
+
+
+KNOWN_CHECKS = tuple(stage.name for stage in _stages() if not stage.always)
+
+
 def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False,
         threads: int = 1):
     """Execute the configured pipeline; returns (report, exit_code)."""
-    rng = np.random.default_rng(cfg.seed)
-    stage_times = {}
+    st = _Run(cfg, threads)
     report = {"schema_version": 1, "tool_version": __version__,
               "config": cfg.raw, "checks": {}}
-    violations = []
-
-    t0 = time.perf_counter()
-    scene = cfg.build_scene()
-    report["scene_validation"] = scene.validate()
-    background = cfg.build_background()
-    law = cfg.build_law()
-    g = cfg.build_boundary_data()
-
-    mesh = build_mesh(scene, cfg.mesh_h,
-                      float(cfg.raw["mesh"].get("min_angle_deg", 5.0)))
-    report["mesh"] = {"n_points": mesh.num_points,
-                      "n_triangles": mesh.num_triangles,
-                      **mesh.diagnostics}
-    stage_times["mesh"] = time.perf_counter() - t0
-
-    if "admissibility" in cfg.checks:
+    stage_times = {}
+    for stage in _stages():
+        if stage.fn is None or not (stage.always or stage.name in cfg.checks):
+            continue
         t0 = time.perf_counter()
-        report["admissibility"] = _admissibility_stage(
-            cfg, scene, mesh, background, law)
-        stage_times["admissibility"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    op = BackgroundOperator(mesh, background)
-    sol0 = op.solve(g)
-    report["solve"] = {"residual_u0": sol0.residual,
-                       "g_defect": g.compatibility_defect(mesh)}
-    sol1 = None
-    case = JumpCase.NONE
-    if law is not None and scene.inclusion is not None:
-        sol1 = solve_perturbed(mesh, background, law, g, op=op)
-        report["solve"]["residual_u1"] = sol1.residual
-        d_pts = mesh.centroids[mesh.in_d]
-        if len(d_pts):
-            case = check_jump_condition(
-                background.sigma(d_pts, mesh.comp[mesh.in_d]),
-                law.sigma1(d_pts), law.zeta1(d_pts), law.varrho)
-    stage_times["solve"] = time.perf_counter() - t0
-
-    if cfg.raw.get("export_fields") and out_dir is not None:
-        from .solver import export_solution_csv
-        export_solution_csv(sol0, Path(out_dir) / f"{cfg.label}_u0")
-        if sol1 is not None:
-            export_solution_csv(sol1, Path(out_dir) / f"{cfg.label}_u1")
-
-    power = None
-    bracket = None
-    if "energy" in cfg.checks and sol1 is not None:
-        t0 = time.perf_counter()
-        want_bracket = "bracket" in cfg.checks and case is not JumpCase.NONE
-        power = energy.power_report(
-            sol0, sol1, case if want_bracket else JumpCase.NONE,
-            tol=float(cfg.raw.get("bracket_tol", 0.05)))
-        report["power"] = power.as_dict()
-        report["power"]["case"] = case.value
-        bracket = power.bracket
-        if want_bracket and bracket is not None and not bracket.degenerate:
-            if not (bracket.sign_ok and bracket.bracket_ok):
-                violations.append(
-                    f"energy bracket failed (sign_ok={bracket.sign_ok}, "
-                    f"bracket_ok={bracket.bracket_ok})")
-        stage_times["energy"] = time.perf_counter() - t0
-
-    if "three_region" in cfg.checks:
-        t0 = time.perf_counter()
-        report["checks"]["three_region"] = _three_region_stage(
-            cfg, scene, op, rng, violations, threads=threads)
-        stage_times["three_region"] = time.perf_counter() - t0
-
-    if "three_ball" in cfg.checks:
-        t0 = time.perf_counter()
-        tb = cfg.raw.get("three_ball", {"center": [0.3, 0.2],
-                                        "radii": [0.02, 0.06, 0.3]})
-        chk = smallness.check_three_ball(sol0, tb["center"], *tb["radii"])
-        report["checks"]["three_ball"] = {
-            "constant": chk.constant, "margin": chk.margin,
-            "tau": chk.params["tau"],
-            "crosses_interface": chk.params["crosses_interface"]}
-        stage_times["three_ball"] = time.perf_counter() - t0
-
-    if "chain" in cfg.checks:
-        t0 = time.perf_counter()
-        report["checks"]["chain"] = _chain_stage(cfg, scene, sol0, violations)
-        stage_times["chain"] = time.perf_counter() - t0
-
-    if "scaling" in cfg.checks:
-        t0 = time.perf_counter()
-        from .geometry import RectRegion
-        res = {}
-        for theta in (0.5, 0.7, 1.0):
-            res[f"theta_{theta}"] = smallness.scaling_identity_check(
-                sol0, RectRegion((-0.2, -0.2), (0.2, 0.2)), theta)
-        worst = max(res.values())
-        res["max_residual"] = worst
-        if worst >= 1e-3:
-            violations.append(f"scaling identity residual {worst:.3e}")
-        report["checks"]["scaling"] = res
-        stage_times["scaling"] = time.perf_counter() - t0
-
-    if "lipschitz" in cfg.checks:
-        t0 = time.perf_counter()
-        a = float(cfg.raw.get("lipschitz_a", 0.1))
-        ls = smallness.lipschitz_smallness(sol0, a)
-        report["checks"]["lipschitz"] = {"a": a, "c_a": ls["c_a"],
-                                         "argmin": list(ls["argmin"])}
-        stage_times["lipschitz"] = time.perf_counter() - t0
-
-    if "boundary_layer" in cfg.checks:
-        t0 = time.perf_counter()
-        avals = cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
-        bl = smallness.boundary_layer(sol0, avals)
-        report["checks"]["boundary_layer"] = {
-            "a": list(map(float, bl["a"])),
-            "layer_energy": list(map(float, bl["layer_energy"])),
-            "exponent": bl["exponent"]}
-        stage_times["boundary_layer"] = time.perf_counter() - t0
-
-    if "vitali" in cfg.checks:
-        t0 = time.perf_counter()
-        radius = float(cfg.raw.get("vitali_radius", 0.05))
-        centers = vitali_cover(scene.interface, radius)
-        length = scene.interface.perimeter
-        report["checks"]["vitali"] = {
-            "radius": radius, "n_centers": int(len(centers)),
-            "cover_constant": len(centers) * radius / length}
-        stage_times["vitali"] = time.perf_counter() - t0
-
-    if "size" in cfg.checks and power is not None and bracket is not None \
-            and not bracket.degenerate:
-        t0 = time.perf_counter()
-        report["size"] = _size_stage(cfg, scene, power, bracket, sol0,
-                                     violations)
-        stage_times["size"] = time.perf_counter() - t0
-    elif "size" in cfg.checks and power is not None:
-        if abs(power.delta_w.real) <= 1e-8 * max(abs(power.w0.real), 1e-300):
-            # identical laws: dW ~ 0 gives the degenerate [0, 0] bounds
-            est = estimator.estimate_size(power, (0.0, 0.0), fatness_ok=True,
-                                          true_area=scene.inclusion.area,
-                                          constants_source="degenerate")
-            report["size"] = est.as_dict()
+        fragment = stage.fn(st)
+        stage_times[stage.name] = time.perf_counter() - t0
+        if stage.key == "checks":
+            report["checks"][stage.name] = fragment
+        elif stage.key:
+            report[stage.key] = fragment
         else:
-            report["size"] = {"refused": "jump condition (a0) classifies as "
-                                         "'none'; size bounds not asserted"}
+            report.update(fragment)
 
-    report["violations"] = violations
+    report["violations"] = st.violations
     if timings:
         report["timings"] = stage_times
-    code = EXIT_VIOLATION if violations else EXIT_OK
+    code = EXIT_VIOLATION if st.violations else EXIT_OK
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_report(report, out / f"{cfg.label}.json")
+        if cfg.raw.get("export_fields"):
+            export_solution_csv(st.sol0, out / f"{cfg.label}_u0")
+            if st.sol1 is not None:
+                export_solution_csv(st.sol1, out / f"{cfg.label}_u1")
         tr = report["checks"].get("three_region")
         if tr:
             with open(out / f"{cfg.label}_three_region.csv", "w",
@@ -523,8 +541,7 @@ def _to_native(obj):
 
 def write_report(report: dict, path):
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True, default=_to_native)
-        fh.write("\n")
+        fh.write(report_json(report) + "\n")
 
 
 def report_json(report: dict) -> str:
@@ -667,26 +684,23 @@ def emit_plot_data(reports, kind: str, path) -> list:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    scene = cfg.build_scene()
-    scene.validate()
-    mesh = build_mesh(scene, max(cfg.mesh_h, 0.05))
-    _admissibility_stage(cfg, scene, mesh, cfg.build_background(),
-                         cfg.build_law())
-    print(f"config '{cfg.label}' valid; "
-          f"scene and hypotheses check out at h={max(cfg.mesh_h, 0.05)}")
+    st = _Run(load_config(args.config))
+    st.scene.validate()
+    h = max(st.cfg.mesh_h, 0.05)
+    st.mesh = build_mesh(st.scene, h)
+    _admissibility_stage(st)
+    print(f"config '{st.cfg.label}' valid; "
+          f"scene and hypotheses check out at h={h}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        cfg.raw["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.check:
-        cfg.raw["checks"] = args.check.split(",")
-        issues = validate_check_preconditions(cfg)
-        if issues:
-            raise ConfigError("; ".join(issues))
+        overrides["checks"] = args.check.split(",")
+    cfg = load_config(args.config, **overrides)
     report, code = run(cfg, out_dir=args.out, timings=args.timings,
                        threads=args.threads)
     if args.out is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import JumpCase
 from .errors import StructuralError
-from .solver import Solution, _EDGE_Q, _EDGE_W
+from .solver import Solution, _element_flux
 
 __all__ = [
     "cg_transform",
@@ -78,13 +78,8 @@ def cg_transform(sigma, eps, zeta=None) -> np.ndarray:
 
 def state_vectors(sol: Solution) -> np.ndarray:
     """Per-element v = (Re I(grad u), Im grad u), shape (m, 4)."""
-    grad = sol.gradient()
-    flux = np.einsum("mij,mj->mi",
-                     sol.sigma_e.astype(complex) + 1j * sol.eps_e, grad)
-    if sol.zeta_e is not None:
-        flux = flux + np.einsum("mij,mj->mi",
-                                sol.zeta_e.astype(complex), np.conj(grad))
-    return np.concatenate([flux.real, grad.imag], axis=1)
+    return np.concatenate([_element_flux(sol).real, sol.gradient().imag],
+                          axis=1)
 
 
 def element_cg(sol: Solution) -> np.ndarray:
@@ -105,30 +100,16 @@ def gradient_to_state_matrices(sol: Solution) -> np.ndarray:
     return t
 
 
-def _boundary_quadrature(sol: Solution, kind: str) -> complex:
-    """Boundary integral of u*g, conj(u)*g, or the split Re/Im pairing."""
-    mesh = sol.mesh
-    e = mesh.boundary_edges
-    a, b = mesh.points[e[:, 0]], mesh.points[e[:, 1]]
-    lens = np.linalg.norm(b - a, axis=1)
-    mean = sol.diagnostics.get("g_mean_offset", 0.0)
-    total = 0.0 + 0.0j
-    for q, w in zip(_EDGE_Q, _EDGE_W):
-        x = a + q * (b - a)
-        gv = np.asarray(sol.g.raw(x)).astype(complex) - mean
-        uv = (1.0 - q) * sol.u[e[:, 0]] + q * sol.u[e[:, 1]]
-        if kind == "plain":
-            total += (w * uv * gv * lens).sum()
-        elif kind == "conj":
-            total += (w * np.conj(uv) * gv * lens).sum()
-        else:
-            raise ValueError(kind)
-    return complex(total)
-
-
 def boundary_power(sol: Solution, conjugate: bool = False) -> complex:
     """W = int_boundary u g ds (or conj(u) g with conjugate=True)."""
-    return _boundary_quadrature(sol, "conj" if conjugate else "plain")
+    e, nodes, weights, points, lens = sol.mesh.boundary_quadrature()
+    mean = sol.diagnostics.get("g_mean_offset", 0.0)
+    total = 0.0 + 0.0j
+    for q, w, x in zip(nodes, weights, points):
+        gv = sol.g.raw(x).astype(complex) - mean
+        uv = (1.0 - q) * sol.u[e[:, 0]] + q * sol.u[e[:, 1]]
+        total += (w * (np.conj(uv) if conjugate else uv) * gv * lens).sum()
+    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -298,15 +279,11 @@ def basic_pairing_residual(solj: Solution, solk: Solution) -> float:
     areas = solj.mesh.areas
     lhs = _quad_form(element_cg(solj), state_vectors(solj),
                      state_vectors(solk), areas)
-    mesh = solj.mesh
-    e = mesh.boundary_edges
-    a, b = mesh.points[e[:, 0]], mesh.points[e[:, 1]]
-    lens = np.linalg.norm(b - a, axis=1)
+    e, nodes, weights, points, lens = solj.mesh.boundary_quadrature()
     mean = solj.diagnostics.get("g_mean_offset", 0.0)
     rhs = 0.0
-    for q, w in zip(_EDGE_Q, _EDGE_W):
-        x = a + q * (b - a)
-        gv = np.asarray(solj.g.raw(x)).astype(complex) - mean
+    for q, w, x in zip(nodes, weights, points):
+        gv = solj.g.raw(x).astype(complex) - mean
         uj = (1.0 - q) * solj.u[e[:, 0]] + q * solj.u[e[:, 1]]
         uk = (1.0 - q) * solk.u[e[:, 0]] + q * solk.u[e[:, 1]]
         rhs += (w * (uj.real * gv.real + uk.imag * gv.imag) * lens).sum()

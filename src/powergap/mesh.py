@@ -26,6 +26,10 @@ __all__ = ["Mesh", "build_mesh"]
 # Points sampled per locate in Mesh.interpolate; bounds its temporaries.
 _SAMPLE_BLOCK = 65_536
 
+# 3-point Gauss on [0, 1] for boundary edge quadrature
+_EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+_EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> np.ndarray:
     p1, p2 = np.asarray(c1.center, float), np.asarray(c2.center, float)
@@ -115,6 +119,7 @@ class Mesh:
         self.diagnostics = diagnostics
         self._tri = delaunay
         self._centroid_tree = None
+        self._boundary_quadrature = None
         p = points[triangles]
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
@@ -153,6 +158,21 @@ class Mesh:
                 np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         return float(np.min(angles))
+
+    def boundary_quadrature(self) -> tuple:
+        """3-point Gauss rule on the boundary edges, computed once per mesh.
+
+        Returns (edges, q, w, points, lens): edge node indices, abscissae on
+        [0, 1], weights, the points a + q (b - a) of each edge ab per
+        abscissa, and edge lengths.
+        """
+        if self._boundary_quadrature is None:
+            e = self.boundary_edges
+            a, b = self.points[e[:, 0]], self.points[e[:, 1]]
+            self._boundary_quadrature = (
+                e, _EDGE_Q, _EDGE_W, [a + q * (b - a) for q in _EDGE_Q],
+                np.linalg.norm(b - a, axis=1))
+        return self._boundary_quadrature
 
     def node_mass(self) -> np.ndarray:
         """Lumped volume weights: integral of each hat function."""

@@ -482,21 +482,21 @@ def scaling_identity_check(u, region, theta: float,
 
     The two sides are integrated on grids of deliberately different
     resolution so the residual reflects genuine quadrature error rather
-    than an aligned-sampling tautology.
+    than an aligned-sampling tautology. At theta = 1 the two sides are
+    literally the same integral, so it is computed once.
     """
     from .geometry import ScaledRegion
     n = 2  # spatial dimension
     scaled = ScaledRegion(region, theta)
     n_lhs = int(math.sqrt(n_target))
-    # at theta = 1 the two sides are literally the same integral
-    n_rhs = n_lhs if theta == 1.0 else max(16, int(n_lhs * 5 / 7))
     lhs = grid_integrate(lambda p: np.abs(_eval_field(u, p)) ** 2, scaled,
                          n=n_lhs)
 
     def u_theta_sq(y):
         return np.abs(_eval_field(u, as_points(y) * theta) / theta ** 2) ** 2
 
-    rhs = theta ** (n + 4) * grid_integrate(u_theta_sq, region, n=n_rhs)
+    rhs = lhs if theta == 1.0 else theta ** (n + 4) * grid_integrate(
+        u_theta_sq, region, n=max(16, int(n_lhs * 5 / 7)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 

@@ -15,7 +15,6 @@ perturbation supported on D and converges in a few tens of iterations.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,10 +41,6 @@ __all__ = [
     "export_solution_csv",
     "element_coefficients",
 ]
-
-# 3-point Gauss on [0, 1] for boundary edge quadrature
-_EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
-_EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 # GMRES on the chiral block system: restart length, restart cycles and
 # relative tolerance. rtol=1e-13 sits on the rounding floor and stagnates.
@@ -183,14 +178,10 @@ def assemble_lower_order(mesh: Mesh, lower) -> sp.csr_matrix:
 
 def _boundary_moments(mesh: Mesh, g: NeumannData):
     """Raw load vector of g, its boundary integral, and the hat integrals."""
-    pts = mesh.points
-    e = mesh.boundary_edges
-    a, b = pts[e[:, 0]], pts[e[:, 1]]
-    lens = np.linalg.norm(b - a, axis=1)
+    e, nodes, weights, points, lens = mesh.boundary_quadrature()
     raw = np.zeros(mesh.num_points, dtype=complex)
     total = 0.0 + 0.0j
-    for q, w in zip(_EDGE_Q, _EDGE_W):
-        x = a + q * (b - a)
+    for q, w, x in zip(nodes, weights, points):
         gv = g.raw(x).astype(complex)
         np.add.at(raw, e[:, 0], w * (1.0 - q) * gv * lens)
         np.add.at(raw, e[:, 1], w * q * gv * lens)
@@ -292,14 +283,6 @@ def _chiral_system(mesh: Mesh, sigma: np.ndarray, eps: np.ndarray,
                     [z1.T, mcol.T, None, None]], format="csr")
 
 
-def _chiral_load_residual(sol: Solution, b: np.ndarray) -> np.ndarray:
-    """K u + m lambda - b over the 2n load rows of the block system."""
-    mesh = sol.mesh
-    a = _chiral_system(mesh, sol.sigma_e, sol.eps_e, sol.zeta_e)
-    x = np.concatenate([sol.u.real, sol.u.imag, sol.multipliers])
-    return (a @ x)[:2 * mesh.num_points] - np.concatenate([b.real, b.imag])
-
-
 def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
     """The complex bordered LU of `op` acting on real block vectors.
 
@@ -375,18 +358,29 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
                      "krylov_residual": krylov_res})
 
 
-def weak_residual(sol: Solution) -> float:
-    """Discrete residual against all basis test functions, relative to the load."""
+def _load_residual(sol: Solution):
+    """K u + m lambda - b per basis test function, and the load b.
+
+    K is the operator the solution was solved with: the background
+    operator with its lower-order terms, or the chiral block system, whose
+    Re and Im rows are recombined into one complex residual.
+    """
     mesh = sol.mesh
     b, _ = boundary_load(mesh, sol.g)
-    m = mesh.node_mass()
     if sol.kind == "background":
         k = assemble_stiffness(mesh, sol.sigma_e + 1j * sol.eps_e)
         if sol.diagnostics.get("lower_order") is not None:
             k = k + sol.diagnostics["lower_order"]
-        r = k @ sol.u + m * sol.multipliers[0] - b
-    else:
-        r = _chiral_load_residual(sol, b)
+        return k @ sol.u + mesh.node_mass() * sol.multipliers[0] - b, b
+    n = mesh.num_points
+    a = _chiral_system(mesh, sol.sigma_e, sol.eps_e, sol.zeta_e)
+    r = a @ np.concatenate([sol.u.real, sol.u.imag, sol.multipliers])
+    return r[:n] + 1j * r[n:2 * n] - b, b
+
+
+def weak_residual(sol: Solution) -> float:
+    """Discrete residual against all basis test functions, relative to the load."""
+    r, b = _load_residual(sol)
     return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
@@ -458,15 +452,7 @@ def flux_jump_norm(sol: Solution) -> float:
 def flux_balance(sol: Solution) -> dict:
     """Weak and geometric flux balance over the outer boundary."""
     mesh = sol.mesh
-    b, _ = boundary_load(mesh, sol.g)
-    m = mesh.node_mass()
-    if sol.kind == "background":
-        k = assemble_stiffness(mesh, sol.sigma_e + 1j * sol.eps_e)
-        weak = complex((k @ sol.u + m * sol.multipliers[0] - b).sum())
-    else:
-        r = _chiral_load_residual(sol, b)
-        n = mesh.num_points
-        weak = complex(r[:n].sum() + 1j * r[n:].sum())
+    weak = complex(_load_residual(sol)[0].sum())
     # geometric version: element fluxes through boundary edges vs applied g
     loop = mesh.boundary_loop()
     pts = mesh.points

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from powergap.cli import (
 )
 from powergap.errors import ConfigError
 from powergap.scenarios import all_scenarios, scenario, size_family
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="three_region"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("check", ["bracket", "size"])
+    def test_check_needs_energy(self, fast_concentric, check):
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["admissibility", check]
+        with pytest.raises(ConfigError,
+                           match=f"check '{check}' needs check 'energy'"):
+            parse_config(doc)
+
+    def test_check_override_validated(self, capsys):
+        code = main(["run", "--config", str(CONFIGS / "one_phase_disk.json"),
+                     "--check", "bogus,admissibility"])
+        assert code == EXIT_STRUCTURAL
+        assert "bogus" in capsys.readouterr().err
+
     def test_round_trip(self, fast_concentric):
         doc = json.loads(json.dumps(fast_concentric))
         cfg = parse_config(doc)
@@ -106,6 +123,21 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == EXIT_STRUCTURAL
+
+    @pytest.mark.parametrize("name,stages", [
+        ("concentric_disk", ["mesh", "admissibility", "solve", "energy",
+                             "three_region", "vitali", "size"]),
+        ("one_phase_disk", ["mesh", "admissibility", "solve", "energy",
+                            "chain", "scaling", "lipschitz",
+                            "boundary_layer", "size"]),
+        ("curved_ellipse", ["mesh", "admissibility", "solve", "energy",
+                            "three_region", "size"]),
+    ])
+    def test_stage_names_timed_in_order(self, name, stages):
+        # the benchmark tracer matches its spans to these stage names
+        doc = scenario(name, mesh={"h": 0.08}, regions={"n_family": 2})
+        rep, _ = run(parse_config(doc), timings=True)
+        assert list(rep["timings"]) == stages
 
     def test_exit_codes_distinct(self):
         assert len({EXIT_OK, EXIT_STRUCTURAL, EXIT_VIOLATION}) == 3

@@ -242,6 +242,23 @@ class TestScalingIdentity:
                                      1.0)
         assert res == 0.0
 
+    @pytest.mark.parametrize("theta,calls", [(1.0, 1), (0.5, 2)])
+    def test_one_integral_at_theta_one(self, disk_solution, monkeypatch,
+                                       theta, calls):
+        import powergap.smallness as sm
+        seen = []
+        real = sm.grid_integrate
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "grid_integrate", counted)
+        scaling_identity_check(disk_solution,
+                               RectRegion((-0.2, -0.2), (0.2, 0.2)), theta,
+                               n_target=10_000)
+        assert len(seen) == calls
+
     def test_constant_field_closed_form(self):
         # u = 1 on the unit square at theta = 1/2: both sides are 1/4
         from powergap.geometry import ScaledRegion, grid_integrate

@@ -108,6 +108,8 @@ class TestBackgroundSolve:
         sol = solve_background(disk_mesh_h05, bg, fourier_data([(1, 1, 0)]),
                                lower_order=lower)
         assert sol.residual < 1e-10
+        # the flux balance re-assembles the operator with the same terms
+        assert flux_balance(sol)["weak"] < 1e-10
         base = solve_background(disk_mesh_h05, bg, fourier_data([(1, 1, 0)]))
         assert np.abs(sol.u - base.u).max() > 1e-4  # the terms matter
 
