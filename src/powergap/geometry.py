@@ -52,7 +52,7 @@ def as_points(x) -> np.ndarray:
 
 
 def _segment_distances(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points q (n,2) to segments a->b (n,k,2), per candidate."""
+    """Distances from points q (n,2) to segments a->b (n,k,2) or (1,k,2)."""
     ab = b - a
     ab2 = np.maximum((ab * ab).sum(axis=2), 1e-300)
     t = np.clip(((q[:, None, :] - a) * ab).sum(axis=2) / ab2, 0.0, 1.0)
@@ -71,14 +71,14 @@ def polyline_min_distance(points, poly, closed: bool = True) -> np.ndarray:
     v = np.asarray(poly, dtype=float)
     nseg = len(v) if closed else len(v) - 1
     if len(p) * nseg <= 2_000_000:
-        a = v if closed else v[:-1]
-        b = np.roll(v, -1, axis=0) if closed else v[1:]
+        a = (v if closed else v[:-1])[None, :, :]
+        b = (np.roll(v, -1, axis=0) if closed else v[1:])[None, :, :]
         best = np.full(len(p), np.inf)
-        for lo in range(0, len(p), 4096):
-            q = p[lo:lo + 4096]
-            d = _segment_distances(q, a[None, :, :].repeat(len(q), axis=0),
-                                   b[None, :, :].repeat(len(q), axis=0))
-            best[lo:lo + 4096] = d.min(axis=1)
+        # blocks of about 65k point-segment pairs: temporaries of about 1 MB
+        rows = max(1, 65_536 // nseg)
+        for lo in range(0, len(p), rows):
+            best[lo:lo + rows] = _segment_distances(p[lo:lo + rows], a,
+                                                    b).min(axis=1)
         return best
     from scipy.spatial import cKDTree
     tree = cKDTree(v)

@@ -519,7 +519,7 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
         sel = np.linspace(0, len(centers) - 1, max_centers).astype(int)
         centers = centers[sel]
     total = gradient_energy(u0)
-    grads = u0.gradient()
+    dens_e = (np.abs(u0.gradient()) ** 2).sum(axis=1)
     mesh = u0.mesh
 
     pts_all = []
@@ -534,7 +534,7 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
         weights.append(wz[keep])
         offsets.append(offsets[-1] + int(keep.sum()))
     allpts = np.vstack(pts_all)
-    dens = (np.abs(grads[mesh.locate(allpts)]) ** 2).sum(axis=1)
+    dens = dens_e[mesh.locate(allpts)]
     ratios = np.empty(len(centers))
     for i in range(len(centers)):
         sl = slice(offsets[i], offsets[i + 1])
@@ -566,15 +566,14 @@ class _BoundaryShell:
 def boundary_layer(u0: Solution, a_values, n: int = 500) -> dict:
     """Gradient energy in the layer of depth a/4 and its fitted decay exponent."""
     omega = u0.mesh.scene.domain_region()
-    grads = u0.gradient()
+    dens_e = (np.abs(u0.gradient()) ** 2).sum(axis=1)
     mesh = u0.mesh
     a_values = np.asarray(sorted(a_values), dtype=float)
     energies = []
     for a in a_values:
         shell = _BoundaryShell(omega, a / 4.0)
         val = grid_integrate(
-            lambda p: (np.abs(grads[mesh.locate(p)]) ** 2).sum(axis=1),
-            shell, n=n)
+            lambda p: dens_e[mesh.locate(p)], shell, n=n)
         energies.append(val)
     energies = np.asarray(energies)
     good = energies > 0

@@ -24,7 +24,7 @@ from powergap import (
     z_value,
 )
 from powergap.errors import ChartRangeError
-from powergap.geometry import FlatteningMap
+from powergap.geometry import FlatteningMap, polyline_min_distance
 
 from oracles import greedy_segment_cover_count, monte_carlo_area
 
@@ -268,6 +268,43 @@ class TestScene:
         from powergap.errors import StructuralError
         with pytest.raises(StructuralError, match="d0"):
             scene.validate()
+
+
+class TestPolylineDistance:
+    @staticmethod
+    def _ellipse(n):
+        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return np.column_stack([np.cos(t), 0.6 * np.sin(t)])
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_dense_table_matches_per_point(self, rng, closed):
+        # 700 segments: the table is taken in several blocks of points,
+        # the last one partial
+        poly = self._ellipse(700)
+        pts = rng.uniform(-1.2, 1.2, (500, 2))
+        a = poly if closed else poly[:-1]
+        b = np.roll(poly, -1, axis=0) if closed else poly[1:]
+        want = []
+        for p in pts:
+            t = np.clip(((p - a) * (b - a)).sum(axis=1)
+                        / ((b - a) ** 2).sum(axis=1), 0.0, 1.0)
+            want.append(np.linalg.norm(p - (a + t[:, None] * (b - a)),
+                                       axis=1).min())
+        np.testing.assert_allclose(polyline_min_distance(pts, poly, closed),
+                                   want, rtol=1e-12)
+
+    def test_dense_table_memory_bounded(self):
+        # the 512 x 512 table Scene.validate measures with
+        import tracemalloc
+        poly = self._ellipse(512)
+        pts = 0.5 * self._ellipse(512)
+        tracemalloc.start()
+        try:
+            polyline_min_distance(pts, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestVitaliCover:
