@@ -199,27 +199,31 @@ class Mesh:
         return idx
 
     def interpolate(self, nodal, points) -> np.ndarray:
-        """P1 interpolation of a real or complex nodal field at arbitrary points.
+        """P1 interpolation of a real or complex field, shape (n_nodes,), or
+        of k fields, shape (n_nodes, k), at points; gives (p,) or (p, k).
 
-        One locate per point, blocked: the points are taken in blocks of
-        ``_SAMPLE_BLOCK``, each block is located once, and its barycentric
-        weights are applied to the nodal values in the field's own dtype.
+        One locate per point, blocked: each block of ``_SAMPLE_BLOCK //
+        k`` points is located once, and its barycentric weights are applied
+        to the nodal values in the fields' own dtype.
         """
         p = as_points(points)
         nodal = np.asarray(nodal)
-        out = np.empty(len(p), dtype=np.result_type(nodal, float))
-        for start in range(0, len(p), _SAMPLE_BLOCK):
-            q = p[start:start + _SAMPLE_BLOCK]
+        fields = nodal.reshape(len(nodal), -1)
+        k = fields.shape[1]
+        out = np.empty((len(p), k), dtype=np.result_type(nodal, float))
+        block = max(1, _SAMPLE_BLOCK // k)
+        for start in range(0, len(p), block):
+            q = p[start:start + block]
             idx = self.locate(q)
             T = self._tri.transform[idx]
             d = q - T[:, 2, :]
-            b0 = T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1]
-            b1 = T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1]
+            b0 = (T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1])[:, None]
+            b1 = (T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1])[:, None]
             b2 = 1.0 - (b0 + b1)
-            v = nodal[self._tri.simplices[idx]]
+            v = fields[self._tri.simplices[idx]]
             out[start:start + len(q)] = v[:, 0] * b0 + v[:, 1] * b1 \
                 + v[:, 2] * b2
-        return out
+        return out.reshape(len(p), *nodal.shape[1:])
 
     def gradient_per_element(self, nodal) -> np.ndarray:
         """Constant gradient of a P1 field on each element, shape (m, 2)."""
@@ -345,24 +349,21 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
 
     boundary_edges = tri.convex_hull.copy()
 
-    interface_edges = []
-    interface_tris = []
+    interface_edges = np.empty((0, 2), dtype=int)
+    interface_tris = np.empty((0, 2), dtype=int)
     if scene.interface is not None:
+        # each element pair (m, n > m) across a shared edge whose tags
+        # differ, in (m, k) order; edge k of m is opposite its vertex k
         nb = tri.neighbors
-        for m in range(len(triangles)):
-            for k in range(3):
-                n = nb[m, k]
-                if n <= m:
-                    continue
-                if comp[m] != comp[n]:
-                    e = [triangles[m][(k + 1) % 3], triangles[m][(k + 2) % 3]]
-                    interface_edges.append(e)
-                    pair = (m, n) if comp[m] > 0 else (n, m)
-                    interface_tris.append(pair)
-    interface_edges = (np.asarray(interface_edges, dtype=int)
-                       if interface_edges else np.empty((0, 2), dtype=int))
-    interface_tris = (np.asarray(interface_tris, dtype=int)
-                      if interface_tris else np.empty((0, 2), dtype=int))
+        m, k = np.nonzero(nb > np.arange(len(triangles))[:, None])
+        n = nb[m, k]
+        cross = comp[m] != comp[n]
+        m, k, n = m[cross], k[cross], n[cross]
+        interface_edges = np.column_stack(
+            [triangles[m, (k + 1) % 3], triangles[m, (k + 2) % 3]]).astype(int)
+        plus = comp[m] > 0
+        interface_tris = np.column_stack(
+            [np.where(plus, m, n), np.where(plus, n, m)]).astype(int)
 
     diagnostics = {}
     if scene.interface is not None and len(interface_edges):

@@ -47,8 +47,15 @@ __all__ = [
 
 
 def _eval_field(u, points) -> np.ndarray:
+    """(p,) values of a callable or Solution; (p, k) of a list of them."""
     if callable(u):
         return np.asarray(u(as_points(points)), dtype=complex)
+    if isinstance(u, list):
+        mesh = u[0].mesh
+        if any(sol.mesh is not mesh for sol in u):
+            raise ValueError("a solution family must live on one mesh")
+        return np.asarray(mesh.interpolate(
+            np.column_stack([sol.u for sol in u]), points), dtype=complex)
     return np.asarray(u.evaluate(points), dtype=complex)
 
 
@@ -130,12 +137,14 @@ def _fit_inequality(lhs: float, small: float, large: float, xi: float,
 
 
 def region_integrals(u, regions: RegionTriple, fmap: FlatteningMap,
-                     n_target: int = 240_000) -> tuple[float, float, float]:
+                     n_target: int = 240_000):
     """Quadrature of |u|^2 over the three pulled-back regions.
 
     The grid lives in flattened coordinates (the shear has unit Jacobian),
-    and membership is decided per quadrature point.
+    and membership is decided per quadrature point. A list of Solutions on
+    one mesh gives a list of (I1, I2, I3), from one grid and one locate.
     """
+    family = isinstance(u, list)
     lo, hi = regions.flattened_bbox()
     if hi[0] > fmap.rho0 or -lo[0] > fmap.rho0:
         raise CoverageError(
@@ -143,29 +152,32 @@ def region_integrals(u, regions: RegionTriple, fmap: FlatteningMap,
             "shrink theta")
     pts, cell = _rect_grid(lo, hi, n_target)
     m3 = regions.in_u3(pts)
-    if not m3.any():
-        return 0.0, 0.0, 0.0
+    if not m3.any() or (family and not u):
+        return [(0.0, 0.0, 0.0)] * len(u) if family else (0.0, 0.0, 0.0)
     m1 = regions.in_u1(pts)
     m2 = regions.in_u2(pts)
-    vals = np.zeros(len(pts))
-    x_global = fmap.inverse(pts[m3])
-    vals[m3] = np.abs(_eval_field(u, x_global)) ** 2
-    i1 = float(vals[m1].sum() * cell)
-    i2 = float(vals[m2].sum() * cell)
-    i3 = float(vals[m3].sum() * cell)
-    return i1, i2, i3
+    samples = _eval_field(u, fmap.inverse(pts[m3]))
+    out = []
+    for col in (samples.T if family else [samples]):
+        vals = np.zeros(len(pts))
+        vals[m3] = np.abs(col) ** 2
+        out.append((float(vals[m1].sum() * cell),
+                    float(vals[m2].sum() * cell),
+                    float(vals[m3].sum() * cell)))
+    return out if family else out[0]
 
 
 def check_three_region(u, regions: RegionTriple, fmap: FlatteningMap,
-                       n_target: int = 240_000,
-                       zero_tol: float = 1e-14) -> InequalityCheck:
-    """Fitted-constant form of the interface three-region inequality."""
-    i1, i2, i3 = region_integrals(u, regions, fmap, n_target)
+                       n_target: int = 240_000, zero_tol: float = 1e-14):
+    """Fitted-constant form of the interface three-region inequality; a
+    list of Solutions gives a list of checks (see `region_integrals`)."""
+    integrals = region_integrals(u, regions, fmap, n_target)
     xi, _ = regions.exponents()
-    params = {"R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
-              "a": regions.a}
-    scale = max(i3, 1.0)
-    return _fit_inequality(i2, i1, i3, xi, params, zero_tol * scale)
+    checks = [_fit_inequality(i2, i1, i3, xi, {
+        "R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
+        "a": regions.a}, zero_tol * max(i3, 1.0))
+        for i1, i2, i3 in (integrals if isinstance(u, list) else [integrals])]
+    return checks if isinstance(u, list) else checks[0]
 
 
 def three_ball_exponent(r1: float, r2: float, r3: float, lambda0: float,

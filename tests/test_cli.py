@@ -16,6 +16,7 @@ from powergap.cli import (
     sweep,
 )
 from powergap.errors import ConfigError
+from powergap.solver import BackgroundOperator
 from powergap.scenarios import all_scenarios, scenario, size_family
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -154,6 +155,30 @@ class TestRun:
         assert saved["config"]["label"] == label
         assert "timings" not in saved
 
+    def test_three_region_family_solved_at_once(self, monkeypatch,
+                                                fast_concentric):
+        calls = []
+        solve = BackgroundOperator.solve
+
+        def counting_solve(self, g):
+            calls.append(len(g) if isinstance(g, list) else None)
+            return solve(self, g)
+
+        monkeypatch.setattr(BackgroundOperator, "solve", counting_solve)
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["three_region"]
+        rep, _ = run(parse_config(doc))
+        # one solve for u0, one for the n_family = 3 members
+        assert calls == [None, 3]
+        assert len(rep["checks"]["three_region"]["rows"]) == 3
+
+    def test_threads_option_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(CONFIGS / "one_phase_disk.json"),
+                  "--threads", "2"])
+        assert exc.value.code == EXIT_STRUCTURAL
+        assert "--threads" in capsys.readouterr().err
+
     def test_validate_verb(self, tmp_path, fast_concentric):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(fast_concentric))
@@ -169,6 +194,16 @@ class TestSweep:
         assert len(agg["rows"]) == 3
         assert "convergence_order_w0" in agg
         assert all(r["exit_code"] == EXIT_OK for r in agg["rows"])
+
+    def test_no_convergence_order_without_two_differences(
+            self, fast_concentric):
+        # h = 0.1 twice gives equal w0 values, so there is no order to fit
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        agg = sweep(parse_config(doc), "mesh.h", [0.1, 0.1, 0.08])
+        assert [r["exit_code"] for r in agg["rows"]] == [EXIT_OK] * 3
+        assert agg["rows"][0]["w0_re"] == agg["rows"][1]["w0_re"]
+        assert "convergence_order_w0" not in agg
 
     def test_empty_values(self, fast_concentric):
         cfg = parse_config(fast_concentric)

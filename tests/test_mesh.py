@@ -61,6 +61,23 @@ class TestBuildMesh:
         # crossing nodes shared by both curves keep the tagging consistent
         assert mesh.diagnostics["straddling_triangles"] <= 6
 
+    def test_interface_pairs_match_loop_reference(self):
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.5),
+                      inclusion=Circle((0.5, 0.0), 0.15))
+        mesh = build_mesh(scene, 0.03)
+        edges, pairs = [], []
+        for m, row in enumerate(mesh._tri.neighbors):
+            for k, n in enumerate(row):
+                if n > m and mesh.comp[m] != mesh.comp[n]:
+                    t = mesh.triangles[m]
+                    edges.append([t[(k + 1) % 3], t[(k + 2) % 3]])
+                    pairs.append((m, n) if mesh.comp[m] > 0 else (n, m))
+        assert len(edges) > 0
+        assert np.array_equal(mesh.interface_edges, edges)
+        assert np.array_equal(mesh.interface_tris, pairs)
+        assert mesh.interface_edges.dtype == mesh.interface_tris.dtype == int
+
     def test_ellipse_interface_meshes(self):
         scene = Scene(outer=Circle((0, 0), 1.0),
                       interface=Ellipse((0, 0), 0.55, 0.4))
@@ -93,6 +110,15 @@ class TestBuildMesh:
         assert np.array_equal(
             vals, disk_mesh_h05.interpolate(nodal.real, pts)
             + 1j * disk_mesh_h05.interpolate(nodal.imag, pts))
+        # k fields as columns give the k one-field results, bit for bit
+        fields = np.column_stack([nodal, 2.0 * nodal.conj(), nodal ** 2])
+        block = disk_mesh_h05.interpolate(fields, pts)
+        assert block.shape == (n, 3) and block.dtype == np.complex128
+        for j in range(3):
+            assert np.array_equal(
+                block[:, j],
+                disk_mesh_h05.interpolate(np.ascontiguousarray(fields[:, j]),
+                                          pts))
 
     def test_integer_field_interpolates_to_floats(self, disk_mesh_h05, rng):
         nodal = np.arange(disk_mesh_h05.num_points)

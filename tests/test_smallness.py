@@ -16,7 +16,7 @@ from powergap import (
     solve_background,
 )
 from powergap.errors import CoverageError
-from powergap.mesh import build_mesh
+from powergap.mesh import Mesh, build_mesh
 from powergap.smallness import (
     _chain_centers,
     ball_l2_sq,
@@ -106,6 +106,38 @@ class TestThreeRegion:
             consts.append(chk.constant)
         consts = np.asarray(consts)
         assert consts.max() / np.median(consts) < 50
+
+    def test_family_matches_members_with_one_grid_located(
+            self, twophase_mesh_h02, twophase_background, rng, monkeypatch):
+        fmap = flattening_map(twophase_mesh_h02.scene.interface, 0.0,
+                              rho0=0.3, K0=4.0)
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        sols = op.solve([fourier_data([(k, rng.normal(), rng.normal())
+                                       for k in range(1, 6)])
+                         for _ in range(3)])
+        singles = [check_three_region(sol, REGIONS, fmap) for sol in sols]
+        located = []
+        locate = Mesh.locate
+
+        def counting_locate(self, points):
+            located.append(len(points))
+            return locate(self, points)
+
+        monkeypatch.setattr(Mesh, "locate", counting_locate)
+        check_three_region(sols[:1], REGIONS, fmap)
+        one_grid = sum(located)
+        located.clear()
+        family = check_three_region(sols, REGIONS, fmap)
+        assert family == singles
+        assert one_grid > 0 and sum(located) == one_grid
+
+    def test_family_on_two_meshes_rejected(self, disk_solution,
+                                           twophase_mesh_h02,
+                                           twophase_background, cos_data):
+        other = solve_background(twophase_mesh_h02, twophase_background,
+                                 cos_data)
+        with pytest.raises(ValueError, match="one mesh"):
+            check_three_region([disk_solution, other], REGIONS, _FlatChart())
 
     def test_margin_is_scale_invariant(self, twophase_mesh_h02,
                                        twophase_background, cos_data):

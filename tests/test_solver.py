@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -112,6 +116,67 @@ class TestBackgroundSolve:
         assert flux_balance(sol)["weak"] < 1e-10
         base = solve_background(disk_mesh_h05, bg, fourier_data([(1, 1, 0)]))
         assert np.abs(sol.u - base.u).max() > 1e-4  # the terms matter
+
+    def test_family_solve_matches_single_solves(self, twophase_mesh_h02,
+                                                twophase_background, rng):
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        gs = [fourier_data([(k, rng.normal(), rng.normal())
+                            for k in range(1, 6)]) for _ in range(8)]
+        family = op.solve(gs)
+        assert len(family) == 8
+        for g, sol in zip(gs, family):
+            single = op.solve(g)
+            assert sol.g is g
+            # a threaded BLAS may order SuperLU's multi-column sums apart
+            # from its one-column ones; see the one-thread test below
+            scale = np.abs(single.u).max()
+            assert np.abs(sol.u - single.u).max() <= 1e-12 * scale
+            assert sol.residual < 1e-12 and single.residual < 1e-12
+
+    def test_family_solve_bitwise_on_one_blas_thread(self):
+        # the setting the benchmark runs in: columns, multipliers and
+        # residuals equal eight one-column solves bit for bit
+        script = textwrap.dedent("""
+            import numpy as np
+            from powergap import BackgroundTensor, Circle, Scene, fourier_data
+            from powergap.mesh import build_mesh
+            from powergap.solver import BackgroundOperator
+            scene = Scene(outer=Circle((0.0, 0.0), 1.0),
+                          interface=Circle((0.0, 0.0), 0.5))
+            op = BackgroundOperator(build_mesh(scene, 0.02),
+                                    BackgroundTensor.isotropic(1.0, 2.0, 0.05))
+            rng = np.random.default_rng(5)
+            gs = [fourier_data([(k, rng.normal(), rng.normal())
+                                for k in range(1, 6)]) for _ in range(8)]
+            print(all(np.array_equal(f.u, s.u) and f.residual == s.residual
+                      and f.multipliers == s.multipliers
+                      for f, s in zip(op.solve(gs), map(op.solve, gs))))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               **{var: "1" for var in ("OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
+
+    def test_family_residual_miss_names_member(self, disk_mesh_h05,
+                                               identity_background,
+                                               monkeypatch):
+        op = BackgroundOperator(disk_mesh_h05, identity_background)
+        lu = op._lu
+
+        class OneBadColumn:
+            def solve(self, rhs):
+                x = lu.solve(rhs)
+                x[:-1, 2] *= 2.0
+                return x
+
+        monkeypatch.setattr(op, "_lu", OneBadColumn())
+        gs = [fourier_data([(k, 1.0, 0.0)]) for k in range(1, 5)]
+        with pytest.raises(SolverError,
+                           match=r"for member 2 \(1cos3t\+0sin3t\)"):
+            op.solve(gs)
 
 
 class TestPerturbedSolve:
