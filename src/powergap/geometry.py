@@ -4,7 +4,8 @@ Everything here is immutable after construction and evaluates pointwise on
 numpy arrays of shape (n, 2), so it is safe to call from concurrent contexts.
 Distance queries against curved boundaries go through polyline
 discretizations whose resolution the caller controls; the resulting O(h)
-errors are absorbed by the fitted constants downstream.
+errors are absorbed by the fitted constants downstream. The distance to
+the polyline itself is exact: it equals the minimum over all segments.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ChartRangeError, StructuralError
 
@@ -51,6 +53,11 @@ def as_points(x) -> np.ndarray:
     return a
 
 
+# Point-vertex pairs per KD-tree query in polyline_min_distance; bounds its
+# temporaries to a few MB whatever the number of points.
+_QUERY_PAIRS = 32_768
+
+
 def _segment_distances(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from points q (n,2) to segments a->b (n,k,2) or (1,k,2)."""
     ab = b - a
@@ -60,39 +67,63 @@ def _segment_distances(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return np.linalg.norm(q[:, None, :] - proj, axis=2)
 
 
-def polyline_min_distance(points, poly, closed: bool = True) -> np.ndarray:
-    """Distance from each point to a polyline (closed by default).
+def polyline_min_distance(points, poly, closed: bool = True,
+                          cap: float = math.inf) -> np.ndarray:
+    """Exact distance from each point to a polyline (closed by default).
 
-    Large queries go through a vertex KD-tree: for dense polylines of
-    smooth curves the nearest segment is adjacent to one of the few
-    nearest vertices, so only those candidates are checked exactly.
+    Distances above ``cap`` come back as inf; a finite ``cap`` lets points
+    far from the polyline skip all segment work. Every other entry is
+    bitwise the minimum over all segments of ``_segment_distances``.
+
+    Candidates come from a vertex KD-tree: the k nearest vertices and the
+    two segments touching each. If the nearest segment has length l <= L
+    (the longest segment) and distance D, one of its ends lies within
+    sqrt(D^2 + l^2/4) of the point. So once the k-th vertex is farther than
+    sqrt(min(d, cap)^2 + L^2/4), where d is the best candidate distance,
+    no segment outside the candidates can be nearer; points that fail this
+    test are queried again with four times as many vertices, up to all.
     """
     p = as_points(points)
     v = np.asarray(poly, dtype=float)
-    nseg = len(v) if closed else len(v) - 1
-    if len(p) * nseg <= 2_000_000:
-        a = (v if closed else v[:-1])[None, :, :]
-        b = (np.roll(v, -1, axis=0) if closed else v[1:])[None, :, :]
-        best = np.full(len(p), np.inf)
-        # blocks of about 65k point-segment pairs: temporaries of about 1 MB
-        rows = max(1, 65_536 // nseg)
-        for lo in range(0, len(p), rows):
-            best[lo:lo + rows] = _segment_distances(p[lo:lo + rows], a,
-                                                    b).min(axis=1)
-        return best
-    from scipy.spatial import cKDTree
+    n = len(v)
+    nseg = n if closed else n - 1
+    # segment j runs from v[j] to v[(j + 1) % n]
+    a = v[:nseg]
+    b = np.roll(v, -1, axis=0)[:nseg]
+    half_l2 = 0.25 * float(((b - a) ** 2).sum(axis=1).max())
+    # widens every radius past the rounding of the distances it compares
+    slack = 1e-12 * (float(np.abs(v).max()) + float(np.abs(p).max(initial=0.0)))
+    bound = math.sqrt(cap * cap + half_l2) + slack if cap < math.inf else math.inf
     tree = cKDTree(v)
-    k = min(8, len(v))
-    _, idx = tree.query(p, k=k)
-    idx = np.atleast_2d(idx)
-    prev = (idx - 1) % len(v)
-    cand = np.concatenate([idx, prev], axis=1)
-    if not closed:
-        cand = np.clip(cand, 0, len(v) - 2)
-    a = v[cand]
-    nxt = (cand + 1) % len(v)
-    b = v[nxt]
-    return _segment_distances(p, a, b).min(axis=1)
+    out = np.empty(len(p))
+    todo = np.arange(len(p))
+    k = min(8, n)
+    while len(todo):
+        again = []
+        rows = max(1, _QUERY_PAIRS // k)
+        for lo in range(0, len(todo), rows):
+            i = todo[lo:lo + rows]
+            dist, idx = tree.query(p[i], k=k, distance_upper_bound=bound)
+            dist = dist.reshape(len(i), k)
+            idx = idx.reshape(len(i), k)
+            best = np.full(len(i), np.inf)
+            found = idx[:, 0] < n
+            if found.any():
+                # missing neighbours (index n) repeat the nearest vertex
+                j = idx[found]
+                j = np.where(j < n, j, j[:, :1])
+                prev = (j - 1) % n if closed else np.maximum(j - 1, 0)
+                seg = np.concatenate([prev, np.minimum(j, nseg - 1)], axis=1)
+                best[found] = _segment_distances(p[i[found]], a[seg],
+                                                 b[seg]).min(axis=1)
+            out[i] = best
+            if k < n:
+                reach = np.sqrt(np.minimum(best, cap) ** 2 + half_l2) + slack
+                again.append(i[dist[:, -1] <= reach])
+        todo = np.concatenate(again) if again else todo[:0]
+        k = min(4 * k, n)
+    out[out > cap] = np.inf
+    return out
 
 
 def polyline_length(poly, closed: bool = True) -> float:

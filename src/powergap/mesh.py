@@ -26,6 +26,10 @@ __all__ = ["Mesh", "build_mesh"]
 # Points sampled per locate in Mesh.interpolate; bounds its temporaries.
 _SAMPLE_BLOCK = 65_536
 
+# Largest estimated node count build_mesh accepts: about 8x the 64 616
+# nodes of the unit disk at h = 0.0075, where one run peaks near 420 MB.
+_MAX_NODES = 520_000
+
 # 3-point Gauss on [0, 1] for boundary edge quadrature
 _EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
@@ -296,6 +300,12 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
         raise MeshingError(
             f"h = {h:.3g} too coarse for a domain of extent {extent:.3g}; "
             f"try h <= {extent / 12.0:.3g}")
+    # a hexagonal lattice of spacing h has one node per sqrt(3)/2 h^2
+    nodes = 2.0 * scene.outer.area / (math.sqrt(3.0) * h * h)
+    if nodes > _MAX_NODES:
+        raise MeshingError(
+            f"h = {h:.3g} needs about {nodes:.3g} nodes, above the budget of "
+            f"{_MAX_NODES}; try h >= {h * math.sqrt(nodes / _MAX_NODES):.3g}")
 
     outer_nodes = scene.outer.nodes(h)
     curves = [("outer", scene.outer, outer_nodes)]
@@ -319,7 +329,7 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
         if scene.interface is not None:
             # drop inclusion nodes crowding the interface polyline, but keep
             # the shared crossing nodes (they exist in both node sets)
-            dist = polyline_min_distance(d_nodes, sigma_nodes)
+            dist = polyline_min_distance(d_nodes, sigma_nodes, cap=0.4 * h)
             on_sigma = dist < 1e-9 * extent
             keep = (dist > 0.4 * h) | on_sigma
             d_nodes = d_nodes[keep]
@@ -331,7 +341,8 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     lattice = lattice[inside]
     for _, curve, nodes in curves[1:]:
         if len(nodes):
-            lattice = lattice[polyline_min_distance(lattice, nodes) > clearance]
+            dist = polyline_min_distance(lattice, nodes, cap=clearance)
+            lattice = lattice[dist > clearance]
 
     pts = np.vstack([outer_nodes, sigma_nodes, d_nodes, lattice])
     # dedupe exactly coincident nodes (shared crossing points)

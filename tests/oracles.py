@@ -2,8 +2,9 @@
 
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
-come from Monte Carlo, and covering counts from a direct 1d construction.
-The one FEM reference, `direct_block_solve`, reuses the package's element
+come from Monte Carlo, covering counts from a direct 1d construction, and
+polyline distances from the full point x segment table. The one FEM
+reference, `direct_block_solve`, reuses the package's element
 assembly but factorizes the chiral block system directly instead of
 iterating on it.
 """
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from powergap.geometry import _segment_distances
 from powergap.solver import (
     assemble_stiffness,
     boundary_load,
@@ -180,6 +182,23 @@ def monte_carlo_integral(fn, contains, bbox, n: int = 400_000,
     if mask.any():
         vals[mask] = fn(pts[mask])
     return float(vals.mean() * np.prod(hi - lo))
+
+
+def polyline_distance_table(points, poly, closed: bool = True) -> np.ndarray:
+    """Distance from each point to a polyline over every segment.
+
+    Each point is measured against all segments with the package's own
+    point-segment arithmetic, so an exact candidate search must agree with
+    it bit for bit.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    v = np.asarray(poly, dtype=float)
+    a = (v if closed else v[:-1])[None, :, :]
+    b = (np.roll(v, -1, axis=0) if closed else v[1:])[None, :, :]
+    rows = max(1, 65_536 // a.shape[1])
+    return np.concatenate(
+        [_segment_distances(p[lo:lo + rows], a, b).min(axis=1)
+         for lo in range(0, len(p), rows)])
 
 
 def greedy_segment_cover_count(length: float, radius: float) -> int:

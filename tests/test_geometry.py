@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergap import (
     Circle,
@@ -26,7 +28,11 @@ from powergap import (
 from powergap.errors import ChartRangeError
 from powergap.geometry import FlatteningMap, polyline_min_distance
 
-from oracles import greedy_segment_cover_count, monte_carlo_area
+from oracles import (
+    greedy_segment_cover_count,
+    monte_carlo_area,
+    polyline_distance_table,
+)
 
 
 WP = WeightParams(alpha_plus=2.0, alpha_minus=1.0, beta=0.1, delta=8.0,
@@ -270,6 +276,27 @@ class TestScene:
             scene.validate()
 
 
+@st.composite
+def walks(draw):
+    """A random-walk polyline and query points inside, outside and far away.
+
+    Step lengths span four decades and about a fifth of the steps are zero,
+    so the polyline mixes long and short segments with repeated vertices.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    steps = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, (n, 1))
+    steps[rng.random(n) < 0.2] = 0.0
+    poly = np.cumsum(steps, axis=0) + draw(st.floats(-1e3, 1e3))
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    span = float((hi - lo).max()) + 1e-3
+    pts = np.vstack([rng.uniform(lo, hi, (40, 2)),
+                     rng.uniform(lo - span, hi + span, (20, 2)),
+                     rng.uniform(lo - 100 * span, hi + 100 * span, (10, 2)),
+                     poly[rng.integers(0, n, 5)]])
+    return pts, poly, draw(st.booleans())
+
+
 class TestPolylineDistance:
     @staticmethod
     def _ellipse(n):
@@ -305,6 +332,52 @@ class TestPolylineDistance:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_large_query_memory_bounded(self):
+        # 64k points against a 419-node circle, the size of the interface
+        # lattice filter at h = 0.0075
+        import tracemalloc
+        t = np.linspace(0.0, 2.0 * np.pi, 419, endpoint=False)
+        poly = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+        g = np.linspace(-1.0, 1.0, 256)
+        pts = np.column_stack([np.repeat(g, 256), np.tile(g, 256)])
+        tracemalloc.start()
+        try:
+            got = polyline_min_distance(pts, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.array_equal(got[::97], polyline_distance_table(pts[::97],
+                                                                 poly))
+
+    @pytest.mark.parametrize("n", [3, 1100])
+    def test_long_segment_far_from_near_vertices(self, n):
+        # the nearest segment, y = 1, has both ends 5 away while a 2000-node
+        # circle passes 1.5 below the points: a search that only tries the
+        # segments next to the nearest vertices returns 1.5
+        t = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+        circle = np.column_stack([0.3 * np.cos(t), -1.8 + 0.3 * np.sin(t)])
+        poly = np.vstack([[[-5.0, 1.0], [5.0, 1.0], [5.0, -5.0]], circle])
+        pts = np.column_stack([np.linspace(-0.05, 0.05, 1100)[:n],
+                               np.zeros(n)])
+        assert np.array_equal(polyline_min_distance(pts, poly),
+                              np.ones(n))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(walks(), st.floats(0.0, 1.0))
+    def test_equals_full_table(self, case, q):
+        pts, poly, closed = case
+        want = polyline_distance_table(pts, poly, closed)
+        assert np.array_equal(polyline_min_distance(pts, poly, closed), want)
+        # a cap keeps the exact value up to it and gives inf beyond
+        cap = float(np.quantile(want, q))
+        got = polyline_min_distance(pts, poly, closed, cap=cap)
+        near = np.isfinite(got)
+        assert np.array_equal(got[near], want[near])
+        assert np.all(got[near] <= cap)
+        assert np.all(want[~near] > cap)
 
 
 class TestVitaliCover:

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from powergap import Circle, Ellipse, Scene
+from powergap import Circle, Ellipse, Scene, cli, scenarios
 from powergap.errors import MeshingError
 from powergap.mesh import (
     _SAMPLE_BLOCK,
@@ -10,12 +13,55 @@ from powergap.mesh import (
     circle_circle_intersections,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# (num_points, num_triangles) at h = 0.03: any change to node placement or
+# to the clearance filters shows here
+CONFIG_MESHES = {
+    "concentric_disk": (4063, 7914),
+    "concentric_disk_case_i": (4063, 7914),
+    "crossing_inclusion": (4071, 7930),
+    "curved_ellipse": (4070, 7928),
+    "off_center_inclusion": (4070, 7928),
+    "one_phase_disk": (4097, 7982),
+}
+SIZE_FAMILY_MESHES = [
+    (4071, 7930), (4064, 7916), (4069, 7926), (4070, 7928),
+    (4076, 7940), (4071, 7930), (4067, 7922), (4070, 7928),
+    (4074, 7936), (4073, 7934), (4065, 7918), (4072, 7932),
+]
+
 
 class TestBuildMesh:
     def test_h_too_coarse_rejected(self):
         scene = Scene(outer=Circle((0, 0), 1.0))
         with pytest.raises(MeshingError, match="try h"):
             build_mesh(scene, 3.0)
+
+    def test_node_budget_refused_before_lattice(self, disk_scene,
+                                                monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("lattice built for a refused h")
+
+        monkeypatch.setattr("powergap.mesh._hex_lattice", no_lattice)
+        with pytest.raises(MeshingError, match="budget"):
+            build_mesh(disk_scene, 1e-4)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
+    def test_config_mesh_sizes_pinned(self, name):
+        with open(CONFIGS / f"{name}.json") as fh:
+            scene = cli.parse_config(json.load(fh)).build_scene()
+        mesh = build_mesh(scene, 0.03)
+        assert (mesh.num_points, mesh.num_triangles) == CONFIG_MESHES[name]
+
+    def test_size_family_mesh_sizes_pinned(self):
+        sizes = []
+        for doc in scenarios.size_family(12, h=0.03):
+            cfg = cli.parse_config(doc)
+            mesh = build_mesh(cfg.build_scene(), cfg.mesh_h)
+            sizes.append((mesh.num_points, mesh.num_triangles))
+        assert sizes == SIZE_FAMILY_MESHES
+        assert np.sum(sizes, axis=0).tolist() == [48_842, 95_140]
 
     def test_tag_area_ratio(self, twophase_scene):
         # inner-tagged area approximates pi/4 for the r = 1/2 interface
