@@ -207,8 +207,12 @@ class Mesh:
         of k fields, shape (n_nodes, k), at points; gives (p,) or (p, k).
 
         One locate per point, blocked: each block of ``_SAMPLE_BLOCK //
-        k`` points is located once, and its barycentric weights are applied
-        to the nodal values in the fields' own dtype.
+        k`` points is located once. Per column, a transient affine table
+        u = c0 + gx dx + gy dy (from `grads`, in the fields' own dtype) is
+        built over only the elements the block lands in, where (dx, dy) is
+        the point's offset from its element's first vertex and c0 the value
+        there; a point then costs three gathers. Boundary-band points that
+        `locate` maps to a nearby element take that element's extension.
         """
         p = as_points(points)
         nodal = np.asarray(nodal)
@@ -216,17 +220,34 @@ class Mesh:
         k = fields.shape[1]
         out = np.empty((len(p), k), dtype=np.result_type(nodal, float))
         block = max(1, _SAMPLE_BLOCK // k)
+        # per-element scratch: marks of a block's elements, cleared after
+        # use, and their rows in the block's table
+        mark = np.zeros(self.num_triangles, dtype=bool)
+        row = np.empty(self.num_triangles, dtype=np.intp)
         for start in range(0, len(p), block):
             q = p[start:start + block]
             idx = self.locate(q)
-            T = self._tri.transform[idx]
-            d = q - T[:, 2, :]
-            b0 = (T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1])[:, None]
-            b1 = (T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1])[:, None]
-            b2 = 1.0 - (b0 + b1)
-            v = fields[self._tri.simplices[idx]]
-            out[start:start + len(q)] = v[:, 0] * b0 + v[:, 1] * b1 \
-                + v[:, 2] * b2
+            mark[idx] = True
+            touched = np.flatnonzero(mark)
+            mark[touched] = False
+            row[touched] = np.arange(len(touched))
+            at = row[idx]
+            tri = self.triangles[touched]
+            g = self.grads[touched]
+            dx, dy = (q - self.points[tri[:, 0]][at]).T.copy()
+            for j in range(k):
+                v = fields[tri, j]
+                gx = v[:, 0] * g[:, 0, 0] + v[:, 1] * g[:, 1, 0] \
+                    + v[:, 2] * g[:, 2, 0]
+                gy = v[:, 0] * g[:, 0, 1] + v[:, 1] * g[:, 1, 1] \
+                    + v[:, 2] * g[:, 2, 1]
+                u = gx[at]
+                u *= dx
+                u += v[at, 0]
+                uy = gy[at]
+                uy *= dy
+                u += uy
+                out[start:start + len(q), j] = u
         return out.reshape(len(p), *nodal.shape[1:])
 
     def gradient_per_element(self, nodal) -> np.ndarray:

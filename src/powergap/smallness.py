@@ -27,6 +27,7 @@ from .geometry import (
     grid_integrate,
     polyline_min_distance,
 )
+from .mesh import _SAMPLE_BLOCK
 from .solver import Solution
 
 __all__ = [
@@ -84,17 +85,46 @@ def gradient_energy(sol: Solution) -> float:
     return float((np.abs(grad) ** 2).sum(axis=1) @ sol.mesh.areas)
 
 
-def ball_l2_sq(u, center, radius: float, n_grid: int = 110) -> float:
-    """Integral of |u|^2 over a disk by antialiased grid quadrature."""
-    c = np.asarray(center, float)
-    lo, hi = c - radius, c + radius
-    pts, cell = _rect_grid(lo, hi, n_grid * n_grid)
-    sd = np.linalg.norm(pts - c, axis=1) - radius
-    w = np.clip(0.5 - sd / math.sqrt(cell), 0.0, 1.0)
+def _ball_sums(sample, centers, radius: float, n_grid: int) -> np.ndarray:
+    """Integral of a sampled density over the disk around each centre.
+
+    sample maps (p, 2) points to (p,) real values. One antialiased stencil
+    serves every centre: an n_grid x n_grid midpoint grid on the disk's
+    bounding square, each cell weighing its area times the covered fraction
+    estimated from the signed distance. It is shifted to blocks of about
+    ``_SAMPLE_BLOCK`` points, so memory does not grow with the number of
+    centres, and each centre is summed by its own dot product, so its value
+    does not depend on its block.
+    """
+    offsets, cell = _rect_grid((-radius, -radius), (radius, radius),
+                               n_grid * n_grid)
+    w = np.clip(0.5 - (np.linalg.norm(offsets, axis=1) - radius)
+                / math.sqrt(cell), 0.0, 1.0)
     keep = w > 0
-    vals = np.zeros(len(pts))
-    vals[keep] = np.abs(_eval_field(u, pts[keep])) ** 2
-    return float((vals * w).sum() * cell)
+    offsets, w = offsets[keep], w[keep] * cell
+    per = max(1, _SAMPLE_BLOCK // len(offsets))
+    out = np.empty(len(centers))
+    for start in range(0, len(centers), per):
+        c = centers[start:start + per]
+        vals = sample((c[:, None, :] + offsets).reshape(-1, 2))
+        out[start:start + len(c)] = [row @ w for row in
+                                     vals.reshape(len(c), -1)]
+    return out
+
+
+def ball_l2_sq(u, center, radius: float, n_grid: int = 110):
+    """Integral of |u|^2 over the disk of `radius` around `center`.
+
+    center is one point, giving a float, or an (N, 2) array of centres,
+    giving (N,) integrals; each entry is bitwise the one-centre value. The
+    antialiased grid stencil is built once around the origin, and each ball
+    is summed as |u|^2 @ w over blocks of about ``_SAMPLE_BLOCK`` points
+    (see `_ball_sums`).
+    """
+    c = np.asarray(center, float)
+    sums = _ball_sums(lambda p: np.abs(_eval_field(u, p)) ** 2,
+                      c.reshape(-1, 2), radius, n_grid)
+    return float(sums[0]) if c.ndim == 1 else sums
 
 
 @dataclass(frozen=True)
@@ -413,9 +443,9 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     inclusion is a region object (or closed curve) for D; requires
     B_r(x0) inside D and dist(D, boundary) >= h. Radii are h/30, h/10, h/2
     as in the constructive proof; r/2 > h is recorded but not required for
-    building the certificate. Chains share balls (every chain starts at
-    x0), so the ball norms are cached by centre: one integral per distinct
-    centre.
+    building the certificate. Every path and its centres are built first;
+    the chains share balls (every chain starts at x0), so one `ball_l2_sq`
+    call integrates each distinct centre once.
     """
     region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
     x0 = np.asarray(x0, float)
@@ -446,22 +476,22 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     w = cands[region.signed_distance(cands) < r1]
 
     u_norm = math.sqrt(l2_norm_sq(u))
-    m_by_center = {}
-
-    def m_at(c) -> float:
-        key = c.tobytes()
-        if key not in m_by_center:
-            m_by_center[key] = math.sqrt(ball_l2_sq(u, c, r1, n_grid)) / u_norm
-        return m_by_center[key]
-
-    m0 = m_at(x0)
+    paths = [_chain_centers(_straight_or_grid_path(dtil, x0, wj, r1), r1)
+             for wj in w]
+    # the chains share balls (all start at x0): one integral per distinct
+    # centre, all in one call, scattered back to the chains
+    distinct, where = np.unique(np.vstack([x0[None, :], *paths]), axis=0,
+                                return_inverse=True)
+    m_all = (np.sqrt(ball_l2_sq(u, distinct, r1, n_grid))
+             / u_norm)[where.reshape(-1)]
+    m0 = float(m_all[0])
     chains = []
     n_max = 0
     bound_sq = 0.0
-    for wj in w:
-        path = _straight_or_grid_path(dtil, x0, wj, r1)
-        centers = _chain_centers(path, r1)
-        ms = np.array([m_at(c) for c in centers])
+    start = 1
+    for centers in paths:
+        ms = m_all[start:start + len(centers)]
+        start += len(centers)
         links = np.maximum(ms[1:], 1e-300) / np.maximum(ms[:-1], 1e-300) ** tau
         cmax = float(links.max()) if len(links) else 1.0
         cert = ChainCertificate(centers=centers, radii=(r1, r2, r3), tau=tau,
@@ -533,24 +563,8 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
     total = gradient_energy(u0)
     dens_e = (np.abs(u0.gradient()) ** 2).sum(axis=1)
     mesh = u0.mesh
-
-    pts_all = []
-    weights = []
-    offsets = [0]
-    for c in centers:
-        pts, cell = _rect_grid(c - a, c + a, n_grid * n_grid)
-        sd = np.linalg.norm(pts - c, axis=1) - a
-        wz = np.clip(0.5 - sd / math.sqrt(cell), 0.0, 1.0) * cell
-        keep = wz > 0
-        pts_all.append(pts[keep])
-        weights.append(wz[keep])
-        offsets.append(offsets[-1] + int(keep.sum()))
-    allpts = np.vstack(pts_all)
-    dens = dens_e[mesh.locate(allpts)]
-    ratios = np.empty(len(centers))
-    for i in range(len(centers)):
-        sl = slice(offsets[i], offsets[i + 1])
-        ratios[i] = float(dens[sl] @ weights[i]) / total
+    ratios = _ball_sums(lambda p: dens_e[mesh.locate(p)], centers, a,
+                        n_grid) / total
     i_min = int(np.argmin(ratios))
     return {"c_a": float(ratios[i_min]), "argmin": tuple(centers[i_min]),
             "ratios": ratios, "centers": centers, "total_energy": total,

@@ -3,7 +3,8 @@
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
 come from Monte Carlo, covering counts from a direct 1d construction, and
-polyline distances from the full point x segment table. The one FEM
+polyline distances from the full point x segment table, and P1 samples
+from barycentric weights on the Delaunay transform. The one FEM
 reference, `direct_block_solve`, reuses the package's element
 assembly but factorizes the chiral block system directly instead of
 iterating on it.
@@ -199,6 +200,26 @@ def polyline_distance_table(points, poly, closed: bool = True) -> np.ndarray:
     return np.concatenate(
         [_segment_distances(p[lo:lo + rows], a, b).min(axis=1)
          for lo in range(0, len(p), rows)])
+
+
+def barycentric_interpolate(mesh, nodal, points) -> np.ndarray:
+    """P1 interpolation of (n_nodes,) or (n_nodes, k) fields at points.
+
+    Each point takes the element `Mesh.locate` gives it and the barycentric
+    weights of Qhull's affine transform of that element, applied to the
+    nodal values in the fields' own dtype; no per-element gradient enters.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    nodal = np.asarray(nodal)
+    fields = nodal.reshape(len(nodal), -1)
+    idx = mesh.locate(p)
+    T = mesh._tri.transform[idx]
+    d = p - T[:, 2, :]
+    b0 = (T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1])[:, None]
+    b1 = (T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1])[:, None]
+    v = fields[mesh.triangles[idx]]
+    out = v[:, 0] * b0 + v[:, 1] * b1 + v[:, 2] * (1.0 - (b0 + b1))
+    return out.reshape(len(p), *nodal.shape[1:])
 
 
 def greedy_segment_cover_count(length: float, radius: float) -> int:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,18 @@ class TestRun:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(fast_concentric))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+    def test_module_entry_point(self):
+        # `python -m powergap` from a checkout, with only src on the path
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "powergap", "validate", "--config",
+             "configs/concentric_disk.json"],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert out.returncode == EXIT_OK, out.stderr
+        assert "config 'concentric_disk_case_ii' valid" in out.stdout
 
 
 class TestSweep:

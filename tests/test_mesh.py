@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergap import Circle, Ellipse, Scene, cli, scenarios
 from powergap.errors import MeshingError
@@ -12,6 +14,8 @@ from powergap.mesh import (
     build_mesh,
     circle_circle_intersections,
 )
+
+from oracles import barycentric_interpolate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -195,6 +199,76 @@ class TestBuildMesh:
         nodal = 3.0 * disk_mesh_h05.points[:, 1]
         g = disk_mesh_h05.gradient_per_element(nodal)
         assert np.allclose(g, [0.0, 3.0], atol=1e-10)
+
+
+def _inside_and_band_points(mesh, rng, n_inside, n_band):
+    """Points in random elements, and in the band just outside the hull
+    (up to 2h beyond the unit circle), where `locate` falls back to the
+    nearest centroid."""
+    tri = mesh.points[mesh.triangles[rng.integers(mesh.num_triangles,
+                                                  size=n_inside)]]
+    bary = rng.dirichlet(np.ones(3), size=n_inside)
+    inside = np.einsum("pi,pid->pd", bary, tri)
+    t = rng.uniform(0.0, 2.0 * np.pi, n_band)
+    r = 1.0 + rng.uniform(-1e-4, 2.0 * mesh.h, n_band)
+    band = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    return rng.permutation(np.vstack([inside, band]))
+
+
+class TestAffineSampling:
+    """`Mesh.interpolate` against the barycentric reference in oracles."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 8]),
+           st.sampled_from(["real", "complex", "int"]))
+    def test_matches_barycentric_reference(self, disk_mesh_h05, seed, k,
+                                           kind):
+        mesh = disk_mesh_h05
+        rng = np.random.default_rng(seed)
+        shape = (mesh.num_points,) + ((k,) if k > 1 else ())
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if kind == "int":
+            nodal = rng.integers(-1000, 1000, size=shape)
+        elif kind == "real":
+            nodal = scale * rng.normal(size=shape)
+        else:
+            nodal = scale * (rng.normal(size=shape)
+                             + 1j * rng.normal(size=shape))
+        # 9 000 points: k = 8 spans two locate blocks
+        pts = _inside_and_band_points(mesh, rng, 6_000, 3_000)
+        assert (mesh._tri.find_simplex(pts) < 0).any()
+        got = mesh.interpolate(nodal, pts)
+        want = barycentric_interpolate(mesh, nodal, pts)
+        assert got.shape == want.shape == (len(pts),) + shape[1:]
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(nodal).max()
+
+    def test_memory_has_no_element_table(self):
+        # an (n, 8) complex family at h = 0.0075: the table over every
+        # element, (m, 3, 8) complex, would be 49 MB
+        import tracemalloc
+        mesh = build_mesh(Scene(outer=Circle((0.0, 0.0), 1.0)), 0.0075)
+        rng = np.random.default_rng(11)
+        k = 8
+        fields = (rng.normal(size=(mesh.num_points, k))
+                  + 1j * rng.normal(size=(mesh.num_points, k)))
+        g = np.linspace(-0.6, 0.6, 300)
+        pts = np.column_stack([np.repeat(g, 300), np.tile(g, 300)])
+        mesh.interpolate(fields, pts[:10])
+        tracemalloc.start()
+        try:
+            out = mesh.interpolate(fields, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, 24 complex columns as long as one locate block, and
+        # the per-element marks and rows; even one column's (m, 3) table
+        # over every element would not fit in that slack
+        block = _SAMPLE_BLOCK // k
+        slack = 24 * block * 16 + 9 * mesh.num_triangles
+        assert peak < out.nbytes + slack
+        assert slack < mesh.num_triangles * 3 * 16
 
 
 class TestIntersections:

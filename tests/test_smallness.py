@@ -231,7 +231,7 @@ class TestChain:
         assert cert.n_max <= cert.n_bound
         assert cert.direct_d_norm_sq <= cert.bound_d_norm_sq * (1 + 1e-9)
 
-    def test_one_integral_per_distinct_centre(self, cos_data, monkeypatch):
+    def test_one_call_over_distinct_centres(self, cos_data, monkeypatch):
         import powergap.smallness as smallness
         scene = Scene(outer=Circle((0, 0), 1.0),
                       inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
@@ -241,24 +241,46 @@ class TestChain:
                                fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
         calls = []
 
-        def counting_ball(u, center, radius, n_grid=110):
-            calls.append(np.asarray(center, float).tobytes())
+        def recording_ball(u, center, radius, n_grid=110):
+            calls.append(np.array(center, float))
             return ball_l2_sq(u, center, radius, n_grid)
 
-        monkeypatch.setattr(smallness, "ball_l2_sq", counting_ball)
+        monkeypatch.setattr(smallness, "ball_l2_sq", recording_ball)
         x0 = np.array([0.1, 0.0])
         cert = propagate_chain(sol, scene.inclusion, x0, r=0.1, h=0.6)
         centres = [x0.tobytes()] + [c.tobytes() for ch in cert.chains
                                     for c in ch.centers]
-        # the chains share balls, so a cache has something to save
+        # the chains share balls, so pooling has something to save
         assert len(set(centres)) < len(centres)
-        assert len(calls) == len(set(centres))
-        assert len(set(calls)) == len(calls)
+        assert len(calls) == 1
+        assert calls[0].shape == (len(set(centres)), 2)
+        assert sorted(c.tobytes() for c in calls[0]) == sorted(set(centres))
         r1 = cert.radii[0]
+        assert cert.m0 == math.sqrt(ball_l2_sq(sol, x0, r1, 96)) / cert.u_norm
         for ch in cert.chains:
             direct = [math.sqrt(ball_l2_sq(sol, c, r1, 96)) / cert.u_norm
                       for c in ch.centers]
             assert np.array_equal(ch.m_values, direct)
+
+    def test_many_centres_bitwise_and_flat_memory(self, disk_solution):
+        import tracemalloc
+        from powergap.mesh import _SAMPLE_BLOCK
+        rng = np.random.default_rng(4)
+        centres = rng.uniform(-0.5, 0.5, (800, 2))
+        sums = ball_l2_sq(disk_solution, centres, 0.05, 96)
+        assert sums.shape == (800,)
+        for i in (0, 1, 9, 799):
+            assert sums[i] == ball_l2_sq(disk_solution, centres[i], 0.05, 96)
+        peaks = []
+        for n in (50, 800):
+            tracemalloc.start()
+            try:
+                ball_l2_sq(disk_solution, centres[:n], 0.05, 96)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # within one block of 2-d points
+        assert abs(peaks[1] - peaks[0]) < _SAMPLE_BLOCK * 16
 
     def test_seed_ball_outside_rejected(self, disk_solution):
         from powergap.errors import StructuralError
