@@ -191,6 +191,29 @@ class EllipticityReport:
     argmax: tuple[float, float]
 
 
+def _eigvalsh2(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric (n, 2, 2) matrices, shape (n, 2).
+
+    Closed form of LAPACK's dlae2 on the lower triangle, as eigvalsh reads
+    it: the root of larger magnitude comes from the half-sum and the
+    hypotenuse, and the other from the determinant divided by it, which
+    keeps both to a few ulps of the larger without cancellation.
+    """
+    a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+    sm = a + c
+    rt = np.hypot(a - c, 2.0 * b)
+    a_larger = np.abs(a) > np.abs(c)
+    acmx = np.where(a_larger, a, c)
+    acmn = np.where(a_larger, c, a)
+    traceless = sm == 0.0
+    # a traceless matrix has the roots +-rt/2; elsewhere rt1 != 0
+    rt1 = np.where(traceless, 0.5 * rt, 0.5 * (sm + np.copysign(rt, sm)))
+    safe = np.where(traceless, 1.0, rt1)
+    rt2 = np.where(traceless, -0.5 * rt,
+                   (acmx / safe) * acmn - (b / safe) * b)
+    return np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
+
+
 def _check_symmetry(vals: np.ndarray, what: str):
     defect = float(np.abs(vals - np.swapaxes(vals, -1, -2)).max()) if len(vals) else 0.0
     if defect > SYMMETRY_TOL:
@@ -202,7 +225,7 @@ def check_ellipticity(field: MatrixField, points, lambda0: float) -> Ellipticity
     p = as_points(points)
     vals = field(p)
     _check_symmetry(vals, field.name)
-    eigs = np.linalg.eigvalsh(vals)
+    eigs = _eigvalsh2(vals)
     mins, maxs = eigs[:, 0], eigs[:, -1]
     i_min, i_max = int(np.argmin(mins)), int(np.argmax(maxs))
     lo, hi = float(mins[i_min]), float(maxs[i_max])
@@ -227,7 +250,7 @@ def estimate_lipschitz(field: MatrixField, points_a, points_b) -> float:
 
 def _matrix_le(a: np.ndarray, b: np.ndarray) -> bool:
     """a <= b in the semidefinite order, at every sample, with fp slack."""
-    eigs = np.linalg.eigvalsh(b - a)
+    eigs = _eigvalsh2(b - a)
     return bool(eigs[:, 0].min() >= -PSD_TOL)
 
 
@@ -256,7 +279,7 @@ def check_epsilon_closeness(eps0: np.ndarray, eps1: np.ndarray,
     diff = np.asarray(eps1, dtype=float) - np.asarray(eps0, dtype=float)
     if len(diff) == 0:
         return True
-    spec = np.abs(np.linalg.eigvalsh(diff)).max()
+    spec = np.abs(_eigvalsh2(diff)).max()
     return bool(spec <= delta_tol + PSD_TOL)
 
 
@@ -316,18 +339,17 @@ def validate_admissibility(background: BackgroundTensor,
         _check_symmetry(s1, "sigma1")
         _check_symmetry(z1, "zeta1")
         lam1 = law.lambda1
-        eig_lo = min(np.linalg.eigvalsh(s1 + z1)[:, 0].min(),
-                     np.linalg.eigvalsh(s1 - z1)[:, 0].min())
-        eig_hi = max(np.linalg.eigvalsh(s1 + z1)[:, -1].max(),
-                     np.linalg.eigvalsh(s1 - z1)[:, -1].max())
+        eig_plus, eig_minus = _eigvalsh2(s1 + z1), _eigvalsh2(s1 - z1)
+        eig_lo = min(eig_plus[:, 0].min(), eig_minus[:, 0].min())
+        eig_hi = max(eig_plus[:, -1].max(), eig_minus[:, -1].max())
         record("(se0):sigma1+-zeta1",
                eig_lo >= lam1 - PSD_TOL and eig_hi <= 1.0 / lam1 + PSD_TOL,
                {"eig_min": float(eig_lo), "eig_max": float(eig_hi),
                 "lambda1": lam1})
         eps0 = background.epsilon(pd, comp)
         eps1 = law.epsilon(pd, background, comp)
-        norm0 = float(np.abs(np.linalg.eigvalsh(eps0)).max()) if len(pd) else 0.0
-        norm1 = float(np.abs(np.linalg.eigvalsh(eps1)).max()) if len(pd) else 0.0
+        norm0 = float(np.abs(_eigvalsh2(eps0)).max()) if len(pd) else 0.0
+        norm1 = float(np.abs(_eigvalsh2(eps1)).max()) if len(pd) else 0.0
         record("(se0):epsilon-bounds",
                norm0 <= 1.0 / lam1 + PSD_TOL and norm1 <= 1.0 / lam1 + PSD_TOL,
                {"norm_eps0": norm0, "norm_eps1": norm1})

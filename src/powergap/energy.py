@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import JumpCase
+from .coefficients import JumpCase, _eigvalsh2
 from .errors import StructuralError
 from .solver import Solution, _element_flux
 
@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 
+def _mul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of (n, 2, 2) matrix stacks, written out entry by entry."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = x[..., i, 0] * y[..., 0, j] \
+                + x[..., i, 1] * y[..., 1, j]
+    return out
+
+
 def cg_transform(sigma, eps, zeta=None) -> np.ndarray:
     """4x4 symmetrizing matrices from (n,2,2) or (2,2) coefficient arrays."""
     s = np.asarray(sigma, dtype=float)
@@ -62,17 +72,23 @@ def cg_transform(sigma, eps, zeta=None) -> np.ndarray:
     else:
         z = np.broadcast_to(np.asarray(zeta, dtype=float), s.shape)
     sz = s + z
-    eigs = np.linalg.eigvalsh(sz)
-    if eigs[:, 0].min() <= 1e-14:
+    lo = _eigvalsh2(sz)[:, 0].min()
+    if lo <= 1e-14:
         raise StructuralError(
             "sigma + zeta is singular on a sample; hypothesis (se0) "
-            f"violated (min eig {eigs[:, 0].min():.3e})")
-    inv = np.linalg.inv(sz)
+            f"violated (min eig {lo:.3e})")
+    det = sz[:, 0, 0] * sz[:, 1, 1] - sz[:, 0, 1] * sz[:, 1, 0]
+    inv = np.empty_like(sz)
+    inv[:, 0, 0] = sz[:, 1, 1] / det
+    inv[:, 0, 1] = -sz[:, 0, 1] / det
+    inv[:, 1, 0] = -sz[:, 1, 0] / det
+    inv[:, 1, 1] = sz[:, 0, 0] / det
+    e_inv = _mul2(e, inv)
     b = np.empty(s.shape[:-2] + (4, 4))
     b[..., :2, :2] = inv
-    b[..., :2, 2:] = inv @ e
-    b[..., 2:, :2] = e @ inv
-    b[..., 2:, 2:] = s - z + e @ inv @ e
+    b[..., :2, 2:] = _mul2(inv, e)
+    b[..., 2:, :2] = e_inv
+    b[..., 2:, 2:] = s - z + _mul2(e_inv, e)
     return b[0] if single else b
 
 
@@ -145,7 +161,9 @@ def grad_energy_inclusion(sol: Solution) -> float:
 
 def _quad_form(b: np.ndarray, v: np.ndarray, w: np.ndarray,
                areas: np.ndarray) -> float:
-    return float(np.einsum("mij,mj,mi,m->", b, v, w, areas))
+    """Sum over elements of area * (b v).w."""
+    bv = np.einsum("mij,mj->mi", b, v)
+    return float((bv * w).sum(axis=1) @ areas)
 
 
 def _require_same_mesh(sol0: Solution, sol1: Solution):
@@ -256,8 +274,10 @@ def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
     else:
         kappa_lo = lam_lo * smin2
         eig_b0 = np.linalg.eigvalsh(b0)
-        eig_b1 = np.linalg.eigvalsh(b1)
-        c_hat = float((eig_b0[:, -1] / eig_b1[:, 0]).max())
+        # off D both laws are the background's, so b1 equals b0 bit for bit
+        min_b1 = eig_b0[:, 0].copy()
+        min_b1[d] = np.linalg.eigvalsh(b1[d])[:, 0]
+        c_hat = float((eig_b0[:, -1] / min_b1).max())
         kappa_hi = (c_hat + 1.0) * lam_hi * smax2
         signed = re_dw
 

@@ -1,16 +1,21 @@
 """First-order FEM forward solver for the unperturbed and chiral problems.
 
 The background problem is complex-linear and assembled as one complex
-sparse system. The perturbed problem is only real-linear because of the
-chiral term, so it is split into real and imaginary parts and assembled as
-a 2x2 block system whose blocks are (sigma+zeta, -eps; eps, sigma-zeta)
-inside the inclusion and (sigma, -eps; eps, sigma) outside. The zero-mean
-constraint is enforced exactly through one scalar Lagrange multiplier per
-real component. The background system is factorized by a sparse direct LU.
-The block system is solved by GMRES preconditioned with that same complex
-LU: outside the inclusion the block system is exactly the real form of the
-background operator, so the preconditioned system is the identity plus a
-perturbation supported on D and converges in a few tens of iterations.
+sparse system K0, bordered by the node-mass row m that enforces zero mean
+through one complex Lagrange multiplier, and factorized by a sparse direct
+LU. The perturbed problem is only real-linear because of the chiral term.
+Its operator is applied in complex form,
+
+    K0 u + K_delta u + K_zeta conj(u) + m lambda,
+
+where K_delta, with coefficient (sigma1 - sigma0) + i (eps1 - eps0), and
+K_zeta are assembled over the inclusion's elements only, so the background
+stiffness is reused and never assembled again. GMRES runs on its real form
+in the unknowns (Re u, Im u, lambda_re, lambda_im), with the border rows
+m.Re u and m.Im u, preconditioned with the complex background LU. Outside
+the inclusion the operator is exactly the background's, so the
+preconditioned system is the identity plus a perturbation supported on D
+and converges in a few tens of iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import BackgroundTensor, InclusionLaw
+from .coefficients import BackgroundTensor, InclusionLaw, _eigvalsh2
 from .errors import SolverError
 from .geometry import as_points
 from .mesh import Mesh
@@ -102,6 +107,8 @@ class Solution:
     eps_e: np.ndarray
     zeta_e: Optional[np.ndarray]
     diagnostics: dict = field(default_factory=dict)
+    # the operator solved with; operator.apply(u, lam) gives K u + m lam
+    operator: object = None
     _grad: Optional[np.ndarray] = None
     # per-element Cherkaev-Gibiansky matrices, filled by energy.element_cg
     _cg: Optional[np.ndarray] = None
@@ -136,12 +143,17 @@ def element_coefficients(mesh: Mesh, background: BackgroundTensor,
     return sigma, eps, zeta
 
 
-def assemble_stiffness(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
-    """Stiffness matrix for int (C grad u).grad v with per-element C."""
-    g = mesh.grads
-    kloc = np.einsum("mia,mab,mjb->mij", g, coeff, g) \
-        * mesh.areas[:, None, None]
-    t = mesh.triangles
+def assemble_stiffness(mesh: Mesh, coeff: np.ndarray,
+                       elements=None) -> sp.csr_matrix:
+    """Stiffness matrix for int (C grad u).grad v with per-element C.
+
+    `elements` (a mask or index array) restricts the integral to those
+    elements; `coeff` then holds one C per selected element.
+    """
+    g, areas, t = mesh.grads, mesh.areas, mesh.triangles
+    if elements is not None:
+        g, areas, t = g[elements], areas[elements], t[elements]
+    kloc = np.einsum("mia,mab,mjb->mij", g, coeff, g) * areas[:, None, None]
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
     n = mesh.num_points
@@ -216,12 +228,14 @@ class BackgroundOperator:
         sigma, eps, _ = element_coefficients(mesh, background)
         self.sigma_e, self.eps_e = sigma, eps
         self.k = assemble_stiffness(mesh, sigma + 1j * eps)
-        self._lower_matrix = None
         if lower_order is not None:
-            self._lower_matrix = assemble_lower_order(mesh, lower_order)
-            self.k = self.k + self._lower_matrix
+            self.k = self.k + assemble_lower_order(mesh, lower_order)
         self.m = mesh.node_mass()
         self._lu = _bordered_factor(self.k, self.m)
+
+    def apply(self, u: np.ndarray, lam: complex) -> np.ndarray:
+        """K u + m lam, the rows of the bordered system without its border."""
+        return self.k @ u + self.m * lam
 
     def solve(self, g):
         """Solve for one NeumannData, or for a list of them at once.
@@ -240,20 +254,18 @@ class BackgroundOperator:
         sols = []
         for j, (gi, (b, mean)) in enumerate(zip(gs, loads)):
             u, lam = np.ascontiguousarray(x[:-1, j]), complex(x[-1, j])
-            res = np.linalg.norm(self.k @ u + self.m * lam - b)
+            res = np.linalg.norm(self.apply(u, lam) - b)
             res /= max(np.linalg.norm(b), 1e-300)
             if not np.isfinite(res) or res > 1e-6:
                 raise SolverError(
                     f"background solve residual {res:.3e} for member {j} "
                     f"({gi.label}); system may be ill-conditioned")
-            diagnostics = {"g_mean_offset": complex(mean)}
-            if self._lower_matrix is not None:
-                diagnostics["lower_order"] = self._lower_matrix
             sols.append(Solution(
                 mesh=self.mesh, u=u, g=gi, background=self.background,
                 law=None, multipliers=(lam,), residual=float(res),
                 kind="background", sigma_e=self.sigma_e, eps_e=self.eps_e,
-                zeta_e=None, diagnostics=diagnostics))
+                zeta_e=None, diagnostics={"g_mean_offset": complex(mean)},
+                operator=self))
         return sols if family else sols[0]
 
 
@@ -263,23 +275,33 @@ def solve_background(mesh: Mesh, background: BackgroundTensor,
     return BackgroundOperator(mesh, background, lower_order).solve(g)
 
 
-def _chiral_system(mesh: Mesh, sigma: np.ndarray, eps: np.ndarray,
-                   zeta: Optional[np.ndarray]) -> sp.csr_matrix:
-    """Real 2x2 block operator of the chiral problem with its mean borders.
+class _ChiralOperator:
+    """The chiral operator K0 u + K_delta u + K_zeta conj(u) + m lambda.
 
-    Unknowns and rows are ordered (Re u, Im u, lambda_re, lambda_im); the
-    blocks are (sigma+zeta, -eps; eps, sigma-zeta) per element.
+    K0 and m are the background operator's; K_delta and K_zeta are
+    assembled over the inclusion's elements only.
     """
-    if zeta is None:
-        zeta = np.zeros_like(sigma)
-    n = mesh.num_points
-    k_eps = assemble_stiffness(mesh, eps)
-    mcol = sp.csr_matrix(mesh.node_mass().reshape(n, 1))
-    z1 = sp.csr_matrix((n, 1))
-    return sp.bmat([[assemble_stiffness(mesh, sigma + zeta), -k_eps, mcol, z1],
-                    [k_eps, assemble_stiffness(mesh, sigma - zeta), z1, mcol],
-                    [mcol.T, z1.T, None, None],
-                    [z1.T, mcol.T, None, None]], format="csr")
+
+    def __init__(self, op: BackgroundOperator, sigma: np.ndarray,
+                 eps: np.ndarray, zeta: np.ndarray):
+        mesh, d = op.mesh, op.mesh.in_d
+        self.n = mesh.num_points
+        self.k0, self.m = op.k, op.m
+        self.k_delta = assemble_stiffness(
+            mesh, sigma[d] - op.sigma_e[d] + 1j * (eps[d] - op.eps_e[d]), d)
+        self.k_zeta = assemble_stiffness(mesh, zeta[d], d)
+
+    def apply(self, u: np.ndarray, lam: complex) -> np.ndarray:
+        """Complex rows K0 u + K_delta u + K_zeta conj(u) + m lam."""
+        return (self.k0 @ u + self.k_delta @ u + self.k_zeta @ np.conj(u)
+                + self.m * lam)
+
+    def apply_real(self, x: np.ndarray) -> np.ndarray:
+        """The operator on (Re u, Im u, lam_re, lam_im), with its borders."""
+        n = self.n
+        y = self.apply(x[:n] + 1j * x[n:2 * n], x[2 * n] + 1j * x[2 * n + 1])
+        return np.concatenate([y.real, y.imag,
+                               [self.m @ x[:n], self.m @ x[n:2 * n]]])
 
 
 def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
@@ -302,12 +324,14 @@ def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
 def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
                     law: InclusionLaw, g: NeumannData,
                     op: Optional[BackgroundOperator] = None) -> Solution:
-    """Weak solution of the chiral problem via the real 2x2 block split.
+    """Weak solution of the chiral problem by GMRES on its real form.
 
-    The bordered block system is solved by restarted GMRES, preconditioned
-    by the complex LU of `op`, the background operator on the same mesh
-    (built here when not given). The GMRES iteration count and the final
-    true relative residual of the whole system land in
+    The operator reuses the stiffness K0 of `op`, the background operator
+    on the same mesh (built here when not given), and adds the inclusion's
+    terms assembled over its elements only. `op` must carry no lower-order
+    terms, which the chiral problem does not have. GMRES is preconditioned
+    by the complex LU of `op`. The iteration count and the final true
+    relative residual of the whole system land in
     ``diagnostics["krylov_iterations"]`` and ``["krylov_residual"]``; a
     miss of the GMRES tolerance or of the 1e-6 residual gate raises
     SolverError.
@@ -315,8 +339,8 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
     sigma, eps, zeta = element_coefficients(mesh, background, law)
     if mesh.in_d.any():
         d = mesh.in_d
-        lo = min(np.linalg.eigvalsh(sigma[d] + zeta[d])[:, 0].min(),
-                 np.linalg.eigvalsh(sigma[d] - zeta[d])[:, 0].min())
+        lo = min(_eigvalsh2(sigma[d] + zeta[d])[:, 0].min(),
+                 _eigvalsh2(sigma[d] - zeta[d])[:, 0].min())
         if lo <= 1e-12:
             raise SolverError(
                 f"block system loses coercivity: min eig(sigma1 +/- zeta1) = "
@@ -325,9 +349,17 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
         op = BackgroundOperator(mesh, background)
     elif op.mesh is not mesh:
         raise ValueError("the background operator lives on another mesh")
+    elif op.background != background:
+        raise ValueError("the background operator has another background "
+                         "tensor")
+    elif op.lower_order is not None:
+        raise ValueError("the background operator carries lower_order terms, "
+                         "which the chiral problem does not have")
 
     n = mesh.num_points
-    a = _chiral_system(mesh, sigma, eps, zeta)
+    chiral = _ChiralOperator(op, sigma, eps, zeta)
+    a = spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=chiral.apply_real,
+                            dtype=float)
     b, mean = boundary_load(mesh, g)
     rhs = np.concatenate([b.real, b.imag, [0.0, 0.0]])
     iterations = 0
@@ -340,7 +372,7 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
                          restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
                          M=_real_form_preconditioner(op), callback=count,
                          callback_type="pr_norm")
-    r = a @ x - rhs
+    r = chiral.apply_real(x) - rhs
     bnorm = max(np.linalg.norm(b), 1e-300)
     krylov_res = float(np.linalg.norm(r) / bnorm)  # |rhs| = |b|
     res = float(np.linalg.norm(r[:2 * n]) / bnorm)
@@ -354,27 +386,21 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
         kind="perturbed", sigma_e=sigma, eps_e=eps, zeta_e=zeta,
         diagnostics={"g_mean_offset": complex(mean),
                      "krylov_iterations": iterations,
-                     "krylov_residual": krylov_res})
+                     "krylov_residual": krylov_res},
+        operator=chiral)
 
 
 def _load_residual(sol: Solution):
     """K u + m lambda - b per basis test function, and the load b.
 
     K is the operator the solution was solved with: the background
-    operator with its lower-order terms, or the chiral block system, whose
-    Re and Im rows are recombined into one complex residual.
+    operator with its lower-order terms, or the chiral operator, whose
+    real multipliers are recombined into one complex multiplier.
     """
-    mesh = sol.mesh
-    b, _ = boundary_load(mesh, sol.g)
-    if sol.kind == "background":
-        k = assemble_stiffness(mesh, sol.sigma_e + 1j * sol.eps_e)
-        if sol.diagnostics.get("lower_order") is not None:
-            k = k + sol.diagnostics["lower_order"]
-        return k @ sol.u + mesh.node_mass() * sol.multipliers[0] - b, b
-    n = mesh.num_points
-    a = _chiral_system(mesh, sol.sigma_e, sol.eps_e, sol.zeta_e)
-    r = a @ np.concatenate([sol.u.real, sol.u.imag, sol.multipliers])
-    return r[:n] + 1j * r[n:2 * n] - b, b
+    b, _ = boundary_load(sol.mesh, sol.g)
+    lam = complex(*sol.multipliers) if sol.kind == "perturbed" \
+        else sol.multipliers[0]
+    return sol.operator.apply(sol.u, lam) - b, b
 
 
 def weak_residual(sol: Solution) -> float:

@@ -4,10 +4,12 @@ Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
 come from Monte Carlo, covering counts from a direct 1d construction, and
 polyline distances from the full point x segment table, and P1 samples
-from barycentric weights on the Delaunay transform. The one FEM
-reference, `direct_block_solve`, reuses the package's element
-assembly but factorizes the chiral block system directly instead of
-iterating on it.
+from barycentric weights on the Delaunay transform. The FEM references,
+`chiral_system` and `direct_block_solve`, reuse the package's element
+assembly but build the chiral problem as the full-mesh real 2x2 block
+matrix and factorize it directly instead of iterating on it. The 2x2
+eigenvalues and the symmetrizing transform are given in their LAPACK
+forms, against which the closed-form kernels are checked.
 """
 
 from __future__ import annotations
@@ -228,23 +230,50 @@ def greedy_segment_cover_count(length: float, radius: float) -> int:
     return int(math.floor(length / spacing)) + 1
 
 
+def lapack_eigvalsh2(mats) -> np.ndarray:
+    """Ascending eigenvalues of symmetric (n, 2, 2) matrices by LAPACK."""
+    return np.linalg.eigvalsh(mats)
+
+
+def lapack_cg_transform(sigma, eps, zeta) -> np.ndarray:
+    """The 4x4 symmetrizing matrices by LAPACK inversion and matmul.
+
+    sigma, eps and zeta are (n, 2, 2) arrays.
+    """
+    s, e, z = (np.asarray(a, dtype=float) for a in (sigma, eps, zeta))
+    inv = np.linalg.inv(s + z)
+    b = np.empty(s.shape[:-2] + (4, 4))
+    b[..., :2, :2] = inv
+    b[..., :2, 2:] = inv @ e
+    b[..., 2:, :2] = e @ inv
+    b[..., 2:, 2:] = s - z + e @ inv @ e
+    return b
+
+
+def chiral_system(mesh, sigma, eps, zeta) -> sp.csr_matrix:
+    """Real 2x2 block matrix of the chiral problem with its mean borders.
+
+    Unknowns and rows are ordered (Re u, Im u, lambda_re, lambda_im); the
+    blocks are (sigma+zeta, -eps; eps, sigma-zeta) per element, assembled
+    over the whole mesh.
+    """
+    n = mesh.num_points
+    k_eps = assemble_stiffness(mesh, eps)
+    mcol = sp.csr_matrix(mesh.node_mass().reshape(n, 1))
+    z1 = sp.csr_matrix((n, 1))
+    return sp.bmat([[assemble_stiffness(mesh, sigma + zeta), -k_eps, mcol, z1],
+                    [k_eps, assemble_stiffness(mesh, sigma - zeta), z1, mcol],
+                    [mcol.T, z1.T, None, None],
+                    [z1.T, mcol.T, None, None]], format="csr")
+
+
 def direct_block_solve(mesh, background, law, g):
     """Chiral problem by sparse LU of the bordered real 2x2 block system.
 
     Returns the complex nodal field u and the two mean multipliers.
     """
-    sigma, eps, zeta = element_coefficients(mesh, background, law)
-    kpp = assemble_stiffness(mesh, sigma + zeta)
-    kmm = assemble_stiffness(mesh, sigma - zeta)
-    kpm = assemble_stiffness(mesh, -eps)
-    kmp = assemble_stiffness(mesh, eps)
     n = mesh.num_points
-    mcol = sp.csr_matrix(mesh.node_mass().reshape(n, 1))
-    z1 = sp.csr_matrix((n, 1))
-    a = sp.bmat([[kpp, kpm, mcol, z1],
-                 [kmp, kmm, z1, mcol],
-                 [mcol.T, z1.T, None, None],
-                 [z1.T, mcol.T, None, None]], format="csc")
+    a = chiral_system(mesh, *element_coefficients(mesh, background, law))
     b, _ = boundary_load(mesh, g)
-    x = spla.splu(a).solve(np.concatenate([b.real, b.imag, [0.0, 0.0]]))
+    x = spla.splu(a.tocsc()).solve(np.concatenate([b.real, b.imag, [0.0, 0.0]]))
     return x[:n] + 1j * x[n:2 * n], (float(x[-2]), float(x[-1]))

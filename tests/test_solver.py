@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -27,9 +28,19 @@ from powergap.cli import parse_config
 from powergap.errors import SolverError
 from powergap.mesh import build_mesh
 from powergap.scenarios import all_scenarios, scenario
-from powergap.solver import boundary_load
+from powergap.solver import (
+    _ChiralOperator,
+    assemble_stiffness,
+    boundary_load,
+    element_coefficients,
+)
 
-from oracles import LayeredDiskSolution, constitutive_matrix, direct_block_solve
+from oracles import (
+    LayeredDiskSolution,
+    chiral_system,
+    constitutive_matrix,
+    direct_block_solve,
+)
 
 CORPUS = [(name, case) for case in ("case_ii", "case_i")
           for name in all_scenarios(case)]
@@ -248,10 +259,25 @@ class TestPerturbedSolve:
             solve_perturbed(mesh, bg, law, cos_data)
 
 
+# a law with its own imaginary part, so that K_delta is complex; the corpus
+# laws inherit epsilon from the background
+EPSILON1 = [("epsilon1", "case_ii")]
+
+
 @functools.lru_cache(maxsize=None)
 def krylov_case(name, param):
-    """(mesh, background, law, g) of a corpus config or contrast corner at h=0.06."""
-    if name == "contrast":
+    """(mesh, background, law, g) at h=0.06.
+
+    `name` is a corpus config, "contrast" or "epsilon1".
+    """
+    if name == "epsilon1":
+        cfg = parse_config(scenario("crossing_inclusion", case=param,
+                                    mesh={"h": 0.06}))
+        law = dataclasses.replace(
+            cfg.build_law(),
+            epsilon1=MatrixField.affine(0.12, [[0.05, 0.02], [0.02, 0.0]],
+                                        0.03))
+    elif name == "contrast":
         cfg = parse_config(scenario("concentric_disk", mesh={"h": 0.06}))
         law = InclusionLaw(sigma1=MatrixField.isotropic(param),
                            zeta1=MatrixField.isotropic(0.999 * param),
@@ -307,6 +333,58 @@ class TestKrylovSolve:
                            match=r"3 iterations, true relative residual "
                                  r"1\.000e\+00"):
             solve_perturbed(*krylov_case("concentric_disk", "case_ii"))
+
+
+class TestChiralOperator:
+    @pytest.mark.parametrize("name,param", CORPUS + EPSILON1)
+    def test_apply_matches_block_matrix(self, name, param, rng):
+        mesh, bg, law, _ = krylov_case(name, param)
+        coeffs = element_coefficients(mesh, bg, law)
+        chiral = _ChiralOperator(BackgroundOperator(mesh, bg), *coeffs)
+        if name == "epsilon1":
+            assert np.abs(chiral.k_delta.data.imag).max() > 0
+        x = rng.standard_normal(2 * mesh.num_points + 2)
+        want = chiral_system(mesh, *coeffs) @ x
+        assert np.linalg.norm(chiral.apply_real(x) - want) \
+            <= 1e-13 * np.linalg.norm(want)
+
+    def test_epsilon1_law_matches_direct_block_lu(self):
+        mesh, bg, law, g = krylov_case(*EPSILON1[0])
+        sol = solve_perturbed(mesh, bg, law, g)
+        u_ref, _ = direct_block_solve(mesh, bg, law, g)
+        assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        assert weak_residual(sol) == pytest.approx(sol.residual, rel=1e-12)
+
+    def test_no_full_mesh_assembly(self, monkeypatch):
+        mesh, bg, law, g = krylov_case("crossing_inclusion", "case_ii")
+        op = BackgroundOperator(mesh, bg)
+        assembled = []
+
+        def counting(mesh, coeff, elements=None):
+            assembled.append(len(coeff))
+            return assemble_stiffness(mesh, coeff, elements)
+
+        monkeypatch.setattr("powergap.solver.assemble_stiffness", counting)
+        solve_perturbed(mesh, bg, law, g, op=op)
+        n_d = int(mesh.in_d.sum())
+        assert 0 < n_d < mesh.num_triangles
+        assert assembled == [n_d, n_d]
+
+    def test_lower_order_operator_refused(self):
+        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
+        lower = LowerOrderTerms(
+            w=lambda p: np.zeros((len(p), 2), dtype=complex),
+            v=lambda p: np.full(len(p), 0.1 + 0j), k1=0.1, k2=0.1)
+        op = BackgroundOperator(mesh, bg, lower_order=lower)
+        with pytest.raises(ValueError, match="lower_order"):
+            solve_perturbed(mesh, bg, law, g, op=op)
+
+    def test_operator_of_other_background_refused(self):
+        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
+        other = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+        with pytest.raises(ValueError, match="another background"):
+            solve_perturbed(mesh, bg, law, g,
+                            op=BackgroundOperator(mesh, other))
 
 
 class TestResidualsAndFluxes:
