@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .energy import PowerReport
 from .errors import DegenerateMeasurementError, StructuralError
-from .geometry import erode, region_area
+from .geometry import _norm, erode, region_area
 from .solver import NeumannData, Solution
 
 __all__ = [
@@ -193,30 +193,35 @@ def surrogate_size_constants(kappa_lo: float, kappa_hi: float,
     return c1, c2
 
 
+def _boundary_matrices(lens) -> tuple:
+    """Periodic P1 mass and stiffness matrices of a closed boundary loop.
+
+    Edge i joins loop nodes i and i + 1 and has length lens[i]. Each
+    diagonal entry is the sum of its two edges' terms, taken here as
+    (edge i - 1) + (edge i); addition commutes, so this is bitwise the
+    edge-by-edge assembly.
+    """
+    nb = len(lens)
+    i = np.arange(nb)
+    j = np.roll(i, -1)
+    prev = np.roll(lens, 1)
+    mass = np.zeros((nb, nb))
+    stiff = np.zeros((nb, nb))
+    mass[i, i] = prev / 3.0 + lens / 3.0
+    mass[i, j] = mass[j, i] = lens / 6.0
+    stiff[i, i] = 1.0 / prev + 1.0 / lens
+    stiff[i, j] = stiff[j, i] = -(1.0 / lens)
+    return mass, stiff
+
+
 def boundary_data_norm_ratio(mesh, g: NeumannData) -> float:
     """||g||_L2 / ||g||_H^{-1/2} on the discrete boundary.
 
     The negative-order norm comes from the generalized eigenproblem of the
     periodic boundary P1 stiffness against the boundary mass matrix.
     """
-    loop = mesh.boundary_loop()
-    pts = mesh.points[loop]
-    nb = len(loop)
-    nxt = np.roll(np.arange(nb), -1)
-    lens = np.linalg.norm(pts[nxt] - pts, axis=1)
-    mass = np.zeros((nb, nb))
-    stiff = np.zeros((nb, nb))
-    for i in range(nb):
-        j = nxt[i]
-        le = lens[i]
-        mass[i, i] += le / 3.0
-        mass[j, j] += le / 3.0
-        mass[i, j] += le / 6.0
-        mass[j, i] += le / 6.0
-        stiff[i, i] += 1.0 / le
-        stiff[j, j] += 1.0 / le
-        stiff[i, j] -= 1.0 / le
-        stiff[j, i] -= 1.0 / le
+    pts = mesh.points[mesh.boundary_loop()]
+    mass, stiff = _boundary_matrices(_norm(np.roll(pts, -1, axis=0) - pts))
     gv = np.asarray(g.raw(pts), dtype=float)
     gv = gv - (mass.sum(axis=1) @ gv) / mass.sum()
     mu, w = scipy.linalg.eigh(stiff, mass)

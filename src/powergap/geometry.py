@@ -58,13 +58,28 @@ def as_points(x) -> np.ndarray:
 _QUERY_PAIRS = 32_768
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length of 2-vectors along the last axis.
+
+    Bitwise ``np.linalg.norm(v, axis=-1)``, which is the square root of
+    the reduced squares, without the generic reduction's overhead.
+    """
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of 2-vectors along the last axis; bitwise ``(a * b).sum(-1)``."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 def _segment_distances(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from points q (n,2) to segments a->b (n,k,2) or (1,k,2)."""
     ab = b - a
-    ab2 = np.maximum((ab * ab).sum(axis=2), 1e-300)
-    t = np.clip(((q[:, None, :] - a) * ab).sum(axis=2) / ab2, 0.0, 1.0)
+    ab2 = np.maximum(_dot(ab, ab), 1e-300)
+    t = np.clip(_dot(q[:, None, :] - a, ab) / ab2, 0.0, 1.0)
     proj = a + t[:, :, None] * ab
-    return np.linalg.norm(q[:, None, :] - proj, axis=2)
+    return _norm(q[:, None, :] - proj)
 
 
 def polyline_min_distance(points, poly, closed: bool = True,
@@ -161,11 +176,11 @@ class Circle:
 
     def contains(self, points) -> np.ndarray:
         p = as_points(points)
-        return np.linalg.norm(p - np.asarray(self.center), axis=1) < self.radius
+        return _norm(p - np.asarray(self.center)) < self.radius
 
     def signed_distance(self, points) -> np.ndarray:
         p = as_points(points)
-        return np.linalg.norm(p - np.asarray(self.center), axis=1) - self.radius
+        return _norm(p - np.asarray(self.center)) - self.radius
 
     def polyline(self, n: int) -> np.ndarray:
         return self.point_at(np.arange(n) / n)
@@ -293,8 +308,8 @@ class RectRegion:
         c = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
         q = np.abs(p - c) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(np.max(q, axis=1), 0.0)
+        outside = _norm(np.maximum(q, 0.0))
+        inside = np.minimum(np.maximum(q[:, 0], q[:, 1]), 0.0)
         return outside + inside
 
     def bbox(self):

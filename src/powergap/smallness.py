@@ -21,6 +21,7 @@ from .geometry import (
     CurveInterior,
     FlatteningMap,
     RegionTriple,
+    _norm,
     as_points,
     dilate,
     erode,
@@ -98,7 +99,7 @@ def _ball_sums(sample, centers, radius: float, n_grid: int) -> np.ndarray:
     """
     offsets, cell = _rect_grid((-radius, -radius), (radius, radius),
                                n_grid * n_grid)
-    w = np.clip(0.5 - (np.linalg.norm(offsets, axis=1) - radius)
+    w = np.clip(0.5 - (_norm(offsets) - radius)
                 / math.sqrt(cell), 0.0, 1.0)
     keep = w > 0
     offsets, w = offsets[keep], w[keep] * cell

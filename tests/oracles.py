@@ -3,8 +3,10 @@
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
 come from Monte Carlo, covering counts from a direct 1d construction, and
-polyline distances from the full point x segment table, and P1 samples
-from barycentric weights on the Delaunay transform. The FEM references,
+polyline distances from the full point x segment table, point location
+and P1 samples from a stock scipy Delaunay with its own LAPACK-built
+transform, the minimum angle from one arccos per angle, and the boundary
+mass and stiffness matrices from an edge-by-edge loop. The FEM references,
 `chiral_system` and `direct_block_solve`, reuse the package's element
 assembly but build the chiral problem as the full-mesh real 2x2 block
 matrix and factorize it directly instead of iterating on it. The 2x2
@@ -17,8 +19,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial import Delaunay, cKDTree
 
 from powergap.geometry import _segment_distances
 from powergap.solver import (
@@ -204,24 +208,94 @@ def polyline_distance_table(points, poly, closed: bool = True) -> np.ndarray:
          for lo in range(0, len(p), rows)])
 
 
+def stock_delaunay(mesh) -> Delaunay:
+    """scipy's own triangulation of the mesh nodes, with its lazy transform.
+
+    The mesh's triangulation is the same Qhull run on the same points, so
+    the simplices must agree; only where the transform comes from differs.
+    """
+    tri = Delaunay(mesh.points)
+    assert np.array_equal(tri.simplices, mesh.triangles)
+    return tri
+
+
+def stock_locate(mesh, points, tri=None) -> np.ndarray:
+    """Element per point from stock `find_simplex`, misses taking the
+    element of the nearest centroid: the rule `Mesh.locate` follows."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    tri = stock_delaunay(mesh) if tri is None else tri
+    idx = tri.find_simplex(p)
+    miss = idx < 0
+    if miss.any():
+        idx[miss] = cKDTree(mesh.centroids).query(p[miss])[1]
+    return idx
+
+
 def barycentric_interpolate(mesh, nodal, points) -> np.ndarray:
     """P1 interpolation of (n_nodes,) or (n_nodes, k) fields at points.
 
     Each point takes the element `Mesh.locate` gives it and the barycentric
-    weights of Qhull's affine transform of that element, applied to the
-    nodal values in the fields' own dtype; no per-element gradient enters.
+    weights of stock Qhull's affine transform of that element (LAPACK, one
+    solve per simplex), applied to the nodal values in the fields' own
+    dtype; no per-element gradient enters.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     nodal = np.asarray(nodal)
     fields = nodal.reshape(len(nodal), -1)
     idx = mesh.locate(p)
-    T = mesh._tri.transform[idx]
+    T = stock_delaunay(mesh).transform[idx]
     d = p - T[:, 2, :]
     b0 = (T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1])[:, None]
     b1 = (T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1])[:, None]
     v = fields[mesh.triangles[idx]]
     out = v[:, 0] * b0 + v[:, 1] * b1 + v[:, 2] * (1.0 - (b0 + b1))
     return out.reshape(len(p), *nodal.shape[1:])
+
+
+def min_angle_deg(mesh) -> float:
+    """Smallest interior angle, taking arccos of every angle's cosine."""
+    p = mesh.points[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosang = (a * b).sum(axis=1) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
+    return float(np.min(angles))
+
+
+def boundary_matrices_loop(lens) -> tuple:
+    """Periodic P1 boundary mass and stiffness, assembled edge by edge."""
+    nb = len(lens)
+    mass = np.zeros((nb, nb))
+    stiff = np.zeros((nb, nb))
+    for i in range(nb):
+        j = (i + 1) % nb
+        le = lens[i]
+        mass[i, i] += le / 3.0
+        mass[j, j] += le / 3.0
+        mass[i, j] += le / 6.0
+        mass[j, i] += le / 6.0
+        stiff[i, i] += 1.0 / le
+        stiff[j, j] += 1.0 / le
+        stiff[i, j] -= 1.0 / le
+        stiff[j, i] -= 1.0 / le
+    return mass, stiff
+
+
+def boundary_data_norm_ratio(mesh, g) -> float:
+    """||g||_L2 / ||g||_H^{-1/2} from the loop-assembled boundary matrices."""
+    pts = mesh.points[mesh.boundary_loop()]
+    lens = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    mass, stiff = boundary_matrices_loop(lens)
+    gv = np.asarray(g.raw(pts), dtype=float)
+    gv = gv - (mass.sum(axis=1) @ gv) / mass.sum()
+    mu, w = scipy.linalg.eigh(stiff, mass)
+    coeff = w.T @ (mass @ gv)
+    l2_sq = float((coeff ** 2).sum())
+    neg_sq = float(((1.0 + np.maximum(mu, 0.0)) ** (-0.5) * coeff ** 2).sum())
+    return math.inf if neg_sq <= 0 else math.sqrt(l2_sq / neg_sq)
 
 
 def greedy_segment_cover_count(length: float, radius: float) -> int:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from powergap import (
     solve_background,
     solve_perturbed,
 )
+from powergap import cli
 from powergap.energy import power_report
 from powergap.errors import DegenerateMeasurementError, StructuralError
 from powergap.estimator import (
     CalibrationResult,
     SizeMeasurement,
+    _boundary_matrices,
     boundary_data_norm_ratio,
     calibrate_constants,
     check_fatness,
@@ -27,6 +31,9 @@ from powergap.estimator import (
 )
 from powergap.mesh import build_mesh
 
+import oracles
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CASE_II_LAW = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
                            zeta1=MatrixField.isotropic(1.2),
@@ -246,6 +253,22 @@ class TestContrastAndNesting:
 
 
 class TestBoundaryNormRatio:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_vectorised_assembly_matches_loop(self, path):
+        with open(path) as fh:
+            cfg = cli.parse_config(json.load(fh))
+        mesh = build_mesh(cfg.build_scene(), 0.06)
+        pts = mesh.points[mesh.boundary_loop()]
+        lens = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        mass, stiff = _boundary_matrices(lens)
+        want_mass, want_stiff = oracles.boundary_matrices_loop(lens)
+        assert np.array_equal(mass, want_mass)
+        assert np.array_equal(stiff, want_stiff)
+        g = cfg.build_boundary_data()
+        assert boundary_data_norm_ratio(mesh, g) \
+            == oracles.boundary_data_norm_ratio(mesh, g)
+
     def test_increases_with_frequency(self, disk_mesh_h05):
         ratios = [boundary_data_norm_ratio(disk_mesh_h05,
                                            fourier_data([(k, 1.0, 0.0)]))

@@ -26,7 +26,13 @@ from powergap import (
     z_value,
 )
 from powergap.errors import ChartRangeError
-from powergap.geometry import FlatteningMap, polyline_min_distance
+from powergap.geometry import (
+    FlatteningMap,
+    RectRegion,
+    _dot,
+    _norm,
+    polyline_min_distance,
+)
 
 from oracles import (
     greedy_segment_cover_count,
@@ -295,6 +301,30 @@ def walks(draw):
                      rng.uniform(lo - 100 * span, hi + 100 * span, (10, 2)),
                      poly[rng.integers(0, n, 5)]])
     return pts, poly, draw(st.booleans())
+
+
+class TestLengthKernels:
+    """`_norm` and `_dot` are bitwise numpy's generic last-axis forms."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(500, 2), (40, 7, 2)]))
+    def test_bitwise_generic_reduction(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-150, 150, size=shape)
+        a = rng.normal(size=shape) * scale
+        b = rng.normal(size=shape) * scale[::-1]
+        a.flat[::17] = 0.0
+        assert np.array_equal(_norm(a), np.linalg.norm(a, axis=-1))
+        assert np.array_equal(_dot(a, b), (a * b).sum(axis=-1))
+
+    def test_box_distance_matches_generic_form(self, rng):
+        box = RectRegion((-0.3, -0.2), (0.5, 0.4))
+        p = rng.uniform(-1.0, 1.0, size=(5000, 2))
+        q = np.abs(p - 0.5 * (box.lo + box.hi)) - 0.5 * (box.hi - box.lo)
+        want = (np.linalg.norm(np.maximum(q, 0.0), axis=1)
+                + np.minimum(np.max(q, axis=1), 0.0))
+        assert np.array_equal(box.signed_distance(p), want)
 
 
 class TestPolylineDistance:

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from powergap.mesh import (
     circle_circle_intersections,
 )
 
-from oracles import barycentric_interpolate
+import oracles
+from oracles import barycentric_interpolate, stock_delaunay, stock_locate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,6 +38,13 @@ SIZE_FAMILY_MESHES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _config_mesh(name, h):
+    with open(CONFIGS / f"{name}.json") as fh:
+        scene = cli.parse_config(json.load(fh)).build_scene()
+    return build_mesh(scene, h)
+
+
 class TestBuildMesh:
     def test_h_too_coarse_rejected(self):
         scene = Scene(outer=Circle((0, 0), 1.0))
@@ -53,9 +62,7 @@ class TestBuildMesh:
 
     @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
     def test_config_mesh_sizes_pinned(self, name):
-        with open(CONFIGS / f"{name}.json") as fh:
-            scene = cli.parse_config(json.load(fh)).build_scene()
-        mesh = build_mesh(scene, 0.03)
+        mesh = _config_mesh(name, 0.03)
         assert (mesh.num_points, mesh.num_triangles) == CONFIG_MESHES[name]
 
     def test_size_family_mesh_sizes_pinned(self):
@@ -87,6 +94,12 @@ class TestBuildMesh:
 
     def test_quality(self, twophase_mesh_h02):
         assert twophase_mesh_h02.diagnostics["min_angle_deg"] > 15.0
+
+    @pytest.mark.parametrize("h", [0.06, 0.03])
+    @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
+    def test_min_angle_one_arccos_matches_per_angle(self, name, h):
+        mesh = _config_mesh(name, h)
+        assert mesh.min_angle_deg() == oracles.min_angle_deg(mesh)
 
     def test_inclusion_tagging(self):
         scene = Scene(outer=Circle((0, 0), 1.0),
@@ -213,6 +226,60 @@ def _inside_and_band_points(mesh, rng, n_inside, n_band):
     r = 1.0 + rng.uniform(-1e-4, 2.0 * mesh.h, n_band)
     band = np.column_stack([r * np.cos(t), r * np.sin(t)])
     return rng.permutation(np.vstack([inside, band]))
+
+
+class TestPointLocation:
+    """`Mesh.locate` on the mesh's own affine maps against stock scipy."""
+
+    @staticmethod
+    def _point_sets(mesh, rng):
+        h = mesh.h
+        outer = mesh.scene.outer
+        lo = mesh.points.min(axis=0) - 2.0 * h
+        hi = mesh.points.max(axis=0) + 2.0 * h
+        g = (np.arange(160) + 0.5) / 160
+        grid = lo + (hi - lo) * np.column_stack([np.tile(g, 160),
+                                                 np.repeat(g, 160)])
+        rand = lo + (hi - lo) * rng.random((40_000, 2))
+        sd = outer.signed_distance(rand)
+        band = rand[(sd > 0.0) & (sd <= 2.0 * h)]
+        edges = np.unique(np.sort(np.concatenate(
+            [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
+             mesh.triangles[:, [2, 0]]]), axis=1), axis=0)
+        mids = 0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]])
+        return {
+            "grid": grid[outer.signed_distance(grid) <= 2.0 * h],
+            "random": rand[sd <= 2.0 * h][:20_000],
+            "outside": band,
+            "vertices": mesh.points,
+            "edge_midpoints": mids,
+        }
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
+    def test_matches_stock_find_simplex(self, name):
+        mesh = _config_mesh(name, 0.06)
+        stock = stock_delaunay(mesh)
+        sets = self._point_sets(mesh, np.random.default_rng(2026))
+        assert len(sets["random"]) == 20_000
+        assert len(sets["outside"]) > 500
+        for label, pts in sets.items():
+            got = mesh.locate(pts)
+            want = stock_locate(mesh, pts, stock)
+            assert np.array_equal(got, want), label
+        assert (stock.find_simplex(sets["outside"]) < 0).all()
+        # scipy never built its own per-simplex transform
+        assert mesh._tri._transform is None
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
+    def test_transform_matches_stock(self, name):
+        mesh = _config_mesh(name, 0.06)
+        want = stock_delaunay(mesh).transform
+        got = mesh._tri.transform
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got[:, 2], want[:, 2])
+        scale = np.abs(want[:, :2]).max(axis=(1, 2))
+        rel = np.abs(got[:, :2] - want[:, :2]).max(axis=(1, 2)) / scale
+        assert rel.max() <= 1e-15
 
 
 class TestAffineSampling:
