@@ -3,9 +3,11 @@
 One JSON document describes a scene, its coefficient laws, the injected
 boundary current, the weight geometry, and the list of checks to run. `run`
 walks one table of stages, mesh -> solve -> energy -> checks -> estimate
-(`_stages`, which also gives the known checks and their preconditions), and
-writes a deterministic JSON report (timings only on request, so repeated
-runs are byte-identical) plus tidy CSV artifacts for plotting.
+(`_stages`, which also gives the known checks and their preconditions).
+The solve stage makes every LU solve of the run, the three-region family
+included, and then frees the factorization. `run` writes a deterministic
+JSON report (timings only on request, so repeated runs are byte-identical)
+plus tidy CSV artifacts for plotting.
 
 Exit codes: 0 success, 2 structural/config error, 3 when an inequality
 predicted by the theory fails empirically, 1 unexpected failure.
@@ -236,6 +238,7 @@ class _Run:
         self.law = cfg.build_law()
         self.g = cfg.build_boundary_data()
         self.mesh = self.op = self.sol0 = self.sol1 = self.power = None
+        self.family = None
         self.case = JumpCase.NONE
 
 
@@ -269,6 +272,7 @@ def _admissibility_stage(st: _Run) -> dict:
 
 
 def _solve_stage(st: _Run) -> dict:
+    """Every LU solve of the run; the factorization is released after them."""
     mesh, background = st.mesh, st.background
     st.op = BackgroundOperator(mesh, background)
     st.sol0 = st.op.solve(st.g)
@@ -282,6 +286,15 @@ def _solve_stage(st: _Run) -> dict:
             st.case = check_jump_condition(
                 background.sigma(d_pts, mesh.comp[mesh.in_d]),
                 st.law.sigma1(d_pts), st.law.zeta1(d_pts), st.law.varrho)
+    if "three_region" in st.cfg.checks:
+        # no other stage draws from the seed; the family is solved with one
+        # multi-column LU solve
+        rng = np.random.default_rng(st.cfg.seed)
+        n_family = int(st.cfg.raw.get("regions", {}).get("n_family", 8))
+        mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
+                      for k in range(1, 6)] for _ in range(n_family)]
+        st.family = st.op.solve([fourier_data(m) for m in mode_sets])
+    st.op.release()
     return out
 
 
@@ -309,14 +322,8 @@ def _three_region_stage(st: _Run) -> dict:
     fmap = flattening_map(st.scene.interface,
                           float(rcfg.get("anchor_t", 0.0)),
                           st.scene.rho0, st.scene.K0)
-    n_family = int(rcfg.get("n_family", 8))
-    # no other stage draws from the seed; the family is solved with one
-    # multi-column LU solve and sampled on one located grid
-    rng = np.random.default_rng(cfg.seed)
-    mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
-                  for k in range(1, 6)] for _ in range(n_family)]
-    sols = st.op.solve([fourier_data(m) for m in mode_sets])
-    checks = smallness.check_three_region(sols, regions, fmap)
+    # the family solved by the solve stage, sampled on one located grid
+    checks = smallness.check_three_region(st.family, regions, fmap)
     rows = []
     for i, chk in enumerate(checks):
         rows.append({"index": i, "I1": chk.small_factor, "I2": chk.lhs,

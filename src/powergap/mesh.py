@@ -27,7 +27,7 @@ __all__ = ["Mesh", "build_mesh"]
 _SAMPLE_BLOCK = 65_536
 
 # Largest estimated node count build_mesh accepts: about 8x the 64 616
-# nodes of the unit disk at h = 0.0075, where one run peaks near 420 MB.
+# nodes of the unit disk at h = 0.0075, where one run peaks near 380 MB.
 _MAX_NODES = 520_000
 
 # 3-point Gauss on [0, 1] for boundary edge quadrature

@@ -16,6 +16,12 @@ m.Re u and m.Im u, preconditioned with the complex background LU. Outside
 the inclusion the operator is exactly the background's, so the
 preconditioned system is the identity plus a perturbation supported on D
 and converges in a few tens of iterations.
+
+The LU is the largest object a run holds (about 200 MB of fill at
+h = 0.0075). A run's solve stage makes every LU solve it needs, u0, the
+GMRES for u1 and the three-region family, and then releases the
+factorization (`BackgroundOperator.release`). K0 and m stay, so residuals
+and flux balances keep working, and a later solve raises SolverError.
 """
 
 from __future__ import annotations
@@ -218,7 +224,8 @@ def _bordered_factor(k: sp.csr_matrix, m: np.ndarray):
 
 
 class BackgroundOperator:
-    """Factorized unperturbed operator, reusable across boundary data."""
+    """Factorized unperturbed operator, reusable across boundary data
+    until its factorization is released."""
 
     def __init__(self, mesh: Mesh, background: BackgroundTensor,
                  lower_order=None):
@@ -233,6 +240,20 @@ class BackgroundOperator:
         self.m = mesh.node_mass()
         self._lu = _bordered_factor(self.k, self.m)
 
+    def release(self):
+        """Free the LU factorization; K0 and m, and so `apply`, stay.
+
+        A later `solve`, or a chiral solve preconditioned by this
+        operator, raises SolverError.
+        """
+        self._lu = None
+
+    def _factorization(self):
+        if self._lu is None:
+            raise SolverError("the background factorization was released; "
+                              "build a new BackgroundOperator to solve again")
+        return self._lu
+
     def apply(self, u: np.ndarray, lam: complex) -> np.ndarray:
         """K u + m lam, the rows of the bordered system without its border."""
         return self.k @ u + self.m * lam
@@ -246,11 +267,12 @@ class BackgroundOperator:
         """
         family = isinstance(g, list)
         gs = g if family else [g]
+        lu = self._factorization()
         loads = [boundary_load(self.mesh, gi) for gi in gs]
         rhs = np.zeros((self.mesh.num_points + 1, len(gs)), dtype=complex)
         for j, (b, _) in enumerate(loads):
             rhs[:-1, j] = b
-        x = self._lu.solve(rhs)
+        x = lu.solve(rhs)
         sols = []
         for j, (gi, (b, mean)) in enumerate(zip(gs, loads)):
             u, lam = np.ascontiguousarray(x[:-1, j]), complex(x[-1, j])
@@ -311,9 +333,10 @@ def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
     i lam_im) and split back into real and imaginary parts.
     """
     n = op.mesh.num_points
+    lu = op._factorization()
 
     def apply(r):
-        z = op._lu.solve(np.concatenate(
+        z = lu.solve(np.concatenate(
             [r[:n] + 1j * r[n:2 * n], [r[2 * n] + 1j * r[2 * n + 1]]]))
         return np.concatenate([z[:n].real, z[:n].imag, [z[n].real, z[n].imag]])
 
@@ -330,7 +353,8 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
     on the same mesh (built here when not given), and adds the inclusion's
     terms assembled over its elements only. `op` must carry no lower-order
     terms, which the chiral problem does not have. GMRES is preconditioned
-    by the complex LU of `op`. The iteration count and the final true
+    by the complex LU of `op`; an `op` whose factorization was released
+    raises SolverError. The iteration count and the final true
     relative residual of the whole system land in
     ``diagnostics["krylov_iterations"]`` and ``["krylov_residual"]``; a
     miss of the GMRES tolerance or of the 1e-6 residual gate raises
@@ -357,6 +381,7 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
                          "which the chiral problem does not have")
 
     n = mesh.num_points
+    precondition = _real_form_preconditioner(op)
     chiral = _ChiralOperator(op, sigma, eps, zeta)
     a = spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=chiral.apply_real,
                             dtype=float)
@@ -370,7 +395,7 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
 
     x, info = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
                          restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-                         M=_real_form_preconditioner(op), callback=count,
+                         M=precondition, callback=count,
                          callback_type="pr_norm")
     r = chiral.apply_real(x) - rhs
     bnorm = max(np.linalg.norm(b), 1e-300)

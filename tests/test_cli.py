@@ -5,21 +5,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from powergap.cli import (
     EXIT_OK,
     EXIT_STRUCTURAL,
     EXIT_VIOLATION,
+    _mesh_stage,
+    _Run,
+    _solve_stage,
     emit_plot_data,
+    load_config,
     main,
     parse_config,
     report_json,
     run,
     sweep,
 )
-from powergap.errors import ConfigError
-from powergap.solver import BackgroundOperator
+from powergap.errors import ConfigError, SolverError
+from powergap.geometry import build_regions, flattening_map
+from powergap.mesh import build_mesh
+from powergap.smallness import check_three_region
+from powergap.solver import BackgroundOperator, fourier_data
 from powergap.scenarios import all_scenarios, scenario, size_family
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -174,6 +182,45 @@ class TestRun:
         # one solve for u0, one for the n_family = 3 members
         assert calls == [None, 3]
         assert len(rep["checks"]["three_region"]["rows"]) == 3
+
+    def test_three_region_rows_match_independent_family(self):
+        # the family the solve stage solves is the seed's draws, and the
+        # three_region stage only samples it
+        cfg = load_config(CONFIGS / "concentric_disk.json",
+                          mesh={"h": 0.06, "min_angle_deg": 5.0})
+        rep, _ = run(cfg)
+        scene, rcfg = cfg.build_scene(), cfg.raw["regions"]
+        op = BackgroundOperator(build_mesh(scene, 0.06, 5.0),
+                                cfg.build_background())
+        rng = np.random.default_rng(cfg.seed)
+        family = [fourier_data([(k, rng.normal(), rng.normal())
+                                for k in range(1, 6)]) for _ in range(8)]
+        checks = check_three_region(
+            op.solve(family),
+            build_regions(cfg.build_weights(), rcfg["R1"], rcfg["R2"],
+                          rcfg["theta"]),
+            flattening_map(scene.interface, rcfg["anchor_t"], scene.rho0,
+                           scene.K0))
+        want = [[c.small_factor, c.lhs, c.large_factor, c.constant,
+                 c.margin, c.violation_candidate] for c in checks]
+        got = [[r["I1"], r["I2"], r["I3"], r["constant"], r["margin"],
+                r["violation"]] for r in rep["checks"]["three_region"]["rows"]]
+        # NaN-safe bitwise equality
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("checks", [["three_region"], ["energy"]])
+    def test_solve_stage_releases_factorization(self, fast_concentric,
+                                                checks):
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = checks
+        st = _Run(parse_config(doc))
+        _mesh_stage(st)
+        _solve_stage(st)
+        assert st.op._lu is None
+        with pytest.raises(SolverError, match="factorization was released"):
+            st.op.solve(st.g)
+        n_family = 3 if "three_region" in checks else 0
+        assert len(st.family or []) == n_family
 
     def test_threads_option_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,13 @@ def _config_mesh(name, h):
     return build_mesh(scene, h)
 
 
+@functools.lru_cache(maxsize=None)
+def _size_family_mesh(index):
+    cfg = cli.parse_config(scenarios.size_family(12, h=0.03)[index])
+    scene = cfg.build_scene()
+    return scene, build_mesh(scene, cfg.mesh_h)
+
+
 class TestBuildMesh:
     def test_h_too_coarse_rejected(self):
         scene = Scene(outer=Circle((0, 0), 1.0))
@@ -67,12 +74,31 @@ class TestBuildMesh:
 
     def test_size_family_mesh_sizes_pinned(self):
         sizes = []
-        for doc in scenarios.size_family(12, h=0.03):
-            cfg = cli.parse_config(doc)
-            mesh = build_mesh(cfg.build_scene(), cfg.mesh_h)
+        for index in range(12):
+            mesh = _size_family_mesh(index)[1]
             sizes.append((mesh.num_points, mesh.num_triangles))
         assert sizes == SIZE_FAMILY_MESHES
         assert np.sum(sizes, axis=0).tolist() == [48_842, 95_140]
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(i, marks=pytest.mark.xfail(
+            strict=True, reason="the inclusion is tangent to the interface, "
+            "the 0.4h clearance filter drops its nodes near the tangent "
+            "point, and a 0.1127-long chord is left out of the mesh; "
+            "mending it moves the size_calibration reference reports"))
+        if i in (6, 7) else i for i in range(12)])
+    def test_size_family_inclusion_chords_are_edges(self, index):
+        scene, mesh = _size_family_mesh(index)
+        on = np.flatnonzero(
+            np.abs(scene.inclusion.signed_distance(mesh.points)) < 1e-9)
+        d = mesh.points[on] - np.asarray(scene.inclusion.center)
+        ring = on[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+        t = np.sort(mesh.triangles, axis=1)
+        edges = set(map(tuple, np.vstack(
+            [t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]).tolist()))
+        chords = np.sort(np.column_stack([ring, np.roll(ring, -1)]), axis=1)
+        missing = [c for c in map(tuple, chords.tolist()) if c not in edges]
+        assert len(ring) >= 18 and missing == []
 
     def test_tag_area_ratio(self, twophase_scene):
         # inner-tagged area approximates pi/4 for the r = 1/2 interface

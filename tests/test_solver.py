@@ -190,6 +190,42 @@ class TestBackgroundSolve:
             op.solve(gs)
 
 
+class TestReleasedOperator:
+    def test_release_refuses_solves_and_keeps_diagnostics(
+            self, twophase_background, cos_data):
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.5),
+                      inclusion=Circle((0.1, 0.0), 0.25))
+        mesh = build_mesh(scene, 0.05)
+        law = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
+                           zeta1=MatrixField.isotropic(0.6),
+                           lambda1=0.4, varrho=0.5)
+        op = BackgroundOperator(mesh, twophase_background)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(mesh, twophase_background, law, cos_data,
+                               op=op)
+
+        def diagnostics():
+            return [(s.operator.apply(s.u, lam), weak_residual(s),
+                     flux_balance(s))
+                    for s, lam in ((sol0, sol0.multipliers[0]),
+                                   (sol1, complex(*sol1.multipliers)))]
+
+        before = diagnostics()
+        op.release()
+        assert op._lu is None
+        after = diagnostics()
+        for (y0, w0, f0), (y1, w1, f1) in zip(before, after):
+            assert np.array_equal(y0, y1) and w0 == w1 and f0 == f1
+        released = "factorization was released"
+        with pytest.raises(SolverError, match=released):
+            op.solve(cos_data)
+        with pytest.raises(SolverError, match=released):
+            op.solve([cos_data])
+        with pytest.raises(SolverError, match=released):
+            solve_perturbed(mesh, twophase_background, law, cos_data, op=op)
+
+
 class TestPerturbedSolve:
     def test_background_law_reproduces_u0(self, twophase_mesh_h02,
                                           twophase_background, cos_data):
