@@ -6,7 +6,6 @@ from .coefficients import (
     BackgroundTensor,
     InclusionLaw,
     JumpCase,
-    LowerOrderTerms,
     MatrixField,
     check_ellipticity,
     check_epsilon_closeness,
@@ -46,7 +45,6 @@ from .solver import (
     flux_balance,
     flux_jump_norm,
     fourier_data,
-    solve_background,
     solve_perturbed,
     weak_residual,
 )

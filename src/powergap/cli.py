@@ -279,7 +279,7 @@ def _solve_stage(st: _Run) -> dict:
     out = {"residual_u0": st.sol0.residual,
            "g_defect": st.g.compatibility_defect(mesh)}
     if st.law is not None and st.scene.inclusion is not None:
-        st.sol1 = solve_perturbed(mesh, background, st.law, st.g, op=st.op)
+        st.sol1 = solve_perturbed(st.op, st.law, st.g)
         out["residual_u1"] = st.sol1.residual
         d_pts = mesh.centroids[mesh.in_d]
         if len(d_pts):
@@ -612,8 +612,8 @@ def sweep(cfg: ExperimentConfig, param: str, values, out_dir=None,
             d1 = abs(w0s[0] - w0s[1])
             d2 = abs(w0s[1] - w0s[2])
             if d1 > 0 and d2 > 0:
-                agg["convergence_order_w0"] = math.log2(d1 / d2) / max(
-                    math.log2(values[0] / values[1]), 1e-12)
+                agg["convergence_order_w0"] = \
+                    math.log2(d1 / d2) / math.log2(values[0] / values[1])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

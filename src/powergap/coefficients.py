@@ -120,9 +120,6 @@ class BackgroundTensor:
     def epsilon(self, points, comp) -> np.ndarray:
         return self.gamma * self.n_matrix(points, comp)
 
-    def a_complex(self, points, comp) -> np.ndarray:
-        return self.sigma(points, comp) + 1j * self.epsilon(points, comp)
-
 
 @dataclass(frozen=True)
 class InclusionLaw:
@@ -151,27 +148,6 @@ class InclusionLaw:
         if self.epsilon1 is None:
             return background.epsilon(points, comp)
         return self.epsilon1(points)
-
-
-@dataclass(frozen=True)
-class LowerOrderTerms:
-    """Optional first/zeroth order terms W.grad(u) + V*u with sup bounds."""
-
-    w: object  # callable points -> (n, 2) complex
-    v: object  # callable points -> (n,) complex
-    k1: float
-    k2: float
-
-    def validate(self, points) -> dict:
-        """Check the sampled sup norms against the declared bounds."""
-        p = as_points(points)
-        w_sup = float(np.abs(np.asarray(self.w(p))).max()) if len(p) else 0.0
-        v_sup = float(np.abs(np.asarray(self.v(p))).max()) if len(p) else 0.0
-        if w_sup > self.k1 + PSD_TOL or v_sup > self.k2 + PSD_TOL:
-            raise StructuralError(
-                f"lower-order bounds violated: sup|W| = {w_sup:.3g} vs K1 = "
-                f"{self.k1:.3g}, sup|V| = {v_sup:.3g} vs K2 = {self.k2:.3g}")
-        return {"w_sup": w_sup, "v_sup": v_sup}
 
 
 class JumpCase(enum.Enum):

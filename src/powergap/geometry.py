@@ -141,12 +141,6 @@ def polyline_min_distance(points, poly, closed: bool = True,
     return out
 
 
-def polyline_length(poly, closed: bool = True) -> float:
-    v = np.asarray(poly, dtype=float)
-    seg = np.roll(v, -1, axis=0) - v if closed else np.diff(v, axis=0)
-    return float(np.linalg.norm(seg, axis=1).sum())
-
-
 # ---------------------------------------------------------------------------
 # Closed curves
 
@@ -549,10 +543,6 @@ class RegionTriple:
     @property
     def a(self) -> float:
         return self.weights.a
-
-    @property
-    def max_radius(self) -> float:
-        return max_region_radius(self.weights)
 
     def _z(self, y) -> tuple[np.ndarray, np.ndarray]:
         p = as_points(y) / self.theta

@@ -17,6 +17,9 @@ the inclusion the operator is exactly the background's, so the
 preconditioned system is the identity plus a perturbation supported on D
 and converges in a few tens of iterations.
 
+`BackgroundOperator` is the one way into the solver: it assembles and
+factorizes the background once, `op.solve(g)` gives u0, and
+`solve_perturbed(op, law, g)` gives u1 on the same mesh and background.
 The LU is the largest object a run holds (about 200 MB of fill at
 h = 0.0075). A run's solve stage makes every LU solve it needs, u0, the
 GMRES for u1 and the three-region family, and then releases the
@@ -43,7 +46,6 @@ __all__ = [
     "fourier_data",
     "Solution",
     "BackgroundOperator",
-    "solve_background",
     "solve_perturbed",
     "weak_residual",
     "flux_jump_norm",
@@ -106,9 +108,9 @@ class Solution:
     g: NeumannData
     background: BackgroundTensor
     law: Optional[InclusionLaw]
-    multipliers: tuple
+    # the zero-mean Lagrange multiplier
+    multiplier: complex
     residual: float
-    kind: str
     sigma_e: np.ndarray
     eps_e: np.ndarray
     zeta_e: Optional[np.ndarray]
@@ -166,30 +168,6 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray,
     return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_lower_order(mesh: Mesh, lower) -> sp.csr_matrix:
-    """Convection + reaction terms -int (W.grad u) v - int V u v (P1 lumped-free).
-
-    Signs follow moving the terms of div(A grad u) + W.grad u + V u = 0 to
-    the left-hand side of the weak form.
-    """
-    c = mesh.centroids
-    w = np.asarray(lower.w(c))
-    v = np.asarray(lower.v(c))
-    g = mesh.grads
-    t = mesh.triangles
-    # int_T (W.grad u) phi_i with one-point quadrature: phi_i -> area/3
-    wg = np.einsum("md,mjd->mj", w, g)
-    conv = -np.repeat(wg[:, None, :], 3, axis=1) * (mesh.areas / 3.0)[:, None, None]
-    # int_T V phi_i phi_j with exact P1 mass scaled by centroid V
-    mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    react = -v[:, None, None] * mass_ref[None, :, :] * mesh.areas[:, None, None]
-    loc = conv + react
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.num_points
-    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _boundary_moments(mesh: Mesh, g: NeumannData):
     """Raw load vector of g, its boundary integral, and the hat integrals."""
     e, nodes, weights, points, lens = mesh.boundary_quadrature()
@@ -227,16 +205,12 @@ class BackgroundOperator:
     """Factorized unperturbed operator, reusable across boundary data
     until its factorization is released."""
 
-    def __init__(self, mesh: Mesh, background: BackgroundTensor,
-                 lower_order=None):
+    def __init__(self, mesh: Mesh, background: BackgroundTensor):
         self.mesh = mesh
         self.background = background
-        self.lower_order = lower_order
         sigma, eps, _ = element_coefficients(mesh, background)
         self.sigma_e, self.eps_e = sigma, eps
         self.k = assemble_stiffness(mesh, sigma + 1j * eps)
-        if lower_order is not None:
-            self.k = self.k + assemble_lower_order(mesh, lower_order)
         self.m = mesh.node_mass()
         self._lu = _bordered_factor(self.k, self.m)
 
@@ -284,17 +258,11 @@ class BackgroundOperator:
                     f"({gi.label}); system may be ill-conditioned")
             sols.append(Solution(
                 mesh=self.mesh, u=u, g=gi, background=self.background,
-                law=None, multipliers=(lam,), residual=float(res),
-                kind="background", sigma_e=self.sigma_e, eps_e=self.eps_e,
+                law=None, multiplier=lam, residual=float(res),
+                sigma_e=self.sigma_e, eps_e=self.eps_e,
                 zeta_e=None, diagnostics={"g_mean_offset": complex(mean)},
                 operator=self))
         return sols if family else sols[0]
-
-
-def solve_background(mesh: Mesh, background: BackgroundTensor,
-                     g: NeumannData, lower_order=None) -> Solution:
-    """Weak solution of div((sigma0 + i eps0) grad u) = 0 with flux data g."""
-    return BackgroundOperator(mesh, background, lower_order).solve(g)
 
 
 class _ChiralOperator:
@@ -344,22 +312,20 @@ def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
                                dtype=float)
 
 
-def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
-                    law: InclusionLaw, g: NeumannData,
-                    op: Optional[BackgroundOperator] = None) -> Solution:
-    """Weak solution of the chiral problem by GMRES on its real form.
+def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
+                    g: NeumannData) -> Solution:
+    """Weak solution of the chiral problem on `op`'s mesh and background.
 
-    The operator reuses the stiffness K0 of `op`, the background operator
-    on the same mesh (built here when not given), and adds the inclusion's
-    terms assembled over its elements only. `op` must carry no lower-order
-    terms, which the chiral problem does not have. GMRES is preconditioned
-    by the complex LU of `op`; an `op` whose factorization was released
-    raises SolverError. The iteration count and the final true
-    relative residual of the whole system land in
+    The operator reuses the stiffness K0 of `op` and adds the inclusion's
+    terms assembled over its elements only; GMRES runs on its real form,
+    preconditioned by the complex LU of `op`. An `op` whose factorization
+    was released raises SolverError. The iteration count and the final
+    true relative residual of the whole system land in
     ``diagnostics["krylov_iterations"]`` and ``["krylov_residual"]``; a
     miss of the GMRES tolerance or of the 1e-6 residual gate raises
     SolverError.
     """
+    mesh, background = op.mesh, op.background
     sigma, eps, zeta = element_coefficients(mesh, background, law)
     if mesh.in_d.any():
         d = mesh.in_d
@@ -369,16 +335,6 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
             raise SolverError(
                 f"block system loses coercivity: min eig(sigma1 +/- zeta1) = "
                 f"{lo:.3e} (hypothesis (se0))")
-    if op is None:
-        op = BackgroundOperator(mesh, background)
-    elif op.mesh is not mesh:
-        raise ValueError("the background operator lives on another mesh")
-    elif op.background != background:
-        raise ValueError("the background operator has another background "
-                         "tensor")
-    elif op.lower_order is not None:
-        raise ValueError("the background operator carries lower_order terms, "
-                         "which the chiral problem does not have")
 
     n = mesh.num_points
     precondition = _real_form_preconditioner(op)
@@ -407,8 +363,8 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
             f"true relative residual {krylov_res:.3e}")
     return Solution(
         mesh=mesh, u=x[:n] + 1j * x[n:2 * n], g=g, background=background,
-        law=law, multipliers=(float(x[-2]), float(x[-1])), residual=res,
-        kind="perturbed", sigma_e=sigma, eps_e=eps, zeta_e=zeta,
+        law=law, multiplier=complex(x[-2], x[-1]), residual=res,
+        sigma_e=sigma, eps_e=eps, zeta_e=zeta,
         diagnostics={"g_mean_offset": complex(mean),
                      "krylov_iterations": iterations,
                      "krylov_residual": krylov_res},
@@ -418,14 +374,11 @@ def solve_perturbed(mesh: Mesh, background: BackgroundTensor,
 def _load_residual(sol: Solution):
     """K u + m lambda - b per basis test function, and the load b.
 
-    K is the operator the solution was solved with: the background
-    operator with its lower-order terms, or the chiral operator, whose
-    real multipliers are recombined into one complex multiplier.
+    K is the operator the solution was solved with, the background or the
+    chiral one.
     """
     b, _ = boundary_load(sol.mesh, sol.g)
-    lam = complex(*sol.multipliers) if sol.kind == "perturbed" \
-        else sol.multipliers[0]
-    return sol.operator.apply(sol.u, lam) - b, b
+    return sol.operator.apply(sol.u, sol.multiplier) - b, b
 
 
 def weak_residual(sol: Solution) -> float:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     Scene,
     fourier_data,
-    solve_background,
 )
 from powergap.mesh import build_mesh
 
@@ -34,7 +34,8 @@ def cos_data():
 @pytest.fixture(scope="session")
 def disk_solution(disk_mesh_h05, identity_background, cos_data):
     """Reference solve: unit disk, identity tensor, g = cos(theta)."""
-    return solve_background(disk_mesh_h05, identity_background, cos_data)
+    op = BackgroundOperator(disk_mesh_h05, identity_background)
+    return op.solve(cos_data)
 
 
 @pytest.fixture(scope="session")

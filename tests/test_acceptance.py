@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     JumpCase,
@@ -20,7 +21,6 @@ from powergap import (
     flattening_map,
     flux_jump_norm,
     fourier_data,
-    solve_background,
     solve_perturbed,
 )
 from powergap.cli import parse_config, run
@@ -64,8 +64,9 @@ def _measure(doc):
     bg = cfg.build_background()
     law = cfg.build_law()
     g = cfg.build_boundary_data()
-    sol0 = solve_background(mesh, bg, g)
-    sol1 = solve_perturbed(mesh, bg, law, g)
+    op = BackgroundOperator(mesh, bg)
+    sol0 = op.solve(g)
+    sol1 = solve_perturbed(op, law, g)
     d_pts = mesh.centroids[mesh.in_d]
     case = check_jump_condition(bg.sigma(d_pts, mesh.comp[mesh.in_d]),
                                 law.sigma1(d_pts), law.zeta1(d_pts),
@@ -95,7 +96,7 @@ def test_criterion_01_oracle_solve(disk_scene):
     errs = {}
     for h in (0.05, 0.025):
         mesh = build_mesh(disk_scene, h)
-        sol = solve_background(mesh, bg, g)
+        sol = BackgroundOperator(mesh, bg).solve(g)
         ge = mesh.gradient_per_element(sol.u.real - mesh.points[:, 0])
         errs[h] = math.sqrt(float((ge ** 2).sum(axis=1) @ mesh.areas))
         if h == 0.05:
@@ -112,7 +113,8 @@ def test_criterion_01_oracle_solve(disk_scene):
 
 def test_criterion_02_two_phase_oracle(twophase_scene, twophase_background,
                                        twophase_mesh_h02, cos_data):
-    sol = solve_background(twophase_mesh_h02, twophase_background, cos_data)
+    op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+    sol = op.solve(cos_data)
     orc = LayeredDiskSolution(
         [0.5, 1.0],
         [constitutive_matrix(2.0, 0.05), constitutive_matrix(1.0, 0.05)],
@@ -124,7 +126,7 @@ def test_criterion_02_two_phase_oracle(twophase_scene, twophase_background,
     jump_h = flux_jump_norm(sol)
     mesh_f = build_mesh(twophase_scene, 0.01)
     jump_h2 = flux_jump_norm(
-        solve_background(mesh_f, twophase_background, cos_data))
+        BackgroundOperator(mesh_f, twophase_background).solve(cos_data))
     ok = rel < 0.02 and jump_h2 < jump_h
     verdict(2, ok, f"rel L2 err {rel:.2e} (<2%), flux jump "
                    f"{jump_h:.3e} -> {jump_h2:.3e} under refinement")
@@ -152,8 +154,9 @@ def test_criterion_04_energy_identities(cos_data):
         mesh = build_mesh(scene, 0.02)
         bg = cfg.build_background()
         law = cfg.build_law()
-        sol0 = solve_background(mesh, bg, cos_data)
-        sol1 = solve_perturbed(mesh, bg, law, cos_data)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         worst = max(worst, rep.max_pairwise_rel)
     ok = worst < 0.005
@@ -195,10 +198,10 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
         cfg = parse_config(doc)
         scene = cfg.build_scene()
         mesh = build_mesh(scene, 0.05)
-        sol0 = solve_background(mesh, cfg.build_background(),
-                                cfg.build_boundary_data())
-        sol1 = solve_perturbed(mesh, cfg.build_background(), cfg.build_law(),
-                               cfg.build_boundary_data())
+        op = BackgroundOperator(mesh, cfg.build_background())
+        g = cfg.build_boundary_data()
+        sol0 = op.solve(g)
+        sol1 = solve_perturbed(op, cfg.build_law(), g)
         for sol in (sol0, sol1):
             b = element_cg(sol)
             worst_sym = max(worst_sym,
@@ -253,7 +256,8 @@ def test_criterion_07_three_region(twophase_mesh_h02, twophase_background):
 
 def test_criterion_08_scaling_identity(twophase_mesh_h02,
                                        twophase_background, cos_data):
-    sol = solve_background(twophase_mesh_h02, twophase_background, cos_data)
+    op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+    sol = op.solve(cos_data)
     region = RectRegion((-0.25, -0.25), (0.25, 0.25))
     residuals = {th: scaling_identity_check(sol, region, th)
                  for th in (0.5, 0.7, 1.0)}
@@ -277,8 +281,8 @@ def test_criterion_09_chain_propagation(cos_data):
     details = []
     for scene, bg, x0, h in fixtures:
         mesh = build_mesh(scene, 0.04)
-        sol = solve_background(mesh, bg,
-                               fourier_data([(1, 1.0, 0.0), (2, 0.4, 0.2)]))
+        sol = BackgroundOperator(mesh, bg).solve(
+            fourier_data([(1, 1.0, 0.0), (2, 0.4, 0.2)]))
         cert = propagate_chain(sol, scene.inclusion, x0, r=0.1, h=h)
         inv = all(all(c.invariants_ok().values()) for c in cert.chains)
         bounds = all(c.bound_holds() for c in cert.chains)

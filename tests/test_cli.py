@@ -252,10 +252,22 @@ class TestSweep:
         doc = json.loads(json.dumps(fast_concentric))
         doc["checks"] = ["energy"]
         cfg = parse_config(doc)
-        agg = sweep(cfg, "mesh.h", [0.08, 0.04, 0.02])
-        assert len(agg["rows"]) == 3
-        assert "convergence_order_w0" in agg
-        assert all(r["exit_code"] == EXIT_OK for r in agg["rows"])
+        orders = []
+        for values in ([0.08, 0.04, 0.02], [0.02, 0.04, 0.08]):
+            agg = sweep(cfg, "mesh.h", values)
+            assert len(agg["rows"]) == 3
+            assert all(r["exit_code"] == EXIT_OK for r in agg["rows"])
+            orders.append(agg["convergence_order_w0"])
+        # the order does not depend on which way the values run
+        assert orders[1] == pytest.approx(orders[0], rel=1e-12)
+
+    def test_process_pool_matches_serial(self, fast_concentric):
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        cfg = parse_config(doc)
+        values = [0.1, 0.08, 0.06]
+        assert report_json(sweep(cfg, "mesh.h", values, threads=2)) \
+            == report_json(sweep(cfg, "mesh.h", values, threads=1))
 
     def test_no_convergence_order_without_two_differences(
             self, fast_concentric):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     Ellipse,
@@ -14,7 +15,6 @@ from powergap import (
     Scene,
     check_jump_condition,
     fourier_data,
-    solve_background,
     solve_perturbed,
     weak_residual,
 )
@@ -49,8 +49,9 @@ class TestGenericCrossings:
                            zeta1=MatrixField.isotropic(1.2),
                            lambda1=0.2, varrho=0.5)
         g = fourier_data([(1, 1.0, 0.0)])
-        sol0 = solve_background(mesh, bg, g)
-        sol1 = solve_perturbed(mesh, bg, law, g)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(g)
+        sol1 = solve_perturbed(op, law, g)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
         br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
@@ -70,7 +71,7 @@ class TestAffineCoefficients:
             n_plus=MatrixField.isotropic(1.0),
             n_minus=MatrixField.isotropic(1.0),
             gamma=0.05, lambda0=0.5, m0=1.0)
-        sol = solve_background(mesh, bg, cos_data)
+        sol = BackgroundOperator(mesh, bg).solve(cos_data)
         assert sol.residual < 1e-10
         assert weak_residual(sol) < 1e-10
         assert abs(sol.mean_value()) < 1e-12
@@ -98,8 +99,9 @@ class TestAnisotropicLaw:
         case = check_jump_condition(bg.sigma(d, mesh.comp[mesh.in_d]),
                                     law.sigma1(d), law.zeta1(d), law.varrho)
         assert case is JumpCase.CASE_I
-        sol0 = solve_background(mesh, bg, cos_data)
-        sol1 = solve_perturbed(mesh, bg, law, cos_data)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
         br = energy_bracket(sol0, sol1, case)
@@ -120,7 +122,8 @@ class TestAnisotropicLaw:
         law = InclusionLaw(sigma1=MatrixField.constant(sig1),
                            zeta1=MatrixField.constant(zet1),
                            lambda1=0.15, varrho=0.2)
-        sol0 = solve_background(mesh, bg, cos_data)
-        sol1 = solve_perturbed(mesh, bg, law, cos_data)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9

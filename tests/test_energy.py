@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     InclusionLaw,
@@ -12,7 +13,6 @@ from powergap import (
     MatrixField,
     Scene,
     fourier_data,
-    solve_background,
     solve_perturbed,
 )
 from powergap.energy import (
@@ -49,9 +49,10 @@ def inclusion_setup(cos_data):
                   inclusion=Circle((0, 0), 0.25))
     mesh = build_mesh(scene, 0.03)
     bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=GAMMA)
-    sol0 = solve_background(mesh, bg, cos_data)
-    sol_ii = solve_perturbed(mesh, bg, CASE_II_LAW, cos_data)
-    sol_i = solve_perturbed(mesh, bg, CASE_I_LAW, cos_data)
+    op = BackgroundOperator(mesh, bg)
+    sol0 = op.solve(cos_data)
+    sol_ii = solve_perturbed(op, CASE_II_LAW, cos_data)
+    sol_i = solve_perturbed(op, CASE_I_LAW, cos_data)
     return mesh, bg, sol0, sol_ii, sol_i
 
 
@@ -70,17 +71,16 @@ class TestBoundaryPower:
             math.pi, rel=1e-3)
 
     def test_zero_data(self, disk_mesh_h05, identity_background):
-        sol = solve_background(disk_mesh_h05, identity_background,
-                               fourier_data([(1, 0.0, 0.0)]))
+        op = BackgroundOperator(disk_mesh_h05, identity_background)
+        sol = op.solve(fourier_data([(1, 0.0, 0.0)]))
         assert boundary_power(sol) == 0.0
 
     def test_quadratic_scaling(self, disk_mesh_h05, identity_background):
         g1 = fourier_data([(1, 1.0, 0.0)])
         g2 = fourier_data([(1, 2.0, 0.0)])
-        w1 = boundary_power(solve_background(disk_mesh_h05,
-                                             identity_background, g1))
-        w2 = boundary_power(solve_background(disk_mesh_h05,
-                                             identity_background, g2))
+        op = BackgroundOperator(disk_mesh_h05, identity_background)
+        w1 = boundary_power(op.solve(g1))
+        w2 = boundary_power(op.solve(g2))
         assert w2 == pytest.approx(4.0 * w1, rel=1e-12)
 
 
@@ -97,9 +97,8 @@ class TestFreeEnergy:
         assert rep.mismatch < 1e-10
 
     def test_quadratic_scaling(self, disk_mesh_h05, identity_background):
-        sols = [solve_background(disk_mesh_h05, identity_background,
-                                 fourier_data([(1, c, 0.0)]))
-                for c in (1.0, 3.0)]
+        op = BackgroundOperator(disk_mesh_h05, identity_background)
+        sols = [op.solve(fourier_data([(1, c, 0.0)])) for c in (1.0, 3.0)]
         w = [free_energy(s).volume for s in sols]
         assert w[1] == pytest.approx(9.0 * w[0], rel=1e-12)
 
@@ -160,8 +159,9 @@ class TestIdentities:
         law = InclusionLaw(sigma1=MatrixField.isotropic(2.0),
                            zeta1=MatrixField.isotropic(0.0),
                            lambda1=0.4, varrho=0.5)
-        sol0 = solve_background(mesh, bg, cos_data)
-        sol1 = solve_perturbed(mesh, bg, law, cos_data)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         w0 = abs(boundary_power(sol0).real)
         for v in rep.values():
@@ -224,8 +224,9 @@ class TestBracket:
         law = InclusionLaw(sigma1=MatrixField.isotropic(2.0),
                            zeta1=MatrixField.isotropic(0.0),
                            lambda1=0.4, varrho=0.5)
-        sol0 = solve_background(mesh, bg, cos_data)
-        sol1 = solve_perturbed(mesh, bg, law, cos_data)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
         # force the degenerate path with an inclusion-free tagging clone
         mesh.in_d[:] = False
         try:
@@ -242,8 +243,9 @@ class TestBracket:
                           interface=Circle((0, 0), 0.5),
                           inclusion=Circle((0, 0), rho))
             mesh = build_mesh(scene, 0.04)
-            sol0 = solve_background(mesh, bg, cos_data)
-            sol1 = solve_perturbed(mesh, bg, CASE_II_LAW, cos_data)
+            op = BackgroundOperator(mesh, bg)
+            sol0 = op.solve(cos_data)
+            sol1 = solve_perturbed(op, CASE_II_LAW, cos_data)
             energies.append(grad_energy_inclusion(sol0))
             br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
             assert br.bracket_ok and br.sign_ok

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     InclusionLaw,
@@ -13,7 +14,6 @@ from powergap import (
     MatrixField,
     Scene,
     fourier_data,
-    solve_background,
     solve_perturbed,
 )
 from powergap import cli
@@ -46,8 +46,9 @@ def measure_scene(radius, center=(0.0, 0.0), h=0.04, label=""):
     mesh = build_mesh(scene, h)
     bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
     g = fourier_data([(1, 1.0, 0.0)])
-    sol0 = solve_background(mesh, bg, g)
-    sol1 = solve_perturbed(mesh, bg, CASE_II_LAW, g)
+    op = BackgroundOperator(mesh, bg)
+    sol0 = op.solve(g)
+    sol1 = solve_perturbed(op, CASE_II_LAW, g)
     rep = power_report(sol0, sol1, JumpCase.CASE_II)
     return scene, rep, SizeMeasurement(
         delta_w_re=rep.delta_w.real, w0_free_re=rep.w0_free.real,
@@ -89,8 +90,8 @@ class TestInteriorGradient:
         assert rep["ratio"] == pytest.approx(1 / math.sqrt(math.pi), rel=5e-3)
 
     def test_zero_field(self, disk_mesh_h05, identity_background):
-        sol = solve_background(disk_mesh_h05, identity_background,
-                               fourier_data([(1, 0.0, 0.0)]))
+        sol = BackgroundOperator(disk_mesh_h05, identity_background).solve(
+            fourier_data([(1, 0.0, 0.0)]))
         rep = interior_gradient_sup(sol, None)
         assert rep["sup"] == 0.0
 
@@ -102,7 +103,7 @@ class TestInteriorGradient:
                           inclusion=Circle((0.1, 0.05), 0.2))
             mesh = build_mesh(scene, h)
             bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
-            sol = solve_background(mesh, bg, cos_data)
+            sol = BackgroundOperator(mesh, bg).solve(cos_data)
             vals.append(interior_gradient_sup(sol)["ratio"])
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
 
@@ -155,8 +156,9 @@ class TestEstimateSize:
         mesh = build_mesh(scene2, 0.05)
         bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
         g3 = fourier_data([(1, 3.0, 0.0)])
-        sol0 = solve_background(mesh, bg, g3)
-        sol1 = solve_perturbed(mesh, bg, CASE_II_LAW, g3)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(g3)
+        sol1 = solve_perturbed(op, CASE_II_LAW, g3)
         rep3 = power_report(sol0, sol1, JumpCase.CASE_II)
         e1 = estimate_size(rep1, (0.5, 2.0))
         e3 = estimate_size(rep3, (0.5, 2.0))
@@ -232,8 +234,9 @@ class TestContrastAndNesting:
         mesh = build_mesh(scene, 0.05)
         bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
         g = fourier_data([(1, 1.0, 0.0)])
-        sol0 = solve_background(mesh, bg, g)
-        sol1 = solve_perturbed(mesh, bg, strong, g)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(g)
+        sol1 = solve_perturbed(op, strong, g)
         rep = power_report(sol0, sol1, JumpCase.CASE_II)
         base_dw = next(m.delta_w_re for m in family if m.label == "r0.2")
         assert abs(rep.delta_w.real) > abs(base_dw)  # contrast moved the gap

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     InclusionLaw,
@@ -21,7 +22,6 @@ from powergap import (
     MatrixField,
     Scene,
     fourier_data,
-    solve_background,
     solve_perturbed,
 )
 from powergap.coefficients import _eigvalsh2
@@ -136,8 +136,9 @@ class TestBracketConstant:
                            zeta1=MatrixField.isotropic(1.2),
                            lambda1=0.2, varrho=0.5)
         g = fourier_data([(1, 1.0, 0.0)])
-        sol0 = solve_background(mesh, bg, g)
-        sol1 = solve_perturbed(mesh, bg, law, g)
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(g)
+        sol1 = solve_perturbed(op, law, g)
         b0, b1 = element_cg(sol0), element_cg(sol1)
         d = mesh.in_d
         assert np.array_equal(b0[~d], b1[~d])

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powergap import (
+    BackgroundOperator,
     BackgroundTensor,
     Circle,
     InclusionLaw,
@@ -21,7 +22,6 @@ from powergap import (
     MatrixField,
     Scene,
     fourier_data,
-    solve_background,
     solve_perturbed,
 )
 from powergap.coefficients import validate_admissibility
@@ -102,8 +102,9 @@ def test_identities_and_sign_over_admissible_laws(scene, background, data):
     ok, jump_case = screened(mesh, background, law)
     assume(ok)
     assert jump_case == case.value
-    sol0 = solve_background(mesh, background, G)
-    sol1 = solve_perturbed(mesh, background, law, G)
+    op = BackgroundOperator(mesh, background)
+    sol0 = op.solve(G)
+    sol1 = solve_perturbed(op, law, G)
     rep = verify_identities(sol0, sol1)
     assert rep.max_pairwise_rel <= 1e-9
     for re_dw in rep.values():
@@ -121,6 +122,7 @@ def test_background_law_gives_zero_gap(scene, background):
     law = InclusionLaw(sigma1=MatrixField(sigma_bg, "sigma0"),
                        zeta1=MatrixField.isotropic(0.0))
     mesh = build_mesh(scene, H)
-    w0 = boundary_power(solve_background(mesh, background, G))
-    w1 = boundary_power(solve_perturbed(mesh, background, law, G))
+    op = BackgroundOperator(mesh, background)
+    w0 = boundary_power(op.solve(G))
+    w1 = boundary_power(solve_perturbed(op, law, G))
     assert abs(w0 - w1) <= 1e-12 * abs(w0)

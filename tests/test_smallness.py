@@ -13,7 +13,6 @@ from powergap import (
     build_regions,
     flattening_map,
     fourier_data,
-    solve_background,
 )
 from powergap.errors import CoverageError
 from powergap.mesh import Mesh, build_mesh
@@ -134,8 +133,8 @@ class TestThreeRegion:
     def test_family_on_two_meshes_rejected(self, disk_solution,
                                            twophase_mesh_h02,
                                            twophase_background, cos_data):
-        other = solve_background(twophase_mesh_h02, twophase_background,
-                                 cos_data)
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        other = op.solve(cos_data)
         with pytest.raises(ValueError, match="one mesh"):
             check_three_region([disk_solution, other], REGIONS, _FlatChart())
 
@@ -143,8 +142,8 @@ class TestThreeRegion:
                                        twophase_background, cos_data):
         fmap = flattening_map(twophase_mesh_h02.scene.interface, 0.0,
                               rho0=0.3, K0=4.0)
-        sol = solve_background(twophase_mesh_h02, twophase_background,
-                               cos_data)
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        sol = op.solve(cos_data)
         chk1 = check_three_region(sol, REGIONS, fmap)
         scaled = dataclasses.replace(sol, u=(3.0 - 4.0j) * sol.u, _grad=None)
         chk2 = check_three_region(scaled, REGIONS, fmap)
@@ -164,8 +163,8 @@ class TestThreeBall:
 
     def test_zero_solution_trivial(self, disk_mesh_h05,
                                    identity_background):
-        sol = solve_background(disk_mesh_h05, identity_background,
-                               fourier_data([(1, 0.0, 0.0)]))
+        sol = BackgroundOperator(disk_mesh_h05, identity_background).solve(
+            fourier_data([(1, 0.0, 0.0)]))
         chk = check_three_ball(sol, (0.0, 0.0), 0.02, 0.1, 0.5)
         assert chk.margin == math.inf
 
@@ -209,7 +208,7 @@ class TestChain:
                       inclusion=Circle((0, 0), 0.02), d0=0.5)
         mesh = build_mesh(scene, 0.05)
         bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.0)
-        sol = solve_background(mesh, bg, cos_data)
+        sol = BackgroundOperator(mesh, bg).solve(cos_data)
         cert = propagate_chain(sol, scene.inclusion, (0.0, 0.0),
                                r=0.015, h=0.6)
         assert all(ch.n_links <= 1 for ch in cert.chains)
@@ -220,8 +219,8 @@ class TestChain:
                       inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
         mesh = build_mesh(scene, 0.04)
         bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05)
-        sol = solve_background(mesh, bg,
-                               fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
+        sol = BackgroundOperator(mesh, bg).solve(
+            fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
         cert = propagate_chain(sol, scene.inclusion, (0.1, 0.0), r=0.1, h=0.6)
         assert cert.holds()
         for ch in cert.chains:
@@ -237,8 +236,8 @@ class TestChain:
                       inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
         mesh = build_mesh(scene, 0.04)
         bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05)
-        sol = solve_background(mesh, bg,
-                               fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
+        sol = BackgroundOperator(mesh, bg).solve(
+            fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
         calls = []
 
         def recording_ball(u, center, radius, n_grid=110):

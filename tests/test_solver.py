@@ -14,13 +14,11 @@ from powergap import (
     BackgroundTensor,
     Circle,
     InclusionLaw,
-    LowerOrderTerms,
     MatrixField,
     Scene,
     flux_balance,
     flux_jump_norm,
     fourier_data,
-    solve_background,
     solve_perturbed,
     weak_residual,
 )
@@ -68,7 +66,7 @@ class TestBackgroundSolve:
         errs = []
         for h in (0.1, 0.05):
             mesh = build_mesh(disk_scene, h)
-            sol = solve_background(mesh, identity_background, cos_data)
+            sol = BackgroundOperator(mesh, identity_background).solve(cos_data)
             errs.append(h1_seminorm_error(mesh, sol.u.real,
                                           mesh.points[:, 0]))
         assert errs[0] / errs[1] >= 2 ** 0.9
@@ -76,13 +74,13 @@ class TestBackgroundSolve:
     def test_zero_data_zero_solution(self, disk_mesh_h05,
                                      identity_background):
         g0 = fourier_data([(1, 0.0, 0.0)])
-        sol = solve_background(disk_mesh_h05, identity_background, g0)
+        sol = BackgroundOperator(disk_mesh_h05, identity_background).solve(g0)
         assert np.abs(sol.u).max() < 1e-12
 
     def test_two_phase_series_oracle(self, twophase_mesh_h02,
                                      twophase_background, cos_data):
-        sol = solve_background(twophase_mesh_h02, twophase_background,
-                               cos_data)
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        sol = op.solve(cos_data)
         orc = LayeredDiskSolution(
             [0.5, 1.0],
             [constitutive_matrix(2.0, 0.05), constitutive_matrix(1.0, 0.05)],
@@ -114,19 +112,6 @@ class TestBackgroundSolve:
                               np.conj(grad), disk_mesh_h05.areas).real)
         rhs = float((np.abs(grad) ** 2).sum(axis=1) @ disk_mesh_h05.areas)
         assert lhs >= 0.5 * rhs  # lambda0 = 0.5 for the fixture tensor
-
-    def test_lower_order_terms_flag(self, disk_mesh_h05):
-        bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.0)
-        lower = LowerOrderTerms(
-            w=lambda p: np.full((len(p), 2), 0.1 + 0j),
-            v=lambda p: np.full(len(p), 0.2 + 0j), k1=0.2, k2=0.2)
-        sol = solve_background(disk_mesh_h05, bg, fourier_data([(1, 1, 0)]),
-                               lower_order=lower)
-        assert sol.residual < 1e-10
-        # the flux balance re-assembles the operator with the same terms
-        assert flux_balance(sol)["weak"] < 1e-10
-        base = solve_background(disk_mesh_h05, bg, fourier_data([(1, 1, 0)]))
-        assert np.abs(sol.u - base.u).max() > 1e-4  # the terms matter
 
     def test_family_solve_matches_single_solves(self, twophase_mesh_h02,
                                                 twophase_background, rng):
@@ -160,7 +145,7 @@ class TestBackgroundSolve:
             gs = [fourier_data([(k, rng.normal(), rng.normal())
                                 for k in range(1, 6)]) for _ in range(8)]
             print(all(np.array_equal(f.u, s.u) and f.residual == s.residual
-                      and f.multipliers == s.multipliers
+                      and f.multiplier == s.multiplier
                       for f, s in zip(op.solve(gs), map(op.solve, gs))))
         """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
@@ -202,14 +187,11 @@ class TestReleasedOperator:
                            lambda1=0.4, varrho=0.5)
         op = BackgroundOperator(mesh, twophase_background)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(mesh, twophase_background, law, cos_data,
-                               op=op)
+        sol1 = solve_perturbed(op, law, cos_data)
 
         def diagnostics():
-            return [(s.operator.apply(s.u, lam), weak_residual(s),
-                     flux_balance(s))
-                    for s, lam in ((sol0, sol0.multipliers[0]),
-                                   (sol1, complex(*sol1.multipliers)))]
+            return [(s.operator.apply(s.u, s.multiplier), weak_residual(s),
+                     flux_balance(s)) for s in (sol0, sol1)]
 
         before = diagnostics()
         op.release()
@@ -223,7 +205,7 @@ class TestReleasedOperator:
         with pytest.raises(SolverError, match=released):
             op.solve([cos_data])
         with pytest.raises(SolverError, match=released):
-            solve_perturbed(mesh, twophase_background, law, cos_data, op=op)
+            solve_perturbed(op, law, cos_data)
 
 
 class TestPerturbedSolve:
@@ -237,8 +219,9 @@ class TestPerturbedSolve:
                       interface=Circle((0, 0), 0.5),
                       inclusion=Circle((0, 0), 0.25))
         mesh = build_mesh(scene, 0.04)
-        u0 = solve_background(mesh, twophase_background, cos_data)
-        u1 = solve_perturbed(mesh, twophase_background, law, cos_data)
+        op = BackgroundOperator(mesh, twophase_background)
+        u0 = op.solve(cos_data)
+        u1 = solve_perturbed(op, law, cos_data)
         assert np.abs(u1.u - u0.u).max() < 1e-10
 
     def test_imaginary_part_decouples(self, cos_data):
@@ -250,7 +233,7 @@ class TestPerturbedSolve:
         law = InclusionLaw(sigma1=MatrixField.isotropic(1.0),
                            zeta1=MatrixField.isotropic(0.5),
                            lambda1=0.4, varrho=0.4)
-        sol = solve_perturbed(mesh, bg, law, cos_data)
+        sol = solve_perturbed(BackgroundOperator(mesh, bg), law, cos_data)
         assert np.abs(sol.u.imag).max() < 1e-12
 
     def test_real_linearity_witness(self, cos_data):
@@ -258,7 +241,7 @@ class TestPerturbedSolve:
                       interface=Circle((0, 0), 0.5))
         mesh = build_mesh(scene, 0.05)
         bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.0)
-        sol = solve_background(mesh, bg, cos_data)
+        sol = BackgroundOperator(mesh, bg).solve(cos_data)
         assert np.abs(sol.u.imag).max() < 1e-12
 
     def test_chiral_vs_background_cross_check(self, cos_data):
@@ -272,7 +255,7 @@ class TestPerturbedSolve:
         law = InclusionLaw(sigma1=MatrixField.isotropic(2.0),
                            zeta1=MatrixField.isotropic(0.0),
                            lambda1=0.4, varrho=0.5)
-        u1 = solve_perturbed(mesh, bg, law, cos_data)
+        u1 = solve_perturbed(BackgroundOperator(mesh, bg), law, cos_data)
         orc = LayeredDiskSolution(
             [0.25, 1.0],
             [constitutive_matrix(2.0, 0.05), constitutive_matrix(1.0, 0.05)],
@@ -292,7 +275,7 @@ class TestPerturbedSolve:
                            zeta1=MatrixField.isotropic(1.0),
                            lambda1=0.01, varrho=0.4)
         with pytest.raises(SolverError, match=r"\(se0\)"):
-            solve_perturbed(mesh, bg, law, cos_data)
+            solve_perturbed(BackgroundOperator(mesh, bg), law, cos_data)
 
 
 # a law with its own imaginary part, so that K_delta is complex; the corpus
@@ -330,30 +313,25 @@ class TestKrylovSolve:
     @pytest.mark.parametrize("name,param", CORPUS + CONTRAST)
     def test_matches_direct_block_lu(self, name, param):
         mesh, bg, law, g = krylov_case(name, param)
-        sol = solve_perturbed(mesh, bg, law, g)
+        sol = solve_perturbed(BackgroundOperator(mesh, bg), law, g)
         u_ref, lams_ref = direct_block_solve(mesh, bg, law, g)
         assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
-        # the multipliers vanish to rounding for compatible data, so they
-        # are compared on the scale of the load they balance
+        # the multiplier vanishes to rounding for compatible data, so it
+        # is compared on the scale of the load it balances
         b, _ = boundary_load(mesh, g)
-        gap = np.abs(np.subtract(sol.multipliers, lams_ref)).max()
+        gap = abs(sol.multiplier - complex(*lams_ref))
         assert gap * np.linalg.norm(mesh.node_mass()) \
             <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("name,case", CORPUS)
     def test_corpus_converges_quickly(self, name, case):
-        sol = solve_perturbed(*krylov_case(name, case))
+        mesh, bg, law, g = krylov_case(name, case)
+        sol = solve_perturbed(BackgroundOperator(mesh, bg), law, g)
         assert 0 < sol.diagnostics["krylov_iterations"] <= 40
         assert sol.diagnostics["krylov_residual"] <= 1e-12
         # the block residual and flux balance re-assemble the same system
         assert weak_residual(sol) == pytest.approx(sol.residual, rel=1e-12)
         assert flux_balance(sol)["weak"] < 1e-12
-
-    def test_operator_on_other_mesh_rejected(self, disk_mesh_h05):
-        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
-        with pytest.raises(ValueError, match="another mesh"):
-            solve_perturbed(mesh, bg, law, g,
-                            op=BackgroundOperator(disk_mesh_h05, bg))
 
     @pytest.mark.parametrize("info", [200, 0])
     def test_unconverged_gmres_raises(self, monkeypatch, info):
@@ -365,10 +343,12 @@ class TestKrylovSolve:
             return np.zeros_like(rhs), info
 
         monkeypatch.setattr("powergap.solver.spla.gmres", unconverged)
+        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
+        op = BackgroundOperator(mesh, bg)
         with pytest.raises(SolverError,
                            match=r"3 iterations, true relative residual "
                                  r"1\.000e\+00"):
-            solve_perturbed(*krylov_case("concentric_disk", "case_ii"))
+            solve_perturbed(op, law, g)
 
 
 class TestChiralOperator:
@@ -386,7 +366,7 @@ class TestChiralOperator:
 
     def test_epsilon1_law_matches_direct_block_lu(self):
         mesh, bg, law, g = krylov_case(*EPSILON1[0])
-        sol = solve_perturbed(mesh, bg, law, g)
+        sol = solve_perturbed(BackgroundOperator(mesh, bg), law, g)
         u_ref, _ = direct_block_solve(mesh, bg, law, g)
         assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         assert weak_residual(sol) == pytest.approx(sol.residual, rel=1e-12)
@@ -401,27 +381,10 @@ class TestChiralOperator:
             return assemble_stiffness(mesh, coeff, elements)
 
         monkeypatch.setattr("powergap.solver.assemble_stiffness", counting)
-        solve_perturbed(mesh, bg, law, g, op=op)
+        solve_perturbed(op, law, g)
         n_d = int(mesh.in_d.sum())
         assert 0 < n_d < mesh.num_triangles
         assert assembled == [n_d, n_d]
-
-    def test_lower_order_operator_refused(self):
-        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
-        lower = LowerOrderTerms(
-            w=lambda p: np.zeros((len(p), 2), dtype=complex),
-            v=lambda p: np.full(len(p), 0.1 + 0j), k1=0.1, k2=0.1)
-        op = BackgroundOperator(mesh, bg, lower_order=lower)
-        with pytest.raises(ValueError, match="lower_order"):
-            solve_perturbed(mesh, bg, law, g, op=op)
-
-    def test_operator_of_other_background_refused(self):
-        mesh, bg, law, g = krylov_case("concentric_disk", "case_ii")
-        other = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
-        with pytest.raises(ValueError, match="another background"):
-            solve_perturbed(mesh, bg, law, g,
-                            op=BackgroundOperator(mesh, other))
-
 
 class TestResidualsAndFluxes:
     def test_converged_residual_small(self, disk_solution):
@@ -436,8 +399,8 @@ class TestResidualsAndFluxes:
 
     def test_zero_field_zero_residual(self, disk_mesh_h05,
                                       identity_background):
-        sol = solve_background(disk_mesh_h05, identity_background,
-                               fourier_data([(2, 0.0, 0.0)]))
+        sol = BackgroundOperator(disk_mesh_h05, identity_background).solve(
+            fourier_data([(2, 0.0, 0.0)]))
         assert weak_residual(sol) == 0.0
 
     def test_flux_balance(self, disk_solution):
@@ -448,10 +411,11 @@ class TestResidualsAndFluxes:
                                                   twophase_background,
                                                   cos_data,
                                                   twophase_mesh_h02):
-        sol_c = solve_background(build_mesh(twophase_scene, 0.04),
-                                 twophase_background, cos_data)
-        sol_f = solve_background(twophase_mesh_h02, twophase_background,
-                                 cos_data)
+        coarse = build_mesh(twophase_scene, 0.04)
+        sol_c = BackgroundOperator(coarse, twophase_background).solve(
+            cos_data)
+        op = BackgroundOperator(twophase_mesh_h02, twophase_background)
+        sol_f = op.solve(cos_data)
         assert flux_jump_norm(sol_f) < flux_jump_norm(sol_c)
 
     def test_export_solution_csv(self, disk_solution, tmp_path):
@@ -477,22 +441,3 @@ class TestResidualsAndFluxes:
             shared = set(e[k])
             assert shared <= set(tris[t[k, 0]])
             assert shared <= set(tris[t[k, 1]])
-
-
-class TestLowerOrderValidation:
-    def test_bounds_enforced(self, rng):
-        import numpy as np
-        from powergap import LowerOrderTerms
-        from powergap.errors import StructuralError
-        good = LowerOrderTerms(
-            w=lambda p: np.full((len(p), 2), 0.1 + 0j),
-            v=lambda p: np.full(len(p), 0.2 + 0j), k1=0.2, k2=0.3)
-        pts = rng.uniform(-1, 1, (50, 2))
-        rep = good.validate(pts)
-        assert rep["w_sup"] <= 0.2
-        bad = LowerOrderTerms(
-            w=lambda p: np.full((len(p), 2), 0.5 + 0j),
-            v=lambda p: np.zeros(len(p)), k1=0.2, k2=0.3)
-        import pytest
-        with pytest.raises(StructuralError, match="K1"):
-            bad.validate(pts)
