@@ -27,12 +27,10 @@ from .geometry import (
     build_regions,
     dilate,
     erode,
-    flatten,
     flattening_map,
     grid_integrate,
     max_region_radius,
     region_area,
-    unflatten,
     vitali_cover,
     z_value,
 )

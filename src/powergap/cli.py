@@ -201,10 +201,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if issues:
         raise ConfigError("; ".join(issues))
     # constructing the objects validates numeric ranges
-    cfg.build_scene()
-    cfg.build_background()
-    cfg.build_law()
-    cfg.build_weights()
+    for section, build in (("scene", cfg.build_scene),
+                           ("background", cfg.build_background),
+                           ("law", cfg.build_law),
+                           ("weights", cfg.build_weights),
+                           ("boundary_data", cfg.build_boundary_data),
+                           ("mesh", lambda: cfg.mesh_h)):
+        try:
+            build()
+        except KeyError as exc:
+            raise ConfigError(
+                f"config section '{section}': missing key {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config section '{section}': {exc}") from exc
     return cfg
 
 
@@ -491,7 +500,12 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
         if stage.fn is None or not (stage.always or stage.name in cfg.checks):
             continue
         t0 = time.perf_counter()
-        fragment = stage.fn(st)
+        try:
+            fragment = stage.fn(st)
+        except ValueError as exc:
+            # a value the stage cannot use, e.g. a ball leaving the domain
+            raise ConfigError(f"{'stage' if stage.always else 'check'} "
+                              f"'{stage.name}': {exc}") from exc
         stage_times[stage.name] = time.perf_counter() - t0
         if stage.key == "checks":
             report["checks"][stage.name] = fragment
@@ -606,7 +620,9 @@ def sweep(cfg: ExperimentConfig, param: str, values, out_dir=None,
         else:
             row["error"] = r.get("error", "")
         agg["rows"].append(row)
-    if param == "mesh.h" and len(values) >= 3:
+    # an order needs a constant refinement ratio
+    if param == "mesh.h" and len(values) >= 3 and math.isclose(
+            values[0] / values[1], values[1] / values[2], rel_tol=1e-9):
         w0s = [row.get("w0_re") for row in agg["rows"]]
         if all(w is not None for w in w0s):
             d1 = abs(w0s[0] - w0s[1])
@@ -708,9 +724,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.raw["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    cfg = load_config(args.config, **overrides)
     values = [float(v) for v in args.values.split(",")]
     agg = sweep(cfg, args.param, values, out_dir=args.out,
                 threads=args.threads)

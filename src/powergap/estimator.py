@@ -83,7 +83,7 @@ def interior_gradient_sup(u0: Solution, region=None) -> dict:
     mesh = u0.mesh
     grads = u0.gradient()
     mask_e = mesh.in_d if region is None else region.contains(mesh.centroids)
-    total = math.sqrt(float((np.abs(grads) ** 2).sum(axis=1) @ mesh.areas))
+    total = math.sqrt(float(u0.gradient_density() @ mesh.areas))
     if not mask_e.any() or total <= 0:
         return {"sup": 0.0, "ratio": 0.0, "l2_norm": total}
     # area-weighted patch average of element gradients at each node

@@ -18,10 +18,11 @@ import numpy as np
 
 from .errors import CoverageError, StructuralError
 from .geometry import (
+    Circle,
     CurveInterior,
     FlatteningMap,
     RegionTriple,
-    _norm,
+    _grid_cells,
     as_points,
     dilate,
     erode,
@@ -61,6 +62,17 @@ def _eval_field(u, points) -> np.ndarray:
     return np.asarray(u.evaluate(points), dtype=complex)
 
 
+def _sq_sampler(u):
+    """Sampler p -> |u(p)|^2 of a callable, Solution or family."""
+    return lambda p: np.abs(_eval_field(u, p)) ** 2
+
+
+def _grad_sq_sampler(sol: Solution):
+    """Sampler p -> |grad u|^2 on the element holding p."""
+    dens, mesh = sol.gradient_density(), sol.mesh
+    return lambda p: dens[mesh.locate(p)]
+
+
 def _rect_grid(lo, hi, n_target: int):
     """Midpoint grid with roughly n_target cells, aspect-adapted."""
     w = np.maximum(np.asarray(hi, float) - np.asarray(lo, float), 1e-12)
@@ -82,27 +94,22 @@ def l2_norm_sq(sol: Solution) -> float:
 
 
 def gradient_energy(sol: Solution) -> float:
-    grad = sol.gradient()
-    return float((np.abs(grad) ** 2).sum(axis=1) @ sol.mesh.areas)
+    return float(sol.gradient_density() @ sol.mesh.areas)
 
 
 def _ball_sums(sample, centers, radius: float, n_grid: int) -> np.ndarray:
     """Integral of a sampled density over the disk around each centre.
 
-    sample maps (p, 2) points to (p,) real values. One antialiased stencil
-    serves every centre: an n_grid x n_grid midpoint grid on the disk's
-    bounding square, each cell weighing its area times the covered fraction
-    estimated from the signed distance. It is shifted to blocks of about
-    ``_SAMPLE_BLOCK`` points, so memory does not grow with the number of
-    centres, and each centre is summed by its own dot product, so its value
-    does not depend on its block.
+    sample maps (p, 2) points to (p,) real values. One stencil serves every
+    centre: `grid_integrate`'s antialiased rule on the disk around the
+    origin, with n_grid x n_grid cells (at least 16). It is shifted to
+    blocks of about ``_SAMPLE_BLOCK`` points, so memory does not grow with
+    the number of centres, and each centre is summed by its own dot
+    product, so its value does not depend on its block.
     """
-    offsets, cell = _rect_grid((-radius, -radius), (radius, radius),
-                               n_grid * n_grid)
-    w = np.clip(0.5 - (_norm(offsets) - radius)
-                / math.sqrt(cell), 0.0, 1.0)
-    keep = w > 0
-    offsets, w = offsets[keep], w[keep] * cell
+    offsets, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
+                                     max(16, n_grid))
+    w = w * (dx * dy)
     per = max(1, _SAMPLE_BLOCK // len(offsets))
     out = np.empty(len(centers))
     for start in range(0, len(centers), per):
@@ -123,8 +130,7 @@ def ball_l2_sq(u, center, radius: float, n_grid: int = 110):
     (see `_ball_sums`).
     """
     c = np.asarray(center, float)
-    sums = _ball_sums(lambda p: np.abs(_eval_field(u, p)) ** 2,
-                      c.reshape(-1, 2), radius, n_grid)
+    sums = _ball_sums(_sq_sampler(u), c.reshape(-1, 2), radius, n_grid)
     return float(sums[0]) if c.ndim == 1 else sums
 
 
@@ -377,63 +383,20 @@ def _chain_centers(path: np.ndarray, r1: float) -> np.ndarray:
     return np.asarray(centers)
 
 
-def _straight_or_grid_path(region, start, end, step: float) -> np.ndarray:
-    """Polyline from start to end inside the region (straight if possible)."""
-    import heapq
+def _straight_path(region, start, end, step: float) -> np.ndarray:
+    """The segment from start to end, refused unless it stays in the region.
 
-    start = np.asarray(start, float)
-    end = np.asarray(end, float)
+    D is convex (configs allow circles and ellipses), so every segment from
+    x0 to a cover point lies in its dilation.
+    """
     n = max(2, int(np.linalg.norm(end - start) / max(step / 4.0, 1e-12)) + 1)
     line = start[None, :] + np.linspace(0, 1, n)[:, None] * (end - start)[None, :]
-    if bool(region.contains(line).all()):
-        return np.vstack([start, end])
-    # grid graph fallback (8-connected Dijkstra) inside the region
-    lo, hi = region.bbox()
-    nx = int(math.ceil((hi[0] - lo[0]) / step)) + 1
-    ny = int(math.ceil((hi[1] - lo[1]) / step)) + 1
-    xs = lo[0] + step * np.arange(nx)
-    ys = lo[1] + step * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    ok = region.contains(nodes)
-    pts = nodes[ok]
-    if len(pts) == 0:
-        raise CoverageError("dilated inclusion contains no grid nodes")
-    keys = np.round((pts - lo) / step).astype(int)
-    flat = {(int(k[0]), int(k[1])): i for i, k in enumerate(keys)}
-
-    def nearest(p):
-        return int(np.argmin(np.linalg.norm(pts - p, axis=1)))
-
-    src, dst = nearest(start), nearest(end)
-    dist = np.full(len(pts), np.inf)
-    prev = -np.ones(len(pts), dtype=int)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    while heap:
-        d0, i = heapq.heappop(heap)
-        if i == dst:
-            break
-        if d0 > dist[i]:
-            continue
-        ki = keys[i]
-        for dx, dy in offsets:
-            j = flat.get((int(ki[0]) + dx, int(ki[1]) + dy))
-            if j is None:
-                continue
-            nd = d0 + math.hypot(dx, dy) * step
-            if nd < dist[j]:
-                dist[j] = nd
-                prev[j] = i
-                heapq.heappush(heap, (nd, j))
-    if not np.isfinite(dist[dst]):
-        raise CoverageError("no connected path inside the dilated inclusion")
-    node_path = [dst]
-    while node_path[-1] != src:
-        node_path.append(int(prev[node_path[-1]]))
-    mid = pts[node_path[::-1]]
-    return np.vstack([start, mid, end])
+    if not bool(region.contains(line).all()):
+        raise CoverageError(
+            f"chain path from x0 = ({start[0]:.4g}, {start[1]:.4g}) to cover "
+            f"point ({end[0]:.4g}, {end[1]:.4g}) leaves dilate(D, r1); "
+            "D must be convex")
+    return np.vstack([start, end])
 
 
 def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
@@ -477,7 +440,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     w = cands[region.signed_distance(cands) < r1]
 
     u_norm = math.sqrt(l2_norm_sq(u))
-    paths = [_chain_centers(_straight_or_grid_path(dtil, x0, wj, r1), r1)
+    paths = [_chain_centers(_straight_path(dtil, x0, wj, r1), r1)
              for wj in w]
     # the chains share balls (all start at x0): one integral per distinct
     # centre, all in one call, scattered back to the chains
@@ -503,8 +466,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
         bound_sq += (cert.accumulated_constant()
                      * m0 ** cert.accumulated_exponent()) ** 2
     bound_sq *= u_norm ** 2
-    direct_sq = grid_integrate(
-        lambda p: np.abs(_eval_field(u, p)) ** 2, region, n=420)
+    direct_sq = grid_integrate(_sq_sampler(u), region, n=420)
     delta = min((ch.accumulated_exponent() for ch in chains), default=1.0)
     area = scene.outer.area if hasattr(scene.outer, "area") else float("nan")
     return PropagationCertificate(
@@ -532,8 +494,7 @@ def scaling_identity_check(u, region, theta: float,
     n = 2  # spatial dimension
     scaled = ScaledRegion(region, theta)
     n_lhs = int(math.sqrt(n_target))
-    lhs = grid_integrate(lambda p: np.abs(_eval_field(u, p)) ** 2, scaled,
-                         n=n_lhs)
+    lhs = grid_integrate(_sq_sampler(u), scaled, n=n_lhs)
 
     def u_theta_sq(y):
         return np.abs(_eval_field(u, as_points(y) * theta) / theta ** 2) ** 2
@@ -562,10 +523,7 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
         sel = np.linspace(0, len(centers) - 1, max_centers).astype(int)
         centers = centers[sel]
     total = gradient_energy(u0)
-    dens_e = (np.abs(u0.gradient()) ** 2).sum(axis=1)
-    mesh = u0.mesh
-    ratios = _ball_sums(lambda p: dens_e[mesh.locate(p)], centers, a,
-                        n_grid) / total
+    ratios = _ball_sums(_grad_sq_sampler(u0), centers, a, n_grid) / total
     i_min = int(np.argmin(ratios))
     return {"c_a": float(ratios[i_min]), "argmin": tuple(centers[i_min]),
             "ratios": ratios, "centers": centers, "total_energy": total,
@@ -593,15 +551,12 @@ class _BoundaryShell:
 def boundary_layer(u0: Solution, a_values, n: int = 500) -> dict:
     """Gradient energy in the layer of depth a/4 and its fitted decay exponent."""
     omega = u0.mesh.scene.domain_region()
-    dens_e = (np.abs(u0.gradient()) ** 2).sum(axis=1)
-    mesh = u0.mesh
+    sample = _grad_sq_sampler(u0)
     a_values = np.asarray(sorted(a_values), dtype=float)
     energies = []
     for a in a_values:
         shell = _BoundaryShell(omega, a / 4.0)
-        val = grid_integrate(
-            lambda p: dens_e[mesh.locate(p)], shell, n=n)
-        energies.append(val)
+        energies.append(grid_integrate(sample, shell, n=n))
     energies = np.asarray(energies)
     good = energies > 0
     if good.sum() >= 2:

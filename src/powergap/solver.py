@@ -127,6 +127,10 @@ class Solution:
             self._grad = self.mesh.gradient_per_element(self.u)
         return self._grad
 
+    def gradient_density(self) -> np.ndarray:
+        """Per-element |grad u|^2, shape (m,)."""
+        return (np.abs(self.gradient()) ** 2).sum(axis=1)
+
     def mean_value(self) -> complex:
         return complex(self.mesh.node_mass() @ self.u)
 

@@ -99,6 +99,40 @@ class TestConfigParsing:
         assert code == EXIT_STRUCTURAL
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, checks, named", [
+        ("weights.kappa0", 0.5, None, "section 'weights'"),
+        ("weights.bogus", 1.0, None, "section 'weights'"),
+        ("background.lambda0", -1, None, "section 'background'"),
+        ("law.varrho", -1, None, "section 'law'"),
+        ("mesh.h", "x", None, "section 'mesh'"),
+        ("background", {"m_minus": 1.0}, None,
+         "section 'background': missing key 'm_plus'"),
+        ("boundary_data", [[1, "a", 0]], None, "section 'boundary_data'"),
+        ("three_ball.radii", [0.02, 0.1, 0.3], ["three_ball"],
+         "check 'three_ball'"),
+        ("three_ball.center", [0.9, 0], ["three_ball"], "check 'three_ball'"),
+        ("lipschitz_a", 0.5, ["lipschitz"], "check 'lipschitz'"),
+    ])
+    def test_out_of_range_value_named(self, tmp_path, capsys, path, value,
+                                      checks, named):
+        with open(CONFIGS / "one_phase_disk.json") as fh:
+            doc = json.load(fh)
+        doc["mesh"]["h"] = 0.08
+        doc["three_ball"] = {"center": [0.3, 0.2], "radii": [0.02, 0.06, 0.3]}
+        if checks is not None:
+            doc["checks"] = checks
+        *parents, key = path.split(".")
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_STRUCTURAL
+        assert named in capsys.readouterr().err
+
     def test_round_trip(self, fast_concentric):
         doc = json.loads(json.dumps(fast_concentric))
         cfg = parse_config(doc)
@@ -271,13 +305,54 @@ class TestSweep:
 
     def test_no_convergence_order_without_two_differences(
             self, fast_concentric):
-        # h = 0.1 twice gives equal w0 values, so there is no order to fit
+        # h = 0.1 three times gives equal w0 values, so there is no order
+        # to fit although the ratio is constant
         doc = json.loads(json.dumps(fast_concentric))
         doc["checks"] = ["energy"]
-        agg = sweep(parse_config(doc), "mesh.h", [0.1, 0.1, 0.08])
+        agg = sweep(parse_config(doc), "mesh.h", [0.1, 0.1, 0.1])
         assert [r["exit_code"] for r in agg["rows"]] == [EXIT_OK] * 3
         assert agg["rows"][0]["w0_re"] == agg["rows"][1]["w0_re"]
         assert "convergence_order_w0" not in agg
+
+    @pytest.mark.parametrize("values, order", [
+        ([0.08, 0.04, 0.02], 2.0),
+        ([0.08, 0.04, 0.01], None),
+    ])
+    def test_convergence_order_needs_constant_ratio(
+            self, fast_concentric, monkeypatch, values, order):
+        # w0 = 1 + h^2 exactly, so a constant ratio gives order 2
+        import powergap.cli as cli
+
+        def fake_one(doc, param, value, out_dir):
+            return {"value": value, "label": f"h{value:g}", "exit_code": 0,
+                    "report": {"power": {"w0_re": 1.0 + value ** 2}}}
+
+        monkeypatch.setattr(cli, "_sweep_one", fake_one)
+        agg = sweep(parse_config(fast_concentric), "mesh.h", values)
+        if order is None:
+            assert "convergence_order_w0" not in agg
+        else:
+            assert agg["convergence_order_w0"] == pytest.approx(order)
+
+    def test_sweep_seed_then_report_verbs(self, tmp_path, capsys,
+                                          fast_concentric):
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy", "bracket"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "mesh.h", "--values", "0.1,0.08", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        reports = sorted(out.glob("*.json"))
+        assert len(reports) == 2
+        for p in reports:
+            assert json.loads(p.read_text())["config"]["seed"] == 3
+        csv_path = tmp_path / "bracket.csv"
+        assert main(["report", *map(str, reports), "--kind", "bracket",
+                     "--out", str(csv_path)]) == EXIT_OK
+        assert "wrote 2 rows" in capsys.readouterr().out
+        assert len(csv_path.read_text().splitlines()) == 3
 
     def test_empty_values(self, fast_concentric):
         cfg = parse_config(fast_concentric)

@@ -16,12 +16,10 @@ from powergap import (
     build_regions,
     dilate,
     erode,
-    flatten,
     flattening_map,
     grid_integrate,
     max_region_radius,
     region_area,
-    unflatten,
     vitali_cover,
     z_value,
 )
@@ -144,14 +142,14 @@ class TestFlattening:
     def test_flat_graph_is_identity(self):
         m = FlatteningMap((0, 0), (1, 0), (0, 1), lambda x: 0.0 * x, 0.5, 1.0)
         pts = np.array([[0.1, 0.2], [-0.3, 0.05]])
-        assert np.allclose(flatten(m, pts), pts)
+        assert np.allclose(m.forward(pts), pts)
 
     def test_constant_shift(self):
         m = FlatteningMap((0, 0), (1, 0), (0, 1),
                           lambda x: 0.2 + 0.0 * x, 0.5, 1.0)
-        y = flatten(m, np.array([[0.1, 0.3]]))
+        y = m.forward(np.array([[0.1, 0.3]]))
         assert np.allclose(y, [[0.1, 0.1]])
-        assert np.allclose(unflatten(m, y), [[0.1, 0.3]])
+        assert np.allclose(m.inverse(y), [[0.1, 0.3]])
 
     def test_roundtrip_on_circle_chart(self, rng):
         circle = Circle((0.0, 0.0), 0.5)
@@ -159,14 +157,14 @@ class TestFlattening:
         pts = np.column_stack([rng.uniform(-0.29, 0.29, 10000),
                                rng.uniform(-0.2, 0.2, 10000)])
         world = m.from_frame(pts)
-        err = np.linalg.norm(unflatten(m, flatten(m, world)) - world, axis=1)
+        err = np.linalg.norm(m.inverse(m.forward(world)) - world, axis=1)
         assert err.max() < 1e-12
 
     def test_chart_range_error(self):
         circle = Circle((0.0, 0.0), 0.5)
         m = flattening_map(circle, 0.0, rho0=0.3, K0=4.0)
         with pytest.raises(ChartRangeError):
-            flatten(m, np.array([[0.5, 0.9]]))  # |x'| = 0.9 in frame coords
+            m.forward(np.array([[0.5, 0.9]]))  # |x'| = 0.9 in frame coords
 
     def test_circle_graph_matches_curve(self):
         circle = Circle((0.2, -0.1), 0.5)
@@ -194,7 +192,7 @@ class TestFlattening:
         ang = rng.uniform(0, 2 * np.pi, 20000)
         rad = r * np.sqrt(rng.random(20000))
         ball = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        assert reg.in_u2(flatten(m, ball)).all()
+        assert reg.in_u2(m.forward(ball)).all()
 
     def test_u3_pullback_in_ball_bound(self, twophase_scene, rng):
         reg = build_regions(WP, 0.4, 0.1, theta=0.09)
@@ -203,7 +201,7 @@ class TestFlattening:
         lo, hi = reg.flattened_bbox()
         pts = lo + rng.random((40000, 2)) * (hi - lo)
         pts = pts[reg.in_u3(pts)]
-        world = unflatten(m, pts)
+        world = m.inverse(pts)
         assert np.linalg.norm(world - m.anchor, axis=1).max() <= d
 
     def test_u1_separation_from_interface(self, twophase_scene, rng):
@@ -212,7 +210,7 @@ class TestFlattening:
         lo, hi = reg.flattened_bbox()
         pts = lo + rng.random((40000, 2)) * (hi - lo)
         pts = pts[reg.in_u1(pts)]
-        world = unflatten(m, pts)
+        world = m.inverse(pts)
         dist = np.abs(twophase_scene.interface.signed_distance(world))
         assert dist.min() > reg.separation_bound()
 

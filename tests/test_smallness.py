@@ -287,6 +287,25 @@ class TestChain:
             propagate_chain(disk_solution, Circle((0.5, 0), 0.1),
                             (0.0, 0.0), r=0.2, h=0.3)
 
+    def test_non_convex_inclusion_refused(self, disk_solution):
+        # an annulus: the segment from a seed on one side of the ring to
+        # its far side crosses the hole
+        class Annulus:
+            def signed_distance(self, points):
+                rad = np.linalg.norm(np.asarray(points, float), axis=1)
+                return np.maximum(rad - 0.6, 0.3 - rad)
+
+            def contains(self, points):
+                return self.signed_distance(points) < 0.0
+
+            def bbox(self):
+                return np.array([-0.6, -0.6]), np.array([0.6, 0.6])
+
+        with pytest.raises(CoverageError,
+                           match="chain path .* D must be convex"):
+            propagate_chain(disk_solution, Annulus(), (0.45, 0.0),
+                            r=0.1, h=0.6)
+
 
 class TestScalingIdentity:
     def test_theta_one_exact(self, disk_solution):
