@@ -352,9 +352,19 @@ def _three_region_stage(st: _Run) -> dict:
             else math.nan}
 
 
-def _three_ball_stage(st: _Run) -> dict:
-    tb = st.cfg.raw.get("three_ball", {"center": [0.3, 0.2],
+def _three_ball_inputs(cfg: ExperimentConfig) -> dict:
+    return cfg.raw.get("three_ball", {"center": [0.3, 0.2],
                                       "radii": [0.02, 0.06, 0.3]})
+
+
+def _three_ball_precheck(st: _Run):
+    tb = _three_ball_inputs(st.cfg)
+    smallness.three_ball_precondition(st.scene, st.background.lambda0,
+                                      tb["center"], *tb["radii"])
+
+
+def _three_ball_stage(st: _Run) -> dict:
+    tb = _three_ball_inputs(st.cfg)
     chk = smallness.check_three_ball(st.sol0, tb["center"], *tb["radii"])
     return {"constant": chk.constant, "margin": chk.margin,
             "tau": chk.params["tau"],
@@ -390,8 +400,16 @@ def _scaling_stage(st: _Run) -> dict:
     return res
 
 
+def _lipschitz_a(cfg: ExperimentConfig) -> float:
+    return float(cfg.raw.get("lipschitz_a", 0.1))
+
+
+def _lipschitz_precheck(st: _Run):
+    smallness.lipschitz_centers(st.scene, _lipschitz_a(st.cfg))
+
+
 def _lipschitz_stage(st: _Run) -> dict:
-    a = float(st.cfg.raw.get("lipschitz_a", 0.1))
+    a = _lipschitz_a(st.cfg)
     ls = smallness.lipschitz_smallness(st.sol0, a)
     return {"a": a, "c_a": ls["c_a"], "argmin": list(ls["argmin"])}
 
@@ -457,17 +475,25 @@ class _Stage(NamedTuple):
     fn: Optional[Callable]
     needs: tuple = ()
     key: str = "checks"
+    precheck: Optional[Callable] = None
+
+    def refusal(self, exc: ValueError) -> ConfigError:
+        """The error naming this stage for a value it cannot use."""
+        return ConfigError(f"{'stage' if self.always else 'check'} "
+                           f"'{self.name}': {exc}")
 
 
 def _stages() -> tuple:
     """The pipeline's stages, in run order.
 
     A stage runs always, or when named in `checks`, and then needs what
-    `needs` names in `_NEEDS`. `fn(run)` returns its report fragment, put
-    at checks.<name> for key "checks" and merged into the report for key
-    "". `bracket` has no stage; the energy stage reads it. Built per call,
-    so a stage function wrapped at run time (as perfbench/tracer.py does)
-    is the one that runs.
+    `needs` names in `_NEEDS`. `precheck(run)`, when given, raises
+    ValueError for inputs the stage would refuse; it reads only the config
+    and the scene, so `validate` calls it too. `fn(run)` returns its report
+    fragment, put at checks.<name> for key "checks" and merged into the
+    report for key "". `bracket` has no stage; the energy stage reads it.
+    Built per call, so a stage function wrapped at run time (as
+    perfbench/tracer.py does) is the one that runs.
     """
     return (
         _Stage("mesh", True, _mesh_stage, key=""),
@@ -477,10 +503,12 @@ def _stages() -> tuple:
         _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power"),
         _Stage("bracket", False, None, ("energy",)),
         _Stage("three_region", False, _three_region_stage, ("interface",)),
-        _Stage("three_ball", False, _three_ball_stage),
+        _Stage("three_ball", False, _three_ball_stage,
+               precheck=_three_ball_precheck),
         _Stage("chain", False, _chain_stage, ("inclusion", "chain")),
         _Stage("scaling", False, _scaling_stage),
-        _Stage("lipschitz", False, _lipschitz_stage),
+        _Stage("lipschitz", False, _lipschitz_stage,
+               precheck=_lipschitz_precheck),
         _Stage("boundary_layer", False, _boundary_layer_stage),
         _Stage("vitali", False, _vitali_stage, ("interface",)),
         _Stage("size", False, _size_stage, ("energy",), "size"),
@@ -504,8 +532,7 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
             fragment = stage.fn(st)
         except ValueError as exc:
             # a value the stage cannot use, e.g. a ball leaving the domain
-            raise ConfigError(f"{'stage' if stage.always else 'check'} "
-                              f"'{stage.name}': {exc}") from exc
+            raise stage.refusal(exc) from exc
         stage_times[stage.name] = time.perf_counter() - t0
         if stage.key == "checks":
             report["checks"][stage.name] = fragment
@@ -698,6 +725,12 @@ def emit_plot_data(reports, kind: str, path) -> list:
 def _cmd_validate(args) -> int:
     st = _Run(load_config(args.config))
     st.scene.validate()
+    for stage in _stages():
+        if stage.precheck is not None and stage.name in st.cfg.checks:
+            try:
+                stage.precheck(st)
+            except ValueError as exc:
+                raise stage.refusal(exc) from exc
     h = max(st.cfg.mesh_h, 0.05)
     st.mesh = build_mesh(st.scene, h)
     _admissibility_stage(st)

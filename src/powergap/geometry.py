@@ -361,13 +361,15 @@ def dilate(region, s: float):
     return _Offset(region, -s)
 
 
-def _grid_cells(region, n: int, bbox=None):
+def _grid_rule(region, n: int, bbox=None):
     """The antialiased n x n midpoint grid rule on a region's bounding box.
 
-    Returns (points, fractions, dx, dy) for the cells that touch the
-    region: each cell's covered fraction is estimated from the signed
-    distance at its midpoint, so the error decays like the square of the
-    cell size for smooth boundaries. An empty box gives no cells.
+    Returns (xs, ys, points, fractions, dx, dy): the cell-centre axes, every
+    cell's midpoint (row by row) and covered fraction, and the cell sides.
+    A cell's covered fraction is estimated from the signed distance at its
+    midpoint, so the error decays like the square of the cell size for
+    smooth boundaries; it is 0 for cells off the region. An empty box gives
+    no cells.
     """
     lo, hi = bbox if bbox is not None else region.bbox()
     lo = np.asarray(lo, dtype=float)
@@ -376,12 +378,19 @@ def _grid_cells(region, n: int, bbox=None):
     dx = (hi[0] - lo[0]) / nx
     dy = (hi[1] - lo[1]) / ny
     if dx <= 0 or dy <= 0:
-        return np.empty((0, 2)), np.empty(0), dx, dy
+        return np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0), dx, dy
     xs = lo[0] + dx * (np.arange(nx) + 0.5)
     ys = lo[1] + dy * (np.arange(ny) + 0.5)
     pts = np.column_stack([c.ravel() for c in np.meshgrid(xs, ys)])
     w = np.clip(0.5 - region.signed_distance(pts) / math.sqrt(dx * dy),
                 0.0, 1.0)
+    return xs, ys, pts, w, dx, dy
+
+
+def _grid_cells(region, n: int, bbox=None):
+    """(points, fractions, dx, dy) of the cells of `_grid_rule` that touch
+    the region."""
+    _, _, pts, w, dx, dy = _grid_rule(region, n, bbox)
     mask = w > 0
     # compress takes the rows several times faster than pts[mask]
     return pts.compress(mask, axis=0), w[mask], dx, dy

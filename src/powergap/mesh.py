@@ -134,6 +134,7 @@ class Mesh:
         self.diagnostics = diagnostics
         self._tri = delaunay
         self._centroid_tree = None
+        self._buckets = None
         self._boundary_quadrature = None
         p = points[triangles]
         e1 = p[:, 1] - p[:, 0]
@@ -230,6 +231,59 @@ class Mesh:
             idx = idx.copy()
             idx[miss] = near
         return idx
+
+    def elements_near(self, centers, half: float) -> tuple:
+        """Elements whose bounding boxes meet the square of half-width
+        `half` around each centre, as (centre, element) index pairs
+        grouped by centre, each centre's elements by cell, then number.
+
+        The elements are bucketed once per mesh on a grid of cells as wide
+        as the widest element, by the cell of their lower-left corner; a
+        square's candidates are then the elements of the cells from one
+        cell below and left of it to its upper-right corner, a contiguous
+        run of the bucketed elements per row of cells. Rounding may leave
+        out an element that only touches the square's edge.
+        """
+        if self._buckets is None:
+            lo, side = [], 0.0
+            for axis in (0, 1):
+                v = self.points[:, axis][self.triangles]
+                low = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
+                high = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
+                side = max(side, float((high - low).max()))
+                lo.append(low)
+            origin = np.array([low.min() for low in lo])
+            cell = [((low - o) / side).astype(np.intp)
+                    for low, o in zip(lo, origin)]
+            shape = np.array([c.max() + 1 for c in cell])
+            key = cell[1] * shape[0] + cell[0]
+            order = np.argsort(key, kind="stable")
+            starts = np.searchsorted(key[order], np.arange(shape.prod() + 1))
+            self._buckets = (origin, side, shape, order, starts)
+        origin, side, shape, order, starts = self._buckets
+        c = as_points(centers)
+        # cell ranges per centre, clipped to the grid
+        first = np.clip(np.floor((c - half - side - origin) / side), 0,
+                        shape - 1)
+        last = np.clip(np.floor((c + half - origin) / side), -1, shape - 1)
+        first, last = first.astype(np.intp), last.astype(np.intp)
+        n_rows = np.maximum(last[:, 1] - first[:, 1] + 1, 0)
+        n_rows[last[:, 0] < first[:, 0]] = 0
+        ball = np.repeat(np.arange(len(c)), n_rows)
+        row = np.arange(len(ball)) + np.repeat(
+            first[:, 1] - (np.cumsum(n_rows) - n_rows), n_rows)
+        run_lo = starts[row * shape[0] + first[ball, 0]]
+        run_n = starts[row * shape[0] + last[ball, 0] + 1] - run_lo
+        ball = np.repeat(ball, run_n)
+        elem = order[np.arange(len(ball)) + np.repeat(
+            run_lo - (np.cumsum(run_n) - run_n), run_n)]
+        p = self.points[self.triangles[elem]]
+        meets = ((np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+                  <= c[ball] + half)
+                 & (np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
+                    >= c[ball] - half))
+        meets = meets[:, 0] & meets[:, 1]
+        return ball[meets], elem[meets]
 
     def interpolate(self, nodal, points) -> np.ndarray:
         """P1 interpolation of a real or complex field, shape (n_nodes,), or

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .geometry import (
     CurveInterior,
     FlatteningMap,
     RegionTriple,
-    _grid_cells,
+    _grid_rule,
     as_points,
     dilate,
     erode,
@@ -39,9 +39,11 @@ __all__ = [
     "region_integrals",
     "check_three_region",
     "check_three_ball",
+    "three_ball_precondition",
     "three_ball_exponent",
     "propagate_chain",
     "scaling_identity_check",
+    "lipschitz_centers",
     "lipschitz_smallness",
     "boundary_layer",
     "l2_norm_sq",
@@ -73,6 +75,12 @@ def _grad_sq_sampler(sol: Solution):
     return lambda p: dens[mesh.locate(p)]
 
 
+# Ball stencil intervals per block of centres. A block's temporaries take
+# about 300 bytes an interval, about what one block of _SAMPLE_BLOCK
+# sampled points takes.
+_INTERVAL_BLOCK = _SAMPLE_BLOCK // 4
+
+
 def _rect_grid(lo, hi, n_target: int):
     """Midpoint grid with roughly n_target cells, aspect-adapted."""
     w = np.maximum(np.asarray(hi, float) - np.asarray(lo, float), 1e-12)
@@ -97,40 +105,254 @@ def gradient_energy(sol: Solution) -> float:
     return float(sol.gradient_density() @ sol.mesh.areas)
 
 
-def _ball_sums(sample, centers, radius: float, n_grid: int) -> np.ndarray:
-    """Integral of a sampled density over the disk around each centre.
+class _Stencil(NamedTuple):
+    """The ball stencil as full rows; see `_stencil_rows`."""
 
-    sample maps (p, 2) points to (p,) real values. One stencil serves every
-    centre: `grid_integrate`'s antialiased rule on the disk around the
-    origin, with n_grid x n_grid cells (at least 16). It is shifted to
-    blocks of about ``_SAMPLE_BLOCK`` points, so memory does not grow with
-    the number of centres, and each centre is summed by its own dot
-    product, so its value does not depend on its block.
+    xs: np.ndarray
+    ys: np.ndarray
+    dx: float
+    dy: float
+    weight: np.ndarray
+    prefix: np.ndarray
+    kept: int
+
+
+def _stencil_rows(radius: float, n_grid: int) -> _Stencil:
+    """The ball stencil as full rows, with per-row prefix sums.
+
+    The stencil is `grid_integrate`'s antialiased rule on the disk of
+    `radius` around the origin, n_grid x n_grid cells (at least 16).
+    Returns the column and row offsets xs (nx,) and ys (ny,), their
+    spacings dx, dy, the weights (ny, nx) times the cell area (0 for cells
+    the rule drops), and a table (ny * (nx + 1), 7) whose entry
+    j * (nx + 1) + i holds the sums over row j's first i columns of w,
+    w x and w x^2 (x the column offset), each as a rounded sum and its
+    rounding error, then the count of kept cells; and the number of kept
+    cells. The error terms keep a difference of two sums accurate to the
+    terms it spans.
     """
-    offsets, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
-                                     max(16, n_grid))
-    w = w * (dx * dy)
-    per = max(1, _SAMPLE_BLOCK // len(offsets))
-    out = np.empty(len(centers))
+    xs, ys, _, w, dx, dy = _grid_rule(Circle((0.0, 0.0), radius),
+                                      max(16, n_grid))
+    w = w.reshape(len(ys), len(xs))
+    weight = w * (dx * dy)
+    terms = np.stack([weight, weight * xs, weight * xs * xs])
+    sums = np.cumsum(terms, axis=2)
+    before = np.zeros_like(sums)
+    before[:, :, 1:] = sums[:, :, :-1]
+    # each step's exact rounding error (Knuth's two-sum), accumulated
+    added = sums - before
+    error = (before - (sums - added)) + (terms - added)
+    table = np.zeros((7, len(ys), len(xs) + 1))
+    table[:3, :, 1:] = sums
+    np.cumsum(error, axis=2, out=table[3:6, :, 1:])
+    np.cumsum(w > 0.0, axis=1, out=table[6, :, 1:])
+    prefix = np.ascontiguousarray(table.transpose(1, 2, 0))
+    return _Stencil(xs, ys, dx, dy, weight, prefix.reshape(-1, 7),
+                    int(np.count_nonzero(w)))
+
+
+def _count_below(axis, step: float, x) -> np.ndarray:
+    """Entries of a uniform ascending axis below each x: `searchsorted`,
+    from an estimate that rounding leaves off by at most one."""
+    n = len(axis)
+    i = np.clip(np.ceil((x - axis[0]) / step), 0, n).astype(np.intp)
+    padded = np.concatenate(([-np.inf], axis, [np.inf]))
+    i -= padded[i] >= x
+    i += padded[i + 1] < x
+    return i
+
+
+def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
+               gradient: bool = False) -> np.ndarray:
+    """Stencil sum of |u|^2, or of |grad u|^2, over the disk around each
+    centre, with no stencil point located.
+
+    The stencil is one set of rows (`_stencil_rows`). A P1 field is affine
+    on each element, so along one row inside one element u = A + B x, and
+    that interval adds |A|^2 S0 + 2 Re(conj(A) B) S1 + |B|^2 S2, where
+    S0, S1, S2 are the interval's sums of w, w x and w x^2: two prefix
+    lookups (|grad u|^2 adds the element's density times S0). u is
+    expanded about the element's first vertex and the prefix sums carry
+    their rounding errors, so the terms stay near the interval's sum; the
+    relative error grows like (|grad u| r / |u|)^2, to about 6e-14 for
+    independent nodal noise at r = 10 h.
+
+    A row's interval in an element runs between two edge crossings,
+    half-open in x and in y (the top-left rule of rasterization). Each
+    crossing is computed from the edge's nodes in node order, so the two
+    elements of an edge get the same bits; the intervals of a row then
+    tile the mesh's part of it, and every stencil point inside the mesh
+    is counted once. The other points lie outside the mesh (its convex
+    hull). Each centre's claimed kept cells are counted exactly; a centre
+    short of its count has the missing points of its rows sampled through
+    `Mesh.interpolate` or `Mesh.locate`, whose nearest-element extension
+    and `CoverageError` apply as to any point.
+
+    Centres are taken in blocks of about ``_INTERVAL_BLOCK`` intervals, so
+    memory does not grow with their number. Each centre's terms are
+    summed pairwise in an order of its own, so its value does not depend
+    on its block.
+    """
+    mesh = sol.mesh
+    stencil = _stencil_rows(radius, n_grid)
+    out = np.zeros(len(centers))
+    if not len(stencil.ys):
+        return out
+    dens = sol.gradient_density() if gradient else None
+    # rows times the elements one row crosses
+    per = max(1, int(_INTERVAL_BLOCK // (len(stencil.ys)
+                                         * (4.0 * radius / mesh.h + 3.0))))
     for start in range(0, len(centers), per):
         c = centers[start:start + per]
-        vals = sample((c[:, None, :] + offsets).reshape(-1, 2))
-        out[start:start + len(c)] = [row @ w for row in
-                                     vals.reshape(len(c), -1)]
+        ball, elem = mesh.elements_near(c, radius)
+        halves = _intervals(sol, dens, c, ball, elem, stencil)
+        sums = sum(_run_sums(h[0], h[1], len(c)) for h in halves)
+        claimed = sum(_run_sums(h[0], h[2], len(c)) for h in halves)
+        short = np.flatnonzero(claimed != stencil.kept)
+        if len(short):
+            sums = sums + _unclaimed_sums(sol, gradient, c, short, halves,
+                                          stencil)
+        out[start:start + len(c)] = sums
     return out
 
 
-def ball_l2_sq(u, center, radius: float, n_grid: int = 110):
+def _run_sums(ids, vals, n: int) -> np.ndarray:
+    """(n,) sums of vals over each run of equal ids (ids sorted), 0 for an
+    id without one. Each run is summed pairwise, as `np.sum` does, so its
+    sum depends on its own values only."""
+    out = np.zeros(n)
+    if len(ids):
+        start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        out[ids[start]] = np.add.reduceat(vals, start)
+    return out
+
+
+def _intervals(sol, dens, c, ball, elem, stencil) -> list:
+    """The (element, row) intervals of (centre, element) pairs; see
+    `_ball_sums`. dens is the per-element |grad u|^2, or None for |u|^2.
+
+    Returns two tuples of interval arrays, for the rows below and above
+    each element's middle vertex, sorted by centre: centre, moment sum,
+    kept cells, row, first column, end column.
+    """
+    mesh = sol.mesh
+    xs, ys, dx, dy, _, prefix, _ = stencil
+    tri = mesh.triangles[elem]
+    p = mesh.points[tri]
+    order = np.argsort(p[:, :, 1], axis=1, kind="stable")
+    vid = np.take_along_axis(tri, order, axis=1)  # bottom to top
+    v = np.take_along_axis(p, order[:, :, None], axis=1)
+    cx, cy = c[ball, 0], c[ball, 1]
+    rows = [_count_below(ys, dy, v[:, i, 1] - cy) for i in range(3)]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    # the long edge (bottom to top) lies left of the middle vertex
+    long_left = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0
+
+    def line(a, b):
+        """Edge a-b as x - cx = x0 + (y0 + row offset) s, from its
+        lower-numbered node; both elements of the edge get the same bits."""
+        first = (vid[:, a] < vid[:, b])[:, None]
+        p0 = np.where(first, v[:, a], v[:, b])
+        d = np.where(first, v[:, b], v[:, a]) - p0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a level edge has no rows of its own
+            return p0[:, 0] - cx, cy - p0[:, 1], d[:, 0] / d[:, 1]
+
+    long_edge = line(0, 2)
+    if dens is not None:
+        per_pair = [dens[elem]]
+    else:
+        # along a row, u = A + B (x - x_first) from the element's first
+        # vertex: A = u_first + gy (y - y_first), B = gx. Real and
+        # imaginary parts are kept apart, so every operation is
+        # elementwise real arithmetic.
+        grads = mesh.grads[elem]
+        nodal = sol.u[tri]
+        u_re, u_im = nodal.real, nodal.imag
+        gx_re, gx_im, gy_re, gy_im = (
+            part[:, 0] * grads[:, 0, d] + part[:, 1] * grads[:, 1, d]
+            + part[:, 2] * grads[:, 2, d]
+            for d in (0, 1) for part in (u_re, u_im))
+        per_pair = [p[:, 0, 0] - cx, cy - p[:, 0, 1], u_re[:, 0],
+                    u_im[:, 0], gy_re, gy_im, 2.0 * gx_re, 2.0 * gx_im,
+                    gx_re * gx_re + gx_im * gx_im]
+    halves = []
+    # rows below the middle vertex cross the short edge 0-1, the rest 1-2
+    for a, b in ((0, 1), (1, 2)):
+        short_edge = line(a, b)
+        left = [np.where(long_left, q, r)
+                for q, r in zip(long_edge, short_edge)]
+        right = [np.where(long_left, r, q)
+                 for q, r in zip(long_edge, short_edge)]
+        n_rows = rows[b] - rows[a]
+        k = np.repeat(np.arange(len(elem)), n_rows)
+        j = np.arange(len(k)) + np.repeat(
+            rows[a] - (np.cumsum(n_rows) - n_rows), n_rows)
+        yj = ys[j]
+        x0, y0, s = (q[k] for q in left)
+        il = _count_below(xs, dx, x0 + (y0 + yj) * s)
+        x0, y0, s = (q[k] for q in right)
+        ir = _count_below(xs, dx, x0 + (y0 + yj) * s)
+        base = j * (len(xs) + 1)
+        m = prefix.take(base + ir, axis=0) - prefix.take(base + il, axis=0)
+        s0 = m[:, 0] + m[:, 3]
+        if dens is not None:
+            val = per_pair[0][k] * s0
+        else:
+            x_first, y_off, a_re, a_im, gy_re, gy_im, b2_re, b2_im, bb = (
+                q[k] for q in per_pair)
+            dy_first = y_off + yj
+            a_re += gy_re * dy_first
+            a_im += gy_im * dy_first
+            # moments of x - x_first
+            s1 = m[:, 1] + m[:, 4]
+            s1_first = s1 - x_first * s0
+            s2_first = (m[:, 2] + m[:, 5]) - x_first * (s1 + s1_first)
+            val = ((a_re * a_re + a_im * a_im) * s0
+                   + (a_re * b2_re + a_im * b2_im) * s1_first
+                   + bb * s2_first)
+        halves.append((ball[k], val, m[:, 6], j, il, ir))
+    return halves
+
+
+def _unclaimed_sums(sol, gradient, c, short, halves, stencil) -> np.ndarray:
+    """Per-centre sums over the stencil points of the `short` centres that
+    no interval claims, sampled point by point.
+
+    A row's cover count is the running sum of +1 at each interval's first
+    column and -1 at its end: 1 inside the mesh and 0 outside it.
+    """
+    xs, ys, _, _, weight, _, _ = stencil
+    ny, nx = weight.shape
+    at = np.full(len(c), -1)
+    at[short] = np.arange(len(short))
+    cover = np.zeros((len(short) * ny, nx + 1), dtype=np.intp)
+    for b, _, _, j, il, ir in halves:
+        on = at[b] >= 0
+        line = at[b[on]] * ny + j[on]
+        np.add.at(cover, (line, il[on]), 1)
+        np.add.at(cover, (line, ir[on]), -1)
+    miss = (np.cumsum(cover[:, :nx], axis=1) == 0) & np.tile(weight > 0.0,
+                                                            (len(short), 1))
+    line, col = np.nonzero(miss)
+    ball, row = short[line // ny], line % ny
+    pts = np.column_stack([c[ball, 0] + xs[col], c[ball, 1] + ys[row]])
+    sample = _grad_sq_sampler(sol) if gradient else _sq_sampler(sol)
+    return _run_sums(ball, sample(pts) * weight[row, col], len(c))
+
+
+def ball_l2_sq(u: Solution, center, radius: float, n_grid: int = 110):
     """Integral of |u|^2 over the disk of `radius` around `center`.
 
     center is one point, giving a float, or an (N, 2) array of centres,
     giving (N,) integrals; each entry is bitwise the one-centre value. The
-    antialiased grid stencil is built once around the origin, and each ball
-    is summed as |u|^2 @ w over blocks of about ``_SAMPLE_BLOCK`` points
-    (see `_ball_sums`).
+    integral is `grid_integrate`'s antialiased rule on the disk, built once
+    around the origin; u being affine on each element, each ball is summed
+    from per-element moments of the stencil's rows, with no stencil point
+    located (see `_ball_sums`).
     """
     c = np.asarray(center, float)
-    sums = _ball_sums(_sq_sampler(u), c.reshape(-1, 2), radius, n_grid)
+    sums = _ball_sums(u, c.reshape(-1, 2), radius, n_grid)
     return float(sums[0]) if c.ndim == 1 else sums
 
 
@@ -229,7 +451,26 @@ def three_ball_exponent(r1: float, r2: float, r3: float, lambda0: float,
     return num / den
 
 
-def check_three_ball(u, center, r1: float, r2: float, r3: float,
+def three_ball_precondition(scene, lambda0: float, center, r1: float,
+                            r2: float, r3: float, s: float = 1.0,
+                            tau: Optional[float] = None) -> float:
+    """The exponent tau of a three-ball check, once its inputs pass.
+
+    Raises ValueError unless 0 < r1 < r2 < r3, the ball B_r3 lies inside
+    the domain and, when tau is not given, the radius ratios are in the
+    closed-form exponent's range. It needs only the scene and the
+    background's lambda0, so a config can be checked before any solve.
+    """
+    if not (0 < r1 < r2 < r3):
+        raise ValueError("radii must satisfy 0 < r1 < r2 < r3")
+    c = np.asarray(center, float)
+    if float(scene.outer.signed_distance(c)[0]) > -r3:
+        raise ValueError("ball B_r3 must stay inside the domain")
+    return three_ball_exponent(r1, r2, r3, lambda0, s) if tau is None \
+        else tau
+
+
+def check_three_ball(u: Solution, center, r1: float, r2: float, r3: float,
                      s: float = 1.0, tau: Optional[float] = None,
                      n_grid: int = 110,
                      zero_tol: float = 1e-14) -> InequalityCheck:
@@ -237,21 +478,15 @@ def check_three_ball(u, center, r1: float, r2: float, r3: float,
 
     tau comes from the closed-form exponent when the balls avoid the
     interface; near the interface a caller-configured tau is used and the
-    check is flagged as empirical.
+    check is flagged as empirical. The inputs must pass
+    `three_ball_precondition`.
     """
-    if not (0 < r1 < r2 < r3):
-        raise ValueError("radii must satisfy 0 < r1 < r2 < r3")
     c = np.asarray(center, float)
-    scene = u.mesh.scene if isinstance(u, Solution) else None
-    crosses = False
-    if scene is not None:
-        if float(scene.outer.signed_distance(c)[0]) > -r3:
-            raise ValueError("ball B_r3 must stay inside the domain")
-        if scene.interface is not None:
-            crosses = bool(abs(float(scene.interface.signed_distance(c)[0])) < r3)
-    lambda0 = u.background.lambda0 if isinstance(u, Solution) else 1.0
-    if tau is None:
-        tau = three_ball_exponent(r1, r2, r3, lambda0, s)
+    scene = u.mesh.scene
+    tau = three_ball_precondition(scene, u.background.lambda0, c, r1, r2, r3,
+                                  s, tau)
+    crosses = scene.interface is not None and bool(
+        abs(float(scene.interface.signed_distance(c)[0])) < r3)
     n1 = math.sqrt(ball_l2_sq(u, c, r1, n_grid))
     n2 = math.sqrt(ball_l2_sq(u, c, r2, n_grid))
     n3 = math.sqrt(ball_l2_sq(u, c, r3, n_grid))
@@ -504,10 +739,13 @@ def scaling_identity_check(u, region, theta: float,
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
-                        n_grid: int = 72) -> dict:
-    """Smallest ball-to-total gradient-energy ratio over centers in Omega_{4a}."""
-    scene = u0.mesh.scene
+def lipschitz_centers(scene, a: float, max_centers: int = 150) -> np.ndarray:
+    """Ball centres of `lipschitz_smallness`: a grid over the domain's box
+    kept inside Omega_{4a}, thinned evenly to at most max_centers.
+
+    Raises ValueError when Omega_{4a} holds none; it needs only the scene,
+    so a config can be checked before any solve.
+    """
     omega = scene.domain_region()
     inner = erode(omega, 4.0 * a)
     lo, hi = omega.bbox()
@@ -522,8 +760,21 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
     if len(centers) > max_centers:
         sel = np.linspace(0, len(centers) - 1, max_centers).astype(int)
         centers = centers[sel]
+    return centers
+
+
+def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
+                        n_grid: int = 72) -> dict:
+    """Smallest ball-to-total gradient-energy ratio over centers in Omega_{4a}.
+
+    The centres are `lipschitz_centers`. Each ball's energy is the stencil
+    sum of the per-element |grad u|^2 over the disk of radius a, from the
+    same stencil as `ball_l2_sq` and with no stencil point located (see
+    `_ball_sums`).
+    """
+    centers = lipschitz_centers(u0.mesh.scene, a, max_centers)
     total = gradient_energy(u0)
-    ratios = _ball_sums(_grad_sq_sampler(u0), centers, a, n_grid) / total
+    ratios = _ball_sums(u0, centers, a, n_grid, gradient=True) / total
     i_min = int(np.argmin(ratios))
     return {"c_a": float(ratios[i_min]), "argmin": tuple(centers[i_min]),
             "ratios": ratios, "centers": centers, "total_energy": total,

@@ -11,7 +11,8 @@ mass and stiffness matrices from an edge-by-edge loop. The FEM references,
 assembly but build the chiral problem as the full-mesh real 2x2 block
 matrix and factorize it directly instead of iterating on it. The 2x2
 eigenvalues and the symmetrizing transform are given in their LAPACK
-forms, against which the closed-form kernels are checked.
+forms, against which the closed-form kernels are checked. Ball integrals
+sample every point of the disk stencil, one by one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
-from powergap.geometry import _segment_distances
+from powergap.geometry import Circle, _grid_cells, _segment_distances
 from powergap.solver import (
     assemble_stiffness,
     boundary_load,
@@ -250,6 +251,28 @@ def barycentric_interpolate(mesh, nodal, points) -> np.ndarray:
     v = fields[mesh.triangles[idx]]
     out = v[:, 0] * b0 + v[:, 1] * b1 + v[:, 2] * (1.0 - (b0 + b1))
     return out.reshape(len(p), *nodal.shape[1:])
+
+
+def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
+                            gradient: bool = False) -> np.ndarray:
+    """Stencil sum of |u|^2, or of |grad u|^2, over the disk around each
+    centre, sampling every stencil point.
+
+    The stencil is `grid_integrate`'s antialiased rule on the disk around
+    the origin (n_grid cells a side, at least 16), shifted to each centre.
+    Each point is located and interpolated (`Solution.evaluate`), or takes
+    the |grad u|^2 of the element `Mesh.locate` gives it.
+    """
+    offsets, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
+                                     max(16, n_grid))
+    w = w * (dx * dy)
+    if gradient:
+        dens = sol.gradient_density()
+        sample = lambda p: dens[sol.mesh.locate(p)]
+    else:
+        sample = lambda p: np.abs(sol.evaluate(p)) ** 2
+    return np.array([sample(c + offsets) @ w
+                     for c in np.asarray(centers, float).reshape(-1, 2)])
 
 
 def min_angle_deg(mesh) -> float:

@@ -33,6 +33,24 @@ from powergap.scenarios import all_scenarios, scenario, size_family
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
+def _one_phase_config(tmp_path, path: str, value, checks) -> Path:
+    """one_phase_disk at h=0.08 with one field replaced, written to disk."""
+    with open(CONFIGS / "one_phase_disk.json") as fh:
+        doc = json.load(fh)
+    doc["mesh"]["h"] = 0.08
+    doc["three_ball"] = {"center": [0.3, 0.2], "radii": [0.02, 0.06, 0.3]}
+    if checks is not None:
+        doc["checks"] = checks
+    *parents, key = path.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    return cfg_path
+
+
 @pytest.fixture(scope="module")
 def fast_concentric():
     return scenario("concentric_disk", mesh={"h": 0.05},
@@ -115,23 +133,33 @@ class TestConfigParsing:
     ])
     def test_out_of_range_value_named(self, tmp_path, capsys, path, value,
                                       checks, named):
-        with open(CONFIGS / "one_phase_disk.json") as fh:
-            doc = json.load(fh)
-        doc["mesh"]["h"] = 0.08
-        doc["three_ball"] = {"center": [0.3, 0.2], "radii": [0.02, 0.06, 0.3]}
-        if checks is not None:
-            doc["checks"] = checks
-        *parents, key = path.split(".")
-        node = doc
-        for k in parents:
-            node = node[k]
-        node[key] = value
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path = _one_phase_config(tmp_path, path, value, checks)
         code = main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_STRUCTURAL
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, check", [
+        ("three_ball.radii", [0.02, 0.1, 0.3], "three_ball"),
+        ("three_ball.center", [0.9, 0], "three_ball"),
+        ("lipschitz_a", 0.5, "lipschitz"),
+    ])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, path,
+                                               value, check):
+        cfg_path = _one_phase_config(tmp_path, path, value, [check])
+        assert main(["validate", "--config", str(cfg_path)]) \
+            == EXIT_STRUCTURAL
+        refused = capsys.readouterr().err
+        assert refused.startswith(f"error: check '{check}': ")
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_STRUCTURAL
+        assert capsys.readouterr().err == refused
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in
+                                            CONFIGS.glob("*.json")))
+    def test_corpus_config_validates(self, name):
+        assert main(["validate", "--config",
+                     str(CONFIGS / f"{name}.json")]) == EXIT_OK
 
     def test_round_trip(self, fast_concentric):
         doc = json.loads(json.dumps(fast_concentric))

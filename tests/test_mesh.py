@@ -308,6 +308,27 @@ class TestPointLocation:
         assert rel.max() <= 1e-15
 
 
+class TestElementsNear:
+    @pytest.mark.parametrize("name, h", [("crossing_inclusion", 0.06),
+                                         ("curved_ellipse", 0.03)])
+    def test_every_box_meeting_the_square(self, name, h):
+        # against a brute-force test of every element's bounding box,
+        # for squares inside, across and outside the mesh
+        mesh = _config_mesh(name, h)
+        rng = np.random.default_rng(11)
+        centres = rng.uniform(-1.3, 1.3, (40, 2))
+        p = mesh.points[mesh.triangles]
+        lo, hi = p.min(axis=1), p.max(axis=1)
+        for half in (0.003, 0.05, 0.4):
+            ball, elem = mesh.elements_near(centres, half)
+            assert np.all(np.diff(ball) >= 0)
+            got = set(zip(ball, elem))
+            assert len(got) == len(ball)
+            meets = ((lo[None] <= centres[:, None] + half)
+                     & (hi[None] >= centres[:, None] - half)).all(axis=2)
+            assert got == set(zip(*np.nonzero(meets)))
+
+
 class TestAffineSampling:
     """`Mesh.interpolate` against the barycentric reference in oracles."""
 

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergap import (
     BackgroundTensor,
@@ -15,8 +18,10 @@ from powergap import (
     fourier_data,
 )
 from powergap.errors import CoverageError
-from powergap.mesh import Mesh, build_mesh
+from powergap.geometry import _grid_cells
+from powergap.mesh import Mesh, _Delaunay, build_mesh
 from powergap.smallness import (
+    _ball_sums,
     _chain_centers,
     ball_l2_sq,
     boundary_layer,
@@ -29,9 +34,9 @@ from powergap.smallness import (
     scaling_identity_check,
     three_ball_exponent,
 )
-from powergap.solver import BackgroundOperator
+from powergap.solver import BackgroundOperator, Solution
 
-from oracles import monte_carlo_integral
+from oracles import monte_carlo_integral, point_sampled_ball_sums
 
 WP = WeightParams(alpha_plus=2.0, alpha_minus=1.0, beta=0.1, delta=8.0,
                   kappa0=1.5, delta0=8.0, r0=8.0)
@@ -382,3 +387,170 @@ class TestGradientSmallness:
         assert total == pytest.approx(math.pi / 4, rel=5e-3)
         ball = ball_l2_sq(disk_solution, (0.0, 0.0), 0.3)
         assert ball == pytest.approx(math.pi * 0.3 ** 4 / 4, rel=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# Ball stencil sums against point sampling
+
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                           database=None)
+
+
+def _random_disk_mesh(seed: int) -> Mesh:
+    """Delaunay mesh of uniform random nodes in the unit disk and at random
+    angles on its rim: elements of every shape, slivers included, and an
+    irregular polygonal hull."""
+    rng = np.random.default_rng(seed)
+    rim = rng.uniform(0.0, 2.0 * math.pi, 110)
+    rad = np.sqrt(rng.uniform(0.0, 0.96, 900))
+    ang = rng.uniform(0.0, 2.0 * math.pi, 900)
+    pts = np.vstack([np.column_stack([np.cos(rim), np.sin(rim)]),
+                     np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])])
+    tri = _Delaunay(pts)
+    m = len(tri.simplices)
+    return Mesh(pts, tri.simplices, np.ones(m, dtype=np.int8),
+                np.zeros(m, dtype=bool), tri.convex_hull.copy(),
+                np.empty((0, 2), dtype=int), np.empty((0, 2), dtype=int),
+                math.sqrt(math.pi / 900), Scene(outer=Circle((0, 0), 1.0)),
+                tri, {})
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_mesh(which: int) -> Mesh:
+    """Two random Delaunay meshes and two lattice meshes of the unit disk."""
+    if which < 2:
+        return _random_disk_mesh(which)
+    return build_mesh(Scene(outer=Circle((0, 0), 1.0)),
+                      (0.04, 0.05)[which - 2])
+
+
+def _nodal_solution(mesh: Mesh, u) -> Solution:
+    """A Solution holding only a nodal field, for the samplers."""
+    return Solution(mesh=mesh, u=np.asarray(u, dtype=complex), g=None,
+                    background=None, law=None, multiplier=0j, residual=0.0,
+                    sigma_e=None, eps_e=None, zeta_e=None)
+
+
+def _rough_field(mesh: Mesh, seed: int) -> Solution:
+    """Independent complex normal values at every node: |grad u| ~ |u|/h,
+    so the moments of a ball of radius r carry terms (r/h)^2 larger than
+    their sum."""
+    rng = np.random.default_rng(seed)
+    return _nodal_solution(mesh, rng.normal(size=mesh.num_points)
+                           + 1j * rng.normal(size=mesh.num_points))
+
+
+@st.composite
+def _ball_cases(draw):
+    """(mesh, radius, n_grid, centres): a vertex, a point on an edge and
+    an edge midpoint, each with its whole ball inside the unit disk."""
+    mesh = _kernel_mesh(draw(st.integers(0, 3)))
+    radius = mesh.h * draw(st.floats(0.1, 12.0))
+    n_grid = draw(st.sampled_from([1, 16, 72, 96, 110]))
+    ok = np.flatnonzero(np.hypot(*mesh.points.T) <= 1.0 - radius)
+    pick = draw(st.lists(st.integers(0, 10 ** 6), min_size=3, max_size=3))
+    vertex = mesh.points[ok[pick[0] % len(ok)]]
+    tri = mesh.triangles[np.isin(mesh.triangles, ok).all(axis=1)]
+    t = draw(st.floats(0.0, 1.0))
+    edges = [tri[pick[i] % len(tri)][:2] for i in (1, 2)]
+    on_edge = (1.0 - t) * mesh.points[edges[0][0]] + t * mesh.points[
+        edges[0][1]]
+    midpoint = 0.5 * (mesh.points[edges[1][0]] + mesh.points[edges[1][1]])
+    return mesh, radius, n_grid, np.array([vertex, on_edge, midpoint])
+
+
+def _onto_vertices(mesh: Mesh, centres, radius: float, n_grid: int):
+    """Centres shifted so that a stencil point falls on the mesh vertex
+    nearest each centre (or within an ulp of it), and a row runs through
+    it; those whose ball stays inside the unit disk."""
+    offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), radius),
+                                   max(16, n_grid))
+    near = mesh.points[np.argmin(np.hypot(*(mesh.points[:, None]
+                                            - centres).T), axis=1)]
+    shifted = near - offsets[[0, len(offsets) // 2, -1]]
+    return shifted[np.hypot(*shifted.T) <= 1.0 - radius]
+
+
+class TestBallKernel:
+    @KERNEL_SETTINGS
+    @given(case=_ball_cases(), gradient=st.booleans())
+    def test_matches_point_sampling(self, case, gradient):
+        mesh, radius, n_grid, centres = case
+        sol = _rough_field(mesh, 5)
+        want = point_sampled_ball_sums(sol, centres, radius, n_grid,
+                                       gradient)
+        got = _ball_sums(sol, centres, radius, n_grid, gradient)
+        assert np.abs(got - want).max() <= 1e-12 * want.min()
+        for i, c in enumerate(centres):
+            assert _ball_sums(sol, c[None], radius, n_grid,
+                              gradient)[0] == got[i]
+
+    @KERNEL_SETTINGS
+    @given(case=_ball_cases())
+    def test_stencil_point_on_a_vertex(self, case):
+        # |u|^2 is continuous, so the element that claims a stencil point
+        # on a vertex or an edge does not change the sum
+        mesh, radius, n_grid, centres = case
+        shifted = _onto_vertices(mesh, centres, radius, n_grid)
+        if not len(shifted):
+            return
+        sol = _rough_field(mesh, 6)
+        want = point_sampled_ball_sums(sol, shifted, radius, n_grid)
+        got = _ball_sums(sol, shifted, radius, n_grid)
+        assert np.abs(got - want).max() <= 1e-12 * want.min()
+
+    @KERNEL_SETTINGS
+    @given(case=_ball_cases())
+    def test_unit_field_sums_the_weights(self, case):
+        # every stencil point counted once: u = 1 gives the weight sum
+        mesh, radius, n_grid, centres = case
+        centres = np.vstack([centres, _onto_vertices(mesh, centres, radius,
+                                                     n_grid)])
+        _, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
+                                   max(16, n_grid))
+        total = math.fsum(w * (dx * dy))
+        got = _ball_sums(_nodal_solution(mesh, np.ones(mesh.num_points)),
+                         centres, radius, n_grid)
+        assert np.abs(got - total).max() <= 1e-15 * total
+
+    def test_count_below_is_searchsorted(self):
+        from powergap.smallness import _count_below, _stencil_rows
+        rng = np.random.default_rng(3)
+        for radius, n_grid in ((0.013, 16), (0.3, 110), (1e-4, 96)):
+            stencil = _stencil_rows(radius, n_grid)
+            axis, step = stencil.xs, stencil.dx
+            x = np.concatenate([axis, np.nextafter(axis, -1.0),
+                                np.nextafter(axis, 1.0),
+                                rng.uniform(-2 * radius, 2 * radius, 1000)])
+            assert np.array_equal(_count_below(axis, step, x),
+                                  np.searchsorted(axis, x))
+
+    def test_three_ball_past_the_hull(self, identity_background, cos_data):
+        # B_r3 touches the unit circle midway between two rim nodes, so it
+        # pokes past the inscribed polygon, which the stencil samples by
+        # the mesh's nearest-element extension
+        mesh = build_mesh(Scene(outer=Circle((0.0, 0.0), 1.0)), 0.15)
+        sol = BackgroundOperator(mesh, identity_background).solve(cos_data)
+        rim = mesh.points[mesh.boundary_loop()[:2]]
+        mid = rim.mean(axis=0)
+        r1, r2, r3 = 0.02, 0.06, 0.3
+        centre = mid / np.linalg.norm(mid) * (1.0 - r3 - 1e-12)
+        offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), r3), 110)
+        assert (mesh._tri.find_simplex(centre + offsets) < 0).any()
+        chk = check_three_ball(sol, centre, r1, r2, r3)
+        want = point_sampled_ball_sums(sol, centre, r3, 110)[0]
+        assert chk.large_factor == pytest.approx(want, rel=1e-12)
+        assert _ball_sums(sol, centre[None], r3, 110, gradient=True)[0] \
+            == pytest.approx(point_sampled_ball_sums(
+                sol, centre, r3, 110, gradient=True)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_ball_beyond_the_extension_raises(self, disk_solution, gradient):
+        # stencil points more than 4h past the mesh, as point sampling
+        centre, radius = np.array([[0.9, 0.0]]), 0.35
+        with pytest.raises(CoverageError):
+            point_sampled_ball_sums(disk_solution, centre, radius, 96,
+                                    gradient)
+        with pytest.raises(CoverageError):
+            _ball_sums(disk_solution, centre, radius, 96, gradient)
