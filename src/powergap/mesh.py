@@ -26,6 +26,11 @@ __all__ = ["Mesh", "build_mesh"]
 # Points sampled per locate in Mesh.interpolate; bounds its temporaries.
 _SAMPLE_BLOCK = 65_536
 
+# Barycentric margin inside which `Mesh.grid_owners` leaves a point to
+# `locate`. It is far above the 100 * DBL_EPSILON tolerance of scipy's
+# `find_simplex`, so each point the raster places has one candidate element.
+_RASTER_TOL = 1e-9
+
 # Largest estimated node count build_mesh accepts: about 8x the 64 616
 # nodes of the unit disk at h = 0.0075, where one run peaks near 380 MB.
 _MAX_NODES = 520_000
@@ -33,6 +38,17 @@ _MAX_NODES = 520_000
 # 3-point Gauss on [0, 1] for boundary edge quadrature
 _EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+def _count_below(axis, step: float, x) -> np.ndarray:
+    """Entries of a uniform ascending axis below each x: `searchsorted`,
+    from an estimate that rounding leaves off by at most one."""
+    n = len(axis)
+    i = np.clip(np.ceil((x - axis[0]) / step), 0, n).astype(np.intp)
+    padded = np.concatenate(([-np.inf], axis, [np.inf]))
+    i -= padded[i] >= x
+    i += padded[i + 1] < x
+    return i
 
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> np.ndarray:
@@ -232,10 +248,11 @@ class Mesh:
             idx[miss] = near
         return idx
 
-    def elements_near(self, centers, half: float) -> tuple:
+    def elements_near(self, centers, half) -> tuple:
         """Elements whose bounding boxes meet the square of half-width
-        `half` around each centre, as (centre, element) index pairs
-        grouped by centre, each centre's elements by cell, then number.
+        `half` around each centre (a rectangle when `half` gives x and y
+        half-widths), as (centre, element) index pairs grouped by centre,
+        each centre's elements by cell, then number.
 
         The elements are bucketed once per mesh on a grid of cells as wide
         as the widest element, by the cell of their lower-left corner; a
@@ -285,12 +302,174 @@ class Mesh:
         meets = meets[:, 0] & meets[:, 1]
         return ball[meets], elem[meets]
 
-    def interpolate(self, nodal, points) -> np.ndarray:
+    def row_spans(self, elem, cx, cy, xs, ys, dx: float, dy: float,
+                  tol=None) -> list:
+        """Column spans of elements on the rows of a uniform grid.
+
+        Pair q lays element elem[q] on the grid of points (cx[q] + xs[i],
+        cy[q] + ys[j]) (cx, cy may also be scalars); xs and ys are uniform
+        ascending axes of steps dx and dy. A row's span in an element runs
+        between two edge crossings, half-open in x and in y (the top-left
+        rule of rasterization). Each crossing is computed from the edge's
+        nodes in node order, so the two elements of an edge get the same
+        bits; the spans of a row then tile the mesh's part of it.
+
+        Returns two tuples of arrays, for the rows below and above each
+        element's middle vertex: pair, row, first column, end column. With
+        a barycentric margin `tol`, a span keeps only the points more than
+        `tol` inside its element: those at least tol * 2A / |rise| in x
+        from both crossings (A the element's area, rise the edge's extent
+        in y; barycentric coordinates are affine along the row), on a row
+        more than tol * height from the middle vertex.
+        """
+        tri = self.triangles[elem]
+        p = self.points[tri]
+        order = np.argsort(p[:, :, 1], axis=1, kind="stable")
+        vid = np.take_along_axis(tri, order, axis=1)  # bottom to top
+        v = np.take_along_axis(p, order[:, :, None], axis=1)
+        at = [_count_below(ys, dy, v[:, i, 1] - cy) for i in range(3)]
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # the long edge (bottom to top) lies left of the middle vertex
+        long_left = twice_area > 0.0
+
+        def line(a, b):
+            """Edge a-b as x - cx = x0 + (y0 + row offset) s, from its
+            lower-numbered node, and its rise."""
+            first = (vid[:, a] < vid[:, b])[:, None]
+            p0 = np.where(first, v[:, a], v[:, b])
+            d = np.where(first, v[:, b], v[:, a]) - p0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a level edge has no rows of its own
+                return p0[:, 0] - cx, cy - p0[:, 1], d[:, 0] / d[:, 1], d[:, 1]
+
+        long_edge = line(0, 2)
+        halves = []
+        # rows below the middle vertex cross the short edge 0-1, the rest 1-2
+        for a, b in ((0, 1), (1, 2)):
+            short_edge = line(a, b)
+            left = [np.where(long_left, q, r)
+                    for q, r in zip(long_edge, short_edge)]
+            right = [np.where(long_left, r, q)
+                     for q, r in zip(long_edge, short_edge)]
+            n_rows = at[b] - at[a]
+            k = np.repeat(np.arange(len(elem)), n_rows)
+            j = np.arange(len(k)) + np.repeat(
+                at[a] - (np.cumsum(n_rows) - n_rows), n_rows)
+            yj = ys[j]
+            x0, y0, s = (q[k] for q in left[:3])
+            xl = x0 + (y0 + yj) * s
+            x0, y0, s = (q[k] for q in right[:3])
+            xr = x0 + (y0 + yj) * s
+            if tol is None:
+                halves.append((k, j, _count_below(xs, dx, xl),
+                               _count_below(xs, dx, xr)))
+                continue
+            margin = tol * np.abs(twice_area[k])
+            il = _count_below(xs, dx, xl + margin / np.abs(left[3][k]))
+            ir = _count_below(xs, dx, xr - margin / np.abs(right[3][k]))
+            near = np.abs(yj - (v[:, 1, 1] - cy)[k]) \
+                <= tol * (v[:, 2, 1] - v[:, 0, 1])[k]
+            halves.append((k, j, il, np.where(near, il, np.maximum(ir, il))))
+        return halves
+
+    def grid_owners(self, xs, ys) -> np.ndarray:
+        """The element of each cell of a grid that the raster places, -1
+        for a cell it leaves to `locate`: (ny * nx,) int32, row by row, for
+        the points (xs[i], ys[j]) of uniform ascending axes.
+
+        A point more than ``_RASTER_TOL`` inside an element (in barycentric
+        terms) is placed from `row_spans`: there scipy's walk has one
+        answer. Points outside the mesh and points on or next to an edge
+        are left. The elements that meet the grid's box are rasterized
+        about ``_SAMPLE_BLOCK // 4`` rows at a time, and the spans become
+        the owners by one `np.repeat` over the spans and the gaps between
+        them.
+        """
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        nx, ny = len(xs), len(ys)
+        dx = (xs[-1] - xs[0]) / (nx - 1) if nx > 1 else 1.0
+        dy = (ys[-1] - ys[0]) / (ny - 1) if ny > 1 else 1.0
+        elem = self.elements_near(
+            [0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1])],
+            np.array([0.5 * (xs[-1] - xs[0]), 0.5 * (ys[-1] - ys[0])]))[1]
+        v = self.points[:, 1][self.triangles[elem]]
+        n_rows = _count_below(ys, dy, np.maximum(np.maximum(v[:, 0], v[:, 1]),
+                                                 v[:, 2])) \
+            - _count_below(ys, dy, np.minimum(np.minimum(v[:, 0], v[:, 1]),
+                                              v[:, 2]))
+        rows = _SAMPLE_BLOCK // 4
+        total = np.cumsum(n_rows)
+        cuts = np.searchsorted(total, np.arange(rows, total[-1], rows)) \
+            if len(total) else []
+        # an empty span at the grid's end closes the last gap
+        first, size, owner = [[ny * nx]], [[0]], [np.array([-1], np.int32)]
+        for part in np.split(elem, cuts):
+            if not len(part):
+                continue
+            for k, j, il, ir in self.row_spans(part, 0.0, 0.0, xs, ys, dx,
+                                               dy, _RASTER_TOL):
+                some = ir > il
+                first.append(j[some] * nx + il[some])
+                size.append((ir - il)[some])
+                owner.append(part[k[some]].astype(np.int32))
+        # the spans in grid order, each after the unowned gap before it
+        first = np.concatenate(first)
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        size = np.concatenate(size)[order]
+        gap = first - np.r_[0, (first + size)[:-1]]
+        runs = np.column_stack([np.full(len(first), -1, np.int32),
+                                np.concatenate(owner)[order]])
+        return np.repeat(runs.ravel(), np.column_stack([gap, size]).ravel())
+
+    def locate_grid(self, xs, ys, cells, block=None,
+                    owners=None) -> np.ndarray:
+        """Element per point of a grid: the points (xs[i], ys[j]) of the
+        True entries of the (ny, nx) mask `cells`, row by row, as `locate`
+        gives them when called on those points in blocks of `block` (in one
+        call when None). xs and ys are uniform ascending axes.
+
+        The raster's `grid_owners` (computed when not given) places most
+        points. The others go to `locate`, each run of them behind the
+        point before it in its block: that point's walk ends in its one
+        element, so each run's walk starts where it started in the blocked
+        call, and its answer, the nearest-element extension and the
+        `CoverageError` stay the same.
+        """
+        if owners is None:
+            owners = self.grid_owners(xs, ys)
+        out = owners[cells.ravel()].astype(np.intp)
+        miss = np.flatnonzero(out < 0)
+        if not len(miss):
+            return out
+        size = len(out) if block is None else block
+        starts = miss[np.r_[True, miss[1:] != miss[:-1] + 1]]
+        # a run that does not open its block follows the placed point
+        # before it, which leaves the walk in that point's element
+        lead = starts[starts % size != 0] - 1
+        query = np.sort(np.concatenate([miss, lead]))
+        at = np.flatnonzero(cells)[query]
+        nx = cells.shape[1]
+        points = np.column_stack([xs[at % nx], ys[at // nx]])
+        cut = np.searchsorted(query // size,
+                              np.arange(query[0] // size,
+                                        query[-1] // size + 2))
+        for a, b in zip(cut[:-1], cut[1:]):
+            if a < b:
+                idx = self.locate(points[a:b])
+                q = query[a:b]
+                out[q] = np.where(out[q] < 0, idx, out[q])
+        return out
+
+    def interpolate(self, nodal, points, elements=None) -> np.ndarray:
         """P1 interpolation of a real or complex field, shape (n_nodes,), or
         of k fields, shape (n_nodes, k), at points; gives (p,) or (p, k).
 
         One locate per point, blocked: each block of ``_SAMPLE_BLOCK //
-        k`` points is located once. Per column, a transient affine table
+        k`` points is located once, unless `elements` gives each point's
+        element (as `locate` or `locate_grid` does). Per column, a
+        transient affine table
         u = c0 + gx dx + gy dy (from `grads`, in the fields' own dtype) is
         built over only the elements the block lands in, where (dx, dy) is
         the point's offset from its element's first vertex and c0 the value
@@ -309,7 +488,8 @@ class Mesh:
         row = np.empty(self.num_triangles, dtype=np.intp)
         for start in range(0, len(p), block):
             q = p[start:start + block]
-            idx = self.locate(q)
+            idx = self.locate(q) if elements is None \
+                else elements[start:start + len(q)]
             mark[idx] = True
             touched = np.flatnonzero(mark)
             mark[touched] = False
@@ -317,7 +497,9 @@ class Mesh:
             at = row[idx]
             tri = self.triangles[touched]
             g = self.grads[touched]
-            dx, dy = (q - self.points[tri[:, 0]][at]).T.copy()
+            first = self.points[tri[:, 0]]
+            dx = q[:, 0] - first[:, 0][at]
+            dy = q[:, 1] - first[:, 1][at]
             for j in range(k):
                 v = fields[tri, j]
                 gx = v[:, 0] * g[:, 0, 0] + v[:, 1] * g[:, 1, 0] \
@@ -326,7 +508,7 @@ class Mesh:
                     + v[:, 2] * g[:, 2, 1]
                 u = gx[at]
                 u *= dx
-                u += v[at, 0]
+                u += v[:, 0][at]
                 uy = gy[at]
                 uy *= dy
                 u += uy
@@ -485,9 +667,15 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
         ends = pts[interface_edges.ravel()]
         diagnostics["interface_node_dist"] = float(
             np.abs(scene.interface.signed_distance(ends)).max())
-        # count elements whose vertices strictly straddle the interface
+        # count elements whose vertices strictly straddle the interface.
+        # The curve's nodes may sit slightly off the zero set of its signed
+        # distance (an ellipse places them on a 4096-chord polyline and
+        # measures to an inscribed 2048-gon), so a vertex within twice the
+        # largest such offset counts as on the curve.
         sd = scene.interface.signed_distance(pts)
-        tol = 1e-7 * extent
+        on_curve = float(np.abs(scene.interface.signed_distance(
+            sigma_nodes)).max())
+        tol = max(1e-7 * extent, 2.0 * on_curve)
         vmin = sd[triangles].min(axis=1)
         vmax = sd[triangles].max(axis=1)
         diagnostics["straddling_triangles"] = int(

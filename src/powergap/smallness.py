@@ -22,6 +22,7 @@ from .geometry import (
     CurveInterior,
     FlatteningMap,
     RegionTriple,
+    _cell_points,
     _grid_rule,
     as_points,
     dilate,
@@ -64,15 +65,79 @@ def _eval_field(u, points) -> np.ndarray:
     return np.asarray(u.evaluate(points), dtype=complex)
 
 
-def _sq_sampler(u):
-    """Sampler p -> |u(p)|^2 of a callable, Solution or family."""
-    return lambda p: np.abs(_eval_field(u, p)) ** 2
+class _FieldSampler:
+    """Sampler p -> |u(theta p) / theta^2|^2 (theta = 1 when None), or
+    p -> |grad u|^2 on the element holding p, of a Solution.
+
+    Called on points, it locates and interpolates them as
+    `Solution.evaluate` and `Mesh.locate` do. `grid_integrate` hands
+    `on_grid` the grid's cells instead: `Mesh.locate_grid` gives them the
+    elements `locate` would in the same blocks, so the values are bitwise
+    those of the point path with only the points off the raster located.
+    """
+
+    def __init__(self, sol: Solution, gradient: bool = False,
+                 theta: Optional[float] = None):
+        self.sol, self.gradient, self.theta = sol, gradient, theta
+        self._dens = sol.gradient_density() if gradient else None
+        # the raster of the last grid, kept for the next call on it
+        self._grid = None
+
+    def __call__(self, points) -> np.ndarray:
+        p = as_points(points)
+        if self.gradient:
+            return self._dens[self.sol.mesh.locate(p)]
+        return self._finish(self.sol.evaluate(
+            p if self.theta is None else p * self.theta))
+
+    def on_grid(self, xs, ys, cells) -> np.ndarray:
+        if self.theta is not None:
+            xs, ys = xs * self.theta, ys * self.theta
+        mesh = self.sol.mesh
+        key = (xs.tobytes(), ys.tobytes())
+        if self._grid is None or self._grid[0] != key:
+            self._grid = (key, mesh.grid_owners(xs, ys))
+        # |grad u|^2 is located in one call, u in interpolate's blocks
+        elements = mesh.locate_grid(
+            xs, ys, cells, None if self.gradient else _SAMPLE_BLOCK,
+            self._grid[1])
+        if self.gradient:
+            return self._dens[elements]
+        # interpolated a band of about _SAMPLE_BLOCK cells at a time
+        out = np.empty(len(elements))
+        band = max(1, _SAMPLE_BLOCK // len(xs))
+        done = 0
+        for r0 in range(0, len(ys), band):
+            part = cells[r0:r0 + band]
+            points = _cell_points(xs, ys[r0:r0 + band], part)
+            end = done + len(points)
+            out[done:end] = self._finish(mesh.interpolate(
+                self.sol.u, points, elements[done:end]))
+            done = end
+        return out
+
+    def _finish(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        if self.theta is not None:
+            u = u / self.theta ** 2
+        return np.abs(u) ** 2
+
+
+def _sq_sampler(u, theta: Optional[float] = None):
+    """Sampler p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None)
+    of a callable, Solution or family; a Solution's also serves grids
+    (`_FieldSampler`)."""
+    if isinstance(u, Solution):
+        return _FieldSampler(u, theta=theta)
+    if theta is None:
+        return lambda p: np.abs(_eval_field(u, p)) ** 2
+    return lambda p: np.abs(
+        _eval_field(u, as_points(p) * theta) / theta ** 2) ** 2
 
 
 def _grad_sq_sampler(sol: Solution):
     """Sampler p -> |grad u|^2 on the element holding p."""
-    dens, mesh = sol.gradient_density(), sol.mesh
-    return lambda p: dens[mesh.locate(p)]
+    return _FieldSampler(sol, gradient=True)
 
 
 # Ball stencil intervals per block of centres. A block's temporaries take
@@ -131,9 +196,8 @@ def _stencil_rows(radius: float, n_grid: int) -> _Stencil:
     cells. The error terms keep a difference of two sums accurate to the
     terms it spans.
     """
-    xs, ys, _, w, dx, dy = _grid_rule(Circle((0.0, 0.0), radius),
-                                      max(16, n_grid))
-    w = w.reshape(len(ys), len(xs))
+    xs, ys, w, dx, dy = _grid_rule(Circle((0.0, 0.0), radius),
+                                   max(16, n_grid))
     weight = w * (dx * dy)
     terms = np.stack([weight, weight * xs, weight * xs * xs])
     sums = np.cumsum(terms, axis=2)
@@ -149,17 +213,6 @@ def _stencil_rows(radius: float, n_grid: int) -> _Stencil:
     prefix = np.ascontiguousarray(table.transpose(1, 2, 0))
     return _Stencil(xs, ys, dx, dy, weight, prefix.reshape(-1, 7),
                     int(np.count_nonzero(w)))
-
-
-def _count_below(axis, step: float, x) -> np.ndarray:
-    """Entries of a uniform ascending axis below each x: `searchsorted`,
-    from an estimate that rounding leaves off by at most one."""
-    n = len(axis)
-    i = np.clip(np.ceil((x - axis[0]) / step), 0, n).astype(np.intp)
-    padded = np.concatenate(([-np.inf], axis, [np.inf]))
-    i -= padded[i] >= x
-    i += padded[i + 1] < x
-    return i
 
 
 def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
@@ -232,33 +285,12 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
     `_ball_sums`. dens is the per-element |grad u|^2, or None for |u|^2.
 
     Returns two tuples of interval arrays, for the rows below and above
-    each element's middle vertex, sorted by centre: centre, moment sum,
-    kept cells, row, first column, end column.
+    each element's middle vertex (`Mesh.row_spans`), sorted by centre:
+    centre, moment sum, kept cells, row, first column, end column.
     """
     mesh = sol.mesh
     xs, ys, dx, dy, _, prefix, _ = stencil
-    tri = mesh.triangles[elem]
-    p = mesh.points[tri]
-    order = np.argsort(p[:, :, 1], axis=1, kind="stable")
-    vid = np.take_along_axis(tri, order, axis=1)  # bottom to top
-    v = np.take_along_axis(p, order[:, :, None], axis=1)
     cx, cy = c[ball, 0], c[ball, 1]
-    rows = [_count_below(ys, dy, v[:, i, 1] - cy) for i in range(3)]
-    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    # the long edge (bottom to top) lies left of the middle vertex
-    long_left = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0
-
-    def line(a, b):
-        """Edge a-b as x - cx = x0 + (y0 + row offset) s, from its
-        lower-numbered node; both elements of the edge get the same bits."""
-        first = (vid[:, a] < vid[:, b])[:, None]
-        p0 = np.where(first, v[:, a], v[:, b])
-        d = np.where(first, v[:, b], v[:, a]) - p0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a level edge has no rows of its own
-            return p0[:, 0] - cx, cy - p0[:, 1], d[:, 0] / d[:, 1]
-
-    long_edge = line(0, 2)
     if dens is not None:
         per_pair = [dens[elem]]
     else:
@@ -266,6 +298,8 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
         # vertex: A = u_first + gy (y - y_first), B = gx. Real and
         # imaginary parts are kept apart, so every operation is
         # elementwise real arithmetic.
+        tri = mesh.triangles[elem]
+        p = mesh.points[tri[:, 0]]
         grads = mesh.grads[elem]
         nodal = sol.u[tri]
         u_re, u_im = nodal.real, nodal.imag
@@ -273,26 +307,11 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
             part[:, 0] * grads[:, 0, d] + part[:, 1] * grads[:, 1, d]
             + part[:, 2] * grads[:, 2, d]
             for d in (0, 1) for part in (u_re, u_im))
-        per_pair = [p[:, 0, 0] - cx, cy - p[:, 0, 1], u_re[:, 0],
+        per_pair = [p[:, 0] - cx, cy - p[:, 1], u_re[:, 0],
                     u_im[:, 0], gy_re, gy_im, 2.0 * gx_re, 2.0 * gx_im,
                     gx_re * gx_re + gx_im * gx_im]
     halves = []
-    # rows below the middle vertex cross the short edge 0-1, the rest 1-2
-    for a, b in ((0, 1), (1, 2)):
-        short_edge = line(a, b)
-        left = [np.where(long_left, q, r)
-                for q, r in zip(long_edge, short_edge)]
-        right = [np.where(long_left, r, q)
-                 for q, r in zip(long_edge, short_edge)]
-        n_rows = rows[b] - rows[a]
-        k = np.repeat(np.arange(len(elem)), n_rows)
-        j = np.arange(len(k)) + np.repeat(
-            rows[a] - (np.cumsum(n_rows) - n_rows), n_rows)
-        yj = ys[j]
-        x0, y0, s = (q[k] for q in left)
-        il = _count_below(xs, dx, x0 + (y0 + yj) * s)
-        x0, y0, s = (q[k] for q in right)
-        ir = _count_below(xs, dx, x0 + (y0 + yj) * s)
+    for k, j, il, ir in mesh.row_spans(elem, cx, cy, xs, ys, dx, dy):
         base = j * (len(xs) + 1)
         m = prefix.take(base + ir, axis=0) - prefix.take(base + il, axis=0)
         s0 = m[:, 0] + m[:, 3]
@@ -301,7 +320,7 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
         else:
             x_first, y_off, a_re, a_im, gy_re, gy_im, b2_re, b2_im, bb = (
                 q[k] for q in per_pair)
-            dy_first = y_off + yj
+            dy_first = y_off + ys[j]
             a_re += gy_re * dy_first
             a_im += gy_im * dy_first
             # moments of x - x_first
@@ -730,12 +749,8 @@ def scaling_identity_check(u, region, theta: float,
     scaled = ScaledRegion(region, theta)
     n_lhs = int(math.sqrt(n_target))
     lhs = grid_integrate(_sq_sampler(u), scaled, n=n_lhs)
-
-    def u_theta_sq(y):
-        return np.abs(_eval_field(u, as_points(y) * theta) / theta ** 2) ** 2
-
     rhs = lhs if theta == 1.0 else theta ** (n + 4) * grid_integrate(
-        u_theta_sq, region, n=max(16, int(n_lhs * 5 / 7)))
+        _sq_sampler(u, theta), region, n=max(16, int(n_lhs * 5 / 7)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 

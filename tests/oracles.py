@@ -12,7 +12,8 @@ assembly but build the chiral problem as the full-mesh real 2x2 block
 matrix and factorize it directly instead of iterating on it. The 2x2
 eigenvalues and the symmetrizing transform are given in their LAPACK
 forms, against which the closed-form kernels are checked. Ball integrals
-sample every point of the disk stencil, one by one.
+sample every point of the disk stencil, one by one, and grid integrals
+evaluate the signed distance at every cell and locate every kept point.
 """
 
 from __future__ import annotations
@@ -273,6 +274,62 @@ def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
         sample = lambda p: np.abs(sol.evaluate(p)) ** 2
     return np.array([sample(c + offsets) @ w
                      for c in np.asarray(centers, float).reshape(-1, 2)])
+
+
+def dense_grid_rule(region, n: int, bbox=None):
+    """`grid_integrate`'s antialiased n x n midpoint rule with the signed
+    distance evaluated at every cell midpoint.
+
+    Returns (xs, ys, points, fractions, dx, dy): the axes, every midpoint
+    row by row, its covered fraction clip(0.5 - sd / sqrt(dx dy), 0, 1),
+    and the cell sides.
+    """
+    lo, hi = bbox if bbox is not None else region.bbox()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    dx = (hi[0] - lo[0]) / n
+    dy = (hi[1] - lo[1]) / n
+    if dx <= 0 or dy <= 0:
+        return np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0), dx, dy
+    xs = lo[0] + dx * (np.arange(n) + 0.5)
+    ys = lo[1] + dy * (np.arange(n) + 0.5)
+    pts = np.column_stack([c.ravel() for c in np.meshgrid(xs, ys)])
+    w = np.clip(0.5 - region.signed_distance(pts) / math.sqrt(dx * dy),
+                0.0, 1.0)
+    return xs, ys, pts, w, dx, dy
+
+
+def point_grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
+    """The grid integral with every kept midpoint handed to fn at once:
+    ``(fn(points) * w).sum() * dx * dy`` over the cells of the dense rule
+    with w > 0; fn=None integrates 1."""
+    _, _, pts, w, dx, dy = dense_grid_rule(region, n, bbox)
+    keep = w > 0
+    pts, w = pts[keep], w[keep]
+    if not len(w):
+        return 0.0
+    if fn is None:
+        return float(w.sum() * dx * dy)
+    return float((np.asarray(fn(pts), dtype=float) * w).sum() * dx * dy)
+
+
+def point_sq_sampler(sol, theta=None):
+    """p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None), each
+    point located and interpolated by `Solution.evaluate`."""
+    def sample(p):
+        p = np.asarray(p, dtype=float).reshape(-1, 2)
+        if theta is None:
+            return np.abs(np.asarray(sol.evaluate(p), dtype=complex)) ** 2
+        u = np.asarray(sol.evaluate(p * theta), dtype=complex)
+        return np.abs(u / theta ** 2) ** 2
+    return sample
+
+
+def point_grad_sq_sampler(sol):
+    """p -> |grad u|^2 of the element `Mesh.locate` gives p, all points in
+    one call."""
+    dens = sol.gradient_density()
+    return lambda p: dens[sol.mesh.locate(p)]
 
 
 def min_angle_deg(mesh) -> float:

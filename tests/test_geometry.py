@@ -27,14 +27,20 @@ from powergap.errors import ChartRangeError
 from powergap.geometry import (
     FlatteningMap,
     RectRegion,
+    ScaledRegion,
     _dot,
+    _grid_cells,
+    _grid_rule,
     _norm,
     polyline_min_distance,
 )
+from powergap.smallness import _BoundaryShell
 
 from oracles import (
+    dense_grid_rule,
     greedy_segment_cover_count,
     monte_carlo_area,
+    point_grid_integrate,
     polyline_distance_table,
 )
 
@@ -254,6 +260,77 @@ class TestErodeDilate:
         rect = RectRegion((0.0, 0.0), (1.0, 1.0))
         val = grid_integrate(lambda p: p[:, 0], rect, n=300)
         assert val == pytest.approx(0.5, rel=1e-3)
+
+
+@st.composite
+def lazy_rule_cases(draw):
+    """(region, n, bbox): every region kind the grid integrals use, on its
+    own box or on a box of another size and aspect; n includes sizes that
+    the rule's blocks do not divide."""
+    coord = st.floats(-1.0, 1.0)
+    c = (draw(coord), draw(coord))
+    r = draw(st.floats(0.02, 1.0))
+    kind = draw(st.sampled_from(["circle", "rect", "scaled", "erode",
+                                 "dilate", "shell", "ellipse",
+                                 "eroded_ellipse"]))
+    if kind in ("ellipse", "eroded_ellipse"):
+        base = CurveInterior(Ellipse(c, r, r * draw(st.floats(0.2, 1.0))))
+    else:
+        base = CurveInterior(Circle(c, r))
+    depth = r * draw(st.floats(0.01, 0.6))
+    region = {
+        "circle": base,
+        "rect": RectRegion((c[0] - r, c[1] - 0.5 * r), (c[0] + r, c[1] + r)),
+        "scaled": ScaledRegion(
+            RectRegion((c[0] - r, c[1] - r), (c[0] + r, c[1] + r)),
+            draw(st.floats(0.1, 1.0))),
+        "erode": erode(base, depth),
+        "dilate": dilate(base, depth),
+        "shell": _BoundaryShell(base, depth),
+        "ellipse": base,
+        "eroded_ellipse": erode(base, depth),
+    }[kind]
+    n = draw(st.sampled_from([1, 2, 7, 16, 97]))
+    bbox = None
+    if draw(st.booleans()):
+        lo, hi = region.bbox()
+        grow = np.array([draw(st.floats(-0.3, 1.0)), draw(st.floats(-0.3, 1.0))])
+        bbox = (lo - grow * r, hi + grow[::-1] * r)
+    return region, n, bbox
+
+
+class TestLazyGridRule:
+    """`_grid_rule` decides whole blocks from one signed distance; every
+    fraction must be the one the per-cell formula gives."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(lazy_rule_cases())
+    def test_bitwise_the_dense_rule(self, case):
+        region, n, bbox = case
+        xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
+        want_xs, want_ys, _, want, want_dx, want_dy = dense_grid_rule(
+            region, n, bbox)
+        assert (dx, dy) == (want_dx, want_dy)
+        assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+        assert w.shape == (len(ys), len(xs))
+        assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 97])
+    def test_area_and_cells_match_the_dense_rule(self, n):
+        disk = CurveInterior(Circle((0.2, -0.1), 0.7))
+        assert region_area(disk, n=n) == point_grid_integrate(None, disk, n)
+        pts, w, _, _ = _grid_cells(disk, n)
+        _, _, want_pts, want_w, _, _ = dense_grid_rule(disk, n)
+        keep = want_w > 0
+        assert np.array_equal(pts, want_pts[keep])
+        assert np.array_equal(w, want_w[keep])
+
+    def test_empty_box(self):
+        disk = CurveInterior(Circle((0.0, 0.0), 1.0))
+        bbox = (np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+        assert _grid_rule(disk, 8, bbox)[2].size == 0
+        assert grid_integrate(lambda p: p[:, 0], disk, 8, bbox) == 0.0
 
 
 class TestScene:

@@ -114,6 +114,26 @@ class TestBuildMesh:
     def test_no_straddling_triangles_concentric(self, twophase_mesh_h02):
         assert twophase_mesh_h02.diagnostics["straddling_triangles"] == 0
 
+    @pytest.mark.parametrize("h", [0.03, 0.015])
+    def test_ellipse_interface_does_not_straddle(self, h):
+        # the ellipse's nodes lie on it, but its signed distance measures
+        # to an inscribed polygon and puts them up to its sagitta off
+        mesh = _config_mesh("curved_ellipse", h)
+        assert 1e-7 < mesh.diagnostics["interface_node_dist"] < 1e-6
+        assert mesh.diagnostics["straddling_triangles"] == 0
+
+    def test_true_straddle_still_counted(self, monkeypatch):
+        # every third interface node only: elements reach across the
+        # circle between them
+        import powergap.mesh as mesh_module
+        real = mesh_module._curve_nodes
+        monkeypatch.setattr(mesh_module, "_curve_nodes",
+                            lambda curve, h, breaks:
+                            real(curve, h, breaks)[::3])
+        mesh = build_mesh(Scene(outer=Circle((0, 0), 1.0),
+                                interface=Circle((0, 0), 0.5)), 0.05)
+        assert mesh.diagnostics["straddling_triangles"] > 0
+
     def test_interface_edges_on_curve(self, twophase_mesh_h02):
         assert twophase_mesh_h02.diagnostics["interface_node_dist"] < 1e-9
         assert len(twophase_mesh_h02.interface_edges) > 0

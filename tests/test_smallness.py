@@ -18,11 +18,20 @@ from powergap import (
     fourier_data,
 )
 from powergap.errors import CoverageError
-from powergap.geometry import _grid_cells
-from powergap.mesh import Mesh, _Delaunay, build_mesh
+from powergap.geometry import (
+    CurveInterior,
+    _cell_points,
+    _grid_cells,
+    _grid_rule,
+    grid_integrate,
+)
+from powergap.mesh import _SAMPLE_BLOCK, Mesh, _Delaunay, build_mesh
 from powergap.smallness import (
+    _BoundaryShell,
     _ball_sums,
     _chain_centers,
+    _grad_sq_sampler,
+    _sq_sampler,
     ball_l2_sq,
     boundary_layer,
     check_three_ball,
@@ -36,7 +45,13 @@ from powergap.smallness import (
 )
 from powergap.solver import BackgroundOperator, Solution
 
-from oracles import monte_carlo_integral, point_sampled_ball_sums
+from oracles import (
+    monte_carlo_integral,
+    point_grad_sq_sampler,
+    point_grid_integrate,
+    point_sampled_ball_sums,
+    point_sq_sampler,
+)
 
 WP = WeightParams(alpha_plus=2.0, alpha_minus=1.0, beta=0.1, delta=8.0,
                   kappa0=1.5, delta0=8.0, r0=8.0)
@@ -515,7 +530,8 @@ class TestBallKernel:
         assert np.abs(got - total).max() <= 1e-15 * total
 
     def test_count_below_is_searchsorted(self):
-        from powergap.smallness import _count_below, _stencil_rows
+        from powergap.mesh import _count_below
+        from powergap.smallness import _stencil_rows
         rng = np.random.default_rng(3)
         for radius, n_grid in ((0.013, 16), (0.3, 110), (1e-4, 96)):
             stencil = _stencil_rows(radius, n_grid)
@@ -554,3 +570,128 @@ class TestBallKernel:
                                     gradient)
         with pytest.raises(CoverageError):
             _ball_sums(disk_solution, centre, radius, 96, gradient)
+
+
+# ---------------------------------------------------------------------------
+# Grid integrals on the raster against point location
+
+
+@st.composite
+def _grid_cases(draw):
+    """(mesh, region, n, bbox): a disk, a square or a boundary shell on a
+    grid whose box lies in the unit disk or pokes past the mesh's hull (by
+    less than its 4h extension), with a grid point on a vertex, on an edge
+    or anywhere."""
+    mesh = _kernel_mesh(draw(st.integers(0, 3)))
+    n = draw(st.sampled_from([1, 2, 7, 16, 97, 300]))
+    half = draw(st.floats(0.05, 0.7))
+    reach = 1.0 + 2.0 * mesh.h - half * math.sqrt(2.0)
+    ang = draw(st.floats(0.0, 2.0 * math.pi))
+    # most boxes reach 2h past the unit circle
+    out = draw(st.sampled_from([1.0, 1.0, 1.0, 0.8, 0.0]))
+    centre = out * max(reach, 0.0) * np.array([math.cos(ang),
+                                               math.sin(ang)])
+    pick = draw(st.integers(0, 10 ** 6))
+    on = draw(st.sampled_from(["vertex", "edge", "free"]))
+    lo = centre - half
+    if on != "free":
+        # shift the box so that its middle grid point lands on the point
+        near = np.argsort(np.hypot(*(mesh.points - centre).T))[:8]
+        tri = mesh.triangles[np.isin(mesh.triangles, near).any(axis=1)]
+        edge = tri[pick % len(tri)][:2]
+        target = mesh.points[near[pick % 8]] if on == "vertex" \
+            else mesh.points[edge].mean(axis=0)
+        step = 2.0 * half / n
+        lo = target - step * (n // 2 + 0.5)
+    bbox = (lo, lo + 2.0 * half)
+    mid = lo + half
+    region = {
+        "disk": CurveInterior(Circle(tuple(mid), half)),
+        "square": RectRegion(lo, lo + 2.0 * half),
+        "shell": _BoundaryShell(CurveInterior(Circle(tuple(mid), half)),
+                                half / 5.0),
+    }[draw(st.sampled_from(["disk", "square", "shell"]))]
+    return mesh, region, n, bbox
+
+
+GRID_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+
+
+class TestGridRaster:
+    """The samplers of `grid_integrate` place grid points by the row raster
+    and locate only the rest; values and sums must be bitwise those of
+    locating every point."""
+
+    @GRID_SETTINGS
+    @given(case=_grid_cases(), kind=st.sampled_from(["u", "grad", "theta"]))
+    def test_bitwise_point_location(self, case, kind):
+        mesh, region, n, bbox = case
+        sol = _rough_field(mesh, 7)
+        theta = 0.6 if kind == "theta" else None
+        if kind == "grad":
+            sampler, want = _grad_sq_sampler(sol), point_grad_sq_sampler(sol)
+        else:
+            sampler = _sq_sampler(sol, theta)
+            want = point_sq_sampler(sol, theta)
+        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
+        cells = w > 0
+        got = sampler.on_grid(xs, ys, cells)
+        assert got.tobytes() == want(_cell_points(xs, ys, cells)).tobytes()
+        assert grid_integrate(sampler, region, n, bbox) \
+            == point_grid_integrate(want, region, n, bbox)
+
+    @GRID_SETTINGS
+    @given(case=_grid_cases(), k=st.sampled_from([1, 3, 8]))
+    def test_family_interpolates_bitwise(self, case, k):
+        mesh, region, n, bbox = case
+        rng = np.random.default_rng(k)
+        fields = rng.normal(size=(mesh.num_points, k)) \
+            + 1j * rng.normal(size=(mesh.num_points, k))
+        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
+        cells = w > 0
+        points = _cell_points(xs, ys, cells)
+        elements = mesh.locate_grid(xs, ys, cells, _SAMPLE_BLOCK // k)
+        assert mesh.interpolate(fields, points, elements).tobytes() \
+            == mesh.interpolate(fields, points).tobytes()
+
+    @GRID_SETTINGS
+    @given(case=_grid_cases(), block=st.sampled_from([None, 1, 5, 64, 999]))
+    def test_locate_grid_is_blocked_locate(self, case, block):
+        mesh, region, n, bbox = case
+        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
+        cells = w > 0
+        points = _cell_points(xs, ys, cells)
+        size = len(points) if block is None else block
+        want = np.concatenate([mesh.locate(points[i:i + size])
+                               for i in range(0, len(points), size)])
+        assert np.array_equal(mesh.locate_grid(xs, ys, cells, block), want)
+
+    def test_interior_grid_locates_nothing(self, disk_solution, monkeypatch):
+        calls = []
+        real = Mesh.locate
+
+        def counted(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(Mesh, "locate", counted)
+        square = RectRegion((-0.3, -0.3), (0.3, 0.3))
+        grid_integrate(_sq_sampler(disk_solution), square, 600)
+        grid_integrate(_grad_sq_sampler(disk_solution), square, 600)
+        assert calls == []
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_grid_beyond_the_extension_raises(self, disk_solution,
+                                              gradient):
+        # cells more than 4h past the mesh, as point location
+        square = RectRegion((0.5, -0.2), (1.4, 0.2))
+        sampler = _grad_sq_sampler(disk_solution) if gradient \
+            else _sq_sampler(disk_solution)
+        want = point_grad_sq_sampler(disk_solution) if gradient \
+            else point_sq_sampler(disk_solution)
+        with pytest.raises(CoverageError) as point_err:
+            point_grid_integrate(want, square, 97)
+        with pytest.raises(CoverageError) as raster_err:
+            grid_integrate(sampler, square, 97)
+        assert str(raster_err.value) == str(point_err.value)

@@ -208,6 +208,51 @@ class TestReleasedOperator:
             solve_perturbed(op, law, cos_data)
 
 
+class TestRepeatedSolves:
+    def test_solves_of_b_are_not_repeated(self, twophase_background,
+                                          cos_data, monkeypatch):
+        # GMRES applies the preconditioner to b twice from x0 = 0, and b is
+        # u0's load: two LU solves fewer, and the same bits
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.5),
+                      inclusion=Circle((0.1, 0.0), 0.25))
+        mesh = build_mesh(scene, 0.04)
+        law = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
+                           zeta1=MatrixField.isotropic(0.5),
+                           lambda1=0.4, varrho=0.5)
+
+        def run():
+            op = BackgroundOperator(mesh, twophase_background)
+            calls, lu = [], op._lu
+
+            class Counted:
+                def solve(self, rhs):
+                    calls.append(rhs.shape)
+                    return lu.solve(rhs)
+
+            op._lu = Counted()
+            return op.solve(cos_data), solve_perturbed(op, law, cos_data), \
+                len(calls)
+
+        u0, u1, calls = run()
+        monkeypatch.setattr(BackgroundOperator, "_lu_solve",
+                            lambda self, rhs: self._factorization().solve(rhs))
+        v0, v1, every = run()
+        assert calls == every - 2
+        for a, b in ((u0, v0), (u1, v1)):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.multiplier == b.multiplier
+
+    def test_release_forgets_the_last_solve(self, disk_mesh_h05,
+                                            identity_background, cos_data):
+        op = BackgroundOperator(disk_mesh_h05, identity_background)
+        op.solve(cos_data)
+        op.release()
+        assert op._last is None
+        with pytest.raises(SolverError, match="released"):
+            op.solve(cos_data)
+
+
 class TestPerturbedSolve:
     def test_background_law_reproduces_u0(self, twophase_mesh_h02,
                                           twophase_background, cos_data):
