@@ -647,9 +647,10 @@ def sweep(cfg: ExperimentConfig, param: str, values, out_dir=None,
         else:
             row["error"] = r.get("error", "")
         agg["rows"].append(row)
-    # an order needs a constant refinement ratio
-    if param == "mesh.h" and len(values) >= 3 and math.isclose(
-            values[0] / values[1], values[1] / values[2], rel_tol=1e-9):
+    # an order needs positive sizes and a constant refinement ratio
+    if param == "mesh.h" and len(values) >= 3 and min(values[:3]) > 0 \
+            and math.isclose(values[0] / values[1], values[1] / values[2],
+                             rel_tol=1e-9):
         w0s = [row.get("w0_re") for row in agg["rows"]]
         if all(w is not None for w in w0s):
             d1 = abs(w0s[0] - w0s[1])

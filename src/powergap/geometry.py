@@ -458,8 +458,9 @@ def grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
     the cells that touch the region, row by row, and returns their values.
     A sampler with an ``on_grid(xs, ys, cells)`` method is handed the
     grid's axes and the (ny, nx) mask of those cells instead, and must
-    return the same values. Either way the sum is ``(vals * w).sum() * dx *
-    dy`` over the same cells in the same order.
+    return its values at the same points in the same order; a point on a
+    mesh edge or vertex may take the value of any element that holds it.
+    Either way the sum is ``(vals * w).sum() * dx * dy``.
     """
     xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
     cells = w > 0

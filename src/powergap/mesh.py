@@ -26,11 +26,6 @@ __all__ = ["Mesh", "build_mesh"]
 # Points sampled per locate in Mesh.interpolate; bounds its temporaries.
 _SAMPLE_BLOCK = 65_536
 
-# Barycentric margin inside which `Mesh.grid_owners` leaves a point to
-# `locate`. It is far above the 100 * DBL_EPSILON tolerance of scipy's
-# `find_simplex`, so each point the raster places has one candidate element.
-_RASTER_TOL = 1e-9
-
 # Largest estimated node count build_mesh accepts: about 8x the 64 616
 # nodes of the unit disk at h = 0.0075, where one run peaks near 380 MB.
 _MAX_NODES = 520_000
@@ -302,25 +297,21 @@ class Mesh:
         meets = meets[:, 0] & meets[:, 1]
         return ball[meets], elem[meets]
 
-    def row_spans(self, elem, cx, cy, xs, ys, dx: float, dy: float,
-                  tol=None) -> list:
+    def row_spans(self, elem, cx, cy, xs, ys, dx: float, dy: float) -> list:
         """Column spans of elements on the rows of a uniform grid.
 
         Pair q lays element elem[q] on the grid of points (cx[q] + xs[i],
         cy[q] + ys[j]) (cx, cy may also be scalars); xs and ys are uniform
         ascending axes of steps dx and dy. A row's span in an element runs
         between two edge crossings, half-open in x and in y (the top-left
-        rule of rasterization). Each crossing is computed from the edge's
-        nodes in node order, so the two elements of an edge get the same
-        bits; the spans of a row then tile the mesh's part of it.
+        rule of rasterization, Pineda 1988). Each crossing is computed from
+        the edge's nodes in node order, so the two elements of an edge get
+        the same bits; the spans of a row then tile the mesh's part of it,
+        and each grid point inside the mesh falls in one span, of an element
+        whose closed triangle holds it up to rounding.
 
         Returns two tuples of arrays, for the rows below and above each
-        element's middle vertex: pair, row, first column, end column. With
-        a barycentric margin `tol`, a span keeps only the points more than
-        `tol` inside its element: those at least tol * 2A / |rise| in x
-        from both crossings (A the element's area, rise the edge's extent
-        in y; barycentric coordinates are affine along the row), on a row
-        more than tol * height from the middle vertex.
+        element's middle vertex: pair, row, first column, end column.
         """
         tri = self.triangles[elem]
         p = self.points[tri]
@@ -329,62 +320,47 @@ class Mesh:
         v = np.take_along_axis(p, order[:, :, None], axis=1)
         at = [_count_below(ys, dy, v[:, i, 1] - cy) for i in range(3)]
         e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         # the long edge (bottom to top) lies left of the middle vertex
-        long_left = twice_area > 0.0
+        long_left = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0
 
         def line(a, b):
             """Edge a-b as x - cx = x0 + (y0 + row offset) s, from its
-            lower-numbered node, and its rise."""
+            lower-numbered node."""
             first = (vid[:, a] < vid[:, b])[:, None]
             p0 = np.where(first, v[:, a], v[:, b])
             d = np.where(first, v[:, b], v[:, a]) - p0
             with np.errstate(divide="ignore", invalid="ignore"):
                 # a level edge has no rows of its own
-                return p0[:, 0] - cx, cy - p0[:, 1], d[:, 0] / d[:, 1], d[:, 1]
+                return p0[:, 0] - cx, cy - p0[:, 1], d[:, 0] / d[:, 1]
 
         long_edge = line(0, 2)
         halves = []
         # rows below the middle vertex cross the short edge 0-1, the rest 1-2
         for a, b in ((0, 1), (1, 2)):
             short_edge = line(a, b)
-            left = [np.where(long_left, q, r)
-                    for q, r in zip(long_edge, short_edge)]
-            right = [np.where(long_left, r, q)
-                     for q, r in zip(long_edge, short_edge)]
             n_rows = at[b] - at[a]
             k = np.repeat(np.arange(len(elem)), n_rows)
             j = np.arange(len(k)) + np.repeat(
                 at[a] - (np.cumsum(n_rows) - n_rows), n_rows)
-            yj = ys[j]
-            x0, y0, s = (q[k] for q in left[:3])
-            xl = x0 + (y0 + yj) * s
-            x0, y0, s = (q[k] for q in right[:3])
-            xr = x0 + (y0 + yj) * s
-            if tol is None:
-                halves.append((k, j, _count_below(xs, dx, xl),
-                               _count_below(xs, dx, xr)))
-                continue
-            margin = tol * np.abs(twice_area[k])
-            il = _count_below(xs, dx, xl + margin / np.abs(left[3][k]))
-            ir = _count_below(xs, dx, xr - margin / np.abs(right[3][k]))
-            near = np.abs(yj - (v[:, 1, 1] - cy)[k]) \
-                <= tol * (v[:, 2, 1] - v[:, 0, 1])[k]
-            halves.append((k, j, il, np.where(near, il, np.maximum(ir, il))))
+            cross = [x0[k] + (y0[k] + ys[j]) * s[k]
+                     for x0, y0, s in (long_edge, short_edge)]
+            left = long_left[k]
+            halves.append((k, j,
+                           _count_below(xs, dx, np.where(left, *cross)),
+                           _count_below(xs, dx, np.where(left, *cross[::-1]))))
         return halves
 
     def grid_owners(self, xs, ys) -> np.ndarray:
-        """The element of each cell of a grid that the raster places, -1
-        for a cell it leaves to `locate`: (ny * nx,) int32, row by row, for
-        the points (xs[i], ys[j]) of uniform ascending axes.
+        """The element of each cell of a grid, -1 for a cell outside the
+        mesh: (ny * nx,) int32, row by row, for the points (xs[i], ys[j]) of
+        uniform ascending axes.
 
-        A point more than ``_RASTER_TOL`` inside an element (in barycentric
-        terms) is placed from `row_spans`: there scipy's walk has one
-        answer. Points outside the mesh and points on or next to an edge
-        are left. The elements that meet the grid's box are rasterized
-        about ``_SAMPLE_BLOCK // 4`` rows at a time, and the spans become
-        the owners by one `np.repeat` over the spans and the gaps between
-        them.
+        Each point inside the mesh takes the element of the `row_spans`
+        span it falls in (the top-left rule; where rounding at a vertex
+        lets two spans take a point, the later one keeps it). The rest,
+        outside the mesh and on its hull's right or top edges, are left to
+        `locate`. The elements that meet the grid's box are rasterized
+        about ``_SAMPLE_BLOCK // 4`` rows at a time.
         """
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
         nx, ny = len(xs), len(ys)
@@ -402,64 +378,39 @@ class Mesh:
         total = np.cumsum(n_rows)
         cuts = np.searchsorted(total, np.arange(rows, total[-1], rows)) \
             if len(total) else []
-        # an empty span at the grid's end closes the last gap
-        first, size, owner = [[ny * nx]], [[0]], [np.array([-1], np.int32)]
+        owners = np.full(ny * nx, -1, dtype=np.int32)
         for part in np.split(elem, cuts):
             if not len(part):
                 continue
             for k, j, il, ir in self.row_spans(part, 0.0, 0.0, xs, ys, dx,
-                                               dy, _RASTER_TOL):
-                some = ir > il
-                first.append(j[some] * nx + il[some])
-                size.append((ir - il)[some])
-                owner.append(part[k[some]].astype(np.int32))
-        # the spans in grid order, each after the unowned gap before it
-        first = np.concatenate(first)
-        order = np.argsort(first, kind="stable")
-        first = first[order]
-        size = np.concatenate(size)[order]
-        gap = first - np.r_[0, (first + size)[:-1]]
-        runs = np.column_stack([np.full(len(first), -1, np.int32),
-                                np.concatenate(owner)[order]])
-        return np.repeat(runs.ravel(), np.column_stack([gap, size]).ravel())
+                                               dy):
+                size = np.maximum(ir - il, 0)
+                at = np.arange(size.sum()) + np.repeat(
+                    j * nx + il - (np.cumsum(size) - size), size)
+                owners[at] = np.repeat(part[k], size)
+        return owners
 
-    def locate_grid(self, xs, ys, cells, block=None,
-                    owners=None) -> np.ndarray:
+    def locate_grid(self, xs, ys, cells, owners=None) -> np.ndarray:
         """Element per point of a grid: the points (xs[i], ys[j]) of the
-        True entries of the (ny, nx) mask `cells`, row by row, as `locate`
-        gives them when called on those points in blocks of `block` (in one
-        call when None). xs and ys are uniform ascending axes.
+        True entries of the (ny, nx) mask `cells`, row by row. xs and ys
+        are uniform ascending axes.
 
-        The raster's `grid_owners` (computed when not given) places most
-        points. The others go to `locate`, each run of them behind the
-        point before it in its block: that point's walk ends in its one
-        element, so each run's walk starts where it started in the blocked
-        call, and its answer, the nearest-element extension and the
-        `CoverageError` stay the same.
+        The points inside the mesh take their `grid_owners` (computed when
+        not given); the others go to `locate` in one call, whose
+        nearest-element extension and `CoverageError` apply as to any
+        point, and their elements are written into `owners`, so a later
+        call with the same owners locates nothing. A point on an edge or a
+        vertex may take any element that holds it.
         """
         if owners is None:
             owners = self.grid_owners(xs, ys)
         out = owners[cells.ravel()].astype(np.intp)
         miss = np.flatnonzero(out < 0)
-        if not len(miss):
-            return out
-        size = len(out) if block is None else block
-        starts = miss[np.r_[True, miss[1:] != miss[:-1] + 1]]
-        # a run that does not open its block follows the placed point
-        # before it, which leaves the walk in that point's element
-        lead = starts[starts % size != 0] - 1
-        query = np.sort(np.concatenate([miss, lead]))
-        at = np.flatnonzero(cells)[query]
-        nx = cells.shape[1]
-        points = np.column_stack([xs[at % nx], ys[at // nx]])
-        cut = np.searchsorted(query // size,
-                              np.arange(query[0] // size,
-                                        query[-1] // size + 2))
-        for a, b in zip(cut[:-1], cut[1:]):
-            if a < b:
-                idx = self.locate(points[a:b])
-                q = query[a:b]
-                out[q] = np.where(out[q] < 0, idx, out[q])
+        if len(miss):
+            at = np.flatnonzero(cells)[miss]
+            nx = cells.shape[1]
+            out[miss] = owners[at] = self.locate(
+                np.column_stack([xs[at % nx], ys[at // nx]]))
         return out
 
     def interpolate(self, nodal, points, elements=None) -> np.ndarray:

@@ -66,14 +66,15 @@ def _eval_field(u, points) -> np.ndarray:
 
 
 class _FieldSampler:
-    """Sampler p -> |u(theta p) / theta^2|^2 (theta = 1 when None), or
+    """Grid sampler p -> |u(theta p) / theta^2|^2 (theta = 1 when None), or
     p -> |grad u|^2 on the element holding p, of a Solution.
 
-    Called on points, it locates and interpolates them as
-    `Solution.evaluate` and `Mesh.locate` do. `grid_integrate` hands
-    `on_grid` the grid's cells instead: `Mesh.locate_grid` gives them the
-    elements `locate` would in the same blocks, so the values are bitwise
-    those of the point path with only the points off the raster located.
+    `grid_integrate` hands `on_grid` the grid's axes and cells. The cells
+    inside the mesh take their elements from the row raster
+    (`Mesh.grid_owners`, by the top-left rule); the others are located
+    once (`Mesh.locate_grid`) and written back into the raster, which is
+    kept for the next call on the same grid, so that call locates nothing
+    (the boundary-layer shells share one grid).
     """
 
     def __init__(self, sol: Solution, gradient: bool = False,
@@ -83,13 +84,6 @@ class _FieldSampler:
         # the raster of the last grid, kept for the next call on it
         self._grid = None
 
-    def __call__(self, points) -> np.ndarray:
-        p = as_points(points)
-        if self.gradient:
-            return self._dens[self.sol.mesh.locate(p)]
-        return self._finish(self.sol.evaluate(
-            p if self.theta is None else p * self.theta))
-
     def on_grid(self, xs, ys, cells) -> np.ndarray:
         if self.theta is not None:
             xs, ys = xs * self.theta, ys * self.theta
@@ -97,10 +91,7 @@ class _FieldSampler:
         key = (xs.tobytes(), ys.tobytes())
         if self._grid is None or self._grid[0] != key:
             self._grid = (key, mesh.grid_owners(xs, ys))
-        # |grad u|^2 is located in one call, u in interpolate's blocks
-        elements = mesh.locate_grid(
-            xs, ys, cells, None if self.gradient else _SAMPLE_BLOCK,
-            self._grid[1])
+        elements = mesh.locate_grid(xs, ys, cells, self._grid[1])
         if self.gradient:
             return self._dens[elements]
         # interpolated a band of about _SAMPLE_BLOCK cells at a time
@@ -125,7 +116,7 @@ class _FieldSampler:
 
 def _sq_sampler(u, theta: Optional[float] = None):
     """Sampler p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None)
-    of a callable, Solution or family; a Solution's also serves grids
+    of a callable, Solution or family; a Solution's samples grids only
     (`_FieldSampler`)."""
     if isinstance(u, Solution):
         return _FieldSampler(u, theta=theta)
@@ -136,7 +127,7 @@ def _sq_sampler(u, theta: Optional[float] = None):
 
 
 def _grad_sq_sampler(sol: Solution):
-    """Sampler p -> |grad u|^2 on the element holding p."""
+    """Grid sampler p -> |grad u|^2 on the element holding p."""
     return _FieldSampler(sol, gradient=True)
 
 
@@ -218,7 +209,7 @@ def _stencil_rows(radius: float, n_grid: int) -> _Stencil:
 def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
                gradient: bool = False) -> np.ndarray:
     """Stencil sum of |u|^2, or of |grad u|^2, over the disk around each
-    centre, with no stencil point located.
+    centre, with no stencil point inside the mesh located.
 
     The stencil is one set of rows (`_stencil_rows`). A P1 field is affine
     on each element, so along one row inside one element u = A + B x, and
@@ -230,16 +221,14 @@ def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
     relative error grows like (|grad u| r / |u|)^2, to about 6e-14 for
     independent nodal noise at r = 10 h.
 
-    A row's interval in an element runs between two edge crossings,
-    half-open in x and in y (the top-left rule of rasterization). Each
-    crossing is computed from the edge's nodes in node order, so the two
-    elements of an edge get the same bits; the intervals of a row then
-    tile the mesh's part of it, and every stencil point inside the mesh
-    is counted once. The other points lie outside the mesh (its convex
-    hull). Each centre's claimed kept cells are counted exactly; a centre
-    short of its count has the missing points of its rows sampled through
-    `Mesh.interpolate` or `Mesh.locate`, whose nearest-element extension
-    and `CoverageError` apply as to any point.
+    The intervals are the elements' `Mesh.row_spans` on the stencil (the
+    top-left rule), which tile the mesh's part of each row, so every
+    stencil point inside the mesh is counted once. Each centre's claimed
+    kept cells are counted exactly; a centre whose count is off has
+    stencil points outside the mesh (or, by rounding at a vertex, a point
+    claimed twice), and its whole ball is sampled on the stencil's grid
+    (`_FieldSampler.on_grid`), whose nearest-element extension and
+    `CoverageError` apply as to any grid.
 
     Centres are taken in blocks of about ``_INTERVAL_BLOCK`` intervals, so
     memory does not grow with their number. Each centre's terms are
@@ -251,20 +240,22 @@ def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
     out = np.zeros(len(centers))
     if not len(stencil.ys):
         return out
-    dens = sol.gradient_density() if gradient else None
+    # samples the balls that leave the mesh; its density serves the rest
+    sampler = _FieldSampler(sol, gradient)
+    kept = stencil.weight > 0.0
     # rows times the elements one row crosses
     per = max(1, int(_INTERVAL_BLOCK // (len(stencil.ys)
                                          * (4.0 * radius / mesh.h + 3.0))))
     for start in range(0, len(centers), per):
         c = centers[start:start + per]
         ball, elem = mesh.elements_near(c, radius)
-        halves = _intervals(sol, dens, c, ball, elem, stencil)
+        halves = _intervals(sol, sampler._dens, c, ball, elem, stencil)
         sums = sum(_run_sums(h[0], h[1], len(c)) for h in halves)
         claimed = sum(_run_sums(h[0], h[2], len(c)) for h in halves)
-        short = np.flatnonzero(claimed != stencil.kept)
-        if len(short):
-            sums = sums + _unclaimed_sums(sol, gradient, c, short, halves,
-                                          stencil)
+        for i in np.flatnonzero(claimed != stencil.kept):
+            sums[i] = sampler.on_grid(c[i, 0] + stencil.xs,
+                                      c[i, 1] + stencil.ys,
+                                      kept) @ stencil.weight[kept]
         out[start:start + len(c)] = sums
     return out
 
@@ -286,7 +277,7 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
 
     Returns two tuples of interval arrays, for the rows below and above
     each element's middle vertex (`Mesh.row_spans`), sorted by centre:
-    centre, moment sum, kept cells, row, first column, end column.
+    centre, moment sum, kept cells.
     """
     mesh = sol.mesh
     xs, ys, dx, dy, _, prefix, _ = stencil
@@ -330,34 +321,8 @@ def _intervals(sol, dens, c, ball, elem, stencil) -> list:
             val = ((a_re * a_re + a_im * a_im) * s0
                    + (a_re * b2_re + a_im * b2_im) * s1_first
                    + bb * s2_first)
-        halves.append((ball[k], val, m[:, 6], j, il, ir))
+        halves.append((ball[k], val, m[:, 6]))
     return halves
-
-
-def _unclaimed_sums(sol, gradient, c, short, halves, stencil) -> np.ndarray:
-    """Per-centre sums over the stencil points of the `short` centres that
-    no interval claims, sampled point by point.
-
-    A row's cover count is the running sum of +1 at each interval's first
-    column and -1 at its end: 1 inside the mesh and 0 outside it.
-    """
-    xs, ys, _, _, weight, _, _ = stencil
-    ny, nx = weight.shape
-    at = np.full(len(c), -1)
-    at[short] = np.arange(len(short))
-    cover = np.zeros((len(short) * ny, nx + 1), dtype=np.intp)
-    for b, _, _, j, il, ir in halves:
-        on = at[b] >= 0
-        line = at[b[on]] * ny + j[on]
-        np.add.at(cover, (line, il[on]), 1)
-        np.add.at(cover, (line, ir[on]), -1)
-    miss = (np.cumsum(cover[:, :nx], axis=1) == 0) & np.tile(weight > 0.0,
-                                                            (len(short), 1))
-    line, col = np.nonzero(miss)
-    ball, row = short[line // ny], line % ny
-    pts = np.column_stack([c[ball, 0] + xs[col], c[ball, 1] + ys[row]])
-    sample = _grad_sq_sampler(sol) if gradient else _sq_sampler(sol)
-    return _run_sums(ball, sample(pts) * weight[row, col], len(c))
 
 
 def ball_l2_sq(u: Solution, center, radius: float, n_grid: int = 110):

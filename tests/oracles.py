@@ -19,6 +19,7 @@ evaluate the signed distance at every cell and locate every kept point.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -251,6 +252,34 @@ def barycentric_interpolate(mesh, nodal, points) -> np.ndarray:
     b1 = (T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1])[:, None]
     v = fields[mesh.triangles[idx]]
     out = v[:, 0] * b0 + v[:, 1] * b1 + v[:, 2] * (1.0 - (b0 + b1))
+    return out.reshape(len(p), *nodal.shape[1:])
+
+
+def exact_interpolate(mesh, nodal, elements, points) -> np.ndarray:
+    """P1 values of (n_nodes,) or (n_nodes, k) fields at points, each in
+    the given element, in exact rational arithmetic on the float inputs and
+    rounded once: the barycentric weights of a point just outside its
+    element are slightly negative, and its value is the element's affine
+    extension."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    nodal = np.asarray(nodal)
+    fields = nodal.reshape(len(nodal), -1)
+    out = np.empty((len(p), fields.shape[1]), dtype=complex)
+    for i, (e, (x, y)) in enumerate(zip(elements, p)):
+        tri = mesh.triangles[e]
+        (x0, y0), (x1, y1), (x2, y2) = (
+            (Fraction(float(a)), Fraction(float(b))) for a, b in
+            mesh.points[tri])
+        x, y = Fraction(float(x)), Fraction(float(y))
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
+        l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
+        weights = (1 - l1 - l2, l1, l2)
+        for j in range(fields.shape[1]):
+            v = [complex(c) for c in fields[tri, j]]
+            out[i, j] = complex(
+                float(sum(Fraction(c.real) * w for c, w in zip(v, weights))),
+                float(sum(Fraction(c.imag) * w for c, w in zip(v, weights))))
     return out.reshape(len(p), *nodal.shape[1:])
 
 

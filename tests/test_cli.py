@@ -382,6 +382,21 @@ class TestSweep:
         assert "wrote 2 rows" in capsys.readouterr().out
         assert len(csv_path.read_text().splitlines()) == 3
 
+    def test_zero_mesh_size_refused_in_its_row(self, tmp_path, capsys,
+                                               fast_concentric):
+        # h = 0 is refused by its own run, and no order is fitted over it
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "mesh.h", "--values", "0.1,0,0.05"]) == EXIT_STRUCTURAL
+        agg = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in agg["rows"]] \
+            == [EXIT_OK, EXIT_STRUCTURAL, EXIT_OK]
+        assert agg["rows"][1]["error"] == "h must be positive"
+        assert "convergence_order_w0" not in agg
+
     def test_empty_values(self, fast_concentric):
         cfg = parse_config(fast_concentric)
         agg = sweep(cfg, "mesh.h", [])

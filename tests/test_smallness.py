@@ -25,7 +25,7 @@ from powergap.geometry import (
     _grid_rule,
     grid_integrate,
 )
-from powergap.mesh import _SAMPLE_BLOCK, Mesh, _Delaunay, build_mesh
+from powergap.mesh import Mesh, _Delaunay, build_mesh
 from powergap.smallness import (
     _BoundaryShell,
     _ball_sums,
@@ -46,6 +46,7 @@ from powergap.smallness import (
 from powergap.solver import BackgroundOperator, Solution
 
 from oracles import (
+    exact_interpolate,
     monte_carlo_integral,
     point_grad_sq_sampler,
     point_grid_integrate,
@@ -562,6 +563,30 @@ class TestBallKernel:
                 sol, centre, r3, 110, gradient=True)[0], rel=1e-12)
 
     @pytest.mark.parametrize("gradient", [False, True])
+    def test_ball_past_the_hull_among_interior_balls(
+            self, identity_background, cos_data, gradient):
+        # one block of three centres (the block holds 13 here): the middle
+        # ball pokes past the hull and is sampled on its stencil's grid,
+        # the other two come from row moments alone
+        mesh = build_mesh(Scene(outer=Circle((0.0, 0.0), 1.0)), 0.15)
+        sol = BackgroundOperator(mesh, identity_background).solve(cos_data)
+        mid = mesh.points[mesh.boundary_loop()[:2]].mean(axis=0)
+        radius = 0.3
+        centres = np.array([[0.0, 0.0],
+                            mid / np.linalg.norm(mid) * (1.0 - radius - 1e-12),
+                            [0.1, -0.2]])
+        offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), radius), 110)
+        past = [(mesh._tri.find_simplex(c + offsets) < 0).any()
+                for c in centres]
+        assert past == [False, True, False]
+        got = _ball_sums(sol, centres, radius, 110, gradient)
+        for i, c in enumerate(centres):
+            assert _ball_sums(sol, c[None], radius, 110, gradient)[0] \
+                == got[i]
+        want = point_sampled_ball_sums(sol, centres, radius, 110, gradient)
+        assert np.abs(got - want).max() <= 1e-12 * want.min()
+
+    @pytest.mark.parametrize("gradient", [False, True])
     def test_ball_beyond_the_extension_raises(self, disk_solution, gradient):
         # stencil points more than 4h past the mesh, as point sampling
         centre, radius = np.array([[0.9, 0.0]]), 0.35
@@ -618,54 +643,94 @@ GRID_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                          database=None)
 
 
+def _barycentric_min(mesh: Mesh, points, elements) -> np.ndarray:
+    """Smallest barycentric coordinate of each point in its element, from
+    the P1 basis gradients about the element's first vertex."""
+    first = mesh.points[mesh.triangles[elements, 0]]
+    lam = np.einsum("pid,pd->pi", mesh.grads[elements], points - first)
+    lam[:, 0] += 1.0
+    return lam.min(axis=1)
+
+
+def _grid_and_points(region, n, bbox, theta=None):
+    """A grid of `grid_integrate`'s rule, its cell mask and its points, the
+    points scaled by theta when given."""
+    xs, ys, w, _, _ = _grid_rule(region, n, bbox)
+    cells = w > 0
+    points = _cell_points(xs, ys, cells)
+    return xs, ys, cells, points if theta is None else points * theta
+
+
 class TestGridRaster:
-    """The samplers of `grid_integrate` place grid points by the row raster
-    and locate only the rest; values and sums must be bitwise those of
-    locating every point."""
+    """The samplers of `grid_integrate` place grid points inside the mesh
+    by the top-left rule of the row raster and locate only the rest."""
 
     @GRID_SETTINGS
-    @given(case=_grid_cases(), kind=st.sampled_from(["u", "grad", "theta"]))
-    def test_bitwise_point_location(self, case, kind):
+    @given(case=_grid_cases())
+    def test_each_cell_in_a_holding_element(self, case):
+        mesh, region, n, bbox = case
+        xs, ys, cells, points = _grid_and_points(region, n, bbox)
+        got = mesh.locate_grid(xs, ys, cells)
+        off = mesh._tri.find_simplex(points) < 0
+        assert np.array_equal(got[off], mesh.locate(points[off]))
+        assert (_barycentric_min(mesh, points[~off], got[~off])
+                >= -1e-12).all()
+
+    @GRID_SETTINGS
+    @given(case=_grid_cases(), theta=st.sampled_from([None, 0.6]))
+    def test_values_are_point_location(self, case, theta):
+        # bitwise where the element is not in doubt. On an edge or a vertex
+        # the element may differ from point location's, and two elements'
+        # values an ulp off their edge differ by the gradient jump times
+        # that ulp (up to 1.1e-14 of the largest value here), so the value
+        # is checked against its own element's exact value. The P1 sum
+        # c0 + gx dx + gy dy rounds to a few 1e-15 of it on this rough
+        # field: point location's own values stray up to 5.7e-15.
         mesh, region, n, bbox = case
         sol = _rough_field(mesh, 7)
-        theta = 0.6 if kind == "theta" else None
-        if kind == "grad":
-            sampler, want = _grad_sq_sampler(sol), point_grad_sq_sampler(sol)
-        else:
-            sampler = _sq_sampler(sol, theta)
-            want = point_sq_sampler(sol, theta)
-        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
-        cells = w > 0
-        got = sampler.on_grid(xs, ys, cells)
-        assert got.tobytes() == want(_cell_points(xs, ys, cells)).tobytes()
-        assert grid_integrate(sampler, region, n, bbox) \
-            == point_grid_integrate(want, region, n, bbox)
+        xs, ys, cells, points = _grid_and_points(region, n, bbox, theta)
+        got = _sq_sampler(sol, theta).on_grid(xs, ys, cells)
+        want = point_sq_sampler(sol, theta)(_cell_points(xs, ys, cells))
+        inner = _barycentric_min(mesh, points, mesh.locate(points)) > 1e-9
+        assert got[inner].tobytes() == want[inner].tobytes()
+        if theta is not None:
+            xs, ys = xs * theta, ys * theta
+        rest = np.flatnonzero(~inner)
+        exact = exact_interpolate(
+            mesh, sol.u, mesh.locate_grid(xs, ys, cells)[rest], points[rest])
+        if theta is not None:
+            exact = exact / theta ** 2
+        assert np.abs(got[rest] - np.abs(exact) ** 2).max(initial=0.0) \
+            <= 1e-14 * want.max(initial=0.0)
 
     @GRID_SETTINGS
     @given(case=_grid_cases(), k=st.sampled_from([1, 3, 8]))
-    def test_family_interpolates_bitwise(self, case, k):
+    def test_family_interpolates_as_point_location(self, case, k):
         mesh, region, n, bbox = case
         rng = np.random.default_rng(k)
         fields = rng.normal(size=(mesh.num_points, k)) \
             + 1j * rng.normal(size=(mesh.num_points, k))
-        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
-        cells = w > 0
-        points = _cell_points(xs, ys, cells)
-        elements = mesh.locate_grid(xs, ys, cells, _SAMPLE_BLOCK // k)
-        assert mesh.interpolate(fields, points, elements).tobytes() \
-            == mesh.interpolate(fields, points).tobytes()
+        xs, ys, cells, points = _grid_and_points(region, n, bbox)
+        elements = mesh.locate_grid(xs, ys, cells)
+        got = mesh.interpolate(fields, points, elements)
+        want = mesh.interpolate(fields, points)
+        inner = _barycentric_min(mesh, points, mesh.locate(points)) > 1e-9
+        assert got[inner].tobytes() == want[inner].tobytes()
+        rest = np.flatnonzero(~inner)
+        exact = exact_interpolate(mesh, fields, elements[rest], points[rest])
+        assert np.abs(got[rest] - exact).max(initial=0.0) \
+            <= 1e-14 * np.abs(want).max(initial=0.0)
 
     @GRID_SETTINGS
-    @given(case=_grid_cases(), block=st.sampled_from([None, 1, 5, 64, 999]))
-    def test_locate_grid_is_blocked_locate(self, case, block):
+    @given(case=_grid_cases())
+    def test_gradient_density_of_a_holding_element(self, case):
         mesh, region, n, bbox = case
-        xs, ys, w, _, _ = _grid_rule(region, n, bbox)
-        cells = w > 0
-        points = _cell_points(xs, ys, cells)
-        size = len(points) if block is None else block
-        want = np.concatenate([mesh.locate(points[i:i + size])
-                               for i in range(0, len(points), size)])
-        assert np.array_equal(mesh.locate_grid(xs, ys, cells, block), want)
+        sol = _rough_field(mesh, 7)
+        xs, ys, cells, _ = _grid_and_points(region, n, bbox)
+        # locate_grid's elements hold their cells (the first test)
+        got = _grad_sq_sampler(sol).on_grid(xs, ys, cells)
+        assert got.tobytes() == sol.gradient_density()[
+            mesh.locate_grid(xs, ys, cells)].tobytes()
 
     def test_interior_grid_locates_nothing(self, disk_solution, monkeypatch):
         calls = []
@@ -680,6 +745,39 @@ class TestGridRaster:
         grid_integrate(_sq_sampler(disk_solution), square, 600)
         grid_integrate(_grad_sq_sampler(disk_solution), square, 600)
         assert calls == []
+
+    def test_boundary_layer_locates_once(self, disk_solution, monkeypatch):
+        # the shells share one grid, and its cells past the hull are
+        # located by the first shell only
+        calls = []
+        real = Mesh.locate
+
+        def counted(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(Mesh, "locate", counted)
+        boundary_layer(disk_solution, [0.15, 0.2, 0.3, 0.4, 0.5])
+        assert len(calls) == 1 and calls[0] > 0
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_repeated_grid_locates_nothing(self, disk_solution, monkeypatch,
+                                           gradient):
+        calls = []
+        real = Mesh.locate
+
+        def counted(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(Mesh, "locate", counted)
+        sampler = _grad_sq_sampler(disk_solution) if gradient \
+            else _sq_sampler(disk_solution)
+        disk = CurveInterior(Circle((0.0, 0.0), 1.0))
+        first = grid_integrate(sampler, disk, 200)
+        assert len(calls) == 1
+        assert grid_integrate(sampler, disk, 200) == first
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("gradient", [False, True])
     def test_grid_beyond_the_extension_raises(self, disk_solution,
