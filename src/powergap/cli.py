@@ -605,13 +605,13 @@ def _sweep_one(doc: dict, param: str, value: float, out_dir):
     d = json.loads(json.dumps(doc))
     _set_by_path(d, param, value)
     d["label"] = f"{d.get('label', 'run')}_{param.replace('.', '_')}_{value:g}"
-    cfg = parse_config(d)
+    # a value the config parser refuses gets its own row, as a failed run
     try:
-        rep, code = run(cfg, out_dir=out_dir)
-        return {"value": value, "label": cfg.label, "exit_code": code,
+        rep, code = run(parse_config(d), out_dir=out_dir)
+        return {"value": value, "label": d["label"], "exit_code": code,
                 "report": rep}
     except PowerGapError as exc:
-        return {"value": value, "label": cfg.label,
+        return {"value": value, "label": d["label"],
                 "exit_code": EXIT_STRUCTURAL, "error": str(exc)}
 
 

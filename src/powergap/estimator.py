@@ -64,18 +64,17 @@ class SizeEstimate:
         }
 
 
-def check_fatness(scene, d1: Optional[float] = None, n: int = 400) -> dict:
-    """Erosion-area test |D_{d1}| >= |D|/2."""
-    depth = scene.d1 if d1 is None else d1
-    if depth <= 0:
+def check_fatness(scene) -> dict:
+    """Erosion-area test |D_{d1}| >= |D|/2, at the scene's d1."""
+    if scene.d1 <= 0:
         raise ValueError("d1 must be positive")
     region = scene.inclusion_region()
-    area = region_area(region, n=n)
-    eroded_area = region_area(erode(region, depth), n=n) if area > 0 else 0.0
+    area = region_area(region)
+    eroded_area = region_area(erode(region, scene.d1)) if area > 0 else 0.0
     ratio = eroded_area / area if area > 0 else 0.0
     return {"passed": bool(ratio >= 0.5), "ratio": float(ratio),
             "area": float(area), "eroded_area": float(eroded_area),
-            "d1": float(depth)}
+            "d1": float(scene.d1)}
 
 
 def interior_gradient_sup(u0: Solution, region=None) -> dict:

@@ -443,14 +443,6 @@ def _cell_points(xs, ys, cells) -> np.ndarray:
                             np.repeat(ys, np.count_nonzero(cells, axis=1))])
 
 
-def _grid_cells(region, n: int, bbox=None):
-    """(points, fractions, dx, dy) of the cells of `_grid_rule` that touch
-    the region, row by row."""
-    xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
-    cells = w > 0
-    return _cell_points(xs, ys, cells), w[cells], dx, dy
-
-
 def grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
     """Integrate fn over a region by the antialiased grid rule (`_grid_rule`).
 
@@ -836,36 +828,32 @@ def flattening_map(curve, anchor_t: float, rho0: float, K0: float,
 # Vitali-style covering of an interface portion
 
 
-def vitali_cover(curve_or_poly, radius: float, within=None,
-                 samples_per_radius: int = 24) -> np.ndarray:
+# Candidate points per radius along the curve of `vitali_cover`.
+_VITALI_SAMPLES = 24
+
+
+def vitali_cover(curve_or_poly, radius: float) -> np.ndarray:
     """Greedy centers on a curve: pairwise >= 2*radius apart, jointly covering.
 
-    Returns points on the curve (restricted to the given region, dilated by
-    one radius, when provided) such that balls of radius are pairwise
+    Returns points on the curve such that balls of radius are pairwise
     disjoint while balls of 5*radius cover the strip of width radius around
-    the selected curve portion.
+    the curve.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if hasattr(curve_or_poly, "nodes"):
-        spacing = radius / samples_per_radius
-        pts = curve_or_poly.nodes(spacing)
+        pts = curve_or_poly.nodes(radius / _VITALI_SAMPLES)
     else:
         poly = np.asarray(curve_or_poly, dtype=float)
         seg = np.diff(poly, axis=0)
         lens = np.linalg.norm(seg, axis=1)
         total = lens.sum()
-        n = max(2, int(math.ceil(total * samples_per_radius / radius)))
+        n = max(2, int(math.ceil(total * _VITALI_SAMPLES / radius)))
         s = np.concatenate([[0.0], np.cumsum(lens)])
         targets = np.linspace(0.0, total, n)
         idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
         frac = (targets - s[idx]) / np.maximum(lens[idx], 1e-300)
         pts = poly[idx] + frac[:, None] * seg[idx]
-    if within is not None:
-        mask = within.signed_distance(pts) < radius
-        pts = pts[mask]
-    if len(pts) == 0:
-        return np.empty((0, 2))
     min_sep = 2.0 * radius * (1.0 + 1e-9)
     centers = [pts[0]]
     arr = pts[0][None, :]

@@ -136,6 +136,20 @@ def _grad_sq_sampler(sol: Solution):
 # sampled points takes.
 _INTERVAL_BLOCK = _SAMPLE_BLOCK // 4
 
+# Cells a side of the chain's and the Lipschitz check's ball stencils, and
+# of the boundary-layer grid.
+_CHAIN_GRID = 96
+_LIPSCHITZ_GRID = 72
+_LAYER_GRID = 500
+
+# A fitted inequality's left side or small factor at or below _ZERO_TOL
+# (times the large factor, if above 1, for the region checks) counts as
+# zero. The chain bounds hold to a relative _BOUND_SLACK, and the chain
+# invariants (spacing, containment, disjointness) to _LINK_SLACK.
+_ZERO_TOL = 1e-14
+_BOUND_SLACK = 1e-9
+_LINK_SLACK = 1e-6
+
 
 def _rect_grid(lo, hi, n_target: int):
     """Midpoint grid with roughly n_target cells, aspect-adapted."""
@@ -253,9 +267,9 @@ def _ball_sums(sol: Solution, centers, radius: float, n_grid: int,
         sums = sum(_run_sums(h[0], h[1], len(c)) for h in halves)
         claimed = sum(_run_sums(h[0], h[2], len(c)) for h in halves)
         for i in np.flatnonzero(claimed != stencil.kept):
-            sums[i] = sampler.on_grid(c[i, 0] + stencil.xs,
-                                      c[i, 1] + stencil.ys,
-                                      kept) @ stencil.weight[kept]
+            sums[i] = np.sum(sampler.on_grid(c[i, 0] + stencil.xs,
+                                             c[i, 1] + stencil.ys, kept)
+                             * stencil.weight[kept])
         out[start:start + len(c)] = sums
     return out
 
@@ -360,23 +374,19 @@ class InequalityCheck:
 
 
 def _fit_inequality(lhs: float, small: float, large: float, xi: float,
-                    params: dict, zero_tol: float) -> InequalityCheck:
-    if lhs <= zero_tol:
-        return InequalityCheck(lhs=lhs, small_factor=small, large_factor=large,
-                               exponents=(xi, 1.0 - xi), constant=0.0,
-                               margin=math.inf, params=params)
-    if small <= zero_tol:
+                    params: dict, scale: float = 1.0) -> InequalityCheck:
+    """The fitted check; lhs or small at or below _ZERO_TOL * scale is 0."""
+    fit = dict(lhs=lhs, small_factor=small, large_factor=large,
+               exponents=(xi, 1.0 - xi), params=params)
+    if lhs <= _ZERO_TOL * scale:
+        return InequalityCheck(**fit, constant=0.0, margin=math.inf)
+    if small <= _ZERO_TOL * scale:
         # the theory predicts lhs = 0 whenever the small factor vanishes
-        return InequalityCheck(lhs=lhs, small_factor=small, large_factor=large,
-                               exponents=(xi, 1.0 - xi), constant=math.inf,
-                               margin=-math.inf, params=params,
+        return InequalityCheck(**fit, constant=math.inf, margin=-math.inf,
                                violation_candidate=True)
     rhs_log = xi * math.log(small) + (1.0 - xi) * math.log(large)
     margin = rhs_log - math.log(lhs)
-    return InequalityCheck(lhs=lhs, small_factor=small, large_factor=large,
-                           exponents=(xi, 1.0 - xi),
-                           constant=math.exp(-margin), margin=margin,
-                           params=params)
+    return InequalityCheck(**fit, constant=math.exp(-margin), margin=margin)
 
 
 def region_integrals(u, regions: RegionTriple, fmap: FlatteningMap,
@@ -410,24 +420,23 @@ def region_integrals(u, regions: RegionTriple, fmap: FlatteningMap,
     return out if family else out[0]
 
 
-def check_three_region(u, regions: RegionTriple, fmap: FlatteningMap,
-                       n_target: int = 240_000, zero_tol: float = 1e-14):
+def check_three_region(u, regions: RegionTriple, fmap: FlatteningMap):
     """Fitted-constant form of the interface three-region inequality; a
     list of Solutions gives a list of checks (see `region_integrals`)."""
-    integrals = region_integrals(u, regions, fmap, n_target)
+    integrals = region_integrals(u, regions, fmap)
     xi, _ = regions.exponents()
     checks = [_fit_inequality(i2, i1, i3, xi, {
         "R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
-        "a": regions.a}, zero_tol * max(i3, 1.0))
+        "a": regions.a}, max(i3, 1.0))
         for i1, i2, i3 in (integrals if isinstance(u, list) else [integrals])]
     return checks if isinstance(u, list) else checks[0]
 
 
-def three_ball_exponent(r1: float, r2: float, r3: float, lambda0: float,
-                        s: float = 1.0) -> float:
+def three_ball_exponent(r1: float, r2: float, r3: float,
+                        lambda0: float) -> float:
     """Interpolation exponent of the away-from-interface three-ball bound."""
-    num = (2.0 * r2 / (r3 * lambda0)) ** (-s) - 1.0
-    den = (r1 / r3) ** (-s) - 1.0
+    num = (2.0 * r2 / (r3 * lambda0)) ** (-1.0) - 1.0
+    den = (r1 / r3) ** (-1.0) - 1.0
     if den <= 0 or num <= 0:
         raise ValueError(
             "radius ratios leave the exponent formula's range; need "
@@ -436,49 +445,41 @@ def three_ball_exponent(r1: float, r2: float, r3: float, lambda0: float,
 
 
 def three_ball_precondition(scene, lambda0: float, center, r1: float,
-                            r2: float, r3: float, s: float = 1.0,
-                            tau: Optional[float] = None) -> float:
+                            r2: float, r3: float) -> float:
     """The exponent tau of a three-ball check, once its inputs pass.
 
     Raises ValueError unless 0 < r1 < r2 < r3, the ball B_r3 lies inside
-    the domain and, when tau is not given, the radius ratios are in the
-    closed-form exponent's range. It needs only the scene and the
-    background's lambda0, so a config can be checked before any solve.
+    the domain and the radius ratios are in the closed-form exponent's
+    range. It needs only the scene and the background's lambda0, so a
+    config can be checked before any solve.
     """
     if not (0 < r1 < r2 < r3):
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3")
     c = np.asarray(center, float)
     if float(scene.outer.signed_distance(c)[0]) > -r3:
         raise ValueError("ball B_r3 must stay inside the domain")
-    return three_ball_exponent(r1, r2, r3, lambda0, s) if tau is None \
-        else tau
+    return three_ball_exponent(r1, r2, r3, lambda0)
 
 
-def check_three_ball(u: Solution, center, r1: float, r2: float, r3: float,
-                     s: float = 1.0, tau: Optional[float] = None,
-                     n_grid: int = 110,
-                     zero_tol: float = 1e-14) -> InequalityCheck:
+def check_three_ball(u: Solution, center, r1: float, r2: float,
+                     r3: float) -> InequalityCheck:
     """Three-ball inequality at a point, fitted-constant form.
 
-    tau comes from the closed-form exponent when the balls avoid the
-    interface; near the interface a caller-configured tau is used and the
-    check is flagged as empirical. The inputs must pass
-    `three_ball_precondition`.
+    tau is always the closed-form exponent of `three_ball_exponent`, which
+    is proven for balls that avoid the interface; when B_r3 meets it, the
+    check is flagged ``crosses_interface`` and its constant is empirical.
+    The inputs must pass `three_ball_precondition`.
     """
     c = np.asarray(center, float)
     scene = u.mesh.scene
-    tau = three_ball_precondition(scene, u.background.lambda0, c, r1, r2, r3,
-                                  s, tau)
+    tau = three_ball_precondition(scene, u.background.lambda0, c, r1, r2, r3)
     crosses = scene.interface is not None and bool(
         abs(float(scene.interface.signed_distance(c)[0])) < r3)
-    n1 = math.sqrt(ball_l2_sq(u, c, r1, n_grid))
-    n2 = math.sqrt(ball_l2_sq(u, c, r2, n_grid))
-    n3 = math.sqrt(ball_l2_sq(u, c, r3, n_grid))
-    params = {"r1": r1, "r2": r2, "r3": r3, "tau": tau, "s": s,
+    n1, n2, n3 = (math.sqrt(ball_l2_sq(u, c, r)) for r in (r1, r2, r3))
+    params = {"r1": r1, "r2": r2, "r3": r3, "tau": tau,
               "crosses_interface": crosses, "center": tuple(c)}
     # squared-norm form keeps units consistent with the region checks
-    return _fit_inequality(n2 ** 2, n1 ** 2, n3 ** 2, tau, params,
-                           zero_tol)
+    return _fit_inequality(n2 ** 2, n1 ** 2, n3 ** 2, tau, params)
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +510,30 @@ class ChainCertificate:
             return 1.0
         return self.constant ** ((1.0 - self.tau ** n) / (1.0 - self.tau))
 
-    def bound_holds(self, slack: float = 1e-9) -> bool:
+    def bound_holds(self) -> bool:
         if self.n_links == 0:
             return True
         m0, mN = self.m_values[0], self.m_values[-1]
         bound = self.accumulated_constant() * m0 ** self.accumulated_exponent()
-        return bool(mN <= bound * (1.0 + slack))
+        return bool(mN <= bound * (1.0 + _BOUND_SLACK))
 
-    def invariants_ok(self, slack: float = 1e-6) -> dict:
+    def invariants_ok(self) -> dict:
         c = self.centers
         r1, r2, _ = self.radii
         out = {"spacing": True, "disjoint": True, "containment": True}
         step = np.linalg.norm(np.diff(c, axis=0), axis=1)
         if len(step) > 1:
             out["spacing"] = bool(
-                np.all(np.abs(step[:-1] - 2.0 * r1) <= slack * r1))
+                np.all(np.abs(step[:-1] - 2.0 * r1) <= _LINK_SLACK * r1))
         if len(step) >= 1:
-            out["containment"] = bool(np.all(step + r1 <= r2 * (1 + slack)))
+            out["containment"] = bool(
+                np.all(step + r1 <= r2 * (1 + _LINK_SLACK)))
         # pairwise disjointness of the non-terminal balls
         cc = c[:-1] if len(c) > 1 else c
         if len(cc) > 1:
             d = np.linalg.norm(cc[:, None, :] - cc[None, :, :], axis=2)
             d += np.eye(len(cc)) * 1e9
-            out["disjoint"] = bool(d.min() >= 2.0 * r1 * (1 - slack))
+            out["disjoint"] = bool(d.min() >= 2.0 * r1 * (1 - _LINK_SLACK))
         return out
 
 
@@ -551,84 +553,61 @@ class PropagationCertificate:
     n_bound: float
     r_over_2h_ok: bool
 
-    def holds(self, slack: float = 1e-9) -> bool:
+    def holds(self) -> bool:
         chains_ok = all(ch.bound_holds() for ch in self.chains)
         return bool(chains_ok and
                     self.direct_d_norm_sq
-                    <= self.bound_d_norm_sq * (1.0 + slack) + 1e-30)
+                    <= self.bound_d_norm_sq * (1.0 + _BOUND_SLACK) + 1e-30)
 
 
-def _segment_sphere_crossings(a, b, center, rho: float):
-    """Parameters t in [0,1] where |a + t(b-a) - center| = rho."""
-    d = b - a
-    f = a - center
-    qa = float(d @ d)
-    if qa < 1e-300:
-        return []
-    qb = 2.0 * float(f @ d)
-    qc = float(f @ f) - rho * rho
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0:
-        return []
-    sq = math.sqrt(disc)
-    return [t for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa))
-            if 0.0 <= t <= 1.0]
+def _straight_chains(region, x0, targets, r1: float) -> list:
+    """The ball centres of each chain, on the segment from x0 to each w.
 
-
-def _chain_centers(path: np.ndarray, r1: float) -> np.ndarray:
-    """Ball centers along a polyline: next center at the last crossing of 2*r1."""
-    centers = [path[0].copy()]
-    work = np.asarray(path, float)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("chain construction did not terminate")
-        c = centers[-1]
-        gap = float(np.linalg.norm(work[-1] - c))
-        if gap <= 2.0 * r1:
-            if gap > 1e-12 * r1:
-                centers.append(work[-1].copy())
-            break
-        last = None
-        for i in range(len(work) - 1):
-            for t in _segment_sphere_crossings(work[i], work[i + 1], c, 2.0 * r1):
-                last = (i, work[i] + t * (work[i + 1] - work[i]))
-        if last is None:
-            raise CoverageError("chain curve never reaches distance 2*r1")
-        i, point = last
-        centers.append(point.copy())
-        work = np.vstack([point[None, :], work[i + 1:]])
-    return np.asarray(centers)
-
-
-def _straight_path(region, start, end, step: float) -> np.ndarray:
-    """The segment from start to end, refused unless it stays in the region.
-
-    D is convex (configs allow circles and ellipses), so every segment from
-    x0 to a cover point lies in its dilation.
+    D is convex (configs allow circles and ellipses), so each segment,
+    sampled every r1 / 4, must lie in the region, dilate(D, r1); else
+    CoverageError names the first w whose segment leaves it. At length L,
+    the centres are x0 + k (2 r1 / L) (w - x0), k = 0 .. ceil(L / 2 r1) - 1,
+    then w when the gap left is above 1e-12 r1.
     """
-    n = max(2, int(np.linalg.norm(end - start) / max(step / 4.0, 1e-12)) + 1)
-    line = start[None, :] + np.linspace(0, 1, n)[:, None] * (end - start)[None, :]
-    if not bool(region.contains(line).all()):
+    d = targets - x0
+    length = np.linalg.norm(d, axis=1)
+    n = np.maximum(2, (length / max(r1 / 4.0, 1e-12)).astype(int) + 1)
+    samples, seg = _points_along(x0, d, n, 1.0 / (n - 1))
+    outside = np.flatnonzero(~region.contains(samples))
+    if len(outside):
+        w = targets[seg[outside[0]]]
         raise CoverageError(
-            f"chain path from x0 = ({start[0]:.4g}, {start[1]:.4g}) to cover "
-            f"point ({end[0]:.4g}, {end[1]:.4g}) leaves dilate(D, r1); "
+            f"chain path from x0 = ({x0[0]:.4g}, {x0[1]:.4g}) to cover "
+            f"point ({w[0]:.4g}, {w[1]:.4g}) leaves dilate(D, r1); "
             "D must be convex")
-    return np.vstack([start, end])
+    n = np.maximum(1, np.ceil(length / (2.0 * r1)).astype(int))
+    # a chain shorter than 2 r1 has k = 0 only, whatever its step
+    centres, _ = _points_along(x0, d, n,
+                               2.0 * r1 / np.maximum(length, 2.0 * r1))
+    last = np.cumsum(n) - 1
+    tail = np.linalg.norm(targets - centres[last], axis=1) > 1e-12 * r1
+    centres = np.insert(centres, last[tail] + 1, targets[tail], axis=0)
+    return np.split(centres, np.cumsum(n + tail))[:-1]
 
 
-def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
-                    s: float = 1.0, tau: Optional[float] = None,
-                    n_grid: int = 96) -> PropagationCertificate:
+def _points_along(x0, d, counts, step):
+    """x0 + (k step_j) d_j, k = 0 .. counts_j - 1, for each j, and its j."""
+    j = np.repeat(np.arange(len(d)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return x0 + (k * step[j])[:, None] * d[j], j
+
+
+def propagate_chain(u: Solution, inclusion, x0, r: float,
+                    h: float) -> PropagationCertificate:
     """Chain-of-balls propagation from a seed ball through the inclusion.
 
     inclusion is a region object (or closed curve) for D; requires
     B_r(x0) inside D and dist(D, boundary) >= h. Radii are h/30, h/10, h/2
     as in the constructive proof; r/2 > h is recorded but not required for
-    building the certificate. Every path and its centres are built first;
-    the chains share balls (every chain starts at x0), so one `ball_l2_sq`
-    call integrates each distinct centre once.
+    building the certificate. The chains run straight from x0 to a cover
+    of D and are built at once (`_straight_chains`); they share balls
+    (every chain starts at x0), so one `ball_l2_sq` call integrates each
+    distinct centre once.
     """
     region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
     x0 = np.asarray(x0, float)
@@ -645,9 +624,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
             raise StructuralError(
                 f"dist(D, boundary) = {gap:.4g} below the requested h = {h:.4g}")
     r1, r2, r3 = h / 30.0, h / 10.0, h / 2.0
-    if tau is None:
-        tau = three_ball_exponent(r1, r2, r3, u.background.lambda0, s)
-    dtil = dilate(region, r1)
+    tau = three_ball_exponent(r1, r2, r3, u.background.lambda0)
 
     # cube cover of D by squares of side sqrt(2)*r1
     side = math.sqrt(2.0) * r1
@@ -659,39 +636,35 @@ def propagate_chain(u: Solution, inclusion, x0, r: float, h: float,
     w = cands[region.signed_distance(cands) < r1]
 
     u_norm = math.sqrt(l2_norm_sq(u))
-    paths = [_chain_centers(_straight_path(dtil, x0, wj, r1), r1)
-             for wj in w]
+    paths = _straight_chains(dilate(region, r1), x0, w, r1)
     # the chains share balls (all start at x0): one integral per distinct
     # centre, all in one call, scattered back to the chains
     distinct, where = np.unique(np.vstack([x0[None, :], *paths]), axis=0,
                                 return_inverse=True)
-    m_all = (np.sqrt(ball_l2_sq(u, distinct, r1, n_grid))
+    m_all = (np.sqrt(ball_l2_sq(u, distinct, r1, _CHAIN_GRID))
              / u_norm)[where.reshape(-1)]
     m0 = float(m_all[0])
     chains = []
-    n_max = 0
-    bound_sq = 0.0
     start = 1
     for centers in paths:
         ms = m_all[start:start + len(centers)]
         start += len(centers)
         links = np.maximum(ms[1:], 1e-300) / np.maximum(ms[:-1], 1e-300) ** tau
-        cmax = float(links.max()) if len(links) else 1.0
-        cert = ChainCertificate(centers=centers, radii=(r1, r2, r3), tau=tau,
-                                m_values=ms, link_constants=links,
-                                constant=cmax)
-        chains.append(cert)
-        n_max = max(n_max, cert.n_links)
-        bound_sq += (cert.accumulated_constant()
-                     * m0 ** cert.accumulated_exponent()) ** 2
-    bound_sq *= u_norm ** 2
+        chains.append(ChainCertificate(
+            centers=centers, radii=(r1, r2, r3), tau=tau, m_values=ms,
+            link_constants=links,
+            constant=float(links.max()) if len(links) else 1.0))
+    bound_sq = sum((ch.accumulated_constant()
+                    * m0 ** ch.accumulated_exponent()) ** 2
+                   for ch in chains) * u_norm ** 2
     direct_sq = grid_integrate(_sq_sampler(u), region, n=420)
     delta = min((ch.accumulated_exponent() for ch in chains), default=1.0)
     area = scene.outer.area if hasattr(scene.outer, "area") else float("nan")
     return PropagationCertificate(
         chains=chains, radii=(r1, r2, r3), tau=tau, m0=m0, u_norm=u_norm,
         direct_d_norm_sq=float(direct_sq), bound_d_norm_sq=float(bound_sq),
-        delta=float(delta), n_max=n_max,
+        delta=float(delta),
+        n_max=max((ch.n_links for ch in chains), default=0),
         n_bound=float(area / (math.pi * r1 ** 2)),
         r_over_2h_ok=bool(r / 2.0 > h))
 
@@ -743,8 +716,8 @@ def lipschitz_centers(scene, a: float, max_centers: int = 150) -> np.ndarray:
     return centers
 
 
-def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
-                        n_grid: int = 72) -> dict:
+def lipschitz_smallness(u0: Solution, a: float,
+                        max_centers: int = 150) -> dict:
     """Smallest ball-to-total gradient-energy ratio over centers in Omega_{4a}.
 
     The centres are `lipschitz_centers`. Each ball's energy is the stencil
@@ -754,7 +727,8 @@ def lipschitz_smallness(u0: Solution, a: float, max_centers: int = 150,
     """
     centers = lipschitz_centers(u0.mesh.scene, a, max_centers)
     total = gradient_energy(u0)
-    ratios = _ball_sums(u0, centers, a, n_grid, gradient=True) / total
+    ratios = _ball_sums(u0, centers, a, _LIPSCHITZ_GRID,
+                        gradient=True) / total
     i_min = int(np.argmin(ratios))
     return {"c_a": float(ratios[i_min]), "argmin": tuple(centers[i_min]),
             "ratios": ratios, "centers": centers, "total_energy": total,
@@ -779,16 +753,13 @@ class _BoundaryShell:
         return self.omega.bbox()
 
 
-def boundary_layer(u0: Solution, a_values, n: int = 500) -> dict:
+def boundary_layer(u0: Solution, a_values) -> dict:
     """Gradient energy in the layer of depth a/4 and its fitted decay exponent."""
     omega = u0.mesh.scene.domain_region()
     sample = _grad_sq_sampler(u0)
     a_values = np.asarray(sorted(a_values), dtype=float)
-    energies = []
-    for a in a_values:
-        shell = _BoundaryShell(omega, a / 4.0)
-        energies.append(grid_integrate(sample, shell, n=n))
-    energies = np.asarray(energies)
+    energies = np.array([grid_integrate(sample, _BoundaryShell(omega, a / 4.0),
+                                        n=_LAYER_GRID) for a in a_values])
     good = energies > 0
     if good.sum() >= 2:
         exponent = float(np.polyfit(np.log(a_values[good]),

@@ -3,7 +3,8 @@
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
 come from Monte Carlo, covering counts from a direct 1d construction, and
-polyline distances from the full point x segment table, point location
+polyline distances from the full point x segment table, ball chains
+from a walk that finds each next centre as a sphere crossing, point location
 and P1 samples from a stock scipy Delaunay with its own LAPACK-built
 transform, the minimum angle from one arccos per angle, and the boundary
 mass and stiffness matrices from an edge-by-edge loop. The FEM references,
@@ -27,7 +28,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
-from powergap.geometry import Circle, _grid_cells, _segment_distances
+from powergap.errors import CoverageError
+from powergap.geometry import (
+    Circle,
+    _cell_points,
+    _grid_rule,
+    _segment_distances,
+)
 from powergap.solver import (
     assemble_stiffness,
     boundary_load,
@@ -283,6 +290,14 @@ def exact_interpolate(mesh, nodal, elements, points) -> np.ndarray:
     return out.reshape(len(p), *nodal.shape[1:])
 
 
+def grid_cells(region, n: int, bbox=None):
+    """(points, fractions, dx, dy) of the cells of `grid_integrate`'s rule
+    that touch the region, row by row."""
+    xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
+    cells = w > 0
+    return _cell_points(xs, ys, cells), w[cells], dx, dy
+
+
 def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
                             gradient: bool = False) -> np.ndarray:
     """Stencil sum of |u|^2, or of |grad u|^2, over the disk around each
@@ -293,8 +308,8 @@ def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
     Each point is located and interpolated (`Solution.evaluate`), or takes
     the |grad u|^2 of the element `Mesh.locate` gives it.
     """
-    offsets, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
-                                     max(16, n_grid))
+    offsets, w, dx, dy = grid_cells(Circle((0.0, 0.0), radius),
+                                    max(16, n_grid))
     w = w * (dx * dy)
     if gradient:
         dens = sol.gradient_density()
@@ -405,6 +420,54 @@ def boundary_data_norm_ratio(mesh, g) -> float:
     l2_sq = float((coeff ** 2).sum())
     neg_sq = float(((1.0 + np.maximum(mu, 0.0)) ** (-0.5) * coeff ** 2).sum())
     return math.inf if neg_sq <= 0 else math.sqrt(l2_sq / neg_sq)
+
+
+def _segment_sphere_crossings(a, b, center, rho: float):
+    """Parameters t in [0,1] where |a + t(b-a) - center| = rho."""
+    d = b - a
+    f = a - center
+    qa = float(d @ d)
+    if qa < 1e-300:
+        return []
+    qb = 2.0 * float(f @ d)
+    qc = float(f @ f) - rho * rho
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0:
+        return []
+    sq = math.sqrt(disc)
+    return [t for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa))
+            if 0.0 <= t <= 1.0]
+
+
+def walked_chain_centers(path, r1: float) -> np.ndarray:
+    """Ball centres along a polyline, walked one ball at a time: the next
+    centre is the path's last crossing of the sphere of radius 2 r1 around
+    the current one, and the path's end closes the chain once it is within
+    2 r1 (unless it is within 1e-12 r1)."""
+    centers = [path[0].copy()]
+    work = np.asarray(path, float)
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 100_000:
+            raise RuntimeError("chain construction did not terminate")
+        c = centers[-1]
+        gap = float(np.linalg.norm(work[-1] - c))
+        if gap <= 2.0 * r1:
+            if gap > 1e-12 * r1:
+                centers.append(work[-1].copy())
+            break
+        last = None
+        for i in range(len(work) - 1):
+            for t in _segment_sphere_crossings(work[i], work[i + 1], c,
+                                               2.0 * r1):
+                last = (i, work[i] + t * (work[i + 1] - work[i]))
+        if last is None:
+            raise CoverageError("chain curve never reaches distance 2*r1")
+        i, point = last
+        centers.append(point.copy())
+        work = np.vstack([point[None, :], work[i + 1:]])
+    return np.asarray(centers)
 
 
 def greedy_segment_cover_count(length: float, radius: float) -> int:

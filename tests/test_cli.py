@@ -397,6 +397,37 @@ class TestSweep:
         assert agg["rows"][1]["error"] == "h must be positive"
         assert "convergence_order_w0" not in agg
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refused_config_value_in_its_row(self, tmp_path, capsys,
+                                             fast_concentric, threads):
+        # delta = -1 is refused by the config parser: its row says so, and
+        # the delta = 8 row, the aggregate and the CSV are kept
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "weights.delta", "--values", "8,-1", "--threads",
+                     str(threads), "--out", str(out)]) == EXIT_STRUCTURAL
+        agg = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in agg["rows"]] \
+            == [EXIT_OK, EXIT_STRUCTURAL]
+        assert agg["rows"][1]["error"] \
+            == "config section 'weights': delta must be positive"
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        assert len(list(out.glob("*.json"))) == 1
+
+    def test_unknown_param_path_is_fatal(self, tmp_path, capsys,
+                                         fast_concentric):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fast_concentric))
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "weights.nope", "--values", "8,-1"]) == EXIT_STRUCTURAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a valid config path" in captured.err
+
     def test_empty_values(self, fast_concentric):
         cfg = parse_config(fast_concentric)
         agg = sweep(cfg, "mesh.h", [])

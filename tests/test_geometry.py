@@ -29,7 +29,6 @@ from powergap.geometry import (
     RectRegion,
     ScaledRegion,
     _dot,
-    _grid_cells,
     _grid_rule,
     _norm,
     polyline_min_distance,
@@ -39,6 +38,7 @@ from powergap.smallness import _BoundaryShell
 from oracles import (
     dense_grid_rule,
     greedy_segment_cover_count,
+    grid_cells,
     monte_carlo_area,
     point_grid_integrate,
     polyline_distance_table,
@@ -320,7 +320,7 @@ class TestLazyGridRule:
     def test_area_and_cells_match_the_dense_rule(self, n):
         disk = CurveInterior(Circle((0.2, -0.1), 0.7))
         assert region_area(disk, n=n) == point_grid_integrate(None, disk, n)
-        pts, w, _, _ = _grid_cells(disk, n)
+        pts, w, _, _ = grid_cells(disk, n)
         _, _, want_pts, want_w, _, _ = dense_grid_rule(disk, n)
         keep = want_w > 0
         assert np.array_equal(pts, want_pts[keep])

@@ -21,7 +21,6 @@ from powergap.errors import CoverageError
 from powergap.geometry import (
     CurveInterior,
     _cell_points,
-    _grid_cells,
     _grid_rule,
     grid_integrate,
 )
@@ -29,8 +28,8 @@ from powergap.mesh import Mesh, _Delaunay, build_mesh
 from powergap.smallness import (
     _BoundaryShell,
     _ball_sums,
-    _chain_centers,
     _grad_sq_sampler,
+    _straight_chains,
     _sq_sampler,
     ball_l2_sq,
     boundary_layer,
@@ -47,11 +46,13 @@ from powergap.solver import BackgroundOperator, Solution
 
 from oracles import (
     exact_interpolate,
+    grid_cells,
     monte_carlo_integral,
     point_grad_sq_sampler,
     point_grid_integrate,
     point_sampled_ball_sums,
     point_sq_sampler,
+    walked_chain_centers,
 )
 
 WP = WeightParams(alpha_plus=2.0, alpha_minus=1.0, beta=0.1, delta=8.0,
@@ -175,7 +176,7 @@ class TestThreeBall:
     def test_exponent_substitution_example(self):
         # r0 = r2/4 and r1 = lambda0 r2/4 gives tau = 1/3 at s = 1
         lam = 0.7
-        tau = three_ball_exponent(0.25, lam / 4.0, 1.0, lam, s=1.0)
+        tau = three_ball_exponent(0.25, lam / 4.0, 1.0, lam)
         assert tau == pytest.approx(1.0 / 3.0)
 
     def test_radius_ordering_rejected(self, disk_solution):
@@ -213,12 +214,72 @@ class TestThreeBall:
             check_three_ball(disk_solution, (0.8, 0.0), 0.05, 0.1, 0.4)
 
 
+# r1 on a dyadic grid in [0.002, 0.3], so that a chain's length can be an
+# exact multiple of 2 r1
+_DYADIC_R1 = st.integers(3, 307).map(lambda j: j / 1024.0)
+
+
+@st.composite
+def _chain_cases(draw):
+    """(x0, w, r1) in the unit disk: a free pair, a segment of exactly m
+    times 2 r1, w = x0, or a segment shorter than 2 r1."""
+    kind = draw(st.sampled_from(["free", "multiple", "same", "short"]))
+    if kind == "multiple":
+        r1 = draw(_DYADIC_R1)
+        half = r1 * draw(st.integers(1, max(1, int(0.95 / r1))))
+        y = draw(st.integers(-16, 16)) / 64.0
+        x0, w = np.array([-half, y]), np.array([half, y])
+        if draw(st.booleans()):
+            x0, w = x0[::-1].copy(), w[::-1].copy()
+        return x0, w, r1
+    r1 = draw(st.floats(0.002, 0.3))
+    rad = st.floats(0.0, 1.0)
+    ang = st.floats(0.0, 2.0 * math.pi)
+    a, t = draw(rad), draw(ang)
+    x0 = np.array([a * math.cos(t), a * math.sin(t)])
+    if kind == "same":
+        return x0, x0.copy(), r1
+    if kind == "short":
+        a, t = draw(st.floats(0.0, 1.999)) * r1, draw(ang)
+        return x0, x0 + np.array([a * math.cos(t), a * math.sin(t)]), r1
+    a, t = draw(rad), draw(ang)
+    return x0, np.array([a * math.cos(t), a * math.sin(t)]), r1
+
+
+_WHOLE = RectRegion((-2.0, -2.0), (2.0, 2.0))
+
+
 class TestChain:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_chain_cases())
+    def test_closed_form_matches_walker(self, case):
+        x0, w, r1 = case
+        [ours] = _straight_chains(_WHOLE, x0, w[None, :], r1)
+        walked = walked_chain_centers(np.vstack([x0, w]), r1)
+        assert ours.shape == walked.shape
+        assert np.abs(ours - walked).max() <= 1e-11 * r1
+        assert np.array_equal(ours[0], x0)
+        # w itself, unless the gap it left was within 1e-12 r1
+        assert np.linalg.norm(ours[-1] - w) <= 1e-12 * r1
+
+    def test_chains_built_together_match_one_by_one(self):
+        rng = np.random.default_rng(3)
+        x0 = np.array([0.1, -0.2])
+        targets = rng.uniform(-0.6, 0.6, (40, 2))
+        targets[7] = x0
+        chains = _straight_chains(_WHOLE, x0, targets, 0.05)
+        assert len(chains) == len(targets)
+        for w, chain in zip(targets, chains):
+            [alone] = _straight_chains(_WHOLE, x0, w[None, :], 0.05)
+            assert np.array_equal(chain, alone)
+        assert _straight_chains(_WHOLE, x0, np.empty((0, 2)), 0.05) == []
+
     def test_straight_polyline_spacing(self):
         # N = ceil(L / 2r1) links, consecutive spacing exactly 2 r1
         L, r1 = 1.0, 0.06
-        path = np.array([[0.0, 0.0], [L, 0.0]])
-        centers = _chain_centers(path, r1)
+        [centers] = _straight_chains(_WHOLE, np.zeros(2),
+                                     np.array([[L, 0.0]]), r1)
         steps = np.linalg.norm(np.diff(centers, axis=0), axis=1)
         assert len(steps) == math.ceil(L / (2 * r1))
         assert np.allclose(steps[:-1], 2 * r1, atol=1e-12)
@@ -480,8 +541,8 @@ def _onto_vertices(mesh: Mesh, centres, radius: float, n_grid: int):
     """Centres shifted so that a stencil point falls on the mesh vertex
     nearest each centre (or within an ulp of it), and a row runs through
     it; those whose ball stays inside the unit disk."""
-    offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), radius),
-                                   max(16, n_grid))
+    offsets, _, _, _ = grid_cells(Circle((0.0, 0.0), radius),
+                                  max(16, n_grid))
     near = mesh.points[np.argmin(np.hypot(*(mesh.points[:, None]
                                             - centres).T), axis=1)]
     shifted = near - offsets[[0, len(offsets) // 2, -1]]
@@ -523,8 +584,8 @@ class TestBallKernel:
         mesh, radius, n_grid, centres = case
         centres = np.vstack([centres, _onto_vertices(mesh, centres, radius,
                                                      n_grid)])
-        _, w, dx, dy = _grid_cells(Circle((0.0, 0.0), radius),
-                                   max(16, n_grid))
+        _, w, dx, dy = grid_cells(Circle((0.0, 0.0), radius),
+                                  max(16, n_grid))
         total = math.fsum(w * (dx * dy))
         got = _ball_sums(_nodal_solution(mesh, np.ones(mesh.num_points)),
                          centres, radius, n_grid)
@@ -553,7 +614,7 @@ class TestBallKernel:
         mid = rim.mean(axis=0)
         r1, r2, r3 = 0.02, 0.06, 0.3
         centre = mid / np.linalg.norm(mid) * (1.0 - r3 - 1e-12)
-        offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), r3), 110)
+        offsets, _, _, _ = grid_cells(Circle((0.0, 0.0), r3), 110)
         assert (mesh._tri.find_simplex(centre + offsets) < 0).any()
         chk = check_three_ball(sol, centre, r1, r2, r3)
         want = point_sampled_ball_sums(sol, centre, r3, 110)[0]
@@ -575,7 +636,7 @@ class TestBallKernel:
         centres = np.array([[0.0, 0.0],
                             mid / np.linalg.norm(mid) * (1.0 - radius - 1e-12),
                             [0.1, -0.2]])
-        offsets, _, _, _ = _grid_cells(Circle((0.0, 0.0), radius), 110)
+        offsets, _, _, _ = grid_cells(Circle((0.0, 0.0), radius), 110)
         past = [(mesh._tri.find_simplex(c + offsets) < 0).any()
                 for c in centres]
         assert past == [False, True, False]
