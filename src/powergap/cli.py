@@ -268,7 +268,7 @@ def _admissibility_stage(st: _Run) -> dict:
     plus, minus = pts[comp > 0], pts[comp < 0]
     d_mask = scene.in_inclusion(pts)
     report = validate_admissibility(st.background, st.law, plus, minus,
-                                    pts[d_mask], comp[d_mask], strict=False)
+                                    pts[d_mask], comp[d_mask])
     # the jump classification "none" is a valid outcome (it only disables
     # the energy bracket), so it does not fail admissibility
     failed = [k for k, v in report.items()

@@ -89,15 +89,15 @@ class BackgroundTensor:
             raise ValueError("lambda0 must lie in (0, 1]")
 
     @staticmethod
-    def isotropic(sigma_plus: float, sigma_minus: float, gamma: float = 0.05,
-                  n_value: float = 1.0, lambda0: float = 0.5,
-                  m0: float = 1.0) -> "BackgroundTensor":
+    def isotropic(sigma_plus: float, sigma_minus: float,
+                  gamma: float = 0.05) -> "BackgroundTensor":
+        """Scalar sigma on each side, N = 1, and the default lambda0 and m0."""
         return BackgroundTensor(
             m_plus=MatrixField.isotropic(sigma_plus, "m+"),
             m_minus=MatrixField.isotropic(sigma_minus, "m-"),
-            n_plus=MatrixField.isotropic(n_value, "n+"),
-            n_minus=MatrixField.isotropic(n_value, "n-"),
-            gamma=gamma, lambda0=lambda0, m0=m0)
+            n_plus=MatrixField.isotropic(1.0, "n+"),
+            n_minus=MatrixField.isotropic(1.0, "n-"),
+            gamma=gamma)
 
     def _per_side(self, plus: MatrixField, minus: MatrixField, points,
                   comp) -> np.ndarray:
@@ -283,19 +283,17 @@ def ohm_apply(sigma, epsilon, zeta, grad) -> np.ndarray:
 def validate_admissibility(background: BackgroundTensor,
                            law: Optional[InclusionLaw],
                            points_plus, points_minus, points_d,
-                           comp_d=None, strict: bool = False) -> dict:
-    """Run every structural hypothesis on sampled points; report or raise.
+                           comp_d=None) -> dict:
+    """Run every structural hypothesis on sampled points and report each.
 
     points_plus/points_minus sample the two components, points_d the
-    inclusion (empty arrays allowed). With strict=True the first failing
-    hypothesis raises StructuralError naming it.
+    inclusion (empty arrays allowed). Each entry holds "passed" and the
+    measured values; the caller decides what a failed entry refuses.
     """
     report: dict = {}
 
     def record(name, ok, detail):
         report[name] = {"passed": bool(ok), **detail}
-        if strict and not ok:
-            raise StructuralError(f"hypothesis {name} violated: {detail}")
 
     for tag, fld, pts in (("M+", background.m_plus, points_plus),
                           ("M-", background.m_minus, points_minus),

@@ -128,6 +128,10 @@ def boundary_power(sol: Solution, conjugate: bool = False) -> complex:
     return complex(total)
 
 
+# Relative volume-versus-boundary mismatch above which `free_energy` flags W'0.
+_MISMATCH_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FreeEnergyReport:
     volume: complex
@@ -136,7 +140,7 @@ class FreeEnergyReport:
     flagged: bool
 
 
-def free_energy(sol: Solution, mismatch_tol: float = 1e-6) -> FreeEnergyReport:
+def free_energy(sol: Solution) -> FreeEnergyReport:
     """W'0 as the volume sesquilinear form, cross-checked against the boundary."""
     grad = sol.gradient()
     cg = np.conj(grad)
@@ -148,7 +152,7 @@ def free_energy(sol: Solution, mismatch_tol: float = 1e-6) -> FreeEnergyReport:
     mismatch = abs(volume - boundary) / max(abs(boundary), 1e-300)
     return FreeEnergyReport(volume=volume, boundary=boundary,
                             mismatch=float(mismatch),
-                            flagged=bool(mismatch > mismatch_tol))
+                            flagged=bool(mismatch > _MISMATCH_TOL))
 
 
 def grad_energy_inclusion(sol: Solution) -> float:

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+# Re W'0 at or below which `estimate_size` refuses: no power was measured.
+_W0_FREE_TOL = 1e-12
+
+# |Re dW| / |Re W'0| at or below which `calibrate_constants` drops a member.
+_GAP_REL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SizeEstimate:
     delta_w_re: float
@@ -99,14 +106,13 @@ def interior_gradient_sup(u0: Solution, region=None) -> dict:
 
 def estimate_size(power: PowerReport, constants: tuple[float, float],
                   fatness_ok: bool = True, true_area: Optional[float] = None,
-                  constants_source: str = "calibrated",
-                  w0_free_tol: float = 1e-12) -> SizeEstimate:
+                  constants_source: str = "calibrated") -> SizeEstimate:
     """Bounds C1*|Re dW|/Re W'0 <= |D| <= C2*|Re dW|/Re W'0."""
     c1, c2 = float(constants[0]), float(constants[1])
     if c1 > c2:
         raise ValueError("require C1 <= C2")
     re_wf = power.w0_free.real
-    if re_wf <= w0_free_tol:
+    if re_wf <= _W0_FREE_TOL:
         raise DegenerateMeasurementError(
             f"Re W'0 = {re_wf:.3e} at or below tolerance; measurement "
             "carries no power")
@@ -139,8 +145,7 @@ class CalibrationResult:
     excluded: tuple
 
 
-def calibrate_constants(family: Sequence[SizeMeasurement],
-                        rel_tol: float = 1e-8) -> CalibrationResult:
+def calibrate_constants(family: Sequence[SizeMeasurement]) -> CalibrationResult:
     """Tight-by-construction constants from scenes with known |D|.
 
     C1 (C2) is the min (max) over the family of |D| * Re W'0 / |Re dW|.
@@ -159,7 +164,7 @@ def calibrate_constants(family: Sequence[SizeMeasurement],
     excluded = []
     for m in family:
         scale = max(abs(m.w0_free_re), 1e-300)
-        if abs(m.delta_w_re) <= rel_tol * scale:
+        if abs(m.delta_w_re) <= _GAP_REL_TOL * scale:
             excluded.append(m.label or "unnamed")
             continue
         ratios.append(m.area * m.w0_free_re / abs(m.delta_w_re))

@@ -80,12 +80,11 @@ def _segment_distances(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return _norm(q[:, None, :] - proj)
 
 
-def polyline_min_distance(points, poly, closed: bool = True,
-                          cap: float = math.inf) -> np.ndarray:
-    """Exact distance from each point to a polyline (closed by default).
+def polyline_min_distance(points, poly, cap: float = math.inf) -> np.ndarray:
+    """Exact distance from each point to a closed polygon.
 
     Distances above ``cap`` come back as inf; a finite ``cap`` lets points
-    far from the polyline skip all segment work. Every other entry is
+    far from the polygon skip all segment work. Every other entry is
     bitwise the minimum over all segments of ``_segment_distances``.
 
     Candidates come from a vertex KD-tree: the k nearest vertices and the
@@ -99,10 +98,8 @@ def polyline_min_distance(points, poly, closed: bool = True,
     p = as_points(points)
     v = np.asarray(poly, dtype=float)
     n = len(v)
-    nseg = n if closed else n - 1
-    # segment j runs from v[j] to v[(j + 1) % n]
-    a = v[:nseg]
-    b = np.roll(v, -1, axis=0)[:nseg]
+    # segment j runs from a[j] = v[j] to b[j] = v[(j + 1) % n]
+    a, b = v, np.roll(v, -1, axis=0)
     half_l2 = 0.25 * float(((b - a) ** 2).sum(axis=1).max())
     # widens every radius past the rounding of the distances it compares
     slack = 1e-12 * (float(np.abs(v).max()) + float(np.abs(p).max(initial=0.0)))
@@ -125,8 +122,7 @@ def polyline_min_distance(points, poly, closed: bool = True,
                 # missing neighbours (index n) repeat the nearest vertex
                 j = idx[found]
                 j = np.where(j < n, j, j[:, :1])
-                prev = (j - 1) % n if closed else np.maximum(j - 1, 0)
-                seg = np.concatenate([prev, np.minimum(j, nseg - 1)], axis=1)
+                seg = np.concatenate([(j - 1) % n, j], axis=1)
                 best[found] = _segment_distances(p[i[found]], a[seg],
                                                  b[seg]).min(axis=1)
             out[i] = best
@@ -371,7 +367,7 @@ _LAZY_BLOCK = 8
 _LAZY_SLACK = 0.25
 
 
-def _grid_rule(region, n: int, bbox=None):
+def _grid_rule(region, n: int):
     """The antialiased n x n midpoint grid rule on a region's bounding box.
 
     Returns (xs, ys, fractions, dx, dy): the cell-centre axes, the covered
@@ -379,7 +375,7 @@ def _grid_rule(region, n: int, bbox=None):
     sides. A cell's covered fraction is clip(0.5 - sd / sqrt(dx dy), 0, 1)
     of the signed distance sd at its midpoint, so the error decays like the
     square of the cell size for smooth boundaries; it is 0 for cells off the
-    region. An empty box gives no cells.
+    region. A box of zero width or height gives no cells.
 
     `region.signed_distance` must be 1-Lipschitz, up to a jump below
     ``_LAZY_SLACK`` cell sides, and evaluate each point on its own. The
@@ -397,7 +393,7 @@ def _grid_rule(region, n: int, bbox=None):
     curve: below the slack for any grid of fewer than 100 000 cells over
     the ellipse's box.
     """
-    lo, hi = bbox if bbox is not None else region.bbox()
+    lo, hi = region.bbox()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     nx = ny = int(n)
@@ -443,7 +439,7 @@ def _cell_points(xs, ys, cells) -> np.ndarray:
                             np.repeat(ys, np.count_nonzero(cells, axis=1))])
 
 
-def grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
+def grid_integrate(fn, region, n: int = 400) -> float:
     """Integrate fn over a region by the antialiased grid rule (`_grid_rule`).
 
     fn=None integrates 1 (area). Otherwise fn takes the (p, 2) midpoints of
@@ -454,7 +450,7 @@ def grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
     mesh edge or vertex may take the value of any element that holds it.
     Either way the sum is ``(vals * w).sum() * dx * dy``.
     """
-    xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
+    xs, ys, w, dx, dy = _grid_rule(region, n)
     cells = w > 0
     w = w[cells]
     if not len(w):
@@ -470,8 +466,8 @@ def grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
     return float((vals * w).sum() * dx * dy)
 
 
-def region_area(region, n: int = 400, bbox=None) -> float:
-    return grid_integrate(None, region, n=n, bbox=bbox)
+def region_area(region, n: int = 400) -> float:
+    return grid_integrate(None, region, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +714,10 @@ def build_regions(wp: WeightParams, R1: float, R2: float,
 # Interface flattening
 
 
+# Samples of x' over the chart in `FlatteningMap.eta_norm`.
+_ETA_SAMPLES = 4001
+
+
 class FlatteningMap:
     """Local chart at an interface point: shear (x', x_n) -> (x', x_n - psi(x')).
 
@@ -762,19 +762,20 @@ class FlatteningMap:
         local = np.column_stack([q[:, 0], q[:, 1] + self.psi(q[:, 0])])
         return self.from_frame(local)
 
-    def eta_norm(self, n: int = 4001) -> float:
+    def eta_norm(self) -> float:
         """sup over the chart of |psi(x')| / |x'|^2."""
-        xp = np.linspace(-self.rho0, self.rho0, n)
+        xp = np.linspace(-self.rho0, self.rho0, _ETA_SAMPLES)
         xp = xp[np.abs(xp) > 1e-12]
         return float(np.max(np.abs(self.psi(xp)) / xp ** 2))
 
 
-def flattening_map(curve, anchor_t: float, rho0: float, K0: float,
-                   psi: Optional[Callable] = None) -> FlatteningMap:
+def flattening_map(curve, anchor_t: float, rho0: float,
+                   K0: float) -> FlatteningMap:
     """Build the local chart for a circle or ellipse interface at parameter t.
 
-    The normal points away from the enclosed (minus) component. A custom
-    graph function psi may be supplied for synthetic charts.
+    The normal points away from the enclosed (minus) component. The graph
+    psi is the curve's own: psi(0) is exactly 0 on a circle, and within
+    rounding of 0 on an ellipse.
     """
     P = curve.point_at(anchor_t).reshape(2)
     if isinstance(curve, Circle):
@@ -784,44 +785,38 @@ def flattening_map(curve, anchor_t: float, rho0: float, K0: float,
         R = curve.radius
         if rho0 >= R:
             raise ValueError("chart radius must be below the circle radius")
-        if psi is None:
-            def psi(xp, R=R):
-                xp = np.asarray(xp, dtype=float)
-                return np.sqrt(R * R - xp * xp) - R
+
+        def psi(xp, R=R):
+            xp = np.asarray(xp, dtype=float)
+            return np.sqrt(R * R - xp * xp) - R
     elif isinstance(curve, Ellipse):
         c = np.asarray(curve.center)
         w = P - c
         grad = np.array([2.0 * w[0] / curve.a ** 2, 2.0 * w[1] / curve.b ** 2])
         normal = grad / np.linalg.norm(grad)
         tangent = np.array([-normal[1], normal[0]])
-        if psi is None:
-            aa, bb = curve.a, curve.b
+        aa, bb = curve.a, curve.b
 
-            def psi(xp, P=P, c=c, t=tangent, n=normal, aa=aa, bb=bb):
-                # solve the implicit quadratic for the graph height along n
-                xp = np.asarray(xp, dtype=float)
-                scalar = xp.ndim == 0
-                xv = np.atleast_1d(xp)
-                base = (P - c)[None, :] + xv[:, None] * t[None, :]
-                A = (n[0] / aa) ** 2 + (n[1] / bb) ** 2
-                B = 2.0 * (base[:, 0] * n[0] / aa ** 2 + base[:, 1] * n[1] / bb ** 2)
-                Cc = (base[:, 0] / aa) ** 2 + (base[:, 1] / bb) ** 2 - 1.0
-                disc = B * B - 4.0 * A * Cc
-                if np.any(disc < 0):
-                    raise ChartRangeError("chart leaves the ellipse graph range")
-                sq = np.sqrt(disc)
-                r1 = (-B + sq) / (2.0 * A)
-                r2 = (-B - sq) / (2.0 * A)
-                out = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-                return out[0] if scalar else out
+        def psi(xp, P=P, c=c, t=tangent, n=normal, aa=aa, bb=bb):
+            # solve the implicit quadratic for the graph height along n
+            xp = np.asarray(xp, dtype=float)
+            scalar = xp.ndim == 0
+            xv = np.atleast_1d(xp)
+            base = (P - c)[None, :] + xv[:, None] * t[None, :]
+            A = (n[0] / aa) ** 2 + (n[1] / bb) ** 2
+            B = 2.0 * (base[:, 0] * n[0] / aa ** 2 + base[:, 1] * n[1] / bb ** 2)
+            Cc = (base[:, 0] / aa) ** 2 + (base[:, 1] / bb) ** 2 - 1.0
+            disc = B * B - 4.0 * A * Cc
+            if np.any(disc < 0):
+                raise ChartRangeError("chart leaves the ellipse graph range")
+            sq = np.sqrt(disc)
+            r1 = (-B + sq) / (2.0 * A)
+            r2 = (-B - sq) / (2.0 * A)
+            out = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
+            return out[0] if scalar else out
     else:
         raise TypeError(f"no local graph available for {type(curve).__name__}")
-    m = FlatteningMap(P, tangent, normal, psi, rho0, K0)
-    anchor_val = float(np.atleast_1d(psi(np.array([0.0])))[0])
-    if abs(anchor_val) > 1e-10:
-        raise ValueError(f"graph function must vanish at the anchor; "
-                         f"psi(0) = {anchor_val:.3e}")
-    return m
+    return FlatteningMap(P, tangent, normal, psi, rho0, K0)
 
 
 # ---------------------------------------------------------------------------
@@ -832,28 +827,19 @@ def flattening_map(curve, anchor_t: float, rho0: float, K0: float,
 _VITALI_SAMPLES = 24
 
 
-def vitali_cover(curve_or_poly, radius: float) -> np.ndarray:
+def vitali_cover(curve, radius: float) -> np.ndarray:
     """Greedy centers on a curve: pairwise >= 2*radius apart, jointly covering.
 
-    Returns points on the curve such that balls of radius are pairwise
-    disjoint while balls of 5*radius cover the strip of width radius around
-    the curve.
+    Returns points on the curve (a `Circle` or an `Ellipse`) such that balls
+    of radius are pairwise disjoint while balls of 5*radius cover the strip
+    of width radius around the curve.
     """
+    if not isinstance(curve, (Circle, Ellipse)):
+        raise TypeError("vitali_cover needs a closed curve (Circle or "
+                        f"Ellipse), got {type(curve).__name__}")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if hasattr(curve_or_poly, "nodes"):
-        pts = curve_or_poly.nodes(radius / _VITALI_SAMPLES)
-    else:
-        poly = np.asarray(curve_or_poly, dtype=float)
-        seg = np.diff(poly, axis=0)
-        lens = np.linalg.norm(seg, axis=1)
-        total = lens.sum()
-        n = max(2, int(math.ceil(total * _VITALI_SAMPLES / radius)))
-        s = np.concatenate([[0.0], np.cumsum(lens)])
-        targets = np.linspace(0.0, total, n)
-        idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
-        frac = (targets - s[idx]) / np.maximum(lens[idx], 1e-300)
-        pts = poly[idx] + frac[:, None] * seg[idx]
+    pts = curve.nodes(radius / _VITALI_SAMPLES)
     min_sep = 2.0 * radius * (1.0 + 1e-9)
     centers = [pts[0]]
     arr = pts[0][None, :]

@@ -63,14 +63,18 @@ def circle_circle_intersections(c1: Circle, c2: Circle) -> np.ndarray:
     return np.vstack([mid + h * perp, mid - h * perp])
 
 
-def _generic_intersections(curve_a, curve_b, n: int = 2048) -> np.ndarray:
+# Polygon vertices along which `_generic_intersections` seeks sign changes.
+_CROSSING_SAMPLES = 2048
+
+
+def _generic_intersections(curve_a, curve_b) -> np.ndarray:
     """Crossing points via sign changes of curve_a membership along curve_b."""
-    poly = curve_b.polyline(n)
+    poly = curve_b.polyline(_CROSSING_SAMPLES)
     inside = curve_a.contains(poly)
     flips = np.nonzero(inside != np.roll(inside, -1))[0]
     pts = []
     for i in flips:
-        a, b = poly[i], poly[(i + 1) % n]
+        a, b = poly[i], poly[(i + 1) % len(poly)]
         fa = curve_a.signed_distance(a)[0]
         for _ in range(60):
             m = 0.5 * (a + b)

@@ -77,12 +77,13 @@ class NeumannData:
         return abs(total)
 
 
-def fourier_data(modes, label: Optional[str] = None) -> NeumannData:
+def fourier_data(modes) -> NeumannData:
     """Boundary data as Fourier modes in the boundary angle.
 
     modes is a list of (k, cos_coeff, sin_coeff); k >= 1 keeps the
     compatibility integral zero on a circle automatically, and the
-    remaining defect on other shapes is projected out by the solver.
+    remaining defect on other shapes is projected out by the solver. The
+    label lists the modes, as in ``1cos1t+0sin1t``.
     """
     modes = [(int(k), float(a), float(b)) for k, a, b in modes]
 
@@ -94,9 +95,8 @@ def fourier_data(modes, label: Optional[str] = None) -> NeumannData:
             out += a * np.cos(k * th) + b * np.sin(k * th)
         return out
 
-    if label is None:
-        label = "+".join(f"{a:g}cos{k}t+{b:g}sin{k}t" for k, a, b in modes)
-    return NeumannData(fn, label)
+    return NeumannData(fn, "+".join(f"{a:g}cos{k}t+{b:g}sin{k}t"
+                                    for k, a, b in modes))
 
 
 @dataclass

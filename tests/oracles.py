@@ -201,8 +201,8 @@ def monte_carlo_integral(fn, contains, bbox, n: int = 400_000,
     return float(vals.mean() * np.prod(hi - lo))
 
 
-def polyline_distance_table(points, poly, closed: bool = True) -> np.ndarray:
-    """Distance from each point to a polyline over every segment.
+def polyline_distance_table(points, poly) -> np.ndarray:
+    """Distance from each point to a closed polygon over every segment.
 
     Each point is measured against all segments with the package's own
     point-segment arithmetic, so an exact candidate search must agree with
@@ -210,8 +210,8 @@ def polyline_distance_table(points, poly, closed: bool = True) -> np.ndarray:
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     v = np.asarray(poly, dtype=float)
-    a = (v if closed else v[:-1])[None, :, :]
-    b = (np.roll(v, -1, axis=0) if closed else v[1:])[None, :, :]
+    a = v[None, :, :]
+    b = np.roll(v, -1, axis=0)[None, :, :]
     rows = max(1, 65_536 // a.shape[1])
     return np.concatenate(
         [_segment_distances(p[lo:lo + rows], a, b).min(axis=1)
@@ -290,10 +290,29 @@ def exact_interpolate(mesh, nodal, elements, points) -> np.ndarray:
     return out.reshape(len(p), *nodal.shape[1:])
 
 
-def grid_cells(region, n: int, bbox=None):
+class Boxed:
+    """A region laid on a bounding box of the caller's choosing: the grid
+    rule then runs on that box instead of the region's own."""
+
+    def __init__(self, region, lo, hi):
+        self.region = region
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+
+    def contains(self, points):
+        return self.region.contains(points)
+
+    def signed_distance(self, points):
+        return self.region.signed_distance(points)
+
+    def bbox(self):
+        return self.lo.copy(), self.hi.copy()
+
+
+def grid_cells(region, n: int):
     """(points, fractions, dx, dy) of the cells of `grid_integrate`'s rule
     that touch the region, row by row."""
-    xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
+    xs, ys, w, dx, dy = _grid_rule(region, n)
     cells = w > 0
     return _cell_points(xs, ys, cells), w[cells], dx, dy
 
@@ -320,7 +339,7 @@ def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
                      for c in np.asarray(centers, float).reshape(-1, 2)])
 
 
-def dense_grid_rule(region, n: int, bbox=None):
+def dense_grid_rule(region, n: int):
     """`grid_integrate`'s antialiased n x n midpoint rule with the signed
     distance evaluated at every cell midpoint.
 
@@ -328,7 +347,7 @@ def dense_grid_rule(region, n: int, bbox=None):
     row by row, its covered fraction clip(0.5 - sd / sqrt(dx dy), 0, 1),
     and the cell sides.
     """
-    lo, hi = bbox if bbox is not None else region.bbox()
+    lo, hi = region.bbox()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     dx = (hi[0] - lo[0]) / n
@@ -343,11 +362,11 @@ def dense_grid_rule(region, n: int, bbox=None):
     return xs, ys, pts, w, dx, dy
 
 
-def point_grid_integrate(fn, region, n: int = 400, bbox=None) -> float:
+def point_grid_integrate(fn, region, n: int = 400) -> float:
     """The grid integral with every kept midpoint handed to fn at once:
     ``(fn(points) * w).sum() * dx * dy`` over the cells of the dense rule
     with w > 0; fn=None integrates 1."""
-    _, _, pts, w, dx, dy = dense_grid_rule(region, n, bbox)
+    _, _, pts, w, dx, dy = dense_grid_rule(region, n)
     keep = w > 0
     pts, w = pts[keep], w[keep]
     if not len(w):
@@ -468,12 +487,6 @@ def walked_chain_centers(path, r1: float) -> np.ndarray:
         centers.append(point.copy())
         work = np.vstack([point[None, :], work[i + 1:]])
     return np.asarray(centers)
-
-
-def greedy_segment_cover_count(length: float, radius: float) -> int:
-    """Centers along a segment spaced just over 2*radius, from one end."""
-    spacing = 2.0 * radius * (1.0 + 1e-9)
-    return int(math.floor(length / spacing)) + 1
 
 
 def lapack_eigvalsh2(mats) -> np.ndarray:

@@ -529,6 +529,38 @@ class TestCorpus:
             assert code == EXIT_OK, (name, rep.get("violations"))
             assert rep["violations"] == []
 
+    def test_concentric_error_is_second_order(self):
+        # concentric_disk has an exact layered-disk solution: halving h
+        # divides the errors of W0 and dW by about four
+        from oracles import LayeredDiskSolution, constitutive_matrix
+
+        orc0 = LayeredDiskSolution(
+            [0.5, 1.0],
+            [constitutive_matrix(2.0, 0.05), constitutive_matrix(1.0, 0.05)],
+            1, (1.0, 0.0))
+        orc1 = LayeredDiskSolution(
+            [0.25, 0.5, 1.0],
+            [constitutive_matrix(1.5, 0.05, 1.2),
+             constitutive_matrix(2.0, 0.05), constitutive_matrix(1.0, 0.05)],
+            1, (1.0, 0.0))
+        w0 = orc0.power((1.0, 0.0)).real
+        dw = w0 - orc1.power((1.0, 0.0)).real
+        with open(CONFIGS / "concentric_disk.json") as fh:
+            doc = json.load(fh)
+        doc["checks"] = ["energy"]
+        errors = []
+        for h in (0.03, 0.015):
+            doc["mesh"]["h"] = h
+            rep, code = run(parse_config(doc))
+            assert code == EXIT_OK
+            errors.append((rep["power"]["w0_re"] / w0 - 1.0,
+                           rep["power"]["delta_w_re"] / dw - 1.0))
+        (w_coarse, dw_coarse), (w_fine, dw_fine) = errors
+        assert abs(w_coarse) < 5e-5 and abs(dw_coarse) < 2e-3
+        assert abs(dw_fine) < 6e-4
+        assert 3.0 <= w_coarse / w_fine <= 5.0
+        assert 3.0 <= dw_coarse / dw_fine <= 5.0
+
     def test_concentric_report_matches_series_oracle(self, fast_report):
         import sys
         from pathlib import Path

@@ -251,6 +251,33 @@ class TestBracket:
             assert br.bracket_ok and br.sign_ok
         assert energies == sorted(energies)
 
+    @pytest.mark.parametrize("epsilon1", [None, 0.04])
+    def test_off_d_cg_is_the_background(self, cos_data, epsilon1):
+        # case (ii) takes B1's off-D eigenvalues from B0, which holds only if
+        # the two laws' CG matrices agree bit for bit off D; here on an
+        # affine (Lipschitz) background, with and without the law's own
+        # epsilon1
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.5),
+                      inclusion=Circle((0.05, -0.02), 0.25))
+        mesh = build_mesh(scene, 0.06)
+        bg = BackgroundTensor(
+            m_plus=MatrixField.affine([[1.0, 0.1], [0.1, 1.2]], 0.2, -0.1),
+            m_minus=MatrixField.affine(2.0, 0.1, 0.05),
+            n_plus=MatrixField.affine(1.0, 0.05, 0.0),
+            n_minus=MatrixField.isotropic(1.0), gamma=GAMMA)
+        law = dataclasses.replace(
+            CASE_II_LAW, epsilon1=None if epsilon1 is None
+            else MatrixField.isotropic(epsilon1))
+        op = BackgroundOperator(mesh, bg)
+        sol0 = op.solve(cos_data)
+        sol1 = solve_perturbed(op, law, cos_data)
+        off = ~mesh.in_d
+        assert off.any() and mesh.in_d.any()
+        assert np.array_equal(element_cg(sol0)[off], element_cg(sol1)[off])
+        assert not np.array_equal(element_cg(sol0)[mesh.in_d],
+                                  element_cg(sol1)[mesh.in_d])
+
     def test_state_matrix_maps_gradient(self, inclusion_setup):
         _, _, sol0, _, _ = inclusion_setup
         t = gradient_to_state_matrices(sol0)

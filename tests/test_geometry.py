@@ -36,8 +36,8 @@ from powergap.geometry import (
 from powergap.smallness import _BoundaryShell
 
 from oracles import (
+    Boxed,
     dense_grid_rule,
-    greedy_segment_cover_count,
     grid_cells,
     monte_carlo_area,
     point_grid_integrate,
@@ -179,6 +179,15 @@ class TestFlattening:
         graph_pts = m.from_frame(np.column_stack([xs, m.psi(xs)]))
         assert np.abs(circle.signed_distance(graph_pts)).max() < 1e-12
 
+    def test_graph_vanishes_at_the_anchor(self):
+        for t in np.linspace(0.0, 1.0, 16, endpoint=False):
+            circle = flattening_map(Circle((0.2, -0.1), 0.5), t, rho0=0.3,
+                                    K0=4.0)
+            assert circle.psi(np.array([0.0]))[0] == 0.0
+            ellipse = flattening_map(Ellipse((0.1, 0.0), 0.55, 0.4), t,
+                                     rho0=0.22, K0=4.0)
+            assert abs(ellipse.psi(np.array([0.0]))[0]) <= 1e-15
+
     def test_ellipse_graph_matches_curve(self):
         ell = Ellipse((0.0, 0.0), 0.55, 0.4)
         m = flattening_map(ell, 0.25, rho0=0.22, K0=4.0)
@@ -264,8 +273,8 @@ class TestErodeDilate:
 
 @st.composite
 def lazy_rule_cases(draw):
-    """(region, n, bbox): every region kind the grid integrals use, on its
-    own box or on a box of another size and aspect; n includes sizes that
+    """(region, n): every region kind the grid integrals use, on its own
+    box or on a box of another size and aspect; n includes sizes that
     the rule's blocks do not divide."""
     coord = st.floats(-1.0, 1.0)
     c = (draw(coord), draw(coord))
@@ -291,12 +300,11 @@ def lazy_rule_cases(draw):
         "eroded_ellipse": erode(base, depth),
     }[kind]
     n = draw(st.sampled_from([1, 2, 7, 16, 97]))
-    bbox = None
     if draw(st.booleans()):
         lo, hi = region.bbox()
         grow = np.array([draw(st.floats(-0.3, 1.0)), draw(st.floats(-0.3, 1.0))])
-        bbox = (lo - grow * r, hi + grow[::-1] * r)
-    return region, n, bbox
+        region = Boxed(region, lo - grow * r, hi + grow[::-1] * r)
+    return region, n
 
 
 class TestLazyGridRule:
@@ -307,10 +315,10 @@ class TestLazyGridRule:
               database=None)
     @given(lazy_rule_cases())
     def test_bitwise_the_dense_rule(self, case):
-        region, n, bbox = case
-        xs, ys, w, dx, dy = _grid_rule(region, n, bbox)
+        region, n = case
+        xs, ys, w, dx, dy = _grid_rule(region, n)
         want_xs, want_ys, _, want, want_dx, want_dy = dense_grid_rule(
-            region, n, bbox)
+            region, n)
         assert (dx, dy) == (want_dx, want_dy)
         assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
         assert w.shape == (len(ys), len(xs))
@@ -327,10 +335,9 @@ class TestLazyGridRule:
         assert np.array_equal(w, want_w[keep])
 
     def test_empty_box(self):
-        disk = CurveInterior(Circle((0.0, 0.0), 1.0))
-        bbox = (np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        assert _grid_rule(disk, 8, bbox)[2].size == 0
-        assert grid_integrate(lambda p: p[:, 0], disk, 8, bbox) == 0.0
+        flat = RectRegion((0.0, 0.0), (0.0, 1.0))
+        assert _grid_rule(flat, 8)[2].size == 0
+        assert grid_integrate(lambda p: p[:, 0], flat, 8) == 0.0
 
 
 class TestScene:
@@ -375,7 +382,7 @@ def walks(draw):
                      rng.uniform(lo - span, hi + span, (20, 2)),
                      rng.uniform(lo - 100 * span, hi + 100 * span, (10, 2)),
                      poly[rng.integers(0, n, 5)]])
-    return pts, poly, draw(st.booleans())
+    return pts, poly
 
 
 class TestLengthKernels:
@@ -408,21 +415,20 @@ class TestPolylineDistance:
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         return np.column_stack([np.cos(t), 0.6 * np.sin(t)])
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_dense_table_matches_per_point(self, rng, closed):
+    def test_dense_table_matches_per_point(self, rng):
         # 700 segments: the table is taken in several blocks of points,
         # the last one partial
         poly = self._ellipse(700)
         pts = rng.uniform(-1.2, 1.2, (500, 2))
-        a = poly if closed else poly[:-1]
-        b = np.roll(poly, -1, axis=0) if closed else poly[1:]
+        a = poly
+        b = np.roll(poly, -1, axis=0)
         want = []
         for p in pts:
             t = np.clip(((p - a) * (b - a)).sum(axis=1)
                         / ((b - a) ** 2).sum(axis=1), 0.0, 1.0)
             want.append(np.linalg.norm(p - (a + t[:, None] * (b - a)),
                                        axis=1).min())
-        np.testing.assert_allclose(polyline_min_distance(pts, poly, closed),
+        np.testing.assert_allclose(polyline_min_distance(pts, poly),
                                    want, rtol=1e-12)
 
     def test_dense_table_memory_bounded(self):
@@ -473,12 +479,12 @@ class TestPolylineDistance:
               database=None)
     @given(walks(), st.floats(0.0, 1.0))
     def test_equals_full_table(self, case, q):
-        pts, poly, closed = case
-        want = polyline_distance_table(pts, poly, closed)
-        assert np.array_equal(polyline_min_distance(pts, poly, closed), want)
+        pts, poly = case
+        want = polyline_distance_table(pts, poly)
+        assert np.array_equal(polyline_min_distance(pts, poly), want)
         # a cap keeps the exact value up to it and gives inf beyond
         cap = float(np.quantile(want, q))
-        got = polyline_min_distance(pts, poly, closed, cap=cap)
+        got = polyline_min_distance(pts, poly, cap=cap)
         near = np.isfinite(got)
         assert np.array_equal(got[near], want[near])
         assert np.all(got[near] <= cap)
@@ -486,12 +492,10 @@ class TestPolylineDistance:
 
 
 class TestVitaliCover:
-    def test_flat_segment_count(self):
-        for L, r in [(1.0, 0.25), (1.0, 0.2), (2.0, 0.11)]:
-            seg = np.array([[0.0, 0.0], [L, 0.0]])
-            centers = vitali_cover(seg, r)
-            assert len(centers) <= greedy_segment_cover_count(L, r)
-            assert len(centers) <= math.ceil(L / (2 * r))
+    @pytest.mark.parametrize("points", [np.zeros((1, 2)), np.zeros((0, 2))])
+    def test_points_are_not_a_curve(self, points):
+        with pytest.raises(TypeError, match="closed curve"):
+            vitali_cover(points, 0.1)
 
     def test_disjointness(self, twophase_scene):
         centers = vitali_cover(twophase_scene.interface, 0.05)

@@ -45,6 +45,7 @@ from powergap.smallness import (
 from powergap.solver import BackgroundOperator, Solution
 
 from oracles import (
+    Boxed,
     exact_interpolate,
     grid_cells,
     monte_carlo_integral,
@@ -714,9 +715,9 @@ def _barycentric_min(mesh: Mesh, points, elements) -> np.ndarray:
 
 
 def _grid_and_points(region, n, bbox, theta=None):
-    """A grid of `grid_integrate`'s rule, its cell mask and its points, the
-    points scaled by theta when given."""
-    xs, ys, w, _, _ = _grid_rule(region, n, bbox)
+    """A grid of `grid_integrate`'s rule on the box bbox, its cell mask and
+    its points, the points scaled by theta when given."""
+    xs, ys, w, _, _ = _grid_rule(Boxed(region, *bbox), n)
     cells = w > 0
     points = _cell_points(xs, ys, cells)
     return xs, ys, cells, points if theta is None else points * theta
