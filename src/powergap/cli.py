@@ -177,8 +177,10 @@ _NEEDS = {
     "interface": ("scene.interface", lambda r: r["scene"].get("interface")),
     "inclusion": ("scene.inclusion", lambda r: r["scene"].get("inclusion")),
     "law": ("a 'law' section", lambda r: r.get("law")),
-    "chain": ("a 'chain' section (x0, r, h)", lambda r: "chain" in r),
+    "chain": ("a 'chain' section (x0, r, h)",
+              lambda r: {"x0", "r", "h"} <= set(r.get("chain") or ())),
     "energy": ("check 'energy'", lambda r: "energy" in r.get("checks", [])),
+    "bracket": ("check 'bracket'", lambda r: "bracket" in r.get("checks", [])),
 }
 
 
@@ -249,6 +251,12 @@ class _Run:
         self.mesh = self.op = self.sol0 = self.sol1 = self.power = None
         self.family = None
         self.case = JumpCase.NONE
+        for stage in _stages():
+            if stage.precheck is not None and stage.name in cfg.checks:
+                try:
+                    stage.precheck(self)
+                except ValueError as exc:
+                    raise stage.refusal(exc) from exc
 
 
 def _mesh_stage(st: _Run) -> dict:
@@ -299,9 +307,8 @@ def _solve_stage(st: _Run) -> dict:
         # no other stage draws from the seed; the family is solved with one
         # multi-column LU solve
         rng = np.random.default_rng(st.cfg.seed)
-        n_family = int(st.cfg.raw.get("regions", {}).get("n_family", 8))
         mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
-                      for k in range(1, 6)] for _ in range(n_family)]
+                      for k in range(1, 6)] for _ in range(_n_family(st))]
         st.family = st.op.solve([fourier_data(m) for m in mode_sets])
     st.op.release()
     return out
@@ -319,6 +326,13 @@ def _energy_stage(st: _Run) -> dict:
             f"energy bracket failed (sign_ok={bracket.sign_ok}, "
             f"bracket_ok={bracket.bracket_ok})")
     return {**st.power.as_dict(), "case": st.case.value}
+
+
+def _n_family(st: _Run) -> int:
+    n = int(st.cfg.raw.get("regions", {}).get("n_family", 8))
+    if n < 1:
+        raise ValueError(f"regions.n_family must be at least 1, got {n}")
+    return n
 
 
 def _three_region_stage(st: _Run) -> dict:
@@ -352,19 +366,18 @@ def _three_region_stage(st: _Run) -> dict:
             else math.nan}
 
 
-def _three_ball_inputs(cfg: ExperimentConfig) -> dict:
-    return cfg.raw.get("three_ball", {"center": [0.3, 0.2],
-                                      "radii": [0.02, 0.06, 0.3]})
-
-
-def _three_ball_precheck(st: _Run):
-    tb = _three_ball_inputs(st.cfg)
+def _three_ball_inputs(st: _Run) -> dict:
+    tb = st.cfg.raw.get("three_ball", {"center": [0.3, 0.2],
+                                       "radii": [0.02, 0.06, 0.3]})
+    if "center" not in tb or np.shape(tb.get("radii")) != (3,):
+        raise ValueError("three_ball needs a center and radii [r1, r2, r3]")
     smallness.three_ball_precondition(st.scene, st.background.lambda0,
                                       tb["center"], *tb["radii"])
+    return tb
 
 
 def _three_ball_stage(st: _Run) -> dict:
-    tb = _three_ball_inputs(st.cfg)
+    tb = _three_ball_inputs(st)
     chk = smallness.check_three_ball(st.sol0, tb["center"], *tb["radii"])
     return {"constant": chk.constant, "margin": chk.margin,
             "tau": chk.params["tau"],
@@ -400,23 +413,28 @@ def _scaling_stage(st: _Run) -> dict:
     return res
 
 
-def _lipschitz_a(cfg: ExperimentConfig) -> float:
-    return float(cfg.raw.get("lipschitz_a", 0.1))
-
-
-def _lipschitz_precheck(st: _Run):
-    smallness.lipschitz_centers(st.scene, _lipschitz_a(st.cfg))
+def _lipschitz_a(st: _Run) -> float:
+    a = float(st.cfg.raw.get("lipschitz_a", 0.1))
+    smallness.lipschitz_centers(st.scene, a)
+    return a
 
 
 def _lipschitz_stage(st: _Run) -> dict:
-    a = _lipschitz_a(st.cfg)
+    a = _lipschitz_a(st)
     ls = smallness.lipschitz_smallness(st.sol0, a)
     return {"a": a, "c_a": ls["c_a"], "argmin": list(ls["argmin"])}
 
 
-def _boundary_layer_stage(st: _Run) -> dict:
+def _layer_a(st: _Run) -> list:
+    # a layer of depth a / 4 <= 0 holds no energy for the fit
     avals = st.cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
-    bl = smallness.boundary_layer(st.sol0, avals)
+    if not np.all(np.asarray(avals, dtype=float) > 0):
+        raise ValueError(f"boundary_layer_a must be positive, got {avals!r}")
+    return avals
+
+
+def _boundary_layer_stage(st: _Run) -> dict:
+    bl = smallness.boundary_layer(st.sol0, _layer_a(st))
     return {"a": list(map(float, bl["a"])),
             "layer_energy": list(map(float, bl["layer_energy"])),
             "exponent": bl["exponent"]}
@@ -430,8 +448,15 @@ def _vitali_stage(st: _Run) -> dict:
                 len(centers) * radius / st.scene.interface.perimeter}
 
 
+def _size_constants(st: _Run) -> Optional[list]:
+    constants = st.cfg.raw.get("size_constants")
+    if constants is not None and np.shape(constants) != (2,):
+        raise ValueError(f"size_constants must be [c1, c2], not {constants}")
+    return constants
+
+
 def _size_stage(st: _Run) -> dict:
-    cfg, scene, power, sol0 = st.cfg, st.scene, st.power, st.sol0
+    scene, power, sol0 = st.scene, st.power, st.sol0
     bracket = power.bracket
     if bracket is None or bracket.degenerate:
         if abs(power.delta_w.real) <= 1e-8 * max(abs(power.w0.real), 1e-300):
@@ -443,7 +468,7 @@ def _size_stage(st: _Run) -> dict:
         return {"refused": "jump condition (a0) classifies as 'none'; size "
                            "bounds not asserted"}
     fat = estimator.check_fatness(scene)
-    constants = cfg.raw.get("size_constants")
+    constants = _size_constants(st)
     if constants is not None:
         c1, c2 = float(constants[0]), float(constants[1])
         source = "calibrated"
@@ -489,7 +514,7 @@ def _stages() -> tuple:
     A stage runs always, or when named in `checks`, and then needs what
     `needs` names in `_NEEDS`. `precheck(run)`, when given, raises
     ValueError for inputs the stage would refuse; it reads only the config
-    and the scene, so `validate` calls it too. `fn(run)` returns its report
+    and the scene, so `_Run` calls it first. `fn(run)` returns its report
     fragment, put at checks.<name> for key "checks" and merged into the
     report for key "". `bracket` has no stage; the energy stage reads it.
     Built per call, so a stage function wrapped at run time (as
@@ -502,16 +527,21 @@ def _stages() -> tuple:
         _Stage("solve", True, _solve_stage, key="solve"),
         _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power"),
         _Stage("bracket", False, None, ("energy",)),
-        _Stage("three_region", False, _three_region_stage, ("interface",)),
+        _Stage("three_region", False, _three_region_stage, ("interface",),
+               precheck=_n_family),
         _Stage("three_ball", False, _three_ball_stage,
-               precheck=_three_ball_precheck),
-        _Stage("chain", False, _chain_stage, ("inclusion", "chain")),
+               precheck=_three_ball_inputs),
+        _Stage("chain", False, _chain_stage, ("inclusion", "chain"),
+               precheck=lambda st: smallness.chain_radii(
+                   float(st.cfg.raw["chain"]["h"]))),
         _Stage("scaling", False, _scaling_stage),
         _Stage("lipschitz", False, _lipschitz_stage,
-               precheck=_lipschitz_precheck),
-        _Stage("boundary_layer", False, _boundary_layer_stage),
+               precheck=_lipschitz_a),
+        _Stage("boundary_layer", False, _boundary_layer_stage,
+               precheck=_layer_a),
         _Stage("vitali", False, _vitali_stage, ("interface",)),
-        _Stage("size", False, _size_stage, ("energy",), "size"),
+        _Stage("size", False, _size_stage, ("energy", "bracket"), "size",
+               precheck=_size_constants),
     )
 
 
@@ -726,12 +756,6 @@ def emit_plot_data(reports, kind: str, path) -> list:
 def _cmd_validate(args) -> int:
     st = _Run(load_config(args.config))
     st.scene.validate()
-    for stage in _stages():
-        if stage.precheck is not None and stage.name in st.cfg.checks:
-            try:
-                stage.precheck(st)
-            except ValueError as exc:
-                raise stage.refusal(exc) from exc
     h = max(st.cfg.mesh_h, 0.05)
     st.mesh = build_mesh(st.scene, h)
     _admissibility_stage(st)

@@ -439,30 +439,23 @@ def _cell_points(xs, ys, cells) -> np.ndarray:
                             np.repeat(ys, np.count_nonzero(cells, axis=1))])
 
 
-def grid_integrate(fn, region, n: int = 400) -> float:
-    """Integrate fn over a region by the antialiased grid rule (`_grid_rule`).
+def grid_integrate(sampler, region, n: int = 400) -> float:
+    """Integrate a sampler's values over a region by the antialiased grid
+    rule (`_grid_rule`): ``(vals * w).sum() * dx * dy``.
 
-    fn=None integrates 1 (area). Otherwise fn takes the (p, 2) midpoints of
-    the cells that touch the region, row by row, and returns their values.
-    A sampler with an ``on_grid(xs, ys, cells)`` method is handed the
-    grid's axes and the (ny, nx) mask of those cells instead, and must
-    return its values at the same points in the same order; a point on a
-    mesh edge or vertex may take the value of any element that holds it.
-    Either way the sum is ``(vals * w).sum() * dx * dy``.
+    vals is 1 for sampler=None (area), else `sampler.on_grid(xs, ys,
+    cells)`: its values at the midpoints of the (ny, nx) mask of the cells
+    that touch the region, row by row, where a point on a mesh edge or
+    vertex may take the value of any element that holds it.
     """
     xs, ys, w, dx, dy = _grid_rule(region, n)
     cells = w > 0
     w = w[cells]
     if not len(w):
         return 0.0
-    if fn is None:
+    if sampler is None:
         return float(w.sum() * dx * dy)
-    on_grid = getattr(fn, "on_grid", None)
-    if on_grid is not None:
-        vals = on_grid(xs, ys, cells)
-    else:
-        vals = fn(_cell_points(xs, ys, cells))
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(sampler.on_grid(xs, ys, cells), dtype=float)
     return float((vals * w).sum() * dx * dy)
 
 

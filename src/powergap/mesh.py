@@ -394,20 +394,18 @@ class Mesh:
                 owners[at] = np.repeat(part[k], size)
         return owners
 
-    def locate_grid(self, xs, ys, cells, owners=None) -> np.ndarray:
+    def locate_grid(self, xs, ys, cells, owners) -> np.ndarray:
         """Element per point of a grid: the points (xs[i], ys[j]) of the
         True entries of the (ny, nx) mask `cells`, row by row. xs and ys
-        are uniform ascending axes.
+        are uniform ascending axes, and owners is their `grid_owners`.
 
-        The points inside the mesh take their `grid_owners` (computed when
-        not given); the others go to `locate` in one call, whose
-        nearest-element extension and `CoverageError` apply as to any
-        point, and their elements are written into `owners`, so a later
-        call with the same owners locates nothing. A point on an edge or a
-        vertex may take any element that holds it.
+        The points inside the mesh take their owners; the others go to
+        `locate` in one call, whose nearest-element extension and
+        `CoverageError` apply as to any point, and their elements are
+        written into `owners`, so a later call with the same owners
+        locates nothing. A point on an edge or a vertex may take any
+        element that holds it.
         """
-        if owners is None:
-            owners = self.grid_owners(xs, ys)
         out = owners[cells.ravel()].astype(np.intp)
         miss = np.flatnonzero(out < 0)
         if len(miss):

@@ -42,6 +42,7 @@ __all__ = [
     "check_three_ball",
     "three_ball_precondition",
     "three_ball_exponent",
+    "chain_radii",
     "propagate_chain",
     "scaling_identity_check",
     "lipschitz_centers",
@@ -52,46 +53,45 @@ __all__ = [
 ]
 
 
-def _eval_field(u, points) -> np.ndarray:
-    """(p,) values of a callable or Solution; (p, k) of a list of them."""
-    if callable(u):
-        return np.asarray(u(as_points(points)), dtype=complex)
-    if isinstance(u, list):
-        mesh = u[0].mesh
-        if any(sol.mesh is not mesh for sol in u):
-            raise ValueError("a solution family must live on one mesh")
-        return np.asarray(mesh.interpolate(
-            np.column_stack([sol.u for sol in u]), points), dtype=complex)
-    return np.asarray(u.evaluate(points), dtype=complex)
-
-
 class _FieldSampler:
-    """Grid sampler p -> |u(theta p) / theta^2|^2 (theta = 1 when None), or
-    p -> |grad u|^2 on the element holding p, of a Solution.
+    """Sampler p -> |u(theta p) / theta^2|^2 (theta = 1 when None) of a
+    Solution or a family on one mesh, or p -> |grad u|^2 on the element
+    holding p of a Solution: what every integral reads of a solution.
 
-    `grid_integrate` hands `on_grid` the grid's axes and cells. The cells
-    inside the mesh take their elements from the row raster
+    `at(points)` gives the k members' |u|^2, (p, k), from one interpolation.
+    `grid_integrate` hands `on_grid` a Solution's grid axes and cells. The
+    cells inside the mesh take their elements from the row raster
     (`Mesh.grid_owners`, by the top-left rule); the others are located
     once (`Mesh.locate_grid`) and written back into the raster, which is
     kept for the next call on the same grid, so that call locates nothing
     (the boundary-layer shells share one grid).
     """
 
-    def __init__(self, sol: Solution, gradient: bool = False,
+    def __init__(self, u, gradient: bool = False,
                  theta: Optional[float] = None):
-        self.sol, self.gradient, self.theta = sol, gradient, theta
-        self._dens = sol.gradient_density() if gradient else None
+        family = isinstance(u, list)
+        self.mesh = u[0].mesh if family else u.mesh
+        if family and any(sol.mesh is not self.mesh for sol in u):
+            raise ValueError("a solution family must live on one mesh")
+        self.gradient, self.theta = gradient, theta
+        # (n_nodes,) of a Solution, (n_nodes, k) of a family
+        self.nodal = np.column_stack([sol.u for sol in u]) if family else u.u
+        self._dens = u.gradient_density() if gradient else None
         # the raster of the last grid, kept for the next call on it
         self._grid = None
+
+    def at(self, points) -> np.ndarray:
+        p = as_points(points) * (1.0 if self.theta is None else self.theta)
+        return self._finish(self.mesh.interpolate(
+            self.nodal.reshape(len(self.nodal), -1), p))
 
     def on_grid(self, xs, ys, cells) -> np.ndarray:
         if self.theta is not None:
             xs, ys = xs * self.theta, ys * self.theta
-        mesh = self.sol.mesh
         key = (xs.tobytes(), ys.tobytes())
         if self._grid is None or self._grid[0] != key:
-            self._grid = (key, mesh.grid_owners(xs, ys))
-        elements = mesh.locate_grid(xs, ys, cells, self._grid[1])
+            self._grid = (key, self.mesh.grid_owners(xs, ys))
+        elements = self.mesh.locate_grid(xs, ys, cells, self._grid[1])
         if self.gradient:
             return self._dens[elements]
         # interpolated a band of about _SAMPLE_BLOCK cells at a time
@@ -102,33 +102,15 @@ class _FieldSampler:
             part = cells[r0:r0 + band]
             points = _cell_points(xs, ys[r0:r0 + band], part)
             end = done + len(points)
-            out[done:end] = self._finish(mesh.interpolate(
-                self.sol.u, points, elements[done:end]))
+            out[done:end] = self._finish(self.mesh.interpolate(
+                self.nodal, points, elements[done:end]))
             done = end
         return out
 
     def _finish(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
         if self.theta is not None:
             u = u / self.theta ** 2
         return np.abs(u) ** 2
-
-
-def _sq_sampler(u, theta: Optional[float] = None):
-    """Sampler p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None)
-    of a callable, Solution or family; a Solution's samples grids only
-    (`_FieldSampler`)."""
-    if isinstance(u, Solution):
-        return _FieldSampler(u, theta=theta)
-    if theta is None:
-        return lambda p: np.abs(_eval_field(u, p)) ** 2
-    return lambda p: np.abs(
-        _eval_field(u, as_points(p) * theta) / theta ** 2) ** 2
-
-
-def _grad_sq_sampler(sol: Solution):
-    """Grid sampler p -> |grad u|^2 on the element holding p."""
-    return _FieldSampler(sol, gradient=True)
 
 
 # Ball stencil intervals per block of centres. A block's temporaries take
@@ -389,47 +371,42 @@ def _fit_inequality(lhs: float, small: float, large: float, xi: float,
     return InequalityCheck(**fit, constant=math.exp(-margin), margin=margin)
 
 
-def region_integrals(u, regions: RegionTriple, fmap: FlatteningMap,
-                     n_target: int = 240_000):
-    """Quadrature of |u|^2 over the three pulled-back regions.
+def region_integrals(sampler, regions: RegionTriple, fmap: FlatteningMap,
+                     n_target: int = 240_000) -> list:
+    """Quadrature of a sampler's values over the three pulled-back regions,
+    one (I1, I2, I3) per column of `sampler.at`, from one grid.
 
     The grid lives in flattened coordinates (the shear has unit Jacobian),
-    and membership is decided per quadrature point. A list of Solutions on
-    one mesh gives a list of (I1, I2, I3), from one grid and one locate.
+    and membership is decided per quadrature point.
     """
-    family = isinstance(u, list)
     lo, hi = regions.flattened_bbox()
     if hi[0] > fmap.rho0 or -lo[0] > fmap.rho0:
         raise CoverageError(
             f"region width {hi[0]:.3g} exceeds chart radius {fmap.rho0:.3g}; "
             "shrink theta")
     pts, cell = _rect_grid(lo, hi, n_target)
-    m3 = regions.in_u3(pts)
-    if not m3.any() or (family and not u):
-        return [(0.0, 0.0, 0.0)] * len(u) if family else (0.0, 0.0, 0.0)
     m1 = regions.in_u1(pts)
     m2 = regions.in_u2(pts)
-    samples = _eval_field(u, fmap.inverse(pts[m3]))
+    m3 = regions.in_u3(pts)
+    vals = np.zeros(len(pts))
     out = []
-    for col in (samples.T if family else [samples]):
-        vals = np.zeros(len(pts))
-        vals[m3] = np.abs(col) ** 2
-        out.append((float(vals[m1].sum() * cell),
-                    float(vals[m2].sum() * cell),
-                    float(vals[m3].sum() * cell)))
-    return out if family else out[0]
+    for col in sampler.at(fmap.inverse(pts[m3])).T:
+        vals[m3] = col
+        out.append(tuple(float(vals[m].sum() * cell) for m in (m1, m2, m3)))
+    return out
 
 
-def check_three_region(u, regions: RegionTriple, fmap: FlatteningMap):
-    """Fitted-constant form of the interface three-region inequality; a
-    list of Solutions gives a list of checks (see `region_integrals`)."""
-    integrals = region_integrals(u, regions, fmap)
+def check_three_region(family: list, regions: RegionTriple,
+                       fmap: FlatteningMap) -> list:
+    """Fitted-constant form of the interface three-region inequality, one
+    check per member of a family of Solutions on one mesh, all sampled on
+    one grid (see `region_integrals`)."""
     xi, _ = regions.exponents()
-    checks = [_fit_inequality(i2, i1, i3, xi, {
+    return [_fit_inequality(i2, i1, i3, xi, {
         "R1": regions.R1, "R2": regions.R2, "theta": regions.theta,
         "a": regions.a}, max(i3, 1.0))
-        for i1, i2, i3 in (integrals if isinstance(u, list) else [integrals])]
-    return checks if isinstance(u, list) else checks[0]
+        for i1, i2, i3 in region_integrals(_FieldSampler(family), regions,
+                                           fmap)]
 
 
 def three_ball_exponent(r1: float, r2: float, r3: float,
@@ -597,6 +574,13 @@ def _points_along(x0, d, counts, step):
     return x0 + (k * step[j])[:, None] * d[j], j
 
 
+def chain_radii(h: float) -> tuple[float, float, float]:
+    """A chain's radii h/30, h/10, h/2; ValueError unless h > 0."""
+    if not h > 0:
+        raise ValueError(f"chain h must be positive, got {h:g}")
+    return h / 30.0, h / 10.0, h / 2.0
+
+
 def propagate_chain(u: Solution, inclusion, x0, r: float,
                     h: float) -> PropagationCertificate:
     """Chain-of-balls propagation from a seed ball through the inclusion.
@@ -609,6 +593,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float,
     (every chain starts at x0), so one `ball_l2_sq` call integrates each
     distinct centre once.
     """
+    r1, r2, r3 = chain_radii(h)
     region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
     x0 = np.asarray(x0, float)
     if float(region.signed_distance(x0[None, :])[0]) > -r:
@@ -623,7 +608,6 @@ def propagate_chain(u: Solution, inclusion, x0, r: float,
         if gap < h * (1 - 1e-9):
             raise StructuralError(
                 f"dist(D, boundary) = {gap:.4g} below the requested h = {h:.4g}")
-    r1, r2, r3 = h / 30.0, h / 10.0, h / 2.0
     tau = three_ball_exponent(r1, r2, r3, u.background.lambda0)
 
     # cube cover of D by squares of side sqrt(2)*r1
@@ -657,7 +641,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float,
     bound_sq = sum((ch.accumulated_constant()
                     * m0 ** ch.accumulated_exponent()) ** 2
                    for ch in chains) * u_norm ** 2
-    direct_sq = grid_integrate(_sq_sampler(u), region, n=420)
+    direct_sq = grid_integrate(_FieldSampler(u), region, n=420)
     delta = min((ch.accumulated_exponent() for ch in chains), default=1.0)
     area = scene.outer.area if hasattr(scene.outer, "area") else float("nan")
     return PropagationCertificate(
@@ -686,9 +670,9 @@ def scaling_identity_check(u, region, theta: float,
     n = 2  # spatial dimension
     scaled = ScaledRegion(region, theta)
     n_lhs = int(math.sqrt(n_target))
-    lhs = grid_integrate(_sq_sampler(u), scaled, n=n_lhs)
+    lhs = grid_integrate(_FieldSampler(u), scaled, n=n_lhs)
     rhs = lhs if theta == 1.0 else theta ** (n + 4) * grid_integrate(
-        _sq_sampler(u, theta), region, n=max(16, int(n_lhs * 5 / 7)))
+        _FieldSampler(u, theta=theta), region, n=max(16, int(n_lhs * 5 / 7)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
@@ -756,7 +740,7 @@ class _BoundaryShell:
 def boundary_layer(u0: Solution, a_values) -> dict:
     """Gradient energy in the layer of depth a/4 and its fitted decay exponent."""
     omega = u0.mesh.scene.domain_region()
-    sample = _grad_sq_sampler(u0)
+    sample = _FieldSampler(u0, gradient=True)
     a_values = np.asarray(sorted(a_values), dtype=float)
     energies = np.array([grid_integrate(sample, _BoundaryShell(omega, a / 4.0),
                                         n=_LAYER_GRID) for a in a_values])

@@ -376,6 +376,23 @@ def point_grid_integrate(fn, region, n: int = 400) -> float:
     return float((np.asarray(fn(pts), dtype=float) * w).sum() * dx * dy)
 
 
+class FnSampler:
+    """A stand-in for `smallness._FieldSampler` that samples an analytic
+    integrand: fn maps (p, 2) points to their (p,) values. `on_grid` gives
+    them at a grid's kept cell midpoints, row by row (`grid_integrate`'s
+    protocol); `at` gives them as the one column of a (p, 1) array
+    (`region_integrals`')."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def on_grid(self, xs, ys, cells) -> np.ndarray:
+        return self.fn(_cell_points(xs, ys, cells))
+
+    def at(self, points) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(points, dtype=float)))[:, None]
+
+
 def point_sq_sampler(sol, theta=None):
     """p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None), each
     point located and interpolated by `Solution.evaluate`."""

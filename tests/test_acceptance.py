@@ -136,7 +136,7 @@ def test_criterion_03_null_perturbation():
     doc = scenario("concentric_disk", mesh={"h": 0.04})
     doc["law"] = {"sigma1": 2.0, "zeta1": 0.0, "epsilon1": None,
                   "lambda1": 0.4, "varrho": 0.5, "delta_tol": 0.0}
-    doc["checks"] = ["energy", "size"]
+    doc["checks"] = ["energy", "bracket", "size"]
     rep, code = run(parse_config(doc))
     rel = abs(rep["power"]["delta_w_re"] / rep["power"]["w0_re"])
     size = rep["size"]
@@ -241,13 +241,13 @@ def test_criterion_07_three_region(twophase_mesh_h02, twophase_background):
     for _ in range(20):
         modes = [(k, rng.normal(), rng.normal()) for k in range(1, 6)]
         sol = op.solve(fourier_data(modes))
-        chk = check_three_region(sol, regions, fmap)
+        [chk] = check_three_region([sol], regions, fmap)
         assert not chk.violation_candidate
         consts.append(chk.constant)
     uniformity = max(consts) / float(np.median(consts))
     # zero-input case: the zero solution gives I1 = I2 = 0
     zero = op.solve(fourier_data([(1, 0.0, 0.0)]))
-    chk0 = check_three_region(zero, regions, fmap)
+    [chk0] = check_three_region([zero], regions, fmap)
     zero_ok = chk0.lhs == 0.0 and chk0.small_factor == 0.0
     ok = uniformity < 50 and zero_ok
     verdict(7, ok, f"fitted constants over 20 solutions: max/median = "

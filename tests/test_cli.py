@@ -130,6 +130,15 @@ class TestConfigParsing:
          "check 'three_ball'"),
         ("three_ball.center", [0.9, 0], ["three_ball"], "check 'three_ball'"),
         ("lipschitz_a", 0.5, ["lipschitz"], "check 'lipschitz'"),
+        ("three_ball.radii", [0.02, 0.06], ["three_ball"],
+         "check 'three_ball': three_ball needs a center and radii"),
+        ("three_ball", {"radii": [0.02, 0.06, 0.3]}, ["three_ball"],
+         "check 'three_ball': three_ball needs a center and radii"),
+        ("chain.h", 0, None, "check 'chain': chain h must be positive"),
+        ("chain", {"x0": [0.0, 0.0], "r": 0.1}, None,
+         "check 'chain' needs a 'chain' section (x0, r, h)"),
+        ("size_constants", [2.0], ["energy", "bracket", "size"],
+         "check 'size': size_constants must be [c1, c2]"),
     ])
     def test_out_of_range_value_named(self, tmp_path, capsys, path, value,
                                       checks, named):
@@ -143,6 +152,8 @@ class TestConfigParsing:
         ("three_ball.radii", [0.02, 0.1, 0.3], "three_ball"),
         ("three_ball.center", [0.9, 0], "three_ball"),
         ("lipschitz_a", 0.5, "lipschitz"),
+        ("three_ball.radii", [0.02, 0.06], "three_ball"),
+        ("three_ball", {"radii": [0.02, 0.06, 0.3]}, "three_ball"),
     ])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, path,
                                                value, check):
@@ -154,6 +165,41 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == EXIT_STRUCTURAL
         assert capsys.readouterr().err == refused
+
+    @pytest.mark.parametrize("name, path, value, check", [
+        ("concentric_disk", "regions.n_family", 0, "three_region"),
+        ("concentric_disk", "regions.n_family", -1, "three_region"),
+        ("one_phase_disk", "boundary_layer_a", [-0.1, 0.2], "boundary_layer"),
+    ])
+    def test_check_measuring_nothing_refused(self, tmp_path, capsys, name,
+                                             path, value, check):
+        # an empty family or a layer of negative depth gives no number to
+        # fit; both verbs refuse it by name before anything is solved
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        *parents, key = path.split(".")
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(cfg_path)]) == EXIT_STRUCTURAL
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: check '{check}': {path} must be")
+
+    @pytest.mark.parametrize("name, args", [
+        *((name, (name,)) for name in ("concentric_disk", "crossing_inclusion",
+                                       "curved_ellipse",
+                                       "off_center_inclusion",
+                                       "one_phase_disk")),
+        ("concentric_disk_case_i", ("concentric_disk", "case_i")),
+    ])
+    def test_config_file_is_its_scenario(self, name, args):
+        # the benchmark reads configs/ for some workloads and scenarios
+        # for others, so the two copies of the corpus must not drift apart
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert doc == scenario(*args)
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in
                                             CONFIGS.glob("*.json")))
@@ -179,7 +225,7 @@ class TestRun:
         doc = scenario("concentric_disk", mesh={"h": 0.05})
         doc["law"] = {"sigma1": 2.0, "zeta1": 0.0, "epsilon1": None,
                       "lambda1": 0.4, "varrho": 0.5, "delta_tol": 0.0}
-        doc["checks"] = ["admissibility", "energy", "size"]
+        doc["checks"] = ["admissibility", "energy", "bracket", "size"]
         rep, code = run(parse_config(doc))
         assert code == EXIT_OK
         assert abs(rep["power"]["delta_w_re"] / rep["power"]["w0_re"]) < 1e-8

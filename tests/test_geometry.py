@@ -37,6 +37,7 @@ from powergap.smallness import _BoundaryShell
 
 from oracles import (
     Boxed,
+    FnSampler,
     dense_grid_rule,
     grid_cells,
     monte_carlo_area,
@@ -267,7 +268,7 @@ class TestErodeDilate:
 
     def test_grid_integrate_rect(self):
         rect = RectRegion((0.0, 0.0), (1.0, 1.0))
-        val = grid_integrate(lambda p: p[:, 0], rect, n=300)
+        val = grid_integrate(FnSampler(lambda p: p[:, 0]), rect, n=300)
         assert val == pytest.approx(0.5, rel=1e-3)
 
 
@@ -337,7 +338,7 @@ class TestLazyGridRule:
     def test_empty_box(self):
         flat = RectRegion((0.0, 0.0), (0.0, 1.0))
         assert _grid_rule(flat, 8)[2].size == 0
-        assert grid_integrate(lambda p: p[:, 0], flat, 8) == 0.0
+        assert grid_integrate(FnSampler(lambda p: p[:, 0]), flat, 8) == 0.0
 
 
 class TestScene:

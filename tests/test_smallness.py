@@ -24,13 +24,13 @@ from powergap.geometry import (
     _grid_rule,
     grid_integrate,
 )
+from powergap import smallness
 from powergap.mesh import Mesh, _Delaunay, build_mesh
 from powergap.smallness import (
     _BoundaryShell,
+    _FieldSampler,
     _ball_sums,
-    _grad_sq_sampler,
     _straight_chains,
-    _sq_sampler,
     ball_l2_sq,
     boundary_layer,
     check_three_ball,
@@ -46,6 +46,7 @@ from powergap.solver import BackgroundOperator, Solution
 
 from oracles import (
     Boxed,
+    FnSampler,
     exact_interpolate,
     grid_cells,
     monte_carlo_integral,
@@ -72,13 +73,14 @@ class _FlatChart:
 
 class TestRegionIntegrals:
     def test_zero_field(self):
-        i1, i2, i3 = region_integrals(lambda p: np.zeros(len(p)),
-                                      REGIONS, _FlatChart())
+        [(i1, i2, i3)] = region_integrals(
+            FnSampler(lambda p: np.zeros(len(p))), REGIONS, _FlatChart())
         assert (i1, i2, i3) == (0.0, 0.0, 0.0)
 
     def test_nesting(self):
-        fn = lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1])
-        i1, i2, i3 = region_integrals(fn, REGIONS, _FlatChart())
+        fn = lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]) ** 2
+        [(i1, i2, i3)] = region_integrals(FnSampler(fn), REGIONS,
+                                          _FlatChart())
         assert i1 <= i3 and i2 <= i3
         assert i1 > 0 and i2 > 0
 
@@ -86,9 +88,9 @@ class TestRegionIntegrals:
         # u = x_n against an independent Monte Carlo quadrature; the
         # membership-masked grid carries an O(cell) boundary bias, so the
         # agreement budget combines both error sources
-        fn = lambda p: p[:, 1].astype(complex)
-        i1, i2, i3 = region_integrals(fn, REGIONS, _FlatChart(),
-                                      n_target=4_800_000)
+        fn = lambda p: p[:, 1] ** 2
+        [(i1, i2, i3)] = region_integrals(FnSampler(fn), REGIONS,
+                                          _FlatChart(), n_target=4_800_000)
         lo, hi = REGIONS.flattened_bbox()
         for val, member in ((i1, REGIONS.in_u1), (i2, REGIONS.in_u2),
                             (i3, REGIONS.in_u3)):
@@ -99,18 +101,30 @@ class TestRegionIntegrals:
     def test_chart_overflow_raises(self):
         wide = build_regions(WP, 0.4, 0.1, theta=0.5)
         with pytest.raises(CoverageError, match="theta"):
-            region_integrals(lambda p: np.zeros(len(p)), wide, _FlatChart())
+            region_integrals(FnSampler(lambda p: np.zeros(len(p))), wide,
+                             _FlatChart())
+
+
+def _analytic_family(monkeypatch, fn) -> list:
+    """A one-member family that `check_three_region` samples as the
+    analytic |u|^2 = fn, through a fake sampler."""
+    monkeypatch.setattr(smallness, "_FieldSampler",
+                        lambda family: FnSampler(fn))
+    return [fn]
 
 
 class TestThreeRegion:
-    def test_equal_radii_exponents(self):
+    def test_equal_radii_exponents(self, monkeypatch):
         reg = build_regions(WP, 0.3, 0.3, theta=0.09)
-        chk = check_three_region(lambda p: np.ones(len(p)), reg, _FlatChart())
+        [chk] = check_three_region(
+            _analytic_family(monkeypatch, lambda p: np.ones(len(p))), reg,
+            _FlatChart())
         assert chk.exponents == pytest.approx((0.2, 0.8))
 
-    def test_zero_solution_infinite_margin(self):
-        chk = check_three_region(lambda p: np.zeros(len(p)), REGIONS,
-                                 _FlatChart())
+    def test_zero_solution_infinite_margin(self, monkeypatch):
+        [chk] = check_three_region(
+            _analytic_family(monkeypatch, lambda p: np.zeros(len(p))),
+            REGIONS, _FlatChart())
         assert chk.margin == math.inf
         assert not chk.violation_candidate
 
@@ -123,7 +137,7 @@ class TestThreeRegion:
         for _ in range(8):
             modes = [(k, rng.normal(), rng.normal()) for k in range(1, 6)]
             sol = op.solve(fourier_data(modes))
-            chk = check_three_region(sol, REGIONS, fmap)
+            [chk] = check_three_region([sol], REGIONS, fmap)
             assert not chk.violation_candidate
             consts.append(chk.constant)
         consts = np.asarray(consts)
@@ -137,7 +151,8 @@ class TestThreeRegion:
         sols = op.solve([fourier_data([(k, rng.normal(), rng.normal())
                                        for k in range(1, 6)])
                          for _ in range(3)])
-        singles = [check_three_region(sol, REGIONS, fmap) for sol in sols]
+        singles = [check_three_region([sol], REGIONS, fmap)[0]
+                   for sol in sols]
         located = []
         locate = Mesh.locate
 
@@ -167,9 +182,9 @@ class TestThreeRegion:
                               rho0=0.3, K0=4.0)
         op = BackgroundOperator(twophase_mesh_h02, twophase_background)
         sol = op.solve(cos_data)
-        chk1 = check_three_region(sol, REGIONS, fmap)
+        [chk1] = check_three_region([sol], REGIONS, fmap)
         scaled = dataclasses.replace(sol, u=(3.0 - 4.0j) * sol.u, _grad=None)
-        chk2 = check_three_region(scaled, REGIONS, fmap)
+        [chk2] = check_three_region([scaled], REGIONS, fmap)
         assert chk2.margin == pytest.approx(chk1.margin, rel=1e-9)
 
 
@@ -414,14 +429,17 @@ class TestScalingIdentity:
                                n_target=10_000)
         assert len(seen) == calls
 
-    def test_constant_field_closed_form(self):
-        # u = 1 on the unit square at theta = 1/2: both sides are 1/4
+    def test_constant_field_closed_form(self, disk_solution):
+        # u = 1 on the unit square at theta = 1/2: both sides are 1/4. The
+        # field is P1 on the unit disk, which holds every point sampled
         from powergap.geometry import ScaledRegion, grid_integrate
         square = RectRegion((0.0, 0.0), (1.0, 1.0))
         theta = 0.5
         lhs = grid_integrate(None, ScaledRegion(square, theta), n=500)
         assert lhs == pytest.approx(0.25, rel=1e-6)
-        res = scaling_identity_check(lambda p: np.ones(len(p)), square, theta)
+        one = dataclasses.replace(disk_solution,
+                                  u=np.ones_like(disk_solution.u), _grad=None)
+        res = scaling_identity_check(one, square, theta)
         assert res < 1e-9
 
     def test_solver_field_small_residual(self, disk_solution):
@@ -732,7 +750,7 @@ class TestGridRaster:
     def test_each_cell_in_a_holding_element(self, case):
         mesh, region, n, bbox = case
         xs, ys, cells, points = _grid_and_points(region, n, bbox)
-        got = mesh.locate_grid(xs, ys, cells)
+        got = mesh.locate_grid(xs, ys, cells, mesh.grid_owners(xs, ys))
         off = mesh._tri.find_simplex(points) < 0
         assert np.array_equal(got[off], mesh.locate(points[off]))
         assert (_barycentric_min(mesh, points[~off], got[~off])
@@ -751,7 +769,7 @@ class TestGridRaster:
         mesh, region, n, bbox = case
         sol = _rough_field(mesh, 7)
         xs, ys, cells, points = _grid_and_points(region, n, bbox, theta)
-        got = _sq_sampler(sol, theta).on_grid(xs, ys, cells)
+        got = _FieldSampler(sol, theta=theta).on_grid(xs, ys, cells)
         want = point_sq_sampler(sol, theta)(_cell_points(xs, ys, cells))
         inner = _barycentric_min(mesh, points, mesh.locate(points)) > 1e-9
         assert got[inner].tobytes() == want[inner].tobytes()
@@ -759,7 +777,9 @@ class TestGridRaster:
             xs, ys = xs * theta, ys * theta
         rest = np.flatnonzero(~inner)
         exact = exact_interpolate(
-            mesh, sol.u, mesh.locate_grid(xs, ys, cells)[rest], points[rest])
+            mesh, sol.u,
+            mesh.locate_grid(xs, ys, cells, mesh.grid_owners(xs, ys))[rest],
+            points[rest])
         if theta is not None:
             exact = exact / theta ** 2
         assert np.abs(got[rest] - np.abs(exact) ** 2).max(initial=0.0) \
@@ -773,7 +793,7 @@ class TestGridRaster:
         fields = rng.normal(size=(mesh.num_points, k)) \
             + 1j * rng.normal(size=(mesh.num_points, k))
         xs, ys, cells, points = _grid_and_points(region, n, bbox)
-        elements = mesh.locate_grid(xs, ys, cells)
+        elements = mesh.locate_grid(xs, ys, cells, mesh.grid_owners(xs, ys))
         got = mesh.interpolate(fields, points, elements)
         want = mesh.interpolate(fields, points)
         inner = _barycentric_min(mesh, points, mesh.locate(points)) > 1e-9
@@ -790,9 +810,10 @@ class TestGridRaster:
         sol = _rough_field(mesh, 7)
         xs, ys, cells, _ = _grid_and_points(region, n, bbox)
         # locate_grid's elements hold their cells (the first test)
-        got = _grad_sq_sampler(sol).on_grid(xs, ys, cells)
+        got = _FieldSampler(sol, gradient=True).on_grid(xs, ys, cells)
         assert got.tobytes() == sol.gradient_density()[
-            mesh.locate_grid(xs, ys, cells)].tobytes()
+            mesh.locate_grid(xs, ys, cells,
+                             mesh.grid_owners(xs, ys))].tobytes()
 
     def test_interior_grid_locates_nothing(self, disk_solution, monkeypatch):
         calls = []
@@ -804,8 +825,9 @@ class TestGridRaster:
 
         monkeypatch.setattr(Mesh, "locate", counted)
         square = RectRegion((-0.3, -0.3), (0.3, 0.3))
-        grid_integrate(_sq_sampler(disk_solution), square, 600)
-        grid_integrate(_grad_sq_sampler(disk_solution), square, 600)
+        grid_integrate(_FieldSampler(disk_solution), square, 600)
+        grid_integrate(_FieldSampler(disk_solution, gradient=True), square,
+                       600)
         assert calls == []
 
     def test_boundary_layer_locates_once(self, disk_solution, monkeypatch):
@@ -833,8 +855,7 @@ class TestGridRaster:
             return real(self, points)
 
         monkeypatch.setattr(Mesh, "locate", counted)
-        sampler = _grad_sq_sampler(disk_solution) if gradient \
-            else _sq_sampler(disk_solution)
+        sampler = _FieldSampler(disk_solution, gradient)
         disk = CurveInterior(Circle((0.0, 0.0), 1.0))
         first = grid_integrate(sampler, disk, 200)
         assert len(calls) == 1
@@ -846,8 +867,7 @@ class TestGridRaster:
                                               gradient):
         # cells more than 4h past the mesh, as point location
         square = RectRegion((0.5, -0.2), (1.4, 0.2))
-        sampler = _grad_sq_sampler(disk_solution) if gradient \
-            else _sq_sampler(disk_solution)
+        sampler = _FieldSampler(disk_solution, gradient)
         want = point_grad_sq_sampler(disk_solution) if gradient \
             else point_sq_sampler(disk_solution)
         with pytest.raises(CoverageError) as point_err:
