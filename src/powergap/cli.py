@@ -1,10 +1,12 @@
 """Configuration ingestion, experiment orchestration, and report emission.
 
 One JSON document describes a scene, its coefficient laws, the injected
-boundary current, the weight geometry, and the list of checks to run. `run`
-walks one table of stages, mesh -> solve -> energy -> checks -> estimate
-(`_stages`, which also gives the known checks and their preconditions).
-The solve stage makes every LU solve of the run, the three-region family
+boundary current, the weight geometry, and the list of checks to run.
+`parse_config` reads every value of it once: it builds what a run takes
+and runs the reader of each listed check, so `validate` and `run` refuse
+the same documents, before anything is meshed. `run` walks one table of
+stages (`_stages`), mesh -> solve -> energy -> checks -> estimate. The
+solve stage makes every LU solve of the run, the three-region family
 included, and then frees the factorization. `run` writes a deterministic
 JSON report (timings only on request, so repeated runs are byte-identical)
 plus tidy CSV artifacts for plotting.
@@ -17,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -84,11 +88,8 @@ def _field_from_spec(spec, path: str) -> MatrixField:
         except (ValueError, TypeError):
             _fail(path, "matrix must be 2x2 numeric")
     if isinstance(spec, dict) and spec.get("kind") == "affine":
-        try:
-            return MatrixField.affine(spec["base"], spec.get("gx", 0.0),
-                                      spec.get("gy", 0.0), path)
-        except KeyError as exc:
-            _fail(path, f"affine field needs {exc}")
+        return MatrixField.affine(spec["base"], spec.get("gx", 0.0),
+                                  spec.get("gy", 0.0), path)
     _fail(path, f"unrecognized coefficient spec {spec!r}")
 
 
@@ -107,69 +108,44 @@ def _curve_from_spec(spec, path: str):
     _fail(path, f"unknown curve kind {kind!r}")
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description; `raw` is the canonical document."""
+@contextmanager
+def _naming(what: str):
+    """A bad value met inside the block, as a ConfigError naming `what`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError, StructuralError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
-    raw: dict
 
-    @property
-    def label(self) -> str:
-        return self.raw.get("label", "experiment")
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
 
-    @property
-    def checks(self) -> list:
-        return list(self.raw.get("checks", []))
+def _numbers(value, what: str, n: Optional[int] = None) -> tuple:
+    """A list of n numbers (any count for None) as floats; else ValueError."""
+    if isinstance(value, (list, tuple)) and len(value) == (n or len(value)):
+        try:
+            return tuple(map(float, value))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what}, got {value!r}")
 
-    @property
-    def mesh_h(self) -> float:
-        return float(self.raw["mesh"]["h"])
 
-    def build_scene(self) -> Scene:
-        s = self.raw["scene"]
-        return Scene(
-            outer=_curve_from_spec(s["outer"], "scene.outer"),
-            interface=_curve_from_spec(s.get("interface"), "scene.interface"),
-            inclusion=_curve_from_spec(s.get("inclusion"), "scene.inclusion"),
-            rho0=float(s.get("rho0", 0.3)), K0=float(s.get("K0", 4.0)),
-            d0=float(s.get("d0", 0.1)), d1=float(s.get("d1", 0.02)))
+class ExperimentConfig(SimpleNamespace):
+    """Everything a run takes, read once from a document by `parse_config`.
 
-    def build_background(self) -> BackgroundTensor:
-        b = self.raw["background"]
-        return BackgroundTensor(
-            m_plus=_field_from_spec(b["m_plus"], "background.m_plus"),
-            m_minus=_field_from_spec(b["m_minus"], "background.m_minus"),
-            n_plus=_field_from_spec(b.get("n_plus", 1.0), "background.n_plus"),
-            n_minus=_field_from_spec(b.get("n_minus", 1.0),
-                                     "background.n_minus"),
-            gamma=float(b.get("gamma", 0.0)),
-            lambda0=float(b.get("lambda0", 0.5)),
-            m0=float(b.get("m0", 1.0)))
-
-    def build_law(self) -> Optional[InclusionLaw]:
-        l = self.raw.get("law")
-        if l is None:
-            return None
-        eps1 = l.get("epsilon1")
-        return InclusionLaw(
-            sigma1=_field_from_spec(l["sigma1"], "law.sigma1"),
-            zeta1=_field_from_spec(l["zeta1"], "law.zeta1"),
-            epsilon1=None if eps1 is None else _field_from_spec(
-                eps1, "law.epsilon1"),
-            lambda1=float(l.get("lambda1", 0.25)),
-            varrho=float(l.get("varrho", 0.5)),
-            delta_tol=float(l.get("delta_tol", 0.0)))
-
-    def build_boundary_data(self):
-        modes = self.raw.get("boundary_data", [[1, 1.0, 0.0]])
-        return fourier_data([(m[0], m[1], m[2]) for m in modes])
-
-    def build_weights(self) -> WeightParams:
-        return WeightParams(**self.raw.get("weights", {}))
+    It holds `label`, `seed`, `checks`, `mesh_h`, `min_angle_deg` and
+    `export_fields`; the `scene`, `background`, `law` (None without one),
+    boundary data `g` and `weights`; and in `inputs` what the reader of
+    each selected check returned (see `_stages`). `raw` is the document as
+    given, for the report's `config` echo and `sweep`'s copies. Nothing
+    here holds per-run state, so one config can drive any number of runs.
+    """
 
 
 # What a stage can need: how an error names it, and whether a config has it.
@@ -185,6 +161,11 @@ _NEEDS = {
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    """Read and check every value of `doc`, once; stages read what it builds.
+
+    A bad value raises ConfigError naming its section or check, so `run`
+    and `validate` refuse the same documents, before anything is meshed.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     for req in ("scene", "background", "mesh"):
@@ -192,30 +173,60 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _fail(req, "required section missing")
     if "h" not in doc["mesh"]:
         _fail("mesh.h", "required")
-    cfg = ExperimentConfig(raw=doc)
-    # unknown checks and unmet needs are named before anything is solved
+    checks = list(doc.get("checks", []))
     issues = [f"config field 'checks': unknown check {name!r}; known: "
-              f"{KNOWN_CHECKS}" for name in cfg.checks
+              f"{KNOWN_CHECKS}" for name in checks
               if name not in KNOWN_CHECKS]
     issues += [f"check '{stage.name}' needs {_NEEDS[need][0]}"
-               for stage in _stages() if stage.name in cfg.checks
+               for stage in _stages() if stage.name in checks
                for need in stage.needs if not _NEEDS[need][1](doc)]
     if issues:
         raise ConfigError("; ".join(issues))
-    # constructing the objects validates numeric ranges
-    for section, build in (("scene", cfg.build_scene),
-                           ("background", cfg.build_background),
-                           ("law", cfg.build_law),
-                           ("weights", cfg.build_weights),
-                           ("boundary_data", cfg.build_boundary_data),
-                           ("mesh", lambda: cfg.mesh_h)):
-        try:
-            build()
-        except KeyError as exc:
-            raise ConfigError(
-                f"config section '{section}': missing key {exc}") from exc
-        except (IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config section '{section}': {exc}") from exc
+    cfg = ExperimentConfig(raw=doc, label=doc.get("label", "experiment"),
+                           checks=checks, inputs={},
+                           export_fields=bool(doc.get("export_fields")))
+    with _naming("config section 'scene'"):
+        s = doc["scene"]
+        cfg.scene = Scene(
+            outer=_curve_from_spec(s["outer"], "scene.outer"),
+            interface=_curve_from_spec(s.get("interface"), "scene.interface"),
+            inclusion=_curve_from_spec(s.get("inclusion"), "scene.inclusion"),
+            rho0=float(s.get("rho0", 0.3)), K0=float(s.get("K0", 4.0)),
+            d0=float(s.get("d0", 0.1)), d1=float(s.get("d1", 0.02)))
+    with _naming("config section 'background'"):
+        b = doc["background"]
+        cfg.background = BackgroundTensor(
+            m_plus=_field_from_spec(b["m_plus"], "background.m_plus"),
+            m_minus=_field_from_spec(b["m_minus"], "background.m_minus"),
+            n_plus=_field_from_spec(b.get("n_plus", 1.0), "background.n_plus"),
+            n_minus=_field_from_spec(b.get("n_minus", 1.0),
+                                     "background.n_minus"),
+            gamma=float(b.get("gamma", 0.0)),
+            lambda0=float(b.get("lambda0", 0.5)), m0=float(b.get("m0", 1.0)))
+    with _naming("config section 'law'"):
+        l = doc.get("law")
+        cfg.law = None if l is None else InclusionLaw(
+            sigma1=_field_from_spec(l["sigma1"], "law.sigma1"),
+            zeta1=_field_from_spec(l["zeta1"], "law.zeta1"),
+            epsilon1=None if l.get("epsilon1") is None else _field_from_spec(
+                l["epsilon1"], "law.epsilon1"),
+            lambda1=float(l.get("lambda1", 0.25)),
+            varrho=float(l.get("varrho", 0.5)),
+            delta_tol=float(l.get("delta_tol", 0.0)))
+    with _naming("config section 'weights'"):
+        cfg.weights = WeightParams(**doc.get("weights", {}))
+    with _naming("config section 'boundary_data'"):
+        cfg.g = fourier_data([(m[0], m[1], m[2]) for m in
+                              doc.get("boundary_data", [[1, 1.0, 0.0]])])
+    with _naming("config section 'mesh'"):
+        cfg.mesh_h = float(doc["mesh"]["h"])
+        cfg.min_angle_deg = float(doc["mesh"].get("min_angle_deg", 5.0))
+    with _naming("config field 'seed'"):
+        cfg.seed = int(doc.get("seed", 0))
+    for stage in _stages():
+        if stage.read is not None and stage.name in checks:
+            with _naming(f"check '{stage.name}'"):
+                cfg.inputs[stage.name] = stage.read(cfg)
     return cfg
 
 
@@ -243,26 +254,17 @@ class _Run:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.scene, self.background = cfg.scene, cfg.background
+        self.law, self.g = cfg.law, cfg.g
         self.violations = []
-        self.scene = cfg.build_scene()
-        self.background = cfg.build_background()
-        self.law = cfg.build_law()
-        self.g = cfg.build_boundary_data()
         self.mesh = self.op = self.sol0 = self.sol1 = self.power = None
         self.family = None
         self.case = JumpCase.NONE
-        for stage in _stages():
-            if stage.precheck is not None and stage.name in cfg.checks:
-                try:
-                    stage.precheck(self)
-                except ValueError as exc:
-                    raise stage.refusal(exc) from exc
 
 
 def _mesh_stage(st: _Run) -> dict:
     validation = st.scene.validate()
-    st.mesh = build_mesh(st.scene, st.cfg.mesh_h,
-                         float(st.cfg.raw["mesh"].get("min_angle_deg", 5.0)))
+    st.mesh = build_mesh(st.scene, st.cfg.mesh_h, st.cfg.min_angle_deg)
     return {"scene_validation": validation,
             "mesh": {"n_points": st.mesh.num_points,
                      "n_triangles": st.mesh.num_triangles,
@@ -303,12 +305,13 @@ def _solve_stage(st: _Run) -> dict:
             st.case = check_jump_condition(
                 background.sigma(d_pts, mesh.comp[mesh.in_d]),
                 st.law.sigma1(d_pts), st.law.zeta1(d_pts), st.law.varrho)
-    if "three_region" in st.cfg.checks:
+    if "three_region" in st.cfg.inputs:
         # no other stage draws from the seed; the family is solved with one
         # multi-column LU solve
         rng = np.random.default_rng(st.cfg.seed)
         mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
-                      for k in range(1, 6)] for _ in range(_n_family(st))]
+                      for k in range(1, 6)]
+                     for _ in range(st.cfg.inputs["three_region"][0])]
         st.family = st.op.solve([fourier_data(m) for m in mode_sets])
     st.op.release()
     return out
@@ -318,7 +321,7 @@ def _energy_stage(st: _Run) -> dict:
     want_bracket = "bracket" in st.cfg.checks and st.case is not JumpCase.NONE
     st.power = energy.power_report(
         st.sol0, st.sol1, st.case if want_bracket else JumpCase.NONE,
-        tol=float(st.cfg.raw.get("bracket_tol", 0.05)))
+        tol=st.cfg.inputs["energy"])
     bracket = st.power.bracket
     if want_bracket and not bracket.degenerate \
             and not (bracket.sign_ok and bracket.bracket_ok):
@@ -328,23 +331,25 @@ def _energy_stage(st: _Run) -> dict:
     return {**st.power.as_dict(), "case": st.case.value}
 
 
-def _n_family(st: _Run) -> int:
-    n = int(st.cfg.raw.get("regions", {}).get("n_family", 8))
-    if n < 1:
-        raise ValueError(f"regions.n_family must be at least 1, got {n}")
-    return n
+def _read_energy(cfg: ExperimentConfig) -> float:
+    return _number(cfg.raw.get("bracket_tol", 0.05), "bracket_tol")
+
+
+def _read_three_region(cfg: ExperimentConfig) -> tuple:
+    rcfg = cfg.raw.get("regions", {})
+    n, R1, R2, theta, anchor_t = (
+        _number(rcfg.get(key, default), f"regions.{key}") for key, default in
+        (("n_family", 8), ("R1", 0.4), ("R2", 0.1), ("theta", 0.09),
+         ("anchor_t", 0.0)))
+    if int(n) < 1:
+        raise ValueError(f"regions.n_family must be at least 1, got {n:g}")
+    return (int(n), build_regions(cfg.weights, R1, R2, theta),
+            flattening_map(cfg.scene.interface, anchor_t, cfg.scene.rho0,
+                           cfg.scene.K0))
 
 
 def _three_region_stage(st: _Run) -> dict:
-    cfg = st.cfg
-    wp = cfg.build_weights()
-    rcfg = cfg.raw.get("regions", {})
-    regions = build_regions(wp, float(rcfg.get("R1", 0.4)),
-                            float(rcfg.get("R2", 0.1)),
-                            float(rcfg.get("theta", 0.09)))
-    fmap = flattening_map(st.scene.interface,
-                          float(rcfg.get("anchor_t", 0.0)),
-                          st.scene.rho0, st.scene.K0)
+    _, regions, fmap = st.cfg.inputs["three_region"]
     # the family solved by the solve stage, sampled on one located grid
     checks = smallness.check_three_region(st.family, regions, fmap)
     rows = []
@@ -366,29 +371,39 @@ def _three_region_stage(st: _Run) -> dict:
             else math.nan}
 
 
-def _three_ball_inputs(st: _Run) -> dict:
-    tb = st.cfg.raw.get("three_ball", {"center": [0.3, 0.2],
-                                       "radii": [0.02, 0.06, 0.3]})
-    if "center" not in tb or np.shape(tb.get("radii")) != (3,):
-        raise ValueError("three_ball needs a center and radii [r1, r2, r3]")
-    smallness.three_ball_precondition(st.scene, st.background.lambda0,
-                                      tb["center"], *tb["radii"])
-    return tb
+def _read_three_ball(cfg: ExperimentConfig) -> tuple:
+    tb = cfg.raw.get("three_ball", {"center": [0.3, 0.2],
+                                    "radii": [0.02, 0.06, 0.3]})
+    need = "three_ball needs a center and radii [r1, r2, r3] of numbers"
+    if not isinstance(tb, dict):
+        raise ValueError(f"{need}, got {tb!r}")
+    center = _numbers(tb.get("center"), need, 2)
+    radii = _numbers(tb.get("radii"), need, 3)
+    smallness.three_ball_precondition(cfg.scene, cfg.background.lambda0,
+                                      center, *radii)
+    return center, radii
 
 
 def _three_ball_stage(st: _Run) -> dict:
-    tb = _three_ball_inputs(st)
-    chk = smallness.check_three_ball(st.sol0, tb["center"], *tb["radii"])
+    center, radii = st.cfg.inputs["three_ball"]
+    chk = smallness.check_three_ball(st.sol0, center, *radii)
     return {"constant": chk.constant, "margin": chk.margin,
             "tau": chk.params["tau"],
             "crosses_interface": chk.params["crosses_interface"]}
 
 
+def _read_chain(cfg: ExperimentConfig) -> tuple:
+    ch = cfg.raw["chain"]
+    x0 = _numbers(ch["x0"], "chain.x0 must be [x, y]", 2)
+    r, h = _number(ch["r"], "chain.r"), _number(ch["h"], "chain.h")
+    smallness.chain_precondition(cfg.scene, cfg.scene.inclusion_region(),
+                                 x0, r, h)
+    return x0, r, h
+
+
 def _chain_stage(st: _Run) -> dict:
-    ch = st.cfg.raw["chain"]
-    cert = smallness.propagate_chain(st.sol0, st.scene.inclusion,
-                                     np.asarray(ch["x0"], dtype=float),
-                                     float(ch["r"]), float(ch["h"]))
+    x0, r, h = st.cfg.inputs["chain"]
+    cert = smallness.propagate_chain(st.sol0, st.scene.inclusion, x0, r, h)
     inv_ok = all(all(c.invariants_ok().values()) for c in cert.chains)
     holds = cert.holds()
     if not (inv_ok and holds):
@@ -413,46 +428,59 @@ def _scaling_stage(st: _Run) -> dict:
     return res
 
 
-def _lipschitz_a(st: _Run) -> float:
-    a = float(st.cfg.raw.get("lipschitz_a", 0.1))
-    smallness.lipschitz_centers(st.scene, a)
+def _read_lipschitz(cfg: ExperimentConfig) -> float:
+    a = _number(cfg.raw.get("lipschitz_a", 0.1), "lipschitz_a")
+    smallness.lipschitz_centers(cfg.scene, a)
     return a
 
 
 def _lipschitz_stage(st: _Run) -> dict:
-    a = _lipschitz_a(st)
+    a = st.cfg.inputs["lipschitz"]
     ls = smallness.lipschitz_smallness(st.sol0, a)
     return {"a": a, "c_a": ls["c_a"], "argmin": list(ls["argmin"])}
 
 
-def _layer_a(st: _Run) -> list:
-    # a layer of depth a / 4 <= 0 holds no energy for the fit
-    avals = st.cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
-    if not np.all(np.asarray(avals, dtype=float) > 0):
-        raise ValueError(f"boundary_layer_a must be positive, got {avals!r}")
-    return avals
+def _read_boundary_layer(cfg: ExperimentConfig) -> tuple:
+    # a line fitted through the energies of layers of depth a / 4 > 0
+    avals = cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
+    need = "boundary_layer_a must be two or more distinct positive depths"
+    depths = _numbers(avals, need)
+    if len(set(depths)) < 2 or not min(depths) > 0:
+        raise ValueError(f"{need}, got {avals!r}")
+    return depths
 
 
 def _boundary_layer_stage(st: _Run) -> dict:
-    bl = smallness.boundary_layer(st.sol0, _layer_a(st))
+    bl = smallness.boundary_layer(st.sol0, st.cfg.inputs["boundary_layer"])
     return {"a": list(map(float, bl["a"])),
             "layer_energy": list(map(float, bl["layer_energy"])),
             "exponent": bl["exponent"]}
 
 
+def _read_vitali(cfg: ExperimentConfig) -> float:
+    radius = _number(cfg.raw.get("vitali_radius", 0.05), "vitali_radius")
+    if not radius > 0:
+        raise ValueError(f"vitali_radius must be positive, got {radius:g}")
+    return radius
+
+
 def _vitali_stage(st: _Run) -> dict:
-    radius = float(st.cfg.raw.get("vitali_radius", 0.05))
+    radius = st.cfg.inputs["vitali"]
     centers = vitali_cover(st.scene.interface, radius)
     return {"radius": radius, "n_centers": int(len(centers)),
             "cover_constant":
                 len(centers) * radius / st.scene.interface.perimeter}
 
 
-def _size_constants(st: _Run) -> Optional[list]:
-    constants = st.cfg.raw.get("size_constants")
-    if constants is not None and np.shape(constants) != (2,):
-        raise ValueError(f"size_constants must be [c1, c2], not {constants}")
-    return constants
+def _read_size(cfg: ExperimentConfig) -> Optional[tuple]:
+    constants = cfg.raw.get("size_constants")
+    if constants is None:
+        return None
+    need = "size_constants must be [c1, c2] with c1 <= c2"
+    c1, c2 = _numbers(constants, need, 2)
+    if not c1 <= c2:
+        raise ValueError(f"{need}, got {constants!r}")
+    return c1, c2
 
 
 def _size_stage(st: _Run) -> dict:
@@ -468,9 +496,9 @@ def _size_stage(st: _Run) -> dict:
         return {"refused": "jump condition (a0) classifies as 'none'; size "
                            "bounds not asserted"}
     fat = estimator.check_fatness(scene)
-    constants = _size_constants(st)
+    constants = st.cfg.inputs["size"]
     if constants is not None:
-        c1, c2 = float(constants[0]), float(constants[1])
+        c1, c2 = constants
         source = "calibrated"
     else:
         interior = estimator.interior_gradient_sup(sol0)
@@ -500,21 +528,17 @@ class _Stage(NamedTuple):
     fn: Optional[Callable]
     needs: tuple = ()
     key: str = "checks"
-    precheck: Optional[Callable] = None
-
-    def refusal(self, exc: ValueError) -> ConfigError:
-        """The error naming this stage for a value it cannot use."""
-        return ConfigError(f"{'stage' if self.always else 'check'} "
-                           f"'{self.name}': {exc}")
+    read: Optional[Callable] = None
 
 
 def _stages() -> tuple:
     """The pipeline's stages, in run order.
 
     A stage runs always, or when named in `checks`, and then needs what
-    `needs` names in `_NEEDS`. `precheck(run)`, when given, raises
-    ValueError for inputs the stage would refuse; it reads only the config
-    and the scene, so `_Run` calls it first. `fn(run)` returns its report
+    `needs` names in `_NEEDS`. `read(cfg)`, when given, reads and checks
+    the stage's config values, raising on a bad one; `parse_config` calls
+    it once, before anything is timed, and keeps what it returns in
+    `cfg.inputs[name]`. `fn(run)` returns its report
     fragment, put at checks.<name> for key "checks" and merged into the
     report for key "". `bracket` has no stage; the energy stage reads it.
     Built per call, so a stage function wrapped at run time (as
@@ -525,23 +549,22 @@ def _stages() -> tuple:
         _Stage("admissibility", False, _admissibility_stage,
                key="admissibility"),
         _Stage("solve", True, _solve_stage, key="solve"),
-        _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power"),
+        _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power",
+               _read_energy),
         _Stage("bracket", False, None, ("energy",)),
         _Stage("three_region", False, _three_region_stage, ("interface",),
-               precheck=_n_family),
-        _Stage("three_ball", False, _three_ball_stage,
-               precheck=_three_ball_inputs),
+               read=_read_three_region),
+        _Stage("three_ball", False, _three_ball_stage, read=_read_three_ball),
         _Stage("chain", False, _chain_stage, ("inclusion", "chain"),
-               precheck=lambda st: smallness.chain_radii(
-                   float(st.cfg.raw["chain"]["h"]))),
+               read=_read_chain),
         _Stage("scaling", False, _scaling_stage),
-        _Stage("lipschitz", False, _lipschitz_stage,
-               precheck=_lipschitz_a),
+        _Stage("lipschitz", False, _lipschitz_stage, read=_read_lipschitz),
         _Stage("boundary_layer", False, _boundary_layer_stage,
-               precheck=_layer_a),
-        _Stage("vitali", False, _vitali_stage, ("interface",)),
+               read=_read_boundary_layer),
+        _Stage("vitali", False, _vitali_stage, ("interface",),
+               read=_read_vitali),
         _Stage("size", False, _size_stage, ("energy", "bracket"), "size",
-               precheck=_size_constants),
+               _read_size),
     )
 
 
@@ -558,11 +581,7 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
         if stage.fn is None or not (stage.always or stage.name in cfg.checks):
             continue
         t0 = time.perf_counter()
-        try:
-            fragment = stage.fn(st)
-        except ValueError as exc:
-            # a value the stage cannot use, e.g. a ball leaving the domain
-            raise stage.refusal(exc) from exc
+        fragment = stage.fn(st)
         stage_times[stage.name] = time.perf_counter() - t0
         if stage.key == "checks":
             report["checks"][stage.name] = fragment
@@ -579,8 +598,8 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_report(report, out / f"{cfg.label}.json")
-        if cfg.raw.get("export_fields"):
+        (out / f"{cfg.label}.json").write_text(report_json(report) + "\n")
+        if cfg.export_fields:
             export_solution_csv(st.sol0, out / f"{cfg.label}_u0")
             if st.sol1 is not None:
                 export_solution_csv(st.sol1, out / f"{cfg.label}_u1")
@@ -599,16 +618,9 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
 
 
 def _to_native(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def write_report(report: dict, path):
-    with open(path, "w") as fh:
-        fh.write(report_json(report) + "\n")
 
 
 def report_json(report: dict) -> str:
@@ -620,15 +632,13 @@ def report_json(report: dict) -> str:
 
 
 def _set_by_path(doc: dict, path: str, value):
-    keys = path.split(".")
+    *parents, key = path.split(".")
     node = doc
-    for k in keys[:-1]:
-        if k not in node or not isinstance(node[k], dict):
-            _fail(path, "not a valid config path")
-        node = node[k]
-    if keys[-1] not in node:
+    for k in parents:
+        node = node.get(k) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or key not in node:
         _fail(path, "not a valid config path")
-    node[keys[-1]] = value
+    node[key] = value
 
 
 def _sweep_one(doc: dict, param: str, value: float, out_dir):
@@ -648,16 +658,13 @@ def _sweep_one(doc: dict, param: str, value: float, out_dir):
 def sweep(cfg: ExperimentConfig, param: str, values, out_dir=None,
           threads: int = 1) -> dict:
     """Independent runs over a numeric config path, plus an aggregate table."""
-    results = []
+    one = functools.partial(_sweep_one, cfg.raw, param, out_dir=out_dir)
     if threads <= 1:
-        for v in values:
-            results.append(_sweep_one(cfg.raw, param, v, out_dir))
+        results = list(map(one, values))
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_sweep_one, cfg.raw, param, v, out_dir)
-                    for v in values]
-            results = [f.result() for f in futs]
+            results = list(pool.map(one, values))
     agg = {"parameter": param, "values": list(values), "rows": []}
     for r in results:
         row = {"value": r["value"], "label": r["label"],
@@ -717,7 +724,6 @@ def emit_plot_data(reports, kind: str, path) -> list:
     if kind not in _PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}; "
                           f"choose from {sorted(_PLOT_KINDS)}")
-    header = _PLOT_KINDS[kind]
     rows = []
     for rep in reports:
         label = rep.get("config", {}).get("label", "run")
@@ -744,7 +750,7 @@ def emit_plot_data(reports, kind: str, path) -> list:
             rows.append([label, s["true_area"], s["lower"], s["upper"]])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(_PLOT_KINDS[kind])
         w.writerows(rows)
     return rows
 
@@ -757,7 +763,7 @@ def _cmd_validate(args) -> int:
     st = _Run(load_config(args.config))
     st.scene.validate()
     h = max(st.cfg.mesh_h, 0.05)
-    st.mesh = build_mesh(st.scene, h)
+    st.mesh = build_mesh(st.scene, h, st.cfg.min_angle_deg)
     _admissibility_stage(st)
     print(f"config '{st.cfg.label}' valid; "
           f"scene and hypotheses check out at h={h}")
@@ -765,9 +771,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.check:
         overrides["checks"] = args.check.split(",")
     cfg = load_config(args.config, **overrides)
@@ -788,18 +792,13 @@ def _cmd_sweep(args) -> int:
     agg = sweep(cfg, args.param, values, out_dir=args.out,
                 threads=args.threads)
     print(json.dumps(agg, indent=1, sort_keys=True, default=str))
-    bad = [r for r in agg["rows"] if r["exit_code"] == EXIT_STRUCTURAL]
-    viol = [r for r in agg["rows"] if r["exit_code"] == EXIT_VIOLATION]
-    if bad:
-        return EXIT_STRUCTURAL
-    return EXIT_VIOLATION if viol else EXIT_OK
+    codes = {r["exit_code"] for r in agg["rows"]}
+    return next((c for c in (EXIT_STRUCTURAL, EXIT_VIOLATION) if c in codes),
+                EXIT_OK)
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    for p in args.reports:
-        with open(p) as fh:
-            reports.append(json.load(fh))
+    reports = [json.loads(Path(p).read_text()) for p in args.reports]
     out = args.out or f"{args.kind}.csv"
     rows = emit_plot_data(reports, args.kind, out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -849,9 +848,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     except InequalityViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -549,21 +549,18 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     outer_nodes = scene.outer.nodes(h)
     curves = [("outer", scene.outer, outer_nodes)]
 
+    # the points where the inclusion crosses the interface are nodes of both
+    breaks = None
+    if scene.interface is not None and scene.inclusion is not None:
+        breaks = curve_intersections(scene.interface, scene.inclusion)
+
     sigma_nodes = np.empty((0, 2))
     if scene.interface is not None:
-        breaks = None
-        if scene.inclusion is not None:
-            x = curve_intersections(scene.interface, scene.inclusion)
-            breaks = x if len(x) else None
         sigma_nodes = _curve_nodes(scene.interface, h, breaks)
         curves.append(("interface", scene.interface, sigma_nodes))
 
     d_nodes = np.empty((0, 2))
     if scene.inclusion is not None:
-        breaks = None
-        if scene.interface is not None:
-            x = curve_intersections(scene.interface, scene.inclusion)
-            breaks = x if len(x) else None
         d_nodes = _curve_nodes(scene.inclusion, h, breaks)
         if scene.interface is not None:
             # drop inclusion nodes crowding the interface polyline, but keep

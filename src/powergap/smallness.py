@@ -42,7 +42,7 @@ __all__ = [
     "check_three_ball",
     "three_ball_precondition",
     "three_ball_exponent",
-    "chain_radii",
+    "chain_precondition",
     "propagate_chain",
     "scaling_identity_check",
     "lipschitz_centers",
@@ -574,31 +574,18 @@ def _points_along(x0, d, counts, step):
     return x0 + (k * step[j])[:, None] * d[j], j
 
 
-def chain_radii(h: float) -> tuple[float, float, float]:
-    """A chain's radii h/30, h/10, h/2; ValueError unless h > 0."""
+def chain_precondition(scene, region, x0, r: float,
+                       h: float) -> tuple[float, float, float]:
+    """A chain's radii h/30, h/10, h/2; ValueError unless h > 0.
+
+    StructuralError unless the seed ball B_r(x0) lies in the region D and
+    dist(D, boundary) >= h (for a curve's interior). It needs only the
+    scene, so a config can be checked before any solve.
+    """
     if not h > 0:
         raise ValueError(f"chain h must be positive, got {h:g}")
-    return h / 30.0, h / 10.0, h / 2.0
-
-
-def propagate_chain(u: Solution, inclusion, x0, r: float,
-                    h: float) -> PropagationCertificate:
-    """Chain-of-balls propagation from a seed ball through the inclusion.
-
-    inclusion is a region object (or closed curve) for D; requires
-    B_r(x0) inside D and dist(D, boundary) >= h. Radii are h/30, h/10, h/2
-    as in the constructive proof; r/2 > h is recorded but not required for
-    building the certificate. The chains run straight from x0 to a cover
-    of D and are built at once (`_straight_chains`); they share balls
-    (every chain starts at x0), so one `ball_l2_sq` call integrates each
-    distinct centre once.
-    """
-    r1, r2, r3 = chain_radii(h)
-    region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
-    x0 = np.asarray(x0, float)
-    if float(region.signed_distance(x0[None, :])[0]) > -r:
+    if float(region.signed_distance(np.asarray(x0, float)[None, :])[0]) > -r:
         raise StructuralError("seed ball B_r(x0) is not contained in D")
-    scene = u.mesh.scene
     # distance from D to the outer boundary, via polylines when D is given
     # as a closed curve (predicate-only regions skip this precondition)
     if hasattr(region, "curve"):
@@ -608,6 +595,24 @@ def propagate_chain(u: Solution, inclusion, x0, r: float,
         if gap < h * (1 - 1e-9):
             raise StructuralError(
                 f"dist(D, boundary) = {gap:.4g} below the requested h = {h:.4g}")
+    return h / 30.0, h / 10.0, h / 2.0
+
+
+def propagate_chain(u: Solution, inclusion, x0, r: float,
+                    h: float) -> PropagationCertificate:
+    """Chain-of-balls propagation from a seed ball through the inclusion.
+
+    inclusion is a region object (or closed curve) for D; the inputs must
+    pass `chain_precondition`, whose radii h/30, h/10, h/2 are those of the
+    constructive proof; r/2 > h is recorded but not required for
+    building the certificate. The chains run straight from x0 to a cover
+    of D and are built at once (`_straight_chains`); they share balls
+    (every chain starts at x0), so one `ball_l2_sq` call integrates each
+    distinct centre once.
+    """
+    region = CurveInterior(inclusion) if hasattr(inclusion, "point_at") else inclusion
+    r1, r2, r3 = chain_precondition(u.mesh.scene, region, x0, r, h)
+    x0 = np.asarray(x0, float)
     tau = three_ball_exponent(r1, r2, r3, u.background.lambda0)
 
     # cube cover of D by squares of side sqrt(2)*r1
@@ -643,7 +648,7 @@ def propagate_chain(u: Solution, inclusion, x0, r: float,
                    for ch in chains) * u_norm ** 2
     direct_sq = grid_integrate(_FieldSampler(u), region, n=420)
     delta = min((ch.accumulated_exponent() for ch in chains), default=1.0)
-    area = scene.outer.area if hasattr(scene.outer, "area") else float("nan")
+    area = getattr(u.mesh.scene.outer, "area", math.nan)
     return PropagationCertificate(
         chains=chains, radii=(r1, r2, r3), tau=tau, m0=m0, u_norm=u_norm,
         direct_d_norm_sq=float(direct_sq), bound_d_norm_sq=float(bound_sq),
@@ -680,9 +685,11 @@ def lipschitz_centers(scene, a: float, max_centers: int = 150) -> np.ndarray:
     """Ball centres of `lipschitz_smallness`: a grid over the domain's box
     kept inside Omega_{4a}, thinned evenly to at most max_centers.
 
-    Raises ValueError when Omega_{4a} holds none; it needs only the scene,
-    so a config can be checked before any solve.
+    Raises ValueError unless a > 0 and Omega_{4a} holds a centre; it needs
+    only the scene, so a config can be checked before any solve.
     """
+    if not a > 0:
+        raise ValueError(f"lipschitz a must be positive, got {a:g}")
     omega = scene.domain_region()
     inner = erode(omega, 4.0 * a)
     lo, hi = omega.bbox()

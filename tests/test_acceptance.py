@@ -59,11 +59,11 @@ def _measure(doc):
     from powergap import check_jump_condition
 
     cfg = parse_config(doc)
-    scene = cfg.build_scene()
+    scene = cfg.scene
     mesh = build_mesh(scene, cfg.mesh_h)
-    bg = cfg.build_background()
-    law = cfg.build_law()
-    g = cfg.build_boundary_data()
+    bg = cfg.background
+    law = cfg.law
+    g = cfg.g
     op = BackgroundOperator(mesh, bg)
     sol0 = op.solve(g)
     sol1 = solve_perturbed(op, law, g)
@@ -150,10 +150,10 @@ def test_criterion_04_energy_identities(cos_data):
     for case in ("case_i", "case_ii"):
         doc = scenario("concentric_disk", case=case, mesh={"h": 0.02})
         cfg = parse_config(doc)
-        scene = cfg.build_scene()
+        scene = cfg.scene
         mesh = build_mesh(scene, 0.02)
-        bg = cfg.build_background()
-        law = cfg.build_law()
+        bg = cfg.background
+        law = cfg.law
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
         sol1 = solve_perturbed(op, law, cos_data)
@@ -196,12 +196,12 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
                      "crossing_inclusion", "curved_ellipse"):
         doc = scenario(doc_name, mesh={"h": 0.05})
         cfg = parse_config(doc)
-        scene = cfg.build_scene()
+        scene = cfg.scene
         mesh = build_mesh(scene, 0.05)
-        op = BackgroundOperator(mesh, cfg.build_background())
-        g = cfg.build_boundary_data()
+        op = BackgroundOperator(mesh, cfg.background)
+        g = cfg.g
         sol0 = op.solve(g)
-        sol1 = solve_perturbed(op, cfg.build_law(), g)
+        sol1 = solve_perturbed(op, cfg.law, g)
         for sol in (sol0, sol1):
             b = element_cg(sol)
             worst_sym = max(worst_sym,
@@ -231,7 +231,7 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
 
 
 def test_criterion_07_three_region(twophase_mesh_h02, twophase_background):
-    wp = parse_config(scenario("concentric_disk")).build_weights()
+    wp = parse_config(scenario("concentric_disk")).weights
     regions = build_regions(wp, 0.4, 0.1, theta=0.09)
     fmap = flattening_map(twophase_mesh_h02.scene.interface, 0.0,
                           rho0=0.3, K0=4.0)

@@ -33,9 +33,10 @@ from powergap.scenarios import all_scenarios, scenario, size_family
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
-def _one_phase_config(tmp_path, path: str, value, checks) -> Path:
-    """one_phase_disk at h=0.08 with one field replaced, written to disk."""
-    with open(CONFIGS / "one_phase_disk.json") as fh:
+def _edited_config(tmp_path, path: str, value, checks,
+                   name: str = "one_phase_disk") -> Path:
+    """A corpus config at h=0.08 with one field replaced, written to disk."""
+    with open(CONFIGS / f"{name}.json") as fh:
         doc = json.load(fh)
     doc["mesh"]["h"] = 0.08
     doc["three_ball"] = {"center": [0.3, 0.2], "radii": [0.02, 0.06, 0.3]}
@@ -142,26 +143,98 @@ class TestConfigParsing:
     ])
     def test_out_of_range_value_named(self, tmp_path, capsys, path, value,
                                       checks, named):
-        cfg_path = _one_phase_config(tmp_path, path, value, checks)
+        cfg_path = _edited_config(tmp_path, path, value, checks)
         code = main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_STRUCTURAL
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path, value, check", [
-        ("three_ball.radii", [0.02, 0.1, 0.3], "three_ball"),
-        ("three_ball.center", [0.9, 0], "three_ball"),
-        ("lipschitz_a", 0.5, "lipschitz"),
-        ("three_ball.radii", [0.02, 0.06], "three_ball"),
-        ("three_ball", {"radii": [0.02, 0.06, 0.3]}, "three_ball"),
+    @pytest.mark.parametrize("name, path, value, checks, named", [
+        pytest.param("one_phase_disk", "three_ball.radii", [0.02, 0.1, 0.3],
+                     ["three_ball"], "check 'three_ball': ",
+                     id="three_ball.radii-value0-three_ball"),
+        pytest.param("one_phase_disk", "three_ball.center", [0.9, 0],
+                     ["three_ball"], "check 'three_ball': ",
+                     id="three_ball.center-value1-three_ball"),
+        pytest.param("one_phase_disk", "lipschitz_a", 0.5, ["lipschitz"],
+                     "check 'lipschitz': ", id="lipschitz_a-0.5-lipschitz"),
+        pytest.param("one_phase_disk", "three_ball.radii", [0.02, 0.06],
+                     ["three_ball"], "check 'three_ball': ",
+                     id="three_ball.radii-value3-three_ball"),
+        pytest.param("one_phase_disk", "three_ball",
+                     {"radii": [0.02, 0.06, 0.3]}, ["three_ball"],
+                     "check 'three_ball': ",
+                     id="three_ball-value4-three_ball"),
+        # each of these was once read only after the solve, or crashed it
+        pytest.param("concentric_disk", "regions.R1", 100, ["three_region"],
+                     "check 'three_region': R1, R2 must lie in",
+                     id="regions.R1-100"),
+        pytest.param("concentric_disk", "regions.theta", 2, ["three_region"],
+                     "check 'three_region': theta must lie in (0, 1]",
+                     id="regions.theta-2"),
+        pytest.param("concentric_disk", "regions.anchor_t", "x",
+                     ["three_region"],
+                     "check 'three_region': regions.anchor_t must be a "
+                     "number, got 'x'", id="regions.anchor_t-x"),
+        pytest.param("concentric_disk", "vitali_radius", -0.05, ["vitali"],
+                     "check 'vitali': vitali_radius must be positive",
+                     id="vitali_radius-negative"),
+        pytest.param("one_phase_disk", "chain.x0", [0.9, 0], ["chain"],
+                     "check 'chain': seed ball B_r(x0) is not contained in D",
+                     id="chain.x0-outside-D"),
+        pytest.param("one_phase_disk", "chain.r", "a", ["chain"],
+                     "check 'chain': chain.r must be a number, got 'a'",
+                     id="chain.r-a"),
+        pytest.param("one_phase_disk", "bracket_tol", "a",
+                     ["energy", "bracket"],
+                     "check 'energy': bracket_tol must be a number, got 'a'",
+                     id="bracket_tol-a"),
+        pytest.param("one_phase_disk", "size_constants", ["a", "b"],
+                     ["energy", "bracket", "size"],
+                     "check 'size': size_constants must be [c1, c2] with "
+                     "c1 <= c2, got ['a', 'b']", id="size_constants-a-b"),
+        pytest.param("one_phase_disk", "size_constants", [2.0, 1.0],
+                     ["energy", "bracket", "size"],
+                     "check 'size': size_constants must be [c1, c2] with "
+                     "c1 <= c2, got [2.0, 1.0]",
+                     id="size_constants-c1-above-c2"),
+        pytest.param("one_phase_disk", "mesh.min_angle_deg", "a", None,
+                     "config section 'mesh': ", id="mesh.min_angle_deg-a"),
+        pytest.param("one_phase_disk", "three_ball.radii", ["a", "b", "c"],
+                     ["three_ball"],
+                     "check 'three_ball': three_ball needs a center and radii "
+                     "[r1, r2, r3] of numbers, got ['a', 'b', 'c']",
+                     id="three_ball.radii-a-b-c"),
+        pytest.param("one_phase_disk", "boundary_layer_a", 0.2,
+                     ["boundary_layer"],
+                     "check 'boundary_layer': boundary_layer_a must be two or "
+                     "more distinct positive depths, got 0.2",
+                     id="boundary_layer_a-scalar"),
+        pytest.param("one_phase_disk", "boundary_layer_a", [0.2],
+                     ["boundary_layer"],
+                     "check 'boundary_layer': boundary_layer_a must be two or "
+                     "more distinct positive depths, got [0.2]",
+                     id="boundary_layer_a-one-depth"),
+        pytest.param("one_phase_disk", "boundary_layer_a", [0.2, 0.2],
+                     ["boundary_layer"], "check 'boundary_layer': ",
+                     id="boundary_layer_a-one-distinct-depth"),
+        pytest.param("one_phase_disk", "lipschitz_a", -0.1, ["lipschitz"],
+                     "check 'lipschitz': lipschitz a must be positive",
+                     id="lipschitz_a-negative"),
     ])
-    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, path,
-                                               value, check):
-        cfg_path = _one_phase_config(tmp_path, path, value, [check])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
+                                               monkeypatch, name, path, value,
+                                               checks, named):
+        # both verbs refuse at parse, with one message, before any mesh
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("meshed a config that should be refused")
+
+        monkeypatch.setattr("powergap.cli.build_mesh", no_mesh)
+        cfg_path = _edited_config(tmp_path, path, value, checks, name)
         assert main(["validate", "--config", str(cfg_path)]) \
             == EXIT_STRUCTURAL
         refused = capsys.readouterr().err
-        assert refused.startswith(f"error: check '{check}': ")
+        assert refused.startswith(f"error: {named}")
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == EXIT_STRUCTURAL
         assert capsys.readouterr().err == refused
@@ -220,6 +293,20 @@ class TestRun:
         r1, _ = run(cfg)
         r2, _ = run(cfg)
         assert report_json(r1) == report_json(r2)
+
+    def test_stages_read_only_what_parse_built(self, fast_concentric):
+        # the document is read once, at parse: a run with another document
+        # in `raw` differs only in the report's config echo
+        cfg = parse_config(json.loads(json.dumps(fast_concentric)))
+        want, _ = run(cfg)
+        st = _Run(cfg)
+        assert all(getattr(st, name) is getattr(cfg, name)
+                   for name in ("scene", "background", "law", "g"))
+        cfg.raw = {"label": "not read"}
+        got, _ = run(cfg)
+        assert got.pop("config") == {"label": "not read"}
+        want.pop("config")
+        assert report_json(got) == report_json(want)
 
     def test_identical_laws_zero_gap(self):
         doc = scenario("concentric_disk", mesh={"h": 0.05})
@@ -297,15 +384,15 @@ class TestRun:
         cfg = load_config(CONFIGS / "concentric_disk.json",
                           mesh={"h": 0.06, "min_angle_deg": 5.0})
         rep, _ = run(cfg)
-        scene, rcfg = cfg.build_scene(), cfg.raw["regions"]
+        scene, rcfg = cfg.scene, cfg.raw["regions"]
         op = BackgroundOperator(build_mesh(scene, 0.06, 5.0),
-                                cfg.build_background())
+                                cfg.background)
         rng = np.random.default_rng(cfg.seed)
         family = [fourier_data([(k, rng.normal(), rng.normal())
                                 for k in range(1, 6)]) for _ in range(8)]
         checks = check_three_region(
             op.solve(family),
-            build_regions(cfg.build_weights(), rcfg["R1"], rcfg["R2"],
+            build_regions(cfg.weights, rcfg["R1"], rcfg["R2"],
                           rcfg["theta"]),
             flattening_map(scene.interface, rcfg["anchor_t"], scene.rho0,
                            scene.K0))

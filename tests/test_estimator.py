@@ -261,14 +261,14 @@ class TestBoundaryNormRatio:
     def test_vectorised_assembly_matches_loop(self, path):
         with open(path) as fh:
             cfg = cli.parse_config(json.load(fh))
-        mesh = build_mesh(cfg.build_scene(), 0.06)
+        mesh = build_mesh(cfg.scene, 0.06)
         pts = mesh.points[mesh.boundary_loop()]
         lens = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         mass, stiff = _boundary_matrices(lens)
         want_mass, want_stiff = oracles.boundary_matrices_loop(lens)
         assert np.array_equal(mass, want_mass)
         assert np.array_equal(stiff, want_stiff)
-        g = cfg.build_boundary_data()
+        g = cfg.g
         assert boundary_data_norm_ratio(mesh, g) \
             == oracles.boundary_data_norm_ratio(mesh, g)
 

@@ -41,14 +41,14 @@ SIZE_FAMILY_MESHES = [
 @functools.lru_cache(maxsize=None)
 def _config_mesh(name, h):
     with open(CONFIGS / f"{name}.json") as fh:
-        scene = cli.parse_config(json.load(fh)).build_scene()
+        scene = cli.parse_config(json.load(fh)).scene
     return build_mesh(scene, h)
 
 
 @functools.lru_cache(maxsize=None)
 def _size_family_mesh(index):
     cfg = cli.parse_config(scenarios.size_family(12, h=0.03)[index])
-    scene = cfg.build_scene()
+    scene = cfg.scene
     return scene, build_mesh(scene, cfg.mesh_h)
 
 
@@ -169,6 +169,24 @@ class TestBuildMesh:
         assert (mesh.comp[mesh.in_d] == -1).any()
         # crossing nodes shared by both curves keep the tagging consistent
         assert mesh.diagnostics["straddling_triangles"] <= 6
+
+    def test_crossing_points_found_once(self, monkeypatch):
+        # the interface and the inclusion share their crossing points, so
+        # one intersection serves both curves' nodes
+        import powergap.mesh as mesh_module
+        calls = []
+        found = mesh_module.curve_intersections
+
+        def counting(a, b):
+            calls.append((a, b))
+            return found(a, b)
+
+        monkeypatch.setattr(mesh_module, "curve_intersections", counting)
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.5),
+                      inclusion=Circle((0.5, 0.0), 0.15))
+        build_mesh(scene, 0.05)
+        assert calls == [(scene.interface, scene.inclusion)]
 
     def test_interface_pairs_match_loop_reference(self):
         scene = Scene(outer=Circle((0, 0), 1.0),

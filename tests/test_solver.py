@@ -338,7 +338,7 @@ def krylov_case(name, param):
         cfg = parse_config(scenario("crossing_inclusion", case=param,
                                     mesh={"h": 0.06}))
         law = dataclasses.replace(
-            cfg.build_law(),
+            cfg.law,
             epsilon1=MatrixField.affine(0.12, [[0.05, 0.02], [0.02, 0.0]],
                                         0.03))
     elif name == "contrast":
@@ -349,9 +349,9 @@ def krylov_case(name, param):
                            varrho=0.5)
     else:
         cfg = parse_config(scenario(name, case=param, mesh={"h": 0.06}))
-        law = cfg.build_law()
-    mesh = build_mesh(cfg.build_scene(), 0.06)
-    return mesh, cfg.build_background(), law, cfg.build_boundary_data()
+        law = cfg.law
+    mesh = build_mesh(cfg.scene, 0.06)
+    return mesh, cfg.background, law, cfg.g
 
 
 class TestKrylovSolve:
