@@ -1,15 +1,15 @@
 """Configuration ingestion, experiment orchestration, and report emission.
 
 One JSON document describes a scene, its coefficient laws, the injected
-boundary current, the weight geometry, and the list of checks to run.
-`parse_config` reads every value of it once: it builds what a run takes
-and runs the reader of each listed check, so `validate` and `run` refuse
-the same documents, before anything is meshed. `run` walks one table of
-stages (`_stages`), mesh -> solve -> energy -> checks -> estimate. The
-solve stage makes every LU solve of the run, the three-region family
-included, and then frees the factorization. `run` writes a deterministic
-JSON report (timings only on request, so repeated runs are byte-identical)
-plus tidy CSV artifacts for plotting.
+boundary current, the weight geometry, and the list of checks to run; one
+table, `_FIELDS`, gives each of its paths. `parse_config` checks the whole
+document against the table, then builds what a run takes, so `validate`
+and `run` refuse the same documents, by path, before anything is meshed.
+`run` walks one table of stages (`_stages`), mesh -> solve -> energy ->
+checks -> estimate. The solve stage makes every LU solve of the run, the
+three-region family included, and then frees the factorization. `run`
+writes a deterministic JSON report (timings only on request, so repeated
+runs are byte-identical) plus tidy CSV artifacts for plotting.
 
 Exit codes: 0 success, 2 structural/config error, 3 when an inequality
 predicted by the theory fails empirically, 1 unexpected failure.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -56,7 +57,7 @@ from .geometry import (
     flattening_map,
     vitali_cover,
 )
-from .mesh import build_mesh
+from .mesh import build_mesh, mesh_size_precondition
 from .solver import (
     BackgroundOperator,
     export_solution_csv,
@@ -69,165 +70,68 @@ EXIT_STRUCTURAL = 2
 EXIT_VIOLATION = 3
 
 
-# ---------------------------------------------------------------------------
-# Config parsing
-
-
 def _fail(path: str, msg: str):
     raise ConfigError(f"config field '{path}': {msg}")
 
 
-def _field_from_spec(spec, path: str) -> MatrixField:
-    if spec is None:
-        _fail(path, "missing coefficient")
-    if isinstance(spec, (int, float)):
-        return MatrixField.isotropic(float(spec), path)
-    if isinstance(spec, list):
-        try:
-            return MatrixField.constant(np.asarray(spec, dtype=float), path)
-        except (ValueError, TypeError):
-            _fail(path, "matrix must be 2x2 numeric")
-    if isinstance(spec, dict) and spec.get("kind") == "affine":
-        return MatrixField.affine(spec["base"], spec.get("gx", 0.0),
-                                  spec.get("gy", 0.0), path)
-    _fail(path, f"unrecognized coefficient spec {spec!r}")
-
-
-def _curve_from_spec(spec, path: str):
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    try:
-        if kind == "circle":
-            return Circle(tuple(spec["center"]), float(spec["radius"]))
-        if kind == "ellipse":
-            return Ellipse(tuple(spec["center"]), float(spec["a"]),
-                           float(spec["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(path, str(exc))
-    _fail(path, f"unknown curve kind {kind!r}")
-
-
 @contextmanager
-def _naming(what: str):
-    """A bad value met inside the block, as a ConfigError naming `what`."""
+def _naming(path: str):
+    """A bad value met inside the block, as a ConfigError naming `path`."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigError(f"{what}: missing key {exc}") from exc
-    except (IndexError, TypeError, ValueError, StructuralError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
-def _numbers(value, what: str, n: Optional[int] = None) -> tuple:
-    """A list of n numbers (any count for None) as floats; else ValueError."""
-    if isinstance(value, (list, tuple)) and len(value) == (n or len(value)):
-        try:
-            return tuple(map(float, value))
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{what}, got {value!r}")
+    except (ValueError, PowerGapError) as exc:
+        raise ConfigError(f"config field '{path}': {exc}") from exc
 
 
 class ExperimentConfig(SimpleNamespace):
     """Everything a run takes, read once from a document by `parse_config`.
 
-    It holds `label`, `seed`, `checks`, `mesh_h`, `min_angle_deg` and
-    `export_fields`; the `scene`, `background`, `law` (None without one),
-    boundary data `g` and `weights`; and in `inputs` what the reader of
-    each selected check returned (see `_stages`). `raw` is the document as
-    given, for the report's `config` echo and `sweep`'s copies. Nothing
-    here holds per-run state, so one config can drive any number of runs.
+    It holds in `values` the checked value at every path of `_FIELDS`,
+    defaults filled in (`label` and `checks` are attributes too); the
+    `scene`, `background`, `law` (None without one), boundary data `g` and
+    `weights`; and in `inputs` what the reader of each selected check
+    returned (see `_stages`). `raw` is the document as given, for the
+    report's `config` echo and `sweep`'s copies. Nothing here holds per-run
+    state, so one config can drive any number of runs.
     """
-
-
-# What a stage can need: how an error names it, and whether a config has it.
-_NEEDS = {
-    "interface": ("scene.interface", lambda r: r["scene"].get("interface")),
-    "inclusion": ("scene.inclusion", lambda r: r["scene"].get("inclusion")),
-    "law": ("a 'law' section", lambda r: r.get("law")),
-    "chain": ("a 'chain' section (x0, r, h)",
-              lambda r: {"x0", "r", "h"} <= set(r.get("chain") or ())),
-    "energy": ("check 'energy'", lambda r: "energy" in r.get("checks", [])),
-    "bracket": ("check 'bracket'", lambda r: "bracket" in r.get("checks", [])),
-}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Read and check every value of `doc`, once; stages read what it builds.
+    """Check `doc` against `_FIELDS`, then build what the stages read.
 
-    A bad value raises ConfigError naming its section or check, so `run`
-    and `validate` refuse the same documents, before anything is meshed.
+    Every refusal is a ConfigError naming the path at fault, so `run` and
+    `validate` refuse the same documents, before anything is meshed.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    for req in ("scene", "background", "mesh"):
-        if req not in doc:
-            _fail(req, "required section missing")
-    if "h" not in doc["mesh"]:
-        _fail("mesh.h", "required")
-    checks = list(doc.get("checks", []))
-    issues = [f"config field 'checks': unknown check {name!r}; known: "
-              f"{KNOWN_CHECKS}" for name in checks
-              if name not in KNOWN_CHECKS]
-    issues += [f"check '{stage.name}' needs {_NEEDS[need][0]}"
-               for stage in _stages() if stage.name in checks
-               for need in stage.needs if not _NEEDS[need][1](doc)]
-    if issues:
-        raise ConfigError("; ".join(issues))
-    cfg = ExperimentConfig(raw=doc, label=doc.get("label", "experiment"),
-                           checks=checks, inputs={},
-                           export_fields=bool(doc.get("export_fields")))
-    with _naming("config section 'scene'"):
-        s = doc["scene"]
-        cfg.scene = Scene(
-            outer=_curve_from_spec(s["outer"], "scene.outer"),
-            interface=_curve_from_spec(s.get("interface"), "scene.interface"),
-            inclusion=_curve_from_spec(s.get("inclusion"), "scene.inclusion"),
-            rho0=float(s.get("rho0", 0.3)), K0=float(s.get("K0", 4.0)),
-            d0=float(s.get("d0", 0.1)), d1=float(s.get("d1", 0.02)))
-    with _naming("config section 'background'"):
-        b = doc["background"]
-        cfg.background = BackgroundTensor(
-            m_plus=_field_from_spec(b["m_plus"], "background.m_plus"),
-            m_minus=_field_from_spec(b["m_minus"], "background.m_minus"),
-            n_plus=_field_from_spec(b.get("n_plus", 1.0), "background.n_plus"),
-            n_minus=_field_from_spec(b.get("n_minus", 1.0),
-                                     "background.n_minus"),
-            gamma=float(b.get("gamma", 0.0)),
-            lambda0=float(b.get("lambda0", 0.5)), m0=float(b.get("m0", 1.0)))
-    with _naming("config section 'law'"):
-        l = doc.get("law")
-        cfg.law = None if l is None else InclusionLaw(
-            sigma1=_field_from_spec(l["sigma1"], "law.sigma1"),
-            zeta1=_field_from_spec(l["zeta1"], "law.zeta1"),
-            epsilon1=None if l.get("epsilon1") is None else _field_from_spec(
-                l["epsilon1"], "law.epsilon1"),
-            lambda1=float(l.get("lambda1", 0.25)),
-            varrho=float(l.get("varrho", 0.5)),
-            delta_tol=float(l.get("delta_tol", 0.0)))
-    with _naming("config section 'weights'"):
-        cfg.weights = WeightParams(**doc.get("weights", {}))
-    with _naming("config section 'boundary_data'"):
-        cfg.g = fourier_data([(m[0], m[1], m[2]) for m in
-                              doc.get("boundary_data", [[1, 1.0, 0.0]])])
-    with _naming("config section 'mesh'"):
-        cfg.mesh_h = float(doc["mesh"]["h"])
-        cfg.min_angle_deg = float(doc["mesh"].get("min_angle_deg", 5.0))
-    with _naming("config field 'seed'"):
-        cfg.seed = int(doc.get("seed", 0))
+    v = _checked(doc)
+    checks = v["checks"]
+    for stage in _stages():
+        for need in stage.needs if stage.name in checks else ():
+            if need in KNOWN_CHECKS and need not in checks:
+                _fail("checks", f"check '{stage.name}' needs check '{need}'")
+            if need not in KNOWN_CHECKS and v[need] is None:
+                _fail(need, f"required by check '{stage.name}'")
+    cfg = ExperimentConfig(raw=doc, values=v, label=v["label"],
+                           checks=checks, inputs={})
+    cfg.scene = _build(Scene, "scene", v)
+    cfg.background = _build(BackgroundTensor, "background", v)
+    cfg.law = None if v["law"] is None else _build(InclusionLaw, "law", v)
+    with _naming("weights"):
+        cfg.weights = _build(WeightParams, "weights", v)
+    cfg.g = fourier_data(v["boundary_data"])
+    with _naming("mesh.h"):
+        mesh_size_precondition(cfg.scene.outer, v["mesh.h"])
     for stage in _stages():
         if stage.read is not None and stage.name in checks:
-            with _naming(f"check '{stage.name}'"):
-                cfg.inputs[stage.name] = stage.read(cfg)
+            cfg.inputs[stage.name] = stage.read(cfg)
     return cfg
+
+
+def _build(cls, section: str, v: dict):
+    """`cls` from its section's checked values; a coefficient's constructor
+    is called with its path, which names the field."""
+    paths = {f.name: f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+    return cls(**{name: v[p](p) if isinstance(v[p], functools.partial)
+                  else v[p] for name, p in paths.items()})
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -264,7 +168,8 @@ class _Run:
 
 def _mesh_stage(st: _Run) -> dict:
     validation = st.scene.validate()
-    st.mesh = build_mesh(st.scene, st.cfg.mesh_h, st.cfg.min_angle_deg)
+    st.mesh = build_mesh(st.scene, st.cfg.values["mesh.h"],
+                         st.cfg.values["mesh.min_angle_deg"])
     return {"scene_validation": validation,
             "mesh": {"n_points": st.mesh.num_points,
                      "n_triangles": st.mesh.num_triangles,
@@ -305,13 +210,13 @@ def _solve_stage(st: _Run) -> dict:
             st.case = check_jump_condition(
                 background.sigma(d_pts, mesh.comp[mesh.in_d]),
                 st.law.sigma1(d_pts), st.law.zeta1(d_pts), st.law.varrho)
-    if "three_region" in st.cfg.inputs:
+    if "three_region" in st.cfg.checks:
         # no other stage draws from the seed; the family is solved with one
         # multi-column LU solve
-        rng = np.random.default_rng(st.cfg.seed)
+        rng = np.random.default_rng(st.cfg.values["seed"])
         mode_sets = [[(k, float(rng.normal()), float(rng.normal()))
                       for k in range(1, 6)]
-                     for _ in range(st.cfg.inputs["three_region"][0])]
+                     for _ in range(st.cfg.values["regions.n_family"])]
         st.family = st.op.solve([fourier_data(m) for m in mode_sets])
     st.op.release()
     return out
@@ -321,7 +226,7 @@ def _energy_stage(st: _Run) -> dict:
     want_bracket = "bracket" in st.cfg.checks and st.case is not JumpCase.NONE
     st.power = energy.power_report(
         st.sol0, st.sol1, st.case if want_bracket else JumpCase.NONE,
-        tol=st.cfg.inputs["energy"])
+        tol=st.cfg.values["bracket_tol"])
     bracket = st.power.bracket
     if want_bracket and not bracket.degenerate \
             and not (bracket.sign_ok and bracket.bracket_ok):
@@ -331,25 +236,17 @@ def _energy_stage(st: _Run) -> dict:
     return {**st.power.as_dict(), "case": st.case.value}
 
 
-def _read_energy(cfg: ExperimentConfig) -> float:
-    return _number(cfg.raw.get("bracket_tol", 0.05), "bracket_tol")
-
-
 def _read_three_region(cfg: ExperimentConfig) -> tuple:
-    rcfg = cfg.raw.get("regions", {})
-    n, R1, R2, theta, anchor_t = (
-        _number(rcfg.get(key, default), f"regions.{key}") for key, default in
-        (("n_family", 8), ("R1", 0.4), ("R2", 0.1), ("theta", 0.09),
-         ("anchor_t", 0.0)))
-    if int(n) < 1:
-        raise ValueError(f"regions.n_family must be at least 1, got {n:g}")
-    return (int(n), build_regions(cfg.weights, R1, R2, theta),
-            flattening_map(cfg.scene.interface, anchor_t, cfg.scene.rho0,
-                           cfg.scene.K0))
+    v = cfg.values
+    with _naming("regions"):
+        return (build_regions(cfg.weights, v["regions.R1"], v["regions.R2"],
+                              v["regions.theta"]),
+                flattening_map(cfg.scene.interface, v["regions.anchor_t"],
+                               cfg.scene.rho0, cfg.scene.K0))
 
 
 def _three_region_stage(st: _Run) -> dict:
-    _, regions, fmap = st.cfg.inputs["three_region"]
+    regions, fmap = st.cfg.inputs["three_region"]
     # the family solved by the solve stage, sampled on one located grid
     checks = smallness.check_three_region(st.family, regions, fmap)
     rows = []
@@ -371,39 +268,33 @@ def _three_region_stage(st: _Run) -> dict:
             else math.nan}
 
 
-def _read_three_ball(cfg: ExperimentConfig) -> tuple:
-    tb = cfg.raw.get("three_ball", {"center": [0.3, 0.2],
-                                    "radii": [0.02, 0.06, 0.3]})
-    need = "three_ball needs a center and radii [r1, r2, r3] of numbers"
-    if not isinstance(tb, dict):
-        raise ValueError(f"{need}, got {tb!r}")
-    center = _numbers(tb.get("center"), need, 2)
-    radii = _numbers(tb.get("radii"), need, 3)
-    smallness.three_ball_precondition(cfg.scene, cfg.background.lambda0,
-                                      center, *radii)
-    return center, radii
+def _read_three_ball(cfg: ExperimentConfig) -> None:
+    with _naming("three_ball"):
+        smallness.three_ball_precondition(
+            cfg.scene, cfg.background.lambda0, cfg.values["three_ball.center"],
+            *cfg.values["three_ball.radii"])
 
 
 def _three_ball_stage(st: _Run) -> dict:
-    center, radii = st.cfg.inputs["three_ball"]
-    chk = smallness.check_three_ball(st.sol0, center, *radii)
+    v = st.cfg.values
+    chk = smallness.check_three_ball(st.sol0, v["three_ball.center"],
+                                     *v["three_ball.radii"])
     return {"constant": chk.constant, "margin": chk.margin,
             "tau": chk.params["tau"],
             "crosses_interface": chk.params["crosses_interface"]}
 
 
-def _read_chain(cfg: ExperimentConfig) -> tuple:
-    ch = cfg.raw["chain"]
-    x0 = _numbers(ch["x0"], "chain.x0 must be [x, y]", 2)
-    r, h = _number(ch["r"], "chain.r"), _number(ch["h"], "chain.h")
-    smallness.chain_precondition(cfg.scene, cfg.scene.inclusion_region(),
-                                 x0, r, h)
-    return x0, r, h
+def _read_chain(cfg: ExperimentConfig) -> None:
+    v = cfg.values
+    with _naming("chain"):
+        smallness.chain_precondition(cfg.scene, cfg.scene.inclusion_region(),
+                                     v["chain.x0"], v["chain.r"], v["chain.h"])
 
 
 def _chain_stage(st: _Run) -> dict:
-    x0, r, h = st.cfg.inputs["chain"]
-    cert = smallness.propagate_chain(st.sol0, st.scene.inclusion, x0, r, h)
+    v = st.cfg.values
+    cert = smallness.propagate_chain(st.sol0, st.scene.inclusion,
+                                     v["chain.x0"], v["chain.r"], v["chain.h"])
     inv_ok = all(all(c.invariants_ok().values()) for c in cert.chains)
     holds = cert.holds()
     if not (inv_ok and holds):
@@ -428,59 +319,45 @@ def _scaling_stage(st: _Run) -> dict:
     return res
 
 
-def _read_lipschitz(cfg: ExperimentConfig) -> float:
-    a = _number(cfg.raw.get("lipschitz_a", 0.1), "lipschitz_a")
-    smallness.lipschitz_centers(cfg.scene, a)
-    return a
+def _read_lipschitz(cfg: ExperimentConfig) -> None:
+    with _naming("lipschitz_a"):
+        smallness.lipschitz_centers(cfg.scene, cfg.values["lipschitz_a"])
 
 
 def _lipschitz_stage(st: _Run) -> dict:
-    a = st.cfg.inputs["lipschitz"]
+    a = st.cfg.values["lipschitz_a"]
     ls = smallness.lipschitz_smallness(st.sol0, a)
     return {"a": a, "c_a": ls["c_a"], "argmin": list(ls["argmin"])}
 
 
-def _read_boundary_layer(cfg: ExperimentConfig) -> tuple:
+def _read_boundary_layer(cfg: ExperimentConfig) -> None:
     # a line fitted through the energies of layers of depth a / 4 > 0
-    avals = cfg.raw.get("boundary_layer_a", [0.15, 0.2, 0.3, 0.4, 0.5])
-    need = "boundary_layer_a must be two or more distinct positive depths"
-    depths = _numbers(avals, need)
-    if len(set(depths)) < 2 or not min(depths) > 0:
-        raise ValueError(f"{need}, got {avals!r}")
-    return depths
+    depths = cfg.values["boundary_layer_a"]
+    if len(set(depths)) < 2:
+        _fail("boundary_layer_a", "must hold two or more distinct depths, "
+                                  f"got {list(depths)}")
 
 
 def _boundary_layer_stage(st: _Run) -> dict:
-    bl = smallness.boundary_layer(st.sol0, st.cfg.inputs["boundary_layer"])
+    bl = smallness.boundary_layer(st.sol0, st.cfg.values["boundary_layer_a"])
     return {"a": list(map(float, bl["a"])),
             "layer_energy": list(map(float, bl["layer_energy"])),
             "exponent": bl["exponent"]}
 
 
-def _read_vitali(cfg: ExperimentConfig) -> float:
-    radius = _number(cfg.raw.get("vitali_radius", 0.05), "vitali_radius")
-    if not radius > 0:
-        raise ValueError(f"vitali_radius must be positive, got {radius:g}")
-    return radius
-
-
 def _vitali_stage(st: _Run) -> dict:
-    radius = st.cfg.inputs["vitali"]
+    radius = st.cfg.values["vitali_radius"]
     centers = vitali_cover(st.scene.interface, radius)
     return {"radius": radius, "n_centers": int(len(centers)),
             "cover_constant":
                 len(centers) * radius / st.scene.interface.perimeter}
 
 
-def _read_size(cfg: ExperimentConfig) -> Optional[tuple]:
-    constants = cfg.raw.get("size_constants")
-    if constants is None:
-        return None
-    need = "size_constants must be [c1, c2] with c1 <= c2"
-    c1, c2 = _numbers(constants, need, 2)
-    if not c1 <= c2:
-        raise ValueError(f"{need}, got {constants!r}")
-    return c1, c2
+def _read_size(cfg: ExperimentConfig) -> None:
+    constants = cfg.values["size_constants"]
+    if constants is not None and not constants[0] <= constants[1]:
+        _fail("size_constants", "must be [c1, c2] with c1 <= c2, got "
+                                f"{list(constants)}")
 
 
 def _size_stage(st: _Run) -> dict:
@@ -496,7 +373,7 @@ def _size_stage(st: _Run) -> dict:
         return {"refused": "jump condition (a0) classifies as 'none'; size "
                            "bounds not asserted"}
     fat = estimator.check_fatness(scene)
-    constants = st.cfg.inputs["size"]
+    constants = st.cfg.values["size_constants"]
     if constants is not None:
         c1, c2 = constants
         source = "calibrated"
@@ -534,13 +411,13 @@ class _Stage(NamedTuple):
 def _stages() -> tuple:
     """The pipeline's stages, in run order.
 
-    A stage runs always, or when named in `checks`, and then needs what
-    `needs` names in `_NEEDS`. `read(cfg)`, when given, reads and checks
-    the stage's config values, raising on a bad one; `parse_config` calls
-    it once, before anything is timed, and keeps what it returns in
-    `cfg.inputs[name]`. `fn(run)` returns its report
-    fragment, put at checks.<name> for key "checks" and merged into the
-    report for key "". `bracket` has no stage; the energy stage reads it.
+    A stage runs always, or when named in `checks`; each of its `needs` is
+    a check listed too or a path of `_FIELDS` that is not null. `read(cfg)`
+    checks what of the stage's values needs the scene or another field;
+    `parse_config` calls it once and keeps what it returns in
+    `cfg.inputs[name]`. `fn(run)` returns its report fragment, put at
+    checks.<name> for key "checks" and merged into the report for key "".
+    `bracket` has no stage; the energy stage reads it.
     Built per call, so a stage function wrapped at run time (as
     perfbench/tracer.py does) is the one that runs.
     """
@@ -549,26 +426,256 @@ def _stages() -> tuple:
         _Stage("admissibility", False, _admissibility_stage,
                key="admissibility"),
         _Stage("solve", True, _solve_stage, key="solve"),
-        _Stage("energy", False, _energy_stage, ("inclusion", "law"), "power",
-               _read_energy),
+        _Stage("energy", False, _energy_stage, ("scene.inclusion", "law"),
+               "power"),
         _Stage("bracket", False, None, ("energy",)),
-        _Stage("three_region", False, _three_region_stage, ("interface",),
-               read=_read_three_region),
+        _Stage("three_region", False, _three_region_stage,
+               ("scene.interface",), read=_read_three_region),
         _Stage("three_ball", False, _three_ball_stage, read=_read_three_ball),
-        _Stage("chain", False, _chain_stage, ("inclusion", "chain"),
+        _Stage("chain", False, _chain_stage, ("scene.inclusion", "chain"),
                read=_read_chain),
         _Stage("scaling", False, _scaling_stage),
         _Stage("lipschitz", False, _lipschitz_stage, read=_read_lipschitz),
         _Stage("boundary_layer", False, _boundary_layer_stage,
                read=_read_boundary_layer),
-        _Stage("vitali", False, _vitali_stage, ("interface",),
-               read=_read_vitali),
+        _Stage("vitali", False, _vitali_stage, ("scene.interface",)),
         _Stage("size", False, _size_stage, ("energy", "bracket"), "size",
                _read_size),
     )
 
 
 KNOWN_CHECKS = tuple(stage.name for stage in _stages() if not stage.always)
+
+
+# ---------------------------------------------------------------------------
+# Config fields
+#
+# A kind is (what a refusal says the value must be, its test, and what the
+# build step takes, the value itself when None). A range is "", "> a",
+# ">= a" or an interval such as "(a, b]"; for a list, each number's.
+
+
+def _is_real(x, rng: str = "") -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or not math.isfinite(x):
+        return False
+    if rng[:1] in ("(", "["):
+        lo, hi = map(float, rng[1:-1].split(","))
+        return (lo <= x if rng[0] == "[" else lo < x) \
+            and (x <= hi if rng[-1] == "]" else x < hi)
+    op, _, bound = rng.partition(" ")
+    return not op or (x > float(bound) if op == ">" else x >= float(bound))
+
+
+def _are_reals(x, rng: str = "", n: Optional[int] = None) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == (n or len(x)) \
+        and all(_is_real(e, rng) for e in x)
+
+
+def _is_matrix(x) -> bool:
+    """A number or a 2x2 list of numbers."""
+    return _is_real(x) or (isinstance(x, (list, tuple)) and len(x) == 2
+                           and all(_are_reals(row, n=2) for row in x))
+
+
+def _is_coefficient(x, rng: str) -> bool:
+    if not isinstance(x, dict):
+        return _is_matrix(x)
+    return x.get("kind") == "affine" and "base" in x \
+        and set(x) <= {"kind", "base", "gx", "gy"} \
+        and all(_is_matrix(x[key]) for key in set(x) - {"kind"})
+
+
+def _coefficient(x) -> functools.partial:
+    """The field's constructor, to be called with its name."""
+    if isinstance(x, dict):
+        return functools.partial(MatrixField.affine, *(
+            x.get(key, 0.0) for key in ("base", "gx", "gy")))
+    return functools.partial(MatrixField.constant, np.asarray(x, dtype=float))
+
+
+_CURVES = {"circle": (Circle, ("radius",)), "ellipse": (Ellipse, ("a", "b"))}
+
+
+def _is_curve(x, rng: str) -> bool:
+    if not isinstance(x, dict) or x.get("kind") not in _CURVES:
+        return False
+    sizes = _CURVES[x["kind"]][1]
+    return set(x) == {"kind", "center", *sizes} \
+        and _are_reals(x["center"], n=2) \
+        and all(_is_real(x[key], "> 0") for key in sizes)
+
+
+def _floats(x) -> tuple:
+    return tuple(map(float, x))
+
+
+def _curve(x):
+    cls, sizes = _CURVES[x["kind"]]
+    return cls(_floats(x["center"]), *(float(x[key]) for key in sizes))
+
+
+_KINDS = {
+    "number": ("a number", _is_real, float),
+    "integer": ("an integer", lambda x, rng: _is_real(x, rng)
+                and float(x).is_integer(), int),
+    "bool": ("true or false", lambda x, rng: isinstance(x, bool), None),
+    # a label names the report's files, which must stay inside --out
+    "label": ("a non-empty name without a path separator",
+              lambda x, rng: isinstance(x, str) and x != ""
+              and "/" not in x and "\\" not in x, None),
+    "numbers": ("a list of numbers", _are_reals, _floats),
+    "2 numbers": ("a list of 2 numbers",
+                  lambda x, rng: _are_reals(x, rng, 2), _floats),
+    "3 numbers": ("a list of 3 numbers",
+                  lambda x, rng: _are_reals(x, rng, 3), _floats),
+    "curve": ('{"kind": "circle", "center": [x, y], "radius": r} or '
+              '{"kind": "ellipse", "center": [x, y], "a": a, "b": b} with '
+              'r, a, b > 0', _is_curve, _curve),
+    "coefficient": ('a number, a 2x2 matrix, or {"kind": "affine", "base": '
+                    'm, "gx": m, "gy": m} of those, gx and gy 0 when absent',
+                    _is_coefficient, _coefficient),
+    "modes": ("a list of Fourier modes [k, cos, sin] with an integer k",
+              lambda x, rng: isinstance(x, (list, tuple)) and all(
+                  _are_reals(m, n=3) and float(m[0]).is_integer()
+                  for m in x), None),
+    "checks": ("a list of checks from " + ", ".join(KNOWN_CHECKS),
+               lambda x, rng: isinstance(x, list) and all(
+                   isinstance(name, str) and name in KNOWN_CHECKS
+                   for name in x), list),
+    "section": ("an object", lambda x, rng: isinstance(x, dict), None),
+}
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    path: str
+    kind: str
+    rng: str
+    # _REQUIRED, or the value when absent; None also lets null mean "none"
+    default: object
+    doc: str
+
+
+# Every path a config may hold, each section before its fields; the README
+# lists the same paths and defaults (tests/test_cli.py checks both ways).
+_FIELDS = tuple(_Field(*row) for row in (
+    ("schema_version", "integer", "[1, 1]", 1, "version of the config format"),
+    ("label", "label", "", "experiment", "names a run's report and CSV files"),
+    ("seed", "integer", ">= 0", 0, "draws the three-region family"),
+    ("checks", "checks", "", [], "the checks to run"),
+    ("export_fields", "bool", "", False, "also write mesh and field CSVs"),
+    ("mesh", "section", "", _REQUIRED, "the mesh"),
+    ("mesh.h", "number", "", _REQUIRED,
+     "element size: > 0, a sixth of the outer curve's extent at most, and "
+     "within the node budget"),
+    ("mesh.min_angle_deg", "number", "[0, 60)", 5.0,
+     "least element angle, in degrees"),
+    ("scene", "section", "", _REQUIRED, "the body and its curves"),
+    ("scene.outer", "curve", "", _REQUIRED, "boundary of the body"),
+    ("scene.interface", "curve", "", None,
+     "interface Σ, around the minus side"),
+    ("scene.inclusion", "curve", "", None, "boundary of the inclusion D"),
+    ("scene.rho0", "number", "> 0", 0.3, "chart radius of Σ"),
+    ("scene.K0", "number", "> 0", 4.0, "C^{1,1} constant of Σ"),
+    ("scene.d0", "number", "> 0", 0.1,
+     "least distance from D to the boundary"),
+    ("scene.d1", "number", "> 0", 0.02, "erosion depth of the fatness check"),
+    ("background", "section", "", _REQUIRED,
+     "the law M + iγN on each side of Σ"),
+    ("background.m_plus", "coefficient", "", _REQUIRED, "M outside Σ"),
+    ("background.m_minus", "coefficient", "", _REQUIRED, "M inside Σ"),
+    ("background.n_plus", "coefficient", "", 1.0, "N outside Σ"),
+    ("background.n_minus", "coefficient", "", 1.0, "N inside Σ"),
+    ("background.gamma", "number", ">= 0", 0.0, "γ"),
+    ("background.lambda0", "number", "(0, 1]", 0.5, "ellipticity of M"),
+    ("background.m0", "number", ">= 0", 1.0, "Lipschitz constant of M"),
+    ("law", "section", "", None, "the inclusion's law; null: none"),
+    ("law.sigma1", "coefficient", "", _REQUIRED, "σ1"),
+    ("law.zeta1", "coefficient", "", _REQUIRED, "the chirality ζ1"),
+    ("law.epsilon1", "coefficient", "", None, "ε1; null: the background's γN"),
+    ("law.lambda1", "number", "(0, 1]", 0.25, "ellipticity of the law"),
+    ("law.varrho", "number", "> 0", 0.5, "margin ϱ of the jump condition"),
+    ("law.delta_tol", "number", ">= 0", 0.0, "slack of the ε1 closeness"),
+    ("boundary_data", "modes", "", [[1, 1.0, 0.0]],
+     "current g, made zero-mean"),
+    ("weights", "section", "", {}, "the interface weight"),
+    ("weights.alpha_plus", "number", "> 0", 2.0, "α+, at least κ0 α-"),
+    ("weights.alpha_minus", "number", "> 0", 1.0, "α-"),
+    ("weights.beta", "number", "> 0", 0.1, "β"),
+    ("weights.delta", "number", "> 0", 8.0, "scale δ, at most δ0"),
+    ("weights.kappa0", "number", "> 1", 1.5, "κ0"),
+    ("weights.delta0", "number", "> 0", 8.0, "δ0, an empirical bound"),
+    ("weights.r0", "number", "> 0", 8.0, "r0, an empirical bound"),
+    ("regions", "section", "", {}, "the three-region check"),
+    ("regions.n_family", "integer", ">= 1", 8, "random solutions checked"),
+    ("regions.R1", "number", "> 0", 0.4, "R1, within the weights' bound"),
+    ("regions.R2", "number", "> 0", 0.1, "R2, within the weights' bound"),
+    ("regions.theta", "number", "(0, 1]", 0.09, "scale θ of the regions"),
+    ("regions.anchor_t", "number", "", 0.0, "where on Σ the chart sits"),
+    ("bracket_tol", "number", ">= 0", 0.05, "relative slack of the bracket"),
+    ("three_ball", "section", "",
+     {"center": [0.3, 0.2], "radii": [0.02, 0.06, 0.3]}, "three-ball check"),
+    ("three_ball.center", "2 numbers", "", _REQUIRED,
+     "centre; B_r3 must lie inside"),
+    ("three_ball.radii", "3 numbers", "> 0", _REQUIRED, "r1 < r2 < r3"),
+    ("chain", "section", "", None, "the chain-of-balls check"),
+    ("chain.x0", "2 numbers", "", _REQUIRED, "centre of the seed ball, in D"),
+    ("chain.r", "number", "> 0", _REQUIRED, "radius of the seed ball"),
+    ("chain.h", "number", "> 0", _REQUIRED,
+     "scale; D must be h from the boundary"),
+    ("lipschitz_a", "number", "> 0", 0.1, "ball radius of the check"),
+    ("boundary_layer_a", "numbers", "> 0", [0.15, 0.2, 0.3, 0.4, 0.5],
+     "layer depths, two or more distinct"),
+    ("vitali_radius", "number", "> 0", 0.05, "radius of the Σ covering"),
+    ("size_constants", "2 numbers", "", None,
+     "calibrated [c1, c2], c1 <= c2; null: surrogate"),
+))
+
+_PATHS = {f.path for f in _FIELDS}
+
+
+def _known_keys(path: str, section: dict):
+    for key in section:
+        sub = f"{path}.{key}" if path else key
+        if sub not in _PATHS:
+            _fail(sub, "not a config field")
+
+
+def _checked(doc) -> dict:
+    """The value at every path of `_FIELDS`, checked, defaults filled in.
+
+    A section that is null, or absent with no default, holds no values.
+    The first value at fault is refused, by path, as a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    _known_keys("", doc)
+    v = {}
+    for f in _FIELDS:
+        parent, _, key = f.path.rpartition(".")
+        section = v[parent] if parent else doc
+        if section is None:
+            continue
+        if key in section:
+            value = section[key]
+        elif f.default is _REQUIRED:
+            _fail(f.path, "required")
+        else:
+            value = f.default
+        if value is None and f.default is None:
+            v[f.path] = None
+            continue
+        what, test, build = _KINDS[f.kind]
+        if not test(value, f.rng):
+            rng = f" in {f.rng}" if f.rng[:1] in ("(", "[") else \
+                f" {f.rng}" if f.rng else ""
+            _fail(f.path, f"must be {what}{rng}, got {value!r}")
+        v[f.path] = value if build is None else build(value)
+        if f.kind == "section":
+            _known_keys(f.path, value)
+    return v
 
 
 def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
@@ -599,7 +706,7 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{cfg.label}.json").write_text(report_json(report) + "\n")
-        if cfg.export_fields:
+        if cfg.values["export_fields"]:
             export_solution_csv(st.sol0, out / f"{cfg.label}_u0")
             if st.sol1 is not None:
                 export_solution_csv(st.sol1, out / f"{cfg.label}_u1")
@@ -644,7 +751,7 @@ def _set_by_path(doc: dict, path: str, value):
 def _sweep_one(doc: dict, param: str, value: float, out_dir):
     d = json.loads(json.dumps(doc))
     _set_by_path(d, param, value)
-    d["label"] = f"{d.get('label', 'run')}_{param.replace('.', '_')}_{value:g}"
+    d["label"] = f"{d['label']}_{param.replace('.', '_')}_{value:g}"
     # a value the config parser refuses gets its own row, as a failed run
     try:
         rep, code = run(parse_config(d), out_dir=out_dir)
@@ -658,7 +765,8 @@ def _sweep_one(doc: dict, param: str, value: float, out_dir):
 def sweep(cfg: ExperimentConfig, param: str, values, out_dir=None,
           threads: int = 1) -> dict:
     """Independent runs over a numeric config path, plus an aggregate table."""
-    one = functools.partial(_sweep_one, cfg.raw, param, out_dir=out_dir)
+    one = functools.partial(_sweep_one, {**cfg.raw, "label": cfg.label},
+                            param, out_dir=out_dir)
     if threads <= 1:
         results = list(map(one, values))
     else:
@@ -762,8 +870,8 @@ def emit_plot_data(reports, kind: str, path) -> list:
 def _cmd_validate(args) -> int:
     st = _Run(load_config(args.config))
     st.scene.validate()
-    h = max(st.cfg.mesh_h, 0.05)
-    st.mesh = build_mesh(st.scene, h, st.cfg.min_angle_deg)
+    h = max(st.cfg.values["mesh.h"], 0.05)
+    st.mesh = build_mesh(st.scene, h, st.cfg.values["mesh.min_angle_deg"])
     _admissibility_stage(st)
     print(f"config '{st.cfg.label}' valid; "
           f"scene and hypotheses check out at h={h}")

@@ -21,7 +21,7 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import CoverageError, MeshingError
 from .geometry import Circle, _dot, _norm, as_points, polyline_min_distance
 
-__all__ = ["Mesh", "build_mesh"]
+__all__ = ["Mesh", "build_mesh", "mesh_size_precondition"]
 
 # Points sampled per locate in Mesh.interpolate; bounds its temporaries.
 _SAMPLE_BLOCK = 65_536
@@ -529,22 +529,30 @@ def _hex_lattice(lo, hi, h: float) -> np.ndarray:
     return np.vstack(rows)
 
 
-def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
-    """Conforming triangulation of the scene at target resolution h."""
+def mesh_size_precondition(outer, h: float) -> None:
+    """MeshingError unless h > 0, h is at most a sixth of the outer curve's
+    extent, and h is within the node budget; it needs only the curve."""
     if h <= 0:
         raise MeshingError("h must be positive")
-    lo, hi = scene.outer.bbox()
+    lo, hi = outer.bbox()
     extent = float(min(hi - lo))
     if h > extent / 6.0:
         raise MeshingError(
             f"h = {h:.3g} too coarse for a domain of extent {extent:.3g}; "
             f"try h <= {extent / 12.0:.3g}")
     # a hexagonal lattice of spacing h has one node per sqrt(3)/2 h^2
-    nodes = 2.0 * scene.outer.area / (math.sqrt(3.0) * h * h)
+    nodes = 2.0 * outer.area / (math.sqrt(3.0) * h * h)
     if nodes > _MAX_NODES:
         raise MeshingError(
             f"h = {h:.3g} needs about {nodes:.3g} nodes, above the budget of "
             f"{_MAX_NODES}; try h >= {h * math.sqrt(nodes / _MAX_NODES):.3g}")
+
+
+def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
+    """Conforming triangulation of the scene at target resolution h."""
+    mesh_size_precondition(scene.outer, h)
+    lo, hi = scene.outer.bbox()
+    extent = float(min(hi - lo))
 
     outer_nodes = scene.outer.nodes(h)
     curves = [("outer", scene.outer, outer_nodes)]

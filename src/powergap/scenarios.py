@@ -1,157 +1,36 @@
-"""Bundled scenario corpus: the acceptance fixture set.
+"""The size-calibration family: disk inclusions in the concentric disk.
 
-Five scene families cover the geometry matrix (one-phase disk, two-phase
-concentric disk, off-center inclusion, interface-crossing inclusion,
-curved elliptic interface). The inclusion laws come in a conductive
-("case_ii", positive chirality) and a resistive ("case_i", negative
-chirality) variant; both satisfy every structural hypothesis against both
-background components, so inclusions may cross the interface.
+The corpus is `configs/*.json`; `_CONCENTRIC_DISK` is its concentric disk
+(a test pins the two together), whose inclusion `size_family` varies.
 """
 
 from __future__ import annotations
 
 import copy
 
-_BACKGROUND = {
-    "m_plus": 1.0,
-    "m_minus": 2.0,
-    "n_plus": 1.0,
-    "n_minus": 1.0,
-    "gamma": 0.05,
-    "lambda0": 0.5,
-    "m0": 1.0,
-}
-
-_LAWS = {
-    "case_ii": {"sigma1": 1.5, "zeta1": 1.2, "epsilon1": None,
-                "lambda1": 0.2, "varrho": 0.5, "delta_tol": 0.0},
-    "case_i": {"sigma1": 1.5, "zeta1": -1.2, "epsilon1": None,
-               "lambda1": 0.2, "varrho": 0.5, "delta_tol": 0.0},
-}
-
-_WEIGHTS = {
-    "alpha_plus": 2.0, "alpha_minus": 1.0, "beta": 0.1,
-    "delta": 8.0, "kappa0": 1.5, "delta0": 8.0, "r0": 8.0,
-}
-
-_REGIONS = {"R1": 0.4, "R2": 0.1, "theta": 0.09, "anchor_t": 0.0}
-
-
-def _base(label: str) -> dict:
-    return {
-        "schema_version": 1,
-        "label": label,
-        "seed": 7,
-        "mesh": {"h": 0.03, "min_angle_deg": 5.0},
-        "background": dict(_BACKGROUND),
-        "boundary_data": [[1, 1.0, 0.0]],
-        "weights": dict(_WEIGHTS),
-        "regions": dict(_REGIONS),
-        "bracket_tol": 0.05,
-        "checks": ["admissibility", "energy", "bracket"],
-    }
-
-
-def one_phase_disk(case: str = "case_ii") -> dict:
-    cfg = _base(f"one_phase_disk_{case}")
-    cfg["scene"] = {
-        "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        "interface": None,
-        "inclusion": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.2},
-        "rho0": 0.3, "K0": 4.0, "d0": 0.3, "d1": 0.04,
-    }
-    cfg["background"]["m_minus"] = cfg["background"]["m_plus"]
-    cfg["law"] = dict(_LAWS[case])
-    cfg["checks"] = ["admissibility", "energy", "bracket", "chain",
-                     "scaling", "lipschitz", "boundary_layer", "size"]
-    cfg["chain"] = {"x0": [0.0, 0.0], "r": 0.1, "h": 0.6}
-    return cfg
-
-
-def concentric_disk(case: str = "case_ii") -> dict:
-    cfg = _base(f"concentric_disk_{case}")
-    cfg["scene"] = {
+_CONCENTRIC_DISK = {
+    "schema_version": 1,
+    "label": "concentric_disk_case_ii",
+    "seed": 7,
+    "mesh": {"h": 0.03, "min_angle_deg": 5.0},
+    "scene": {
         "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
         "interface": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5},
         "inclusion": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.25},
         "rho0": 0.3, "K0": 4.0, "d0": 0.3, "d1": 0.05,
-    }
-    cfg["law"] = dict(_LAWS[case])
-    cfg["checks"] = ["admissibility", "energy", "bracket", "three_region",
-                     "vitali", "size"]
-    return cfg
-
-
-def off_center_inclusion(case: str = "case_ii") -> dict:
-    cfg = _base(f"off_center_inclusion_{case}")
-    cfg["scene"] = {
-        "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        "interface": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5},
-        "inclusion": {"kind": "circle", "center": [0.18, 0.1], "radius": 0.15},
-        "rho0": 0.3, "K0": 4.0, "d0": 0.3, "d1": 0.03,
-    }
-    cfg["law"] = dict(_LAWS[case])
-    cfg["checks"] = ["admissibility", "energy", "bracket", "three_region",
-                     "size"]
-    return cfg
-
-
-def crossing_inclusion(case: str = "case_ii") -> dict:
-    cfg = _base(f"crossing_inclusion_{case}")
-    cfg["scene"] = {
-        "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        "interface": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5},
-        "inclusion": {"kind": "circle", "center": [0.5, 0.0], "radius": 0.15},
-        "rho0": 0.3, "K0": 4.0, "d0": 0.3, "d1": 0.03,
-    }
-    cfg["law"] = dict(_LAWS[case])
-    cfg["regions"]["anchor_t"] = 0.25  # keep the chart clear of the crossing
-    cfg["checks"] = ["admissibility", "energy", "bracket", "size"]
-    return cfg
-
-
-def curved_ellipse(case: str = "case_ii") -> dict:
-    cfg = _base(f"curved_ellipse_{case}")
-    cfg["scene"] = {
-        "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        "interface": {"kind": "ellipse", "center": [0.0, 0.0],
-                      "a": 0.55, "b": 0.4},
-        "inclusion": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.18},
-        "rho0": 0.22, "K0": 4.0, "d0": 0.3, "d1": 0.035,
-    }
-    cfg["law"] = dict(_LAWS[case])
-    cfg["regions"].update({"anchor_t": 0.25, "theta": 0.07})
-    cfg["checks"] = ["admissibility", "energy", "bracket", "three_region",
-                     "size"]
-    return cfg
-
-
-_BUILDERS = {
-    "one_phase_disk": one_phase_disk,
-    "concentric_disk": concentric_disk,
-    "off_center_inclusion": off_center_inclusion,
-    "crossing_inclusion": crossing_inclusion,
-    "curved_ellipse": curved_ellipse,
+    },
+    "background": {"m_plus": 1.0, "m_minus": 2.0, "n_plus": 1.0,
+                   "n_minus": 1.0, "gamma": 0.05, "lambda0": 0.5, "m0": 1.0},
+    "law": {"sigma1": 1.5, "zeta1": 1.2, "epsilon1": None, "lambda1": 0.2,
+            "varrho": 0.5, "delta_tol": 0.0},
+    "boundary_data": [[1, 1.0, 0.0]],
+    "weights": {"alpha_plus": 2.0, "alpha_minus": 1.0, "beta": 0.1,
+                "delta": 8.0, "kappa0": 1.5, "delta0": 8.0, "r0": 8.0},
+    "regions": {"R1": 0.4, "R2": 0.1, "theta": 0.09, "anchor_t": 0.0},
+    "bracket_tol": 0.05,
+    "checks": ["admissibility", "energy", "bracket", "three_region",
+               "vitali", "size"],
 }
-
-
-def scenario(name: str, case: str = "case_ii", **overrides) -> dict:
-    """A corpus configuration by name, optionally with top-level overrides."""
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown scenario {name!r}; "
-                       f"choose from {sorted(_BUILDERS)}")
-    cfg = _BUILDERS[name](case=case)
-    for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-            cfg[key] = {**cfg[key], **val}
-        else:
-            cfg[key] = val
-    return copy.deepcopy(cfg)
-
-
-def all_scenarios(case: str = "case_ii") -> dict:
-    return {name: scenario(name, case=case) for name in _BUILDERS}
-
 
 # calibration members span the response regimes: deep in the inner
 # component, in the outer component at several boundary angles, and
@@ -183,9 +62,11 @@ def size_family(n: int, case: str = "case_ii", h: float = 0.03) -> list[dict]:
     """
     if n > len(_SIZE_MEMBERS):
         raise ValueError(f"at most {len(_SIZE_MEMBERS)} family members")
+    chirality = {"case_ii": 1.0, "case_i": -1.0}[case]
     out = []
     for r, c in _SIZE_MEMBERS[:n]:
-        cfg = scenario("concentric_disk", case=case)
+        cfg = copy.deepcopy(_CONCENTRIC_DISK)
+        cfg["law"]["zeta1"] *= chirality
         cfg["label"] = f"size_{case}_{len(out):02d}"
         cfg["mesh"]["h"] = h
         cfg["scene"]["inclusion"] = {"kind": "circle",

@@ -38,7 +38,7 @@ from powergap.estimator import (
     estimate_size,
 )
 from powergap.mesh import build_mesh
-from powergap.scenarios import scenario, size_family
+from powergap.scenarios import size_family
 from powergap.smallness import (
     boundary_layer,
     check_three_region,
@@ -47,6 +47,7 @@ from powergap.smallness import (
 )
 from powergap.solver import BackgroundOperator
 
+from corpus import corpus_config
 from oracles import LayeredDiskSolution, constitutive_matrix
 
 
@@ -60,7 +61,7 @@ def _measure(doc):
 
     cfg = parse_config(doc)
     scene = cfg.scene
-    mesh = build_mesh(scene, cfg.mesh_h)
+    mesh = build_mesh(scene, cfg.values["mesh.h"])
     bg = cfg.background
     law = cfg.law
     g = cfg.g
@@ -133,7 +134,7 @@ def test_criterion_02_two_phase_oracle(twophase_scene, twophase_background,
 
 
 def test_criterion_03_null_perturbation():
-    doc = scenario("concentric_disk", mesh={"h": 0.04})
+    doc = corpus_config("concentric_disk", mesh={"h": 0.04})
     doc["law"] = {"sigma1": 2.0, "zeta1": 0.0, "epsilon1": None,
                   "lambda1": 0.4, "varrho": 0.5, "delta_tol": 0.0}
     doc["checks"] = ["energy", "bracket", "size"]
@@ -148,7 +149,7 @@ def test_criterion_03_null_perturbation():
 def test_criterion_04_energy_identities(cos_data):
     worst = 0.0
     for case in ("case_i", "case_ii"):
-        doc = scenario("concentric_disk", case=case, mesh={"h": 0.02})
+        doc = corpus_config("concentric_disk", case=case, mesh={"h": 0.02})
         cfg = parse_config(doc)
         scene = cfg.scene
         mesh = build_mesh(scene, 0.02)
@@ -194,7 +195,7 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
     min_eig = math.inf
     for doc_name in ("concentric_disk", "off_center_inclusion",
                      "crossing_inclusion", "curved_ellipse"):
-        doc = scenario(doc_name, mesh={"h": 0.05})
+        doc = corpus_config(doc_name, mesh={"h": 0.05})
         cfg = parse_config(doc)
         scene = cfg.scene
         mesh = build_mesh(scene, 0.05)
@@ -231,7 +232,7 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
 
 
 def test_criterion_07_three_region(twophase_mesh_h02, twophase_background):
-    wp = parse_config(scenario("concentric_disk")).weights
+    wp = parse_config(corpus_config("concentric_disk")).weights
     regions = build_regions(wp, 0.4, 0.1, theta=0.09)
     fmap = flattening_map(twophase_mesh_h02.scene.interface, 0.0,
                           rho0=0.3, K0=4.0)
@@ -306,14 +307,14 @@ def test_criterion_10_size_estimation(case_ii_measurements):
                         ("holdout_outer_low", 0.10, (0.0, 0.6)),
                         ("holdout_outer_mid", 0.10, (0.54, 0.31)),
                         ("holdout_crossing_off", 0.12, (0.45, 0.12))):
-        doc = scenario("concentric_disk")
+        doc = corpus_config("concentric_disk")
         doc["label"] = label
         doc["mesh"]["h"] = 0.04
         doc["scene"]["inclusion"] = {"kind": "circle", "center": list(c),
                                      "radius": r}
         doc["scene"]["d1"] = r / 5.0
         held_docs.append(doc)
-    crossing = scenario("crossing_inclusion")
+    crossing = corpus_config("crossing_inclusion")
     crossing["label"] = "holdout_crossing"
     crossing["mesh"]["h"] = 0.04
     held_docs.append(crossing)

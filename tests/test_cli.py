@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powergap import cli, scenarios
 from powergap.cli import (
     EXIT_OK,
     EXIT_STRUCTURAL,
@@ -26,11 +33,64 @@ from powergap.cli import (
 from powergap.errors import ConfigError, SolverError
 from powergap.geometry import build_regions, flattening_map
 from powergap.mesh import build_mesh
+from powergap.scenarios import size_family
 from powergap.smallness import check_three_region
 from powergap.solver import BackgroundOperator, fourier_data
-from powergap.scenarios import all_scenarios, scenario, size_family
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+from corpus import CONFIGS, SCENES, corpus_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# values of the wrong kind or out of range, per kind of `cli._FIELDS`; "x"
+# is of the wrong kind for every kind but a label
+_MALFORMED = {
+    "integer": [2.5], "bool": ["false", 1], "label": [1.5, "", "../x"],
+    "2 numbers": [[1.0]], "3 numbers": [[1.0, 2.0]],
+    "curve": [{"kind": "circle", "center": [0.0, 0.0], "radius": 0.0},
+              {"kind": "circle", "center": [0.0], "radius": 1.0},
+              {"kind": "square", "center": [0.0, 0.0], "radius": 1.0}],
+    "coefficient": [[[1.0, 0.0]], {"kind": "affine", "gx": 1.0}],
+    "modes": [[[1.5, 1.0, 0.0]], [[1, 1.0]]],
+    "checks": ["energy", ["nope"]], "section": [[1]],
+}
+
+
+def _out_of_range(rng: str) -> list:
+    """Numbers just outside a range of `cli._FIELDS`."""
+    if not rng:
+        return []
+    if rng[0] in "([":
+        lo, hi = map(float, rng[1:-1].split(","))
+        return [lo - (rng[0] == "["), hi + (rng[-1] == "]")]
+    op, bound = rng.split()
+    return [float(bound) - (op == ">=")]
+
+
+@st.composite
+def _malformed_configs(draw):
+    """A corpus config with one field of the wrong kind or out of range."""
+    name = draw(st.sampled_from(sorted(p.stem for p in
+                                       CONFIGS.glob("*.json"))))
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+
+    def section(path):
+        node = doc
+        for key in path.split(".")[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        return node if isinstance(node, dict) else None
+
+    field = draw(st.sampled_from([f for f in cli._FIELDS
+                                  if section(f.path) is not None]))
+    bad = _out_of_range(field.rng)
+    if field.kind.endswith("numbers"):
+        n = int(field.kind[0]) if field.kind[0].isdigit() else 1
+        bad = [[x] * n for x in bad]
+    value = draw(st.sampled_from(
+        ([] if field.kind == "label" else ["x"]) + bad
+        + _MALFORMED.get(field.kind, [])))
+    section(field.path)[field.path.rpartition(".")[2]] = value
+    return field.path, doc
 
 
 def _edited_config(tmp_path, path: str, value, checks,
@@ -54,8 +114,8 @@ def _edited_config(tmp_path, path: str, value, checks,
 
 @pytest.fixture(scope="module")
 def fast_concentric():
-    return scenario("concentric_disk", mesh={"h": 0.05},
-                    regions={"n_family": 3})
+    return corpus_config("concentric_disk", mesh={"h": 0.05},
+                         regions={"n_family": 3})
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +128,8 @@ def fast_report(fast_concentric):
 
 class TestConfigParsing:
     def test_corpus_parses(self):
-        for name, doc in all_scenarios().items():
-            cfg = parse_config(doc)
+        for name in SCENES:
+            cfg = parse_config(corpus_config(name))
             assert cfg.label.startswith(name)
 
     def test_missing_section_named(self):
@@ -118,109 +178,179 @@ class TestConfigParsing:
         assert code == EXIT_STRUCTURAL
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path, value, checks, named", [
-        ("weights.kappa0", 0.5, None, "section 'weights'"),
-        ("weights.bogus", 1.0, None, "section 'weights'"),
-        ("background.lambda0", -1, None, "section 'background'"),
-        ("law.varrho", -1, None, "section 'law'"),
-        ("mesh.h", "x", None, "section 'mesh'"),
-        ("background", {"m_minus": 1.0}, None,
-         "section 'background': missing key 'm_plus'"),
-        ("boundary_data", [[1, "a", 0]], None, "section 'boundary_data'"),
-        ("three_ball.radii", [0.02, 0.1, 0.3], ["three_ball"],
-         "check 'three_ball'"),
-        ("three_ball.center", [0.9, 0], ["three_ball"], "check 'three_ball'"),
-        ("lipschitz_a", 0.5, ["lipschitz"], "check 'lipschitz'"),
-        ("three_ball.radii", [0.02, 0.06], ["three_ball"],
-         "check 'three_ball': three_ball needs a center and radii"),
-        ("three_ball", {"radii": [0.02, 0.06, 0.3]}, ["three_ball"],
-         "check 'three_ball': three_ball needs a center and radii"),
-        ("chain.h", 0, None, "check 'chain': chain h must be positive"),
-        ("chain", {"x0": [0.0, 0.0], "r": 0.1}, None,
-         "check 'chain' needs a 'chain' section (x0, r, h)"),
-        ("size_constants", [2.0], ["energy", "bracket", "size"],
-         "check 'size': size_constants must be [c1, c2]"),
+    @pytest.mark.parametrize("path, value, checks, refused", [
+        pytest.param("weights.kappa0", 0.5, None, "weights.kappa0",
+                     id="weights.kappa0-0.5-None-section 'weights'"),
+        pytest.param("weights.bogus", 1.0, None, "weights.bogus",
+                     id="weights.bogus-1.0-None-section 'weights'"),
+        pytest.param("background.lambda0", -1, None, "background.lambda0",
+                     id="background.lambda0--1-None-section 'background'"),
+        pytest.param("law.varrho", -1, None, "law.varrho",
+                     id="law.varrho--1-None-section 'law'"),
+        pytest.param("mesh.h", "x", None, "mesh.h",
+                     id="mesh.h-x-None-section 'mesh'"),
+        pytest.param("background", {"m_minus": 1.0}, None,
+                     "background.m_plus",
+                     id="background-value5-None-section 'background': "
+                        "missing key 'm_plus'"),
+        pytest.param("boundary_data", [[1, "a", 0]], None, "boundary_data",
+                     id="boundary_data-value6-None-section 'boundary_data'"),
+        pytest.param("three_ball.radii", [0.02, 0.1, 0.3], ["three_ball"],
+                     "three_ball",
+                     id="three_ball.radii-value7-checks7-check 'three_ball'"),
+        pytest.param("three_ball.center", [0.9, 0], ["three_ball"],
+                     "three_ball",
+                     id="three_ball.center-value8-checks8-check "
+                        "'three_ball'"),
+        pytest.param("lipschitz_a", 0.5, ["lipschitz"], "lipschitz_a",
+                     id="lipschitz_a-0.5-checks9-check 'lipschitz'"),
+        pytest.param("three_ball.radii", [0.02, 0.06], ["three_ball"],
+                     "three_ball.radii",
+                     id="three_ball.radii-value10-checks10-check "
+                        "'three_ball': three_ball needs a center and radii"),
+        pytest.param("three_ball", {"radii": [0.02, 0.06, 0.3]},
+                     ["three_ball"], "three_ball.center",
+                     id="three_ball-value11-checks11-check 'three_ball': "
+                        "three_ball needs a center and radii"),
+        pytest.param("chain.h", 0, None, "chain.h",
+                     id="chain.h-0-None-check 'chain': chain h must be "
+                        "positive"),
+        pytest.param("chain", {"x0": [0.0, 0.0], "r": 0.1}, None, "chain.h",
+                     id="chain-value13-None-check 'chain' needs a 'chain' "
+                        "section (x0, r, h)"),
+        pytest.param("size_constants", [2.0], ["energy", "bracket", "size"],
+                     "size_constants",
+                     id="size_constants-value14-checks14-check 'size': "
+                        "size_constants must be [c1, c2]"),
     ])
     def test_out_of_range_value_named(self, tmp_path, capsys, path, value,
-                                      checks, named):
+                                      checks, refused):
+        # the ids are the names these cases had when the message named a
+        # section or a check; it now names the path at fault
         cfg_path = _edited_config(tmp_path, path, value, checks)
         code = main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_STRUCTURAL
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: config field '{refused}': ")
 
     @pytest.mark.parametrize("name, path, value, checks, named", [
         pytest.param("one_phase_disk", "three_ball.radii", [0.02, 0.1, 0.3],
-                     ["three_ball"], "check 'three_ball': ",
+                     ["three_ball"], "config field 'three_ball': ",
                      id="three_ball.radii-value0-three_ball"),
         pytest.param("one_phase_disk", "three_ball.center", [0.9, 0],
-                     ["three_ball"], "check 'three_ball': ",
+                     ["three_ball"], "config field 'three_ball': ball B_r3 "
+                     "must stay inside the domain",
                      id="three_ball.center-value1-three_ball"),
         pytest.param("one_phase_disk", "lipschitz_a", 0.5, ["lipschitz"],
-                     "check 'lipschitz': ", id="lipschitz_a-0.5-lipschitz"),
+                     "config field 'lipschitz_a': Omega_(4a) is empty",
+                     id="lipschitz_a-0.5-lipschitz"),
         pytest.param("one_phase_disk", "three_ball.radii", [0.02, 0.06],
-                     ["three_ball"], "check 'three_ball': ",
+                     ["three_ball"], "config field 'three_ball.radii': must "
+                     "be a list of 3 numbers > 0, got [0.02, 0.06]",
                      id="three_ball.radii-value3-three_ball"),
         pytest.param("one_phase_disk", "three_ball",
                      {"radii": [0.02, 0.06, 0.3]}, ["three_ball"],
-                     "check 'three_ball': ",
+                     "config field 'three_ball.center': required",
                      id="three_ball-value4-three_ball"),
         # each of these was once read only after the solve, or crashed it
         pytest.param("concentric_disk", "regions.R1", 100, ["three_region"],
-                     "check 'three_region': R1, R2 must lie in",
+                     "config field 'regions': R1, R2 must lie in",
                      id="regions.R1-100"),
         pytest.param("concentric_disk", "regions.theta", 2, ["three_region"],
-                     "check 'three_region': theta must lie in (0, 1]",
-                     id="regions.theta-2"),
+                     "config field 'regions.theta': must be a number in "
+                     "(0, 1], got 2", id="regions.theta-2"),
         pytest.param("concentric_disk", "regions.anchor_t", "x",
                      ["three_region"],
-                     "check 'three_region': regions.anchor_t must be a "
-                     "number, got 'x'", id="regions.anchor_t-x"),
+                     "config field 'regions.anchor_t': must be a number, "
+                     "got 'x'", id="regions.anchor_t-x"),
         pytest.param("concentric_disk", "vitali_radius", -0.05, ["vitali"],
-                     "check 'vitali': vitali_radius must be positive",
-                     id="vitali_radius-negative"),
+                     "config field 'vitali_radius': must be a number > 0, "
+                     "got -0.05", id="vitali_radius-negative"),
         pytest.param("one_phase_disk", "chain.x0", [0.9, 0], ["chain"],
-                     "check 'chain': seed ball B_r(x0) is not contained in D",
-                     id="chain.x0-outside-D"),
+                     "config field 'chain': seed ball B_r(x0) is not "
+                     "contained in D", id="chain.x0-outside-D"),
         pytest.param("one_phase_disk", "chain.r", "a", ["chain"],
-                     "check 'chain': chain.r must be a number, got 'a'",
+                     "config field 'chain.r': must be a number > 0, got 'a'",
                      id="chain.r-a"),
         pytest.param("one_phase_disk", "bracket_tol", "a",
                      ["energy", "bracket"],
-                     "check 'energy': bracket_tol must be a number, got 'a'",
-                     id="bracket_tol-a"),
+                     "config field 'bracket_tol': must be a number >= 0, "
+                     "got 'a'", id="bracket_tol-a"),
         pytest.param("one_phase_disk", "size_constants", ["a", "b"],
                      ["energy", "bracket", "size"],
-                     "check 'size': size_constants must be [c1, c2] with "
-                     "c1 <= c2, got ['a', 'b']", id="size_constants-a-b"),
+                     "config field 'size_constants': must be a list of 2 "
+                     "numbers, got ['a', 'b']", id="size_constants-a-b"),
         pytest.param("one_phase_disk", "size_constants", [2.0, 1.0],
                      ["energy", "bracket", "size"],
-                     "check 'size': size_constants must be [c1, c2] with "
+                     "config field 'size_constants': must be [c1, c2] with "
                      "c1 <= c2, got [2.0, 1.0]",
                      id="size_constants-c1-above-c2"),
         pytest.param("one_phase_disk", "mesh.min_angle_deg", "a", None,
-                     "config section 'mesh': ", id="mesh.min_angle_deg-a"),
+                     "config field 'mesh.min_angle_deg': must be a number in "
+                     "[0, 60), got 'a'", id="mesh.min_angle_deg-a"),
         pytest.param("one_phase_disk", "three_ball.radii", ["a", "b", "c"],
                      ["three_ball"],
-                     "check 'three_ball': three_ball needs a center and radii "
-                     "[r1, r2, r3] of numbers, got ['a', 'b', 'c']",
+                     "config field 'three_ball.radii': must be a list of 3 "
+                     "numbers > 0, got ['a', 'b', 'c']",
                      id="three_ball.radii-a-b-c"),
         pytest.param("one_phase_disk", "boundary_layer_a", 0.2,
                      ["boundary_layer"],
-                     "check 'boundary_layer': boundary_layer_a must be two or "
-                     "more distinct positive depths, got 0.2",
-                     id="boundary_layer_a-scalar"),
+                     "config field 'boundary_layer_a': must be a list of "
+                     "numbers > 0, got 0.2", id="boundary_layer_a-scalar"),
         pytest.param("one_phase_disk", "boundary_layer_a", [0.2],
                      ["boundary_layer"],
-                     "check 'boundary_layer': boundary_layer_a must be two or "
-                     "more distinct positive depths, got [0.2]",
+                     "config field 'boundary_layer_a': must hold two or more "
+                     "distinct depths, got [0.2]",
                      id="boundary_layer_a-one-depth"),
         pytest.param("one_phase_disk", "boundary_layer_a", [0.2, 0.2],
-                     ["boundary_layer"], "check 'boundary_layer': ",
+                     ["boundary_layer"],
+                     "config field 'boundary_layer_a': must hold two or more "
+                     "distinct depths, got [0.2, 0.2]",
                      id="boundary_layer_a-one-distinct-depth"),
         pytest.param("one_phase_disk", "lipschitz_a", -0.1, ["lipschitz"],
-                     "check 'lipschitz': lipschitz a must be positive",
-                     id="lipschitz_a-negative"),
+                     "config field 'lipschitz_a': must be a number > 0, "
+                     "got -0.1", id="lipschitz_a-negative"),
+        # mesh sizes that only the mesher refused, so only `run` did
+        pytest.param("concentric_disk", "mesh.h", 0, None,
+                     "config field 'mesh.h': h must be positive",
+                     id="mesh.h-zero"),
+        pytest.param("concentric_disk", "mesh.h", 0.001, None,
+                     "config field 'mesh.h': h = 0.001 needs about",
+                     id="mesh.h-over-node-budget"),
+        pytest.param("concentric_disk", "mesh.h", 0.5, None,
+                     "config field 'mesh.h': h = 0.5 too coarse",
+                     id="mesh.h-too-coarse"),
+        # sections given as arrays once ended in a traceback
+        pytest.param("concentric_disk", "regions", [1], None,
+                     "config field 'regions': must be an object, got [1]",
+                     id="regions-array"),
+        pytest.param("concentric_disk", "scene", [1], None,
+                     "config field 'scene': must be an object, got [1]",
+                     id="scene-array"),
+        pytest.param("concentric_disk", "law", [1], None,
+                     "config field 'law': must be an object, got [1]",
+                     id="law-array"),
+        # values once misread without a word
+        pytest.param("concentric_disk", "seed", 1.5, None,
+                     "config field 'seed': must be an integer >= 0, got 1.5",
+                     id="seed-fraction"),
+        pytest.param("concentric_disk", "regions.n_family", 2.5, None,
+                     "config field 'regions.n_family': must be an integer "
+                     ">= 1, got 2.5", id="regions.n_family-fraction"),
+        pytest.param("concentric_disk", "export_fields", "false", None,
+                     "config field 'export_fields': must be true or false, "
+                     "got 'false'", id="export_fields-string"),
+        pytest.param("concentric_disk", "checks", "energy", None,
+                     "config field 'checks': must be a list of checks from "
+                     "admissibility, energy, ", id="checks-string"),
+        pytest.param("concentric_disk", "label", "../escaped", None,
+                     "config field 'label': must be a non-empty name without "
+                     "a path separator, got '../escaped'",
+                     id="label-path-separator"),
+        pytest.param("concentric_disk", "bracket_tl", 0.5, None,
+                     "config field 'bracket_tl': not a config field",
+                     id="bracket_tl-typo"),
     ])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
                                                monkeypatch, name, path, value,
@@ -239,6 +369,41 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "out")]) == EXIT_STRUCTURAL
         assert capsys.readouterr().err == refused
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_malformed_configs())
+    def test_malformed_field_refused_by_path(self, tmp_path_factory,
+                                             malformed):
+        # one field of a corpus config of the wrong kind or out of range:
+        # both verbs refuse it at parse with one message naming its path
+        path, doc = malformed
+        cfg_path = tmp_path_factory.mktemp("malformed") / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        errs = []
+        with mock.patch("powergap.cli.build_mesh",
+                        side_effect=AssertionError("meshed a refused config")):
+            for verb in ("validate", "run"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main([verb, "--config", str(cfg_path)]) \
+                        == EXIT_STRUCTURAL
+                errs.append(err.getvalue())
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: config field '{path}': ")
+        assert errs[0].count("\n") == 1
+
+    def test_readme_lists_every_field_with_its_default(self):
+        # README's field table and `_FIELDS` agree in both directions
+        text = README.read_text()
+        text = text[text.index("Config fields:"):
+                    text.index("## Library layout")]
+        listed = dict(re.findall(
+            r"^\| `([\w.]+)` \| [^|]* \| (required|`[^`]*`) \|", text,
+            re.M))
+        assert listed == {
+            f.path: "required" if f.default is cli._REQUIRED
+            else f"`{json.dumps(f.default)}`" for f in cli._FIELDS}
+
     @pytest.mark.parametrize("name, path, value, check", [
         ("concentric_disk", "regions.n_family", 0, "three_region"),
         ("concentric_disk", "regions.n_family", -1, "three_region"),
@@ -256,23 +421,20 @@ class TestConfigParsing:
         node[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
+        assert check in doc["checks"]
         for verb in ("validate", "run"):
             assert main([verb, "--config", str(cfg_path)]) == EXIT_STRUCTURAL
             err = capsys.readouterr().err
-            assert err.startswith(f"error: check '{check}': {path} must be")
+            assert err.startswith(f"error: config field '{path}': must be")
 
-    @pytest.mark.parametrize("name, args", [
-        *((name, (name,)) for name in ("concentric_disk", "crossing_inclusion",
-                                       "curved_ellipse",
-                                       "off_center_inclusion",
-                                       "one_phase_disk")),
-        ("concentric_disk_case_i", ("concentric_disk", "case_i")),
-    ])
-    def test_config_file_is_its_scenario(self, name, args):
-        # the benchmark reads configs/ for some workloads and scenarios
-        # for others, so the two copies of the corpus must not drift apart
-        doc = json.loads((CONFIGS / f"{name}.json").read_text())
-        assert doc == scenario(*args)
+    def test_size_family_base_is_the_concentric_config(self):
+        # configs/ is the one corpus; size_family keeps a copy of one config
+        doc = json.loads((CONFIGS / "concentric_disk.json").read_text())
+        assert scenarios._CONCENTRIC_DISK == doc
+
+    def test_case_i_config_flips_zeta1(self):
+        doc = json.loads((CONFIGS / "concentric_disk_case_i.json").read_text())
+        assert corpus_config("concentric_disk", case="case_i") == doc
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in
                                             CONFIGS.glob("*.json")))
@@ -309,7 +471,7 @@ class TestRun:
         assert report_json(got) == report_json(want)
 
     def test_identical_laws_zero_gap(self):
-        doc = scenario("concentric_disk", mesh={"h": 0.05})
+        doc = corpus_config("concentric_disk", mesh={"h": 0.05})
         doc["law"] = {"sigma1": 2.0, "zeta1": 0.0, "epsilon1": None,
                       "lambda1": 0.4, "varrho": 0.5, "delta_tol": 0.0}
         doc["checks"] = ["admissibility", "energy", "bracket", "size"]
@@ -342,7 +504,7 @@ class TestRun:
     ])
     def test_stage_names_timed_in_order(self, name, stages):
         # the benchmark tracer matches its spans to these stage names
-        doc = scenario(name, mesh={"h": 0.08}, regions={"n_family": 2})
+        doc = corpus_config(name, mesh={"h": 0.08}, regions={"n_family": 2})
         rep, _ = run(parse_config(doc), timings=True)
         assert list(rep["timings"]) == stages
 
@@ -387,7 +549,7 @@ class TestRun:
         scene, rcfg = cfg.scene, cfg.raw["regions"]
         op = BackgroundOperator(build_mesh(scene, 0.06, 5.0),
                                 cfg.background)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.values["seed"])
         family = [fourier_data([(k, rng.normal(), rng.normal())
                                 for k in range(1, 6)]) for _ in range(8)]
         checks = check_three_region(
@@ -527,7 +689,8 @@ class TestSweep:
         agg = json.loads(capsys.readouterr().out)
         assert [r["exit_code"] for r in agg["rows"]] \
             == [EXIT_OK, EXIT_STRUCTURAL, EXIT_OK]
-        assert agg["rows"][1]["error"] == "h must be positive"
+        assert agg["rows"][1]["error"] \
+            == "config field 'mesh.h': h must be positive"
         assert "convergence_order_w0" not in agg
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -547,7 +710,7 @@ class TestSweep:
         assert [r["exit_code"] for r in agg["rows"]] \
             == [EXIT_OK, EXIT_STRUCTURAL]
         assert agg["rows"][1]["error"] \
-            == "config section 'weights': delta must be positive"
+            == "config field 'weights.delta': must be a number > 0, got -1.0"
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
         assert len(list(out.glob("*.json"))) == 1
 
@@ -567,8 +730,8 @@ class TestSweep:
         assert agg["rows"] == []
 
     def test_inclusion_radius_sweep_monotone(self):
-        doc = scenario("concentric_disk", mesh={"h": 0.05},
-                       checks=["energy"])
+        doc = corpus_config("concentric_disk", mesh={"h": 0.05},
+                            checks=["energy"])
         cfg = parse_config(doc)
         agg = sweep(cfg, "scene.inclusion.radius", [0.15, 0.2, 0.25])
         col = [r["grad_energy_D"] for r in agg["rows"]]
@@ -631,8 +794,8 @@ class TestScenarios:
         assert sides == {"inner", "outer", "crossing"}
 
     def test_case_variants_flip_chirality(self):
-        ii = scenario("concentric_disk", case="case_ii")
-        i = scenario("concentric_disk", case="case_i")
+        ii, = size_family(1, case="case_ii")
+        i, = size_family(1, case="case_i")
         assert ii["law"]["zeta1"] == -i["law"]["zeta1"]
 
 
@@ -640,9 +803,9 @@ class TestGammaSweep:
     def test_three_region_uniform_over_gamma(self):
         # sweep the complex-part magnitude and watch the fitted constants:
         # the checks stay well-behaved over the swept range
-        doc = scenario("concentric_disk", mesh={"h": 0.05},
-                       regions={"n_family": 3},
-                       checks=["three_region"])
+        doc = corpus_config("concentric_disk", mesh={"h": 0.05},
+                            regions={"n_family": 3},
+                            checks=["three_region"])
         cfg = parse_config(doc)
         agg = sweep(cfg, "background.gamma", [0.02, 0.05, 0.1])
         assert all(r["exit_code"] == EXIT_OK for r in agg["rows"])
@@ -651,10 +814,8 @@ class TestGammaSweep:
 
 class TestCorpus:
     def test_every_scenario_runs_clean(self):
-        for name in ("one_phase_disk", "concentric_disk",
-                     "off_center_inclusion", "crossing_inclusion",
-                     "curved_ellipse"):
-            doc = scenario(name, mesh={"h": 0.06})
+        for name in SCENES:
+            doc = corpus_config(name, mesh={"h": 0.06})
             doc.setdefault("regions", {})["n_family"] = 2
             if "chain" in doc.get("checks", []):
                 doc["checks"] = [c for c in doc["checks"] if c != "chain"]

@@ -49,7 +49,7 @@ def _config_mesh(name, h):
 def _size_family_mesh(index):
     cfg = cli.parse_config(scenarios.size_family(12, h=0.03)[index])
     scene = cfg.scene
-    return scene, build_mesh(scene, cfg.mesh_h)
+    return scene, build_mesh(scene, cfg.values["mesh.h"])
 
 
 class TestBuildMesh:

@@ -25,7 +25,6 @@ from powergap import (
 from powergap.cli import parse_config
 from powergap.errors import SolverError
 from powergap.mesh import build_mesh
-from powergap.scenarios import all_scenarios, scenario
 from powergap.solver import (
     _ChiralOperator,
     assemble_stiffness,
@@ -33,6 +32,7 @@ from powergap.solver import (
     element_coefficients,
 )
 
+from corpus import SCENES, corpus_config
 from oracles import (
     LayeredDiskSolution,
     chiral_system,
@@ -40,8 +40,7 @@ from oracles import (
     direct_block_solve,
 )
 
-CORPUS = [(name, case) for case in ("case_ii", "case_i")
-          for name in all_scenarios(case)]
+CORPUS = [(name, case) for case in ("case_ii", "case_i") for name in SCENES]
 # contrast corners: sigma1 far below and far above the background, with
 # zeta1 / sigma1 = 0.999 so that sigma1 - zeta1 nearly loses coercivity
 CONTRAST = [("contrast", 1e-3), ("contrast", 1e3)]
@@ -335,20 +334,20 @@ def krylov_case(name, param):
     `name` is a corpus config, "contrast" or "epsilon1".
     """
     if name == "epsilon1":
-        cfg = parse_config(scenario("crossing_inclusion", case=param,
-                                    mesh={"h": 0.06}))
+        cfg = parse_config(corpus_config("crossing_inclusion", case=param,
+                                         mesh={"h": 0.06}))
         law = dataclasses.replace(
             cfg.law,
             epsilon1=MatrixField.affine(0.12, [[0.05, 0.02], [0.02, 0.0]],
                                         0.03))
     elif name == "contrast":
-        cfg = parse_config(scenario("concentric_disk", mesh={"h": 0.06}))
+        cfg = parse_config(corpus_config("concentric_disk", mesh={"h": 0.06}))
         law = InclusionLaw(sigma1=MatrixField.isotropic(param),
                            zeta1=MatrixField.isotropic(0.999 * param),
                            lambda1=0.5 * min(param, 1.0 / param),
                            varrho=0.5)
     else:
-        cfg = parse_config(scenario(name, case=param, mesh={"h": 0.06}))
+        cfg = parse_config(corpus_config(name, case=param, mesh={"h": 0.06}))
         law = cfg.law
     mesh = build_mesh(cfg.scene, 0.06)
     return mesh, cfg.background, law, cfg.g
