@@ -87,12 +87,13 @@ class ExperimentConfig(SimpleNamespace):
     """Everything a run takes, read once from a document by `parse_config`.
 
     It holds in `values` the checked value at every path of `_FIELDS`,
-    defaults filled in (`label` and `checks` are attributes too); the
-    `scene`, `background`, `law` (None without one), boundary data `g` and
-    `weights`; and in `inputs` what the reader of each selected check
-    returned (see `_stages`). `raw` is the document as given, for the
-    report's `config` echo and `sweep`'s copies. Nothing here holds per-run
-    state, so one config can drive any number of runs.
+    defaults filled in; `label` is an attribute too, as callers file a
+    run's outputs under it. Then the `scene`, `background`, `law` (None
+    without one), boundary data `g` and `weights`, and `regions`, the
+    regions and chart of the three-region check (None without it). `raw`
+    is the document as given, for the report's `config` echo and `sweep`'s
+    copies. Nothing here holds per-run state, so one config can drive any
+    number of runs.
     """
 
 
@@ -106,12 +107,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     checks = v["checks"]
     for stage in _stages():
         for need in stage.needs if stage.name in checks else ():
-            if need in KNOWN_CHECKS and need not in checks:
+            # a path first: the chain check needs the chain section
+            if need in _PATHS:
+                if v[need] is None:
+                    _fail(need, f"required by check '{stage.name}'")
+            elif need not in checks:
                 _fail("checks", f"check '{stage.name}' needs check '{need}'")
-            if need not in KNOWN_CHECKS and v[need] is None:
-                _fail(need, f"required by check '{stage.name}'")
-    cfg = ExperimentConfig(raw=doc, values=v, label=v["label"],
-                           checks=checks, inputs={})
+    cfg = ExperimentConfig(raw=doc, values=v, label=v["label"], regions=None)
     cfg.scene = _build(Scene, "scene", v)
     cfg.background = _build(BackgroundTensor, "background", v)
     cfg.law = None if v["law"] is None else _build(InclusionLaw, "law", v)
@@ -122,16 +124,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         mesh_size_precondition(cfg.scene.outer, v["mesh.h"])
     for stage in _stages():
         if stage.read is not None and stage.name in checks:
-            cfg.inputs[stage.name] = stage.read(cfg)
+            stage.read(cfg)
     return cfg
 
 
 def _build(cls, section: str, v: dict):
-    """`cls` from its section's checked values; a coefficient's constructor
-    is called with its path, which names the field."""
-    paths = {f.name: f"{section}.{f.name}" for f in dataclasses.fields(cls)}
-    return cls(**{name: v[p](p) if isinstance(v[p], functools.partial)
-                  else v[p] for name, p in paths.items()})
+    """`cls` from its section's checked values."""
+    return cls(**{f.name: v[f"{section}.{f.name}"]
+                  for f in dataclasses.fields(cls)})
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -210,7 +210,7 @@ def _solve_stage(st: _Run) -> dict:
             st.case = check_jump_condition(
                 background.sigma(d_pts, mesh.comp[mesh.in_d]),
                 st.law.sigma1(d_pts), st.law.zeta1(d_pts), st.law.varrho)
-    if "three_region" in st.cfg.checks:
+    if "three_region" in st.cfg.values["checks"]:
         # no other stage draws from the seed; the family is solved with one
         # multi-column LU solve
         rng = np.random.default_rng(st.cfg.values["seed"])
@@ -223,7 +223,7 @@ def _solve_stage(st: _Run) -> dict:
 
 
 def _energy_stage(st: _Run) -> dict:
-    want_bracket = "bracket" in st.cfg.checks and st.case is not JumpCase.NONE
+    want_bracket = "bracket" in st.cfg.values["checks"] and st.case is not JumpCase.NONE
     st.power = energy.power_report(
         st.sol0, st.sol1, st.case if want_bracket else JumpCase.NONE,
         tol=st.cfg.values["bracket_tol"])
@@ -236,17 +236,17 @@ def _energy_stage(st: _Run) -> dict:
     return {**st.power.as_dict(), "case": st.case.value}
 
 
-def _read_three_region(cfg: ExperimentConfig) -> tuple:
+def _read_three_region(cfg: ExperimentConfig) -> None:
     v = cfg.values
     with _naming("regions"):
-        return (build_regions(cfg.weights, v["regions.R1"], v["regions.R2"],
+        cfg.regions = (build_regions(cfg.weights, v["regions.R1"], v["regions.R2"],
                               v["regions.theta"]),
                 flattening_map(cfg.scene.interface, v["regions.anchor_t"],
                                cfg.scene.rho0, cfg.scene.K0))
 
 
 def _three_region_stage(st: _Run) -> dict:
-    regions, fmap = st.cfg.inputs["three_region"]
+    regions, fmap = st.cfg.regions
     # the family solved by the solve stage, sampled on one located grid
     checks = smallness.check_three_region(st.family, regions, fmap)
     rows = []
@@ -412,11 +412,12 @@ def _stages() -> tuple:
     """The pipeline's stages, in run order.
 
     A stage runs always, or when named in `checks`; each of its `needs` is
-    a check listed too or a path of `_FIELDS` that is not null. `read(cfg)`
-    checks what of the stage's values needs the scene or another field;
-    `parse_config` calls it once and keeps what it returns in
-    `cfg.inputs[name]`. `fn(run)` returns its report fragment, put at
-    checks.<name> for key "checks" and merged into the report for key "".
+    a path of `_FIELDS` that is not null, or else a check listed too.
+    `read(cfg)` refuses what of the stage's values needs the scene or
+    another field; `parse_config` calls it once (the three-region reader
+    keeps the regions it builds as `cfg.regions`). `fn(run)` returns its
+    report fragment, put at checks.<name> for key "checks" and merged into
+    the report for key "".
     `bracket` has no stage; the energy stage reads it.
     Built per call, so a stage function wrapped at run time (as
     perfbench/tracer.py does) is the one that runs.
@@ -450,8 +451,8 @@ KNOWN_CHECKS = tuple(stage.name for stage in _stages() if not stage.always)
 # ---------------------------------------------------------------------------
 # Config fields
 #
-# A kind is (what a refusal says the value must be, its test, and what the
-# build step takes, the value itself when None). A range is "", "> a",
+# A kind is (what a refusal says the value must be, its test, and its build
+# step, called with the value and its path; the value itself when None). A range is "", "> a",
 # ">= a" or an interval such as "(a, b]"; for a list, each number's.
 
 
@@ -486,12 +487,12 @@ def _is_coefficient(x, rng: str) -> bool:
         and all(_is_matrix(x[key]) for key in set(x) - {"kind"})
 
 
-def _coefficient(x) -> functools.partial:
-    """The field's constructor, to be called with its name."""
+def _coefficient(x, path: str) -> MatrixField:
+    """The field, named by its path."""
     if isinstance(x, dict):
-        return functools.partial(MatrixField.affine, *(
-            x.get(key, 0.0) for key in ("base", "gx", "gy")))
-    return functools.partial(MatrixField.constant, np.asarray(x, dtype=float))
+        return MatrixField.affine(*(x.get(key, 0.0)
+                                    for key in ("base", "gx", "gy")), path)
+    return MatrixField.constant(np.asarray(x, dtype=float), path)
 
 
 _CURVES = {"circle": (Circle, ("radius",)), "ellipse": (Ellipse, ("a", "b"))}
@@ -506,19 +507,19 @@ def _is_curve(x, rng: str) -> bool:
         and all(_is_real(x[key], "> 0") for key in sizes)
 
 
-def _floats(x) -> tuple:
+def _floats(x, path: str = "") -> tuple:
     return tuple(map(float, x))
 
 
-def _curve(x):
+def _curve(x, path: str):
     cls, sizes = _CURVES[x["kind"]]
     return cls(_floats(x["center"]), *(float(x[key]) for key in sizes))
 
 
 _KINDS = {
-    "number": ("a number", _is_real, float),
+    "number": ("a number", _is_real, lambda x, path: float(x)),
     "integer": ("an integer", lambda x, rng: _is_real(x, rng)
-                and float(x).is_integer(), int),
+                and float(x).is_integer(), lambda x, path: int(x)),
     "bool": ("true or false", lambda x, rng: isinstance(x, bool), None),
     # a label names the report's files, which must stay inside --out
     "label": ("a non-empty name without a path separator",
@@ -542,7 +543,7 @@ _KINDS = {
     "checks": ("a list of checks from " + ", ".join(KNOWN_CHECKS),
                lambda x, rng: isinstance(x, list) and all(
                    isinstance(name, str) and name in KNOWN_CHECKS
-                   for name in x), list),
+                   for name in x), lambda x, path: list(x)),
     "section": ("an object", lambda x, rng: isinstance(x, dict), None),
 }
 
@@ -672,7 +673,7 @@ def _checked(doc) -> dict:
             rng = f" in {f.rng}" if f.rng[:1] in ("(", "[") else \
                 f" {f.rng}" if f.rng else ""
             _fail(f.path, f"must be {what}{rng}, got {value!r}")
-        v[f.path] = value if build is None else build(value)
+        v[f.path] = value if build is None else build(value, f.path)
         if f.kind == "section":
             _known_keys(f.path, value)
     return v
@@ -685,7 +686,8 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
               "config": cfg.raw, "checks": {}}
     stage_times = {}
     for stage in _stages():
-        if stage.fn is None or not (stage.always or stage.name in cfg.checks):
+        if stage.fn is None or not (stage.always
+                                    or stage.name in cfg.values["checks"]):
             continue
         t0 = time.perf_counter()
         fragment = stage.fn(st)

@@ -273,6 +273,13 @@ class TestConfigParsing:
         pytest.param("one_phase_disk", "chain.r", "a", ["chain"],
                      "config field 'chain.r': must be a number > 0, got 'a'",
                      id="chain.r-a"),
+        # the chain check with no chain section once ended in a KeyError
+        pytest.param("concentric_disk", "checks", ["chain"], None,
+                     "config field 'chain': required by check 'chain'",
+                     id="chain-section-absent"),
+        pytest.param("one_phase_disk", "chain", None, ["chain"],
+                     "config field 'chain': required by check 'chain'",
+                     id="chain-section-null"),
         pytest.param("one_phase_disk", "bracket_tol", "a",
                      ["energy", "bracket"],
                      "config field 'bracket_tol': must be a number >= 0, "
