@@ -11,7 +11,6 @@ from .coefficients import (
     check_epsilon_closeness,
     check_jump_condition,
     estimate_lipschitz,
-    ohm_apply,
     validate_admissibility,
 )
 from .geometry import (
@@ -44,5 +43,4 @@ from .solver import (
     flux_jump_norm,
     fourier_data,
     solve_perturbed,
-    weak_residual,
 )

@@ -726,14 +726,8 @@ def run(cfg: ExperimentConfig, out_dir=None, timings: bool = False):
     return report, code
 
 
-def _to_native(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=1, sort_keys=True, default=_to_native)
+    return json.dumps(report, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +735,17 @@ def report_json(report: dict) -> str:
 
 
 def _set_by_path(doc: dict, path: str, value):
+    """Set `path` in a parsed document: a path of `_FIELDS`, whose section
+    is made {} where the document omits it or gives null, or a key the
+    document holds inside a value, such as scene.inclusion.radius."""
+    listed = path in _PATHS
     *parents, key = path.split(".")
     node = doc
     for k in parents:
+        if listed and node.get(k) is None:
+            node[k] = {}
         node = node.get(k) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or key not in node:
+    if not listed and not (isinstance(node, dict) and key in node):
         _fail(path, "not a valid config path")
     node[key] = value
 
@@ -855,8 +855,11 @@ def emit_plot_data(reports, kind: str, path) -> list:
                              tr["theta"], row["margin"], row["constant"]])
         elif kind == "size":
             s = rep.get("size")
-            if s is None:
-                raise ConfigError(f"report '{label}' lacks size section")
+            if s is None or "true_area" not in s:
+                why = "" if s is None or "refused" not in s else \
+                    f"; its size stage refused: {s['refused']}"
+                raise ConfigError(f"report '{label}' lacks size.true_area/"
+                                  f"lower/upper for kind 'size'{why}")
             rows.append([label, s["true_area"], s["lower"], s["upper"]])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -871,12 +874,10 @@ def emit_plot_data(reports, kind: str, path) -> list:
 
 def _cmd_validate(args) -> int:
     st = _Run(load_config(args.config))
-    st.scene.validate()
-    h = max(st.cfg.values["mesh.h"], 0.05)
-    st.mesh = build_mesh(st.scene, h, st.cfg.values["mesh.min_angle_deg"])
+    _mesh_stage(st)
     _admissibility_stage(st)
-    print(f"config '{st.cfg.label}' valid; "
-          f"scene and hypotheses check out at h={h}")
+    print(f"config '{st.cfg.label}' valid; scene and hypotheses check out "
+          f"at h={st.cfg.values['mesh.h']}")
     return EXIT_OK
 
 

@@ -52,10 +52,6 @@ class MatrixField:
         return MatrixField(lambda p, m=m: np.broadcast_to(m, (len(p), 2, 2)), name)
 
     @staticmethod
-    def isotropic(value: float, name: str = "iso") -> "MatrixField":
-        return MatrixField.constant(float(value) * np.eye(2), name)
-
-    @staticmethod
     def affine(base, grad_x, grad_y, name: str = "affine") -> "MatrixField":
         """base + x*grad_x + y*grad_y with the three 2x2 (or scalar) matrices."""
         def to22(m):
@@ -87,17 +83,6 @@ class BackgroundTensor:
             raise ValueError("gamma must be nonnegative")
         if not (0 < self.lambda0 <= 1):
             raise ValueError("lambda0 must lie in (0, 1]")
-
-    @staticmethod
-    def isotropic(sigma_plus: float, sigma_minus: float,
-                  gamma: float = 0.05) -> "BackgroundTensor":
-        """Scalar sigma on each side, N = 1, and the default lambda0 and m0."""
-        return BackgroundTensor(
-            m_plus=MatrixField.isotropic(sigma_plus, "m+"),
-            m_minus=MatrixField.isotropic(sigma_minus, "m-"),
-            n_plus=MatrixField.isotropic(1.0, "n+"),
-            n_minus=MatrixField.isotropic(1.0, "n-"),
-            gamma=gamma)
 
     def _per_side(self, plus: MatrixField, minus: MatrixField, points,
                   comp) -> np.ndarray:
@@ -257,27 +242,6 @@ def check_epsilon_closeness(eps0: np.ndarray, eps1: np.ndarray,
         return True
     spec = np.abs(_eigvalsh2(diff)).max()
     return bool(spec <= delta_tol + PSD_TOL)
-
-
-def ohm_apply(sigma, epsilon, zeta, grad) -> np.ndarray:
-    """Current from a (complex) gradient: (sigma + i*eps) p + zeta conj(p).
-
-    sigma/epsilon/zeta are (2,2) or (n,2,2); zeta=None means the plain
-    background law. The chiral term conjugates componentwise, so the map is
-    real-linear only.
-    """
-    p = np.asarray(grad, dtype=complex)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    def stack(m):
-        m = np.asarray(m, dtype=float)
-        return m[None, :, :] if m.ndim == 2 else m
-    a = stack(sigma).astype(complex) + 1j * stack(epsilon)
-    out = np.einsum("nij,nj->ni", np.broadcast_to(a, (len(p), 2, 2)), p)
-    if zeta is not None:
-        z = np.broadcast_to(stack(zeta), (len(p), 2, 2))
-        out = out + np.einsum("nij,nj->ni", z, np.conj(p))
-    return out[0] if single else out
 
 
 def validate_admissibility(background: BackgroundTensor,

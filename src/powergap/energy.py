@@ -43,7 +43,6 @@ __all__ = [
     "verify_identities",
     "energy_bracket",
     "grad_energy_inclusion",
-    "basic_pairing_residual",
     "IdentityReport",
     "BracketReport",
     "PowerReport",
@@ -181,9 +180,6 @@ class IdentityReport:
     im_dw: float
     max_pairwise_rel: float
 
-    def values(self):
-        return (self.re_dw_boundary, self.re_dw_id1, self.re_dw_id2)
-
 
 def verify_identities(sol0: Solution, sol1: Solution) -> IdentityReport:
     """Compute Re dW three ways and report their pairwise agreement."""
@@ -293,23 +289,6 @@ def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
         degenerate=False,
         details={"lambda_min_diff": lam_lo, "lambda_max_diff": lam_hi,
                  "smin2": smin2, "smax2": smax2})
-
-
-def basic_pairing_residual(solj: Solution, solk: Solution) -> float:
-    """Residual of int B_j v_j.v_k against its boundary pairing."""
-    _require_same_mesh(solj, solk)
-    areas = solj.mesh.areas
-    lhs = _quad_form(element_cg(solj), state_vectors(solj),
-                     state_vectors(solk), areas)
-    e, nodes, weights, points, lens = solj.mesh.boundary_quadrature()
-    mean = solj.diagnostics.get("g_mean_offset", 0.0)
-    rhs = 0.0
-    for q, w, x in zip(nodes, weights, points):
-        gv = solj.g.raw(x).astype(complex) - mean
-        uj = (1.0 - q) * solj.u[e[:, 0]] + q * solj.u[e[:, 1]]
-        uk = (1.0 - q) * solk.u[e[:, 0]] + q * solk.u[e[:, 1]]
-        rhs += (w * (uj.real * gv.real + uk.imag * gv.imag) * lens).sum()
-    return float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
 
 
 @dataclass(frozen=True)

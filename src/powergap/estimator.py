@@ -84,13 +84,12 @@ def check_fatness(scene) -> dict:
             "d1": float(scene.d1)}
 
 
-def interior_gradient_sup(u0: Solution, region=None) -> dict:
+def interior_gradient_sup(u0: Solution) -> dict:
     """Max nodal-patch gradient over D and its ratio to the global L2 norm."""
     mesh = u0.mesh
     grads = u0.gradient()
-    mask_e = mesh.in_d if region is None else region.contains(mesh.centroids)
     total = math.sqrt(float(u0.gradient_density() @ mesh.areas))
-    if not mask_e.any() or total <= 0:
+    if not mesh.in_d.any() or total <= 0:
         return {"sup": 0.0, "ratio": 0.0, "l2_norm": total}
     # area-weighted patch average of element gradients at each node
     acc = np.zeros((mesh.num_points, 2), dtype=complex)
@@ -99,7 +98,7 @@ def interior_gradient_sup(u0: Solution, region=None) -> dict:
         np.add.at(acc, mesh.triangles[:, i], grads * mesh.areas[:, None])
         np.add.at(wsum, mesh.triangles[:, i], mesh.areas)
     patch = acc / np.maximum(wsum, 1e-300)[:, None]
-    d_nodes = np.unique(mesh.triangles[mask_e].ravel())
+    d_nodes = np.unique(mesh.triangles[mesh.in_d].ravel())
     sup = float(np.linalg.norm(np.abs(patch[d_nodes]), axis=1).max())
     return {"sup": sup, "ratio": sup / total, "l2_norm": total}
 

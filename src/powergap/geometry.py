@@ -262,7 +262,8 @@ class Ellipse:
 
 
 # ---------------------------------------------------------------------------
-# Regions: membership + signed distance, closed under erosion/dilation
+# Regions: a signed distance (negative inside) and a bounding box, closed
+# under erosion/dilation
 
 
 class CurveInterior:
@@ -270,9 +271,6 @@ class CurveInterior:
 
     def __init__(self, curve):
         self.curve = curve
-
-    def contains(self, points) -> np.ndarray:
-        return self.curve.contains(points)
 
     def signed_distance(self, points) -> np.ndarray:
         return self.curve.signed_distance(points)
@@ -288,9 +286,6 @@ class RectRegion:
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
 
-    def contains(self, points) -> np.ndarray:
-        return self.signed_distance(points) < 0.0
-
     def signed_distance(self, points) -> np.ndarray:
         p = as_points(points)
         c = 0.5 * (self.lo + self.hi)
@@ -305,16 +300,13 @@ class RectRegion:
 
 
 class ScaledRegion:
-    """theta * U: x belongs iff x/theta belongs to U."""
+    """theta * U: the signed distance at x is theta times U's at x/theta."""
 
     def __init__(self, base, theta: float):
         if theta <= 0:
             raise ValueError("theta must be positive")
         self.base = base
         self.theta = float(theta)
-
-    def contains(self, points) -> np.ndarray:
-        return self.base.contains(as_points(points) / self.theta)
 
     def signed_distance(self, points) -> np.ndarray:
         return self.theta * self.base.signed_distance(as_points(points) / self.theta)
@@ -330,9 +322,6 @@ class _Offset:
     def __init__(self, base, s: float):
         self.base = base
         self.s = float(s)
-
-    def contains(self, points) -> np.ndarray:
-        return self.signed_distance(points) < 0.0
 
     def signed_distance(self, points) -> np.ndarray:
         return self.base.signed_distance(points) + self.s
@@ -707,10 +696,6 @@ def build_regions(wp: WeightParams, R1: float, R2: float,
 # Interface flattening
 
 
-# Samples of x' over the chart in `FlatteningMap.eta_norm`.
-_ETA_SAMPLES = 4001
-
-
 class FlatteningMap:
     """Local chart at an interface point: shear (x', x_n) -> (x', x_n - psi(x')).
 
@@ -728,10 +713,6 @@ class FlatteningMap:
         self.rho0 = float(rho0)
         self.K0 = float(K0)
 
-    def to_frame(self, x) -> np.ndarray:
-        p = as_points(x) - self.anchor
-        return np.column_stack([p @ self.tangent, p @ self.normal])
-
     def from_frame(self, local) -> np.ndarray:
         q = as_points(local)
         return self.anchor + q[:, :1] * self.tangent + q[:, 1:2] * self.normal
@@ -742,24 +723,12 @@ class FlatteningMap:
             raise ChartRangeError(
                 f"|x'| = {worst:.4g} outside chart radius rho0 = {self.rho0:.4g}")
 
-    def forward(self, x) -> np.ndarray:
-        """Global point -> flattened local coordinates."""
-        q = self.to_frame(x)
-        self._check_chart(q[:, 0])
-        return np.column_stack([q[:, 0], q[:, 1] - self.psi(q[:, 0])])
-
     def inverse(self, y) -> np.ndarray:
         """Flattened local coordinates -> global point."""
         q = as_points(y)
         self._check_chart(q[:, 0])
         local = np.column_stack([q[:, 0], q[:, 1] + self.psi(q[:, 0])])
         return self.from_frame(local)
-
-    def eta_norm(self) -> float:
-        """sup over the chart of |psi(x')| / |x'|^2."""
-        xp = np.linspace(-self.rho0, self.rho0, _ETA_SAMPLES)
-        xp = xp[np.abs(xp) > 1e-12]
-        return float(np.max(np.abs(self.psi(xp)) / xp ** 2))
 
 
 def flattening_map(curve, anchor_t: float, rho0: float,

@@ -550,7 +550,7 @@ def _straight_chains(region, x0, targets, r1: float) -> list:
     length = np.linalg.norm(d, axis=1)
     n = np.maximum(2, (length / max(r1 / 4.0, 1e-12)).astype(int) + 1)
     samples, seg = _points_along(x0, d, n, 1.0 / (n - 1))
-    outside = np.flatnonzero(~region.contains(samples))
+    outside = np.flatnonzero(~(region.signed_distance(samples) < 0.0))
     if len(outside):
         w = targets[seg[outside[0]]]
         raise CoverageError(
@@ -698,7 +698,7 @@ def lipschitz_centers(scene, a: float, max_centers: int = 150) -> np.ndarray:
     ys = np.arange(lo[1], hi[1] + step, step)
     X, Y = np.meshgrid(xs, ys)
     centers = np.column_stack([X.ravel(), Y.ravel()])
-    centers = centers[inner.contains(centers)]
+    centers = centers[inner.signed_distance(centers) < 0.0]
     if len(centers) == 0:
         raise ValueError(f"Omega_(4a) is empty for a = {a:g}")
     if len(centers) > max_centers:
@@ -736,9 +736,6 @@ class _BoundaryShell:
     def signed_distance(self, points):
         sd = self.omega.signed_distance(points)
         return np.maximum(sd, -self.depth - sd)
-
-    def contains(self, points):
-        return self.signed_distance(points) < 0.0
 
     def bbox(self):
         return self.omega.bbox()

@@ -47,7 +47,6 @@ __all__ = [
     "Solution",
     "BackgroundOperator",
     "solve_perturbed",
-    "weak_residual",
     "flux_jump_norm",
     "flux_balance",
     "export_solution_csv",
@@ -130,12 +129,6 @@ class Solution:
     def gradient_density(self) -> np.ndarray:
         """Per-element |grad u|^2, shape (m,)."""
         return (np.abs(self.gradient()) ** 2).sum(axis=1)
-
-    def mean_value(self) -> complex:
-        return complex(self.mesh.node_mass() @ self.u)
-
-    def evaluate(self, points) -> np.ndarray:
-        return self.mesh.interpolate(self.u, points)
 
 
 def element_coefficients(mesh: Mesh, background: BackgroundTensor,
@@ -400,12 +393,6 @@ def _load_residual(sol: Solution):
     """
     b, _ = boundary_load(sol.mesh, sol.g)
     return sol.operator.apply(sol.u, sol.multiplier) - b, b
-
-
-def weak_residual(sol: Solution) -> float:
-    """Discrete residual against all basis test functions, relative to the load."""
-    r, b = _load_residual(sol)
-    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
 def export_solution_csv(sol: Solution, prefix) -> list:

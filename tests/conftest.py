@@ -3,12 +3,13 @@ import pytest
 
 from powergap import (
     BackgroundOperator,
-    BackgroundTensor,
     Circle,
     Scene,
     fourier_data,
 )
 from powergap.mesh import build_mesh
+
+from corpus import isotropic_background
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +24,7 @@ def disk_mesh_h05(disk_scene):
 
 @pytest.fixture(scope="session")
 def identity_background():
-    return BackgroundTensor.isotropic(1.0, 1.0, gamma=0.0)
+    return isotropic_background(1.0, 1.0, gamma=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +54,7 @@ def twophase_mesh_h02(twophase_scene):
 @pytest.fixture(scope="session")
 def twophase_background():
     # sigma = 1 outside, 2 inside; small complex part on both sides
-    return BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+    return isotropic_background(1.0, 2.0, gamma=0.05)
 
 
 @pytest.fixture(scope="session")

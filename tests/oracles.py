@@ -15,6 +15,13 @@ eigenvalues and the symmetrizing transform are given in their LAPACK
 forms, against which the closed-form kernels are checked. Ball integrals
 sample every point of the disk stencil, one by one, and grid integrals
 evaluate the signed distance at every cell and locate every kept point.
+
+The rest are quantities only tests ask for, kept out of the package, which
+holds what a verb reaches: the weak residual of a solution from the
+operator it was solved with (`weak_residual`), the residual of the basic
+energy pairing (`basic_pairing_residual`), the pointwise current law
+(`ohm_apply`), and a chart's forward map and its constant sup |psi| / |x'|^2
+(`flatten`, `eta_norm`).
 """
 
 from __future__ import annotations
@@ -28,14 +35,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
+from powergap.energy import (
+    _quad_form,
+    _require_same_mesh,
+    element_cg,
+    state_vectors,
+)
 from powergap.errors import CoverageError
 from powergap.geometry import (
     Circle,
     _cell_points,
     _grid_rule,
     _segment_distances,
+    as_points,
 )
 from powergap.solver import (
+    _load_residual,
     assemble_stiffness,
     boundary_load,
     element_coefficients,
@@ -299,9 +314,6 @@ class Boxed:
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
 
-    def contains(self, points):
-        return self.region.contains(points)
-
     def signed_distance(self, points):
         return self.region.signed_distance(points)
 
@@ -324,7 +336,7 @@ def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
 
     The stencil is `grid_integrate`'s antialiased rule on the disk around
     the origin (n_grid cells a side, at least 16), shifted to each centre.
-    Each point is located and interpolated (`Solution.evaluate`), or takes
+    Each point is located and interpolated (`Mesh.interpolate`), or takes
     the |grad u|^2 of the element `Mesh.locate` gives it.
     """
     offsets, w, dx, dy = grid_cells(Circle((0.0, 0.0), radius),
@@ -334,7 +346,7 @@ def point_sampled_ball_sums(sol, centers, radius: float, n_grid: int,
         dens = sol.gradient_density()
         sample = lambda p: dens[sol.mesh.locate(p)]
     else:
-        sample = lambda p: np.abs(sol.evaluate(p)) ** 2
+        sample = lambda p: np.abs(sol.mesh.interpolate(sol.u, p)) ** 2
     return np.array([sample(c + offsets) @ w
                      for c in np.asarray(centers, float).reshape(-1, 2)])
 
@@ -395,12 +407,12 @@ class FnSampler:
 
 def point_sq_sampler(sol, theta=None):
     """p -> |u(theta p) / theta^2|^2 (|u(p)|^2 when theta is None), each
-    point located and interpolated by `Solution.evaluate`."""
+    point located and interpolated by `Mesh.interpolate`."""
     def sample(p):
         p = np.asarray(p, dtype=float).reshape(-1, 2)
         if theta is None:
-            return np.abs(np.asarray(sol.evaluate(p), dtype=complex)) ** 2
-        u = np.asarray(sol.evaluate(p * theta), dtype=complex)
+            return np.abs(sol.mesh.interpolate(sol.u, p)) ** 2
+        u = sol.mesh.interpolate(sol.u, p * theta)
         return np.abs(u / theta ** 2) ** 2
     return sample
 
@@ -553,3 +565,67 @@ def direct_block_solve(mesh, background, law, g):
     b, _ = boundary_load(mesh, g)
     x = spla.splu(a.tocsc()).solve(np.concatenate([b.real, b.imag, [0.0, 0.0]]))
     return x[:n] + 1j * x[n:2 * n], (float(x[-2]), float(x[-1]))
+
+
+def weak_residual(sol) -> float:
+    """Discrete residual against all basis test functions, relative to the
+    load, from the operator the solution was solved with."""
+    r, b = _load_residual(sol)
+    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
+
+
+def basic_pairing_residual(solj, solk) -> float:
+    """Residual of int B_j v_j.v_k against its boundary pairing."""
+    _require_same_mesh(solj, solk)
+    areas = solj.mesh.areas
+    lhs = _quad_form(element_cg(solj), state_vectors(solj),
+                     state_vectors(solk), areas)
+    e, nodes, weights, points, lens = solj.mesh.boundary_quadrature()
+    mean = solj.diagnostics.get("g_mean_offset", 0.0)
+    rhs = 0.0
+    for q, w, x in zip(nodes, weights, points):
+        gv = solj.g.raw(x).astype(complex) - mean
+        uj = (1.0 - q) * solj.u[e[:, 0]] + q * solj.u[e[:, 1]]
+        uk = (1.0 - q) * solk.u[e[:, 0]] + q * solk.u[e[:, 1]]
+        rhs += (w * (uj.real * gv.real + uk.imag * gv.imag) * lens).sum()
+    return float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+
+
+def ohm_apply(sigma, epsilon, zeta, grad) -> np.ndarray:
+    """Current from a (complex) gradient: (sigma + i*eps) p + zeta conj(p).
+
+    sigma/epsilon/zeta are (2,2) or (n,2,2); zeta=None means the plain
+    background law. The chiral term conjugates componentwise, so the map is
+    real-linear only.
+    """
+    p = np.asarray(grad, dtype=complex)
+    single = p.ndim == 1
+    p = np.atleast_2d(p)
+
+    def stack(m):
+        m = np.asarray(m, dtype=float)
+        return m[None, :, :] if m.ndim == 2 else m
+    a = stack(sigma).astype(complex) + 1j * stack(epsilon)
+    out = np.einsum("nij,nj->ni", np.broadcast_to(a, (len(p), 2, 2)), p)
+    if zeta is not None:
+        z = np.broadcast_to(stack(zeta), (len(p), 2, 2))
+        out = out + np.einsum("nij,nj->ni", z, np.conj(p))
+    return out[0] if single else out
+
+
+def flatten(fmap, x) -> np.ndarray:
+    """Global points -> flattened local coordinates of a `FlatteningMap`,
+    the inverse of its `inverse`: the point in the chart's (tangent,
+    normal) frame, its normal coordinate less psi of the tangential one.
+    A point outside the chart radius raises ChartRangeError."""
+    p = as_points(x) - fmap.anchor
+    q = np.column_stack([p @ fmap.tangent, p @ fmap.normal])
+    fmap._check_chart(q[:, 0])
+    return np.column_stack([q[:, 0], q[:, 1] - fmap.psi(q[:, 0])])
+
+
+def eta_norm(fmap, samples: int = 4001) -> float:
+    """sup over the chart of |psi(x')| / |x'|^2, on evenly spaced x'."""
+    xp = np.linspace(-fmap.rho0, fmap.rho0, samples)
+    xp = xp[np.abs(xp) > 1e-12]
+    return float(np.max(np.abs(fmap.psi(xp)) / xp ** 2))

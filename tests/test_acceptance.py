@@ -12,7 +12,6 @@ import pytest
 
 from powergap import (
     BackgroundOperator,
-    BackgroundTensor,
     Circle,
     JumpCase,
     RectRegion,
@@ -47,7 +46,7 @@ from powergap.smallness import (
 )
 from powergap.solver import BackgroundOperator
 
-from corpus import corpus_config
+from corpus import corpus_config, isotropic_background
 from oracles import LayeredDiskSolution, constitutive_matrix
 
 
@@ -92,7 +91,7 @@ def case_i_measurements():
 
 def test_criterion_01_oracle_solve(disk_scene):
     start = time.perf_counter()
-    bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.0)
+    bg = isotropic_background(1.0, 1.0, gamma=0.0)
     g = fourier_data([(1, 1.0, 0.0)])
     errs = {}
     for h in (0.05, 0.025):
@@ -273,10 +272,10 @@ def test_criterion_09_chain_propagation(cos_data):
     fixtures = [
         (Scene(outer=Circle((0, 0), 1.0),
                inclusion=Circle((0.1, 0.0), 0.12), d0=0.5),
-         BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05), (0.1, 0.0), 0.6),
+         isotropic_background(1.0, 1.0, gamma=0.05), (0.1, 0.0), 0.6),
         (Scene(outer=Circle((0, 0), 1.0), interface=Circle((0, 0), 0.5),
                inclusion=Circle((0.35, 0.0), 0.22), d0=0.4, rho0=0.3),
-         BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05), (0.35, 0.0), 0.42),
+         isotropic_background(1.0, 2.0, gamma=0.05), (0.35, 0.0), 0.42),
     ]
     ok = True
     details = []

@@ -598,6 +598,20 @@ class TestRun:
         path.write_text(json.dumps(fast_concentric))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
 
+    def test_small_body_validates_at_its_own_h(self, tmp_path, capsys):
+        # a body 0.2 across at h = 0.01: validate meshes at the config's
+        # own h, as run does, and says so
+        doc = {"mesh": {"h": 0.01},
+               "scene": {"outer": {"kind": "circle", "center": [0.0, 0.0],
+                                   "radius": 0.1}},
+               "background": {"m_plus": 1.0, "m_minus": 1.0}}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        assert "at h=0.01" in capsys.readouterr().out
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_module_entry_point(self):
         # `python -m powergap` from a checkout, with only src on the path
         root = Path(__file__).resolve().parents[1]
@@ -723,13 +737,35 @@ class TestSweep:
 
     def test_unknown_param_path_is_fatal(self, tmp_path, capsys,
                                          fast_concentric):
+        # outside the field table, and not a key inside a given value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fast_concentric))
-        assert main(["sweep", "--config", str(cfg_path), "--param",
-                     "weights.nope", "--values", "8,-1"]) == EXIT_STRUCTURAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not a valid config path" in captured.err
+        for param in ("weights.nope", "lipschitz_b", "scene.inclusion.width"):
+            assert main(["sweep", "--config", str(cfg_path), "--param",
+                         param, "--values", "8,-1"]) == EXIT_STRUCTURAL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: config field '{param}': " \
+                                   "not a valid config path\n"
+
+    @pytest.mark.parametrize("param,value", [("lipschitz_a", 0.2),
+                                             ("regions.n_family", 3)])
+    def test_table_path_the_document_omits(self, tmp_path, param, value):
+        # concentric_disk gives neither path; each is set where the parser
+        # reads it
+        doc = corpus_config("concentric_disk", mesh={"h": 0.08},
+                            checks=["energy"])
+        *section, key = param.split(".")
+        assert key not in (doc[section[0]] if section else doc)
+        out = tmp_path / "out"
+        agg = sweep(parse_config(doc), param, [value], out_dir=out)
+        [row] = agg["rows"]
+        assert row["exit_code"] == EXIT_OK
+        echo = json.loads((out / f"{row['label']}.json").read_text())
+        node = echo["config"]
+        for k in param.split("."):
+            node = node[k]
+        assert node == value
 
     def test_empty_values(self, fast_concentric):
         cfg = parse_config(fast_concentric)
@@ -768,6 +804,29 @@ class TestPlotData:
     def test_size_projection(self, fast_report, tmp_path):
         rows = emit_plot_data([fast_report], "size", tmp_path / "size.csv")
         assert rows[0][1] == pytest.approx(math.pi * 0.25 ** 2)
+
+    def test_refused_size_stage_named(self, tmp_path, capsys):
+        # sigma1 = 2 classifies the jump as 'none': run exits 0 with a
+        # refused size section, and the size report says so, exit 2
+        doc = corpus_config("one_phase_disk", mesh={"h": 0.08},
+                            law={"sigma1": 2.0},
+                            checks=["admissibility", "energy", "bracket",
+                                    "size"])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) \
+            == EXIT_OK
+        [report] = out.glob("*.json")
+        assert "refused" in json.loads(report.read_text())["size"]
+        capsys.readouterr()
+        assert main(["report", str(report), "--kind", "size", "--out",
+                     str(tmp_path / "size.csv")]) == EXIT_STRUCTURAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: report 'one_phase_disk_case_ii' lacks "
+                              "size.true_area/lower/upper for kind 'size'; "
+                              "its size stage refused: jump condition (a0)")
+        assert not (tmp_path / "size.csv").exists()
 
     def test_schema_mismatch_named(self, tmp_path):
         with pytest.raises(ConfigError, match="three_region"):

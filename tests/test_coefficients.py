@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from powergap import (
-    BackgroundTensor,
     InclusionLaw,
     JumpCase,
     MatrixField,
@@ -10,10 +9,12 @@ from powergap import (
     check_epsilon_closeness,
     check_jump_condition,
     estimate_lipschitz,
-    ohm_apply,
     validate_admissibility,
 )
 from powergap.errors import StructuralError
+
+from corpus import isotropic_background, isotropic_field
+from oracles import ohm_apply
 
 
 SAMPLES = np.array([[0.0, 0.0], [0.3, -0.2], [0.7, 0.1], [-0.5, 0.4]])
@@ -21,7 +22,7 @@ SAMPLES = np.array([[0.0, 0.0], [0.3, -0.2], [0.7, 0.1], [-0.5, 0.4]])
 
 class TestEllipticity:
     def test_identity_passes(self):
-        rep = check_ellipticity(MatrixField.isotropic(1.0), SAMPLES, 0.5)
+        rep = check_ellipticity(isotropic_field(1.0), SAMPLES, 0.5)
         assert rep.passed
         assert rep.eig_min == pytest.approx(1.0)
         assert rep.eig_max == pytest.approx(1.0)
@@ -55,7 +56,7 @@ class TestLipschitz:
     def test_constant_field_zero(self, rng):
         a = rng.random((50, 2))
         b = rng.random((50, 2))
-        assert estimate_lipschitz(MatrixField.isotropic(2.0), a, b) == 0.0
+        assert estimate_lipschitz(isotropic_field(2.0), a, b) == 0.0
 
     def test_linear_field(self, rng):
         fld = MatrixField.affine(0.0, 1.0, 0.0)  # x * Id
@@ -70,13 +71,13 @@ class TestLipschitz:
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
-            estimate_lipschitz(MatrixField.isotropic(1.0),
+            estimate_lipschitz(isotropic_field(1.0),
                                np.empty((0, 2)), np.empty((0, 2)))
 
     def test_piecewise_per_side_ignores_jump(self, rng):
         # per-side sampling never pairs across the interface, so the
         # estimate stays bounded no matter the jump size
-        bg = BackgroundTensor.isotropic(1.0, 100.0)
+        bg = isotropic_background(1.0, 100.0)
         plus = np.column_stack([rng.uniform(0.6, 0.9, 100),
                                 rng.uniform(-0.1, 0.1, 100)])
         est = estimate_lipschitz(bg.m_plus, plus[:-1], plus[1:])
@@ -172,9 +173,9 @@ class TestOhmApply:
 
 class TestAdmissibility:
     def test_valid_fixture_passes(self):
-        bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
-        law = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
-                           zeta1=MatrixField.isotropic(1.2),
+        bg = isotropic_background(1.0, 2.0, gamma=0.05)
+        law = InclusionLaw(sigma1=isotropic_field(1.5),
+                           zeta1=isotropic_field(1.2),
                            lambda1=0.2, varrho=0.5)
         rep = validate_admissibility(bg, law, SAMPLES, SAMPLES, SAMPLES)
         assert rep["jump_case"] == "case_ii"
@@ -182,9 +183,9 @@ class TestAdmissibility:
                    if isinstance(v, dict))
 
     def test_se0_violation_named(self):
-        bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
-        law = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
-                           zeta1=MatrixField.isotropic(1.2),
+        bg = isotropic_background(1.0, 2.0, gamma=0.05)
+        law = InclusionLaw(sigma1=isotropic_field(1.5),
+                           zeta1=isotropic_field(1.2),
                            lambda1=0.9, varrho=0.5)
         rep = validate_admissibility(bg, law, SAMPLES, SAMPLES, SAMPLES)
         failed = [k for k, v in rep.items()

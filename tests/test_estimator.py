@@ -7,11 +7,9 @@ import pytest
 
 from powergap import (
     BackgroundOperator,
-    BackgroundTensor,
     Circle,
     InclusionLaw,
     JumpCase,
-    MatrixField,
     Scene,
     fourier_data,
     solve_perturbed,
@@ -31,12 +29,13 @@ from powergap.estimator import (
 )
 from powergap.mesh import build_mesh
 
+from corpus import isotropic_background, isotropic_field
 import oracles
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-CASE_II_LAW = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
-                           zeta1=MatrixField.isotropic(1.2),
+CASE_II_LAW = InclusionLaw(sigma1=isotropic_field(1.5),
+                           zeta1=isotropic_field(1.2),
                            lambda1=0.2, varrho=0.5)
 
 
@@ -44,7 +43,7 @@ def measure_scene(radius, center=(0.0, 0.0), h=0.04, label=""):
     scene = Scene(outer=Circle((0, 0), 1.0), interface=Circle((0, 0), 0.5),
                   inclusion=Circle(center, radius), d0=0.2, d1=radius / 5)
     mesh = build_mesh(scene, h)
-    bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+    bg = isotropic_background(1.0, 2.0, gamma=0.05)
     g = fourier_data([(1, 1.0, 0.0)])
     op = BackgroundOperator(mesh, bg)
     sol0 = op.solve(g)
@@ -80,19 +79,28 @@ class TestFatness:
         assert rep["eroded_area"] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.fixture(scope="module")
+def disk_mesh_with_d():
+    """The unit disk at h = 0.05 with a centred inclusion of radius 0.3."""
+    return build_mesh(Scene(outer=Circle((0.0, 0.0), 1.0),
+                            inclusion=Circle((0.0, 0.0), 0.3)), 0.05)
+
+
 class TestInteriorGradient:
-    def test_linear_oracle_ratio(self, disk_solution):
-        # |grad u| = 1 and ||grad u||_L2 = sqrt(pi): ratio = 1/sqrt(pi)
-        from powergap.geometry import CurveInterior
-        region = CurveInterior(Circle((0.0, 0.0), 0.3))
-        rep = interior_gradient_sup(disk_solution, region)
+    def test_linear_oracle_ratio(self, disk_mesh_with_d, identity_background,
+                                 cos_data):
+        # u = x: |grad u| = 1 on D and ||grad u||_L2 = sqrt(pi), so the
+        # ratio is 1/sqrt(pi)
+        sol = BackgroundOperator(disk_mesh_with_d,
+                                 identity_background).solve(cos_data)
+        rep = interior_gradient_sup(sol)
         assert rep["sup"] == pytest.approx(1.0, rel=1e-3)
         assert rep["ratio"] == pytest.approx(1 / math.sqrt(math.pi), rel=5e-3)
 
-    def test_zero_field(self, disk_mesh_h05, identity_background):
-        sol = BackgroundOperator(disk_mesh_h05, identity_background).solve(
+    def test_zero_field(self, disk_mesh_with_d, identity_background):
+        sol = BackgroundOperator(disk_mesh_with_d, identity_background).solve(
             fourier_data([(1, 0.0, 0.0)]))
-        rep = interior_gradient_sup(sol, None)
+        rep = interior_gradient_sup(sol)
         assert rep["sup"] == 0.0
 
     def test_stable_under_refinement(self, cos_data):
@@ -102,7 +110,7 @@ class TestInteriorGradient:
                           interface=Circle((0, 0), 0.5),
                           inclusion=Circle((0.1, 0.05), 0.2))
             mesh = build_mesh(scene, h)
-            bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+            bg = isotropic_background(1.0, 2.0, gamma=0.05)
             sol = BackgroundOperator(mesh, bg).solve(cos_data)
             vals.append(interior_gradient_sup(sol)["ratio"])
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
@@ -154,7 +162,7 @@ class TestEstimateSize:
                        interface=Circle((0, 0), 0.5),
                        inclusion=Circle((0, 0), 0.2), d0=0.2, d1=0.04)
         mesh = build_mesh(scene2, 0.05)
-        bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+        bg = isotropic_background(1.0, 2.0, gamma=0.05)
         g3 = fourier_data([(1, 3.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g3)
@@ -223,8 +231,8 @@ class TestContrastAndNesting:
             _, _, m = measure_scene(r, center=c, h=0.05)
             family.append(m)
         res = calibrate_constants(family)
-        strong = InclusionLaw(sigma1=MatrixField.isotropic(2.0),
-                              zeta1=MatrixField.isotropic(1.7),
+        strong = InclusionLaw(sigma1=isotropic_field(2.0),
+                              zeta1=isotropic_field(1.7),
                               lambda1=0.2, varrho=0.5)
         radius = 0.18
         scene = Scene(outer=Circle((0, 0), 1.0),
@@ -232,7 +240,7 @@ class TestContrastAndNesting:
                       inclusion=Circle((0.0, 0.0), radius), d0=0.2,
                       d1=radius / 5)
         mesh = build_mesh(scene, 0.05)
-        bg = BackgroundTensor.isotropic(1.0, 2.0, gamma=0.05)
+        bg = isotropic_background(1.0, 2.0, gamma=0.05)
         g = fourier_data([(1, 1.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g)

@@ -28,6 +28,7 @@ from powergap.coefficients import _eigvalsh2
 from powergap.energy import cg_transform, element_cg, energy_bracket
 from powergap.mesh import build_mesh
 
+from corpus import isotropic_field
 from oracles import lapack_cg_transform, lapack_eigvalsh2
 
 KERNEL_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -130,10 +131,10 @@ class TestBracketConstant:
         bg = BackgroundTensor(
             m_plus=MatrixField.affine(1.0, [[0.2, 0.1], [0.1, 0.0]], 0.1),
             m_minus=MatrixField.affine(1.8, 0.1, [[0.0, 0.1], [0.1, 0.3]]),
-            n_plus=MatrixField.isotropic(1.0),
+            n_plus=isotropic_field(1.0),
             n_minus=MatrixField.affine(1.0, 0.2, 0.0), gamma=0.05)
-        law = InclusionLaw(sigma1=MatrixField.isotropic(1.5),
-                           zeta1=MatrixField.isotropic(1.2),
+        law = InclusionLaw(sigma1=isotropic_field(1.5),
+                           zeta1=isotropic_field(1.2),
                            lambda1=0.2, varrho=0.5)
         g = fourier_data([(1, 1.0, 0.0)])
         op = BackgroundOperator(mesh, bg)

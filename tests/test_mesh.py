@@ -267,7 +267,8 @@ class TestBuildMesh:
             return locate(self, points)
 
         monkeypatch.setattr(Mesh, "locate", counting_locate)
-        vals = disk_solution.evaluate(rng.uniform(-0.6, 0.6, (n, 2)))
+        vals = disk_solution.mesh.interpolate(
+            disk_solution.u, rng.uniform(-0.6, 0.6, (n, 2)))
         assert len(vals) == n
         assert len(located) == blocks
         assert sum(located) == n

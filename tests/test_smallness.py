@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergap import (
-    BackgroundTensor,
     Circle,
     RectRegion,
     Scene,
@@ -44,6 +43,7 @@ from powergap.smallness import (
 )
 from powergap.solver import BackgroundOperator, Solution
 
+from corpus import isotropic_background
 from oracles import (
     Boxed,
     FnSampler,
@@ -305,7 +305,7 @@ class TestChain:
         scene = Scene(outer=Circle((0, 0), 1.0),
                       inclusion=Circle((0, 0), 0.02), d0=0.5)
         mesh = build_mesh(scene, 0.05)
-        bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.0)
+        bg = isotropic_background(1.0, 1.0, gamma=0.0)
         sol = BackgroundOperator(mesh, bg).solve(cos_data)
         cert = propagate_chain(sol, scene.inclusion, (0.0, 0.0),
                                r=0.015, h=0.6)
@@ -316,7 +316,7 @@ class TestChain:
         scene = Scene(outer=Circle((0, 0), 1.0),
                       inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
         mesh = build_mesh(scene, 0.04)
-        bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05)
+        bg = isotropic_background(1.0, 1.0, gamma=0.05)
         sol = BackgroundOperator(mesh, bg).solve(
             fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
         cert = propagate_chain(sol, scene.inclusion, (0.1, 0.0), r=0.1, h=0.6)
@@ -333,7 +333,7 @@ class TestChain:
         scene = Scene(outer=Circle((0, 0), 1.0),
                       inclusion=Circle((0.1, 0.0), 0.12), d0=0.5)
         mesh = build_mesh(scene, 0.04)
-        bg = BackgroundTensor.isotropic(1.0, 1.0, gamma=0.05)
+        bg = isotropic_background(1.0, 1.0, gamma=0.05)
         sol = BackgroundOperator(mesh, bg).solve(
             fourier_data([(1, 1.0, 0.0), (3, 0.5, 0.1)]))
         calls = []
@@ -392,9 +392,6 @@ class TestChain:
             def signed_distance(self, points):
                 rad = np.linalg.norm(np.asarray(points, float), axis=1)
                 return np.maximum(rad - 0.6, 0.3 - rad)
-
-            def contains(self, points):
-                return self.signed_distance(points) < 0.0
 
             def bbox(self):
                 return np.array([-0.6, -0.6]), np.array([0.6, 0.6])
