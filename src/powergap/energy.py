@@ -105,12 +105,13 @@ def element_cg(sol: Solution) -> np.ndarray:
     return sol._cg
 
 
-def gradient_to_state_matrices(sol: Solution) -> np.ndarray:
-    """Per-element 4x4 map (Re grad u, Im grad u) -> v for the background law."""
-    m = len(sol.sigma_e)
-    t = np.zeros((m, 4, 4))
-    t[:, :2, :2] = sol.sigma_e
-    t[:, :2, 2:] = -sol.eps_e
+def gradient_to_state_matrices(sol: Solution, elements) -> np.ndarray:
+    """4x4 map (Re grad u, Im grad u) -> v of the background law on each of
+    the given elements (a mask or an index array)."""
+    sigma = sol.sigma_e[elements]
+    t = np.zeros((len(sigma), 4, 4))
+    t[:, :2, :2] = sigma
+    t[:, :2, 2:] = -sol.eps_e[elements]
     t[:, 2:, 2:] = np.eye(2)
     return t
 
@@ -259,7 +260,7 @@ def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
     lam_hi = float(eig_diff[:, -1].max())
     surrogate_valid = lam_lo >= -1e-10
 
-    t0 = gradient_to_state_matrices(sol0)[d]
+    t0 = gradient_to_state_matrices(sol0, d)
     svals = np.linalg.svd(t0, compute_uv=False)
     smin2 = float(svals[:, -1].min()) ** 2
     smax2 = float(svals[:, 0].max()) ** 2

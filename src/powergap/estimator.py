@@ -91,15 +91,21 @@ def interior_gradient_sup(u0: Solution) -> dict:
     total = math.sqrt(float(u0.gradient_density() @ mesh.areas))
     if not mesh.in_d.any() or total <= 0:
         return {"sup": 0.0, "ratio": 0.0, "l2_norm": total}
-    # area-weighted patch average of element gradients at each node
+    # area-weighted patch average of element gradients at D's nodes, over
+    # the elements that have one of them
+    d_nodes = np.unique(mesh.triangles[mesh.in_d].ravel())
+    at_d = np.zeros(mesh.num_points, dtype=bool)
+    at_d[d_nodes] = True
+    patch_e = at_d[mesh.triangles].any(axis=1)
+    tri, areas = mesh.triangles[patch_e], mesh.areas[patch_e]
+    weighted = grads[patch_e] * areas[:, None]
     acc = np.zeros((mesh.num_points, 2), dtype=complex)
     wsum = np.zeros(mesh.num_points)
     for i in range(3):
-        np.add.at(acc, mesh.triangles[:, i], grads * mesh.areas[:, None])
-        np.add.at(wsum, mesh.triangles[:, i], mesh.areas)
-    patch = acc / np.maximum(wsum, 1e-300)[:, None]
-    d_nodes = np.unique(mesh.triangles[mesh.in_d].ravel())
-    sup = float(np.linalg.norm(np.abs(patch[d_nodes]), axis=1).max())
+        np.add.at(acc, tri[:, i], weighted)
+        np.add.at(wsum, tri[:, i], areas)
+    patch = acc[d_nodes] / np.maximum(wsum[d_nodes], 1e-300)[:, None]
+    sup = float(np.linalg.norm(np.abs(patch), axis=1).max())
     return {"sup": sup, "ratio": sup / total, "l2_norm": total}
 
 

@@ -30,6 +30,11 @@ _SAMPLE_BLOCK = 65_536
 # nodes of the unit disk at h = 0.0075, where one run peaks near 380 MB.
 _MAX_NODES = 520_000
 
+# scipy's 2-D Qhull defaults and Q5, which skips a final outer-plane fix
+_QHULL_OPTIONS = "Qbb Qc Qz Q12 Q5"
+# scipy's find_simplex tolerance on barycentric coordinates
+_INSIDE_TOL = -100.0 * np.finfo(float).eps
+
 # 3-point Gauss on [0, 1] for boundary edge quadrature
 _EDGE_Q = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
@@ -120,25 +125,15 @@ def _curve_nodes(curve, h: float, break_points: Optional[np.ndarray]) -> np.ndar
     return curve.point_at(np.concatenate(out))
 
 
-class _Delaunay(Delaunay):
-    """Delaunay whose `transform` is a plain attribute, set by `Mesh`.
-
-    scipy's `transform` is a lazy property that solves one LAPACK system per
-    simplex on first use; `find_simplex` reads the attribute, so shadowing
-    it lets the mesh hand over the affine maps it already holds.
-    """
-
-    transform = None
-
-
 class Mesh:
     """Triangulation with per-element component and inclusion tags."""
 
-    def __init__(self, points, triangles, comp, in_d, boundary_edges,
-                 interface_edges, interface_tris, h, scene, delaunay,
+    def __init__(self, points, triangles, neighbors, comp, in_d,
+                 boundary_edges, interface_edges, interface_tris, h, scene,
                  diagnostics):
         self.points = points
         self.triangles = triangles
+        self.neighbors = neighbors  # across edge k (opposite vertex k)
         self.comp = comp
         self.in_d = in_d
         self.boundary_edges = boundary_edges
@@ -147,7 +142,6 @@ class Mesh:
         self.h = h
         self.scene = scene
         self.diagnostics = diagnostics
-        self._tri = delaunay
         self._centroid_tree = None
         self._buckets = None
         self._boundary_quadrature = None
@@ -163,12 +157,6 @@ class Mesh:
         g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) * inv_det[:, None]
         g0 = -(g1 + g2)
         self.grads = np.stack([g0, g1, g2], axis=1)  # (m, 3, 2)
-        # barycentric maps in the layout of scipy's Delaunay.transform:
-        # rows grad lambda_0, grad lambda_1 and the origin vertex 2
-        transform = np.empty_like(self.grads)
-        transform[:, :2] = self.grads[:, :2]
-        transform[:, 2] = p[:, 2]
-        delaunay.transform = transform
 
     @property
     def num_points(self) -> int:
@@ -177,12 +165,6 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def edge_lengths(self) -> np.ndarray:
-        p = self.points[self.triangles]
-        return np.concatenate([_norm(p[:, 1] - p[:, 0]),
-                               _norm(p[:, 2] - p[:, 1]),
-                               _norm(p[:, 0] - p[:, 2])])
 
     def min_angle_deg(self) -> float:
         """Smallest interior angle: arccos of the largest clipped cosine.
@@ -224,16 +206,38 @@ class Mesh:
     def locate(self, points) -> np.ndarray:
         """Element index per point; nearest element for boundary-band misses.
 
-        Points are found by scipy's `find_simplex` walk over the mesh's own
-        barycentric maps. Each walk starts at the previous point's element,
-        so callers pass points in spatially coherent order (grid rows,
-        stencils around a centre, edge quadrature). Shuffled points cost a
-        walk across the mesh each: 3 M uniformly random points on a
-        triangulation of 200 k random nodes took 97 s on a 2-core x86
-        machine, and 0.35 s once sorted into rows.
+        Each point walks from its cell's seed in `_bucket_grid`, across the
+        edge opposite its most negative barycentric coordinate, until none
+        is below scipy's find_simplex tolerance. A visibility walk ends on
+        a Delaunay triangulation (Devillers, Pion & Teillaud, Int. J.
+        Found. Comput. Sci. 2002), so a point's element depends on that
+        point alone. A step across the hull leaves the mesh: such a point
+        takes the element of the nearest centroid, and one farther than 4h
+        raises CoverageError.
         """
         p = as_points(points)
-        idx = self._tri.find_simplex(p)
+        origin, side, shape, _, _, seeds = self._bucket_grid()
+        elem = seeds[np.clip(((p - origin) / side).astype(np.intp), 0,
+                             shape - 1) @ np.array([1, shape[0]])]
+        idx = np.empty(len(p), dtype=np.intp)
+        todo, q = np.arange(len(p)), p
+        # a visibility walk on a Delaunay mesh enters no element twice
+        for _ in range(self.num_triangles + 1):
+            if not len(todo):
+                break
+            # scipy's arithmetic: lambda_i = grad lambda_i . (q - vertex 2)
+            g = self.grads[elem, :2]
+            d = q - self.points[self.triangles[elem, 2]]
+            b0 = g[:, 0, 0] * d[:, 0] + g[:, 0, 1] * d[:, 1]
+            b1 = g[:, 1, 0] * d[:, 0] + g[:, 1, 1] * d[:, 1]
+            b = np.stack([b0, b1, 1.0 - b0 - b1])
+            low = b.min(axis=0)
+            step = self.neighbors[elem, b.argmin(axis=0)]
+            idx[todo] = np.where(low >= _INSIDE_TOL, elem, -1)
+            walk = (low < _INSIDE_TOL) & (step >= 0)  # a NaN point stops
+            todo, q, elem = todo[walk], q[walk], step[walk]
+        else:
+            raise MeshingError("point location did not end: not Delaunay")
         miss = idx < 0
         if miss.any():
             if self._centroid_tree is None:
@@ -243,23 +247,16 @@ class Mesh:
             if far.any():
                 raise CoverageError(
                     f"{int(far.sum())} points lie outside the meshed domain")
-            idx = idx.copy()
             idx[miss] = near
         return idx
 
-    def elements_near(self, centers, half) -> tuple:
-        """Elements whose bounding boxes meet the square of half-width
-        `half` around each centre (a rectangle when `half` gives x and y
-        half-widths), as (centre, element) index pairs grouped by centre,
-        each centre's elements by cell, then number.
-
-        The elements are bucketed once per mesh on a grid of cells as wide
-        as the widest element, by the cell of their lower-left corner; a
-        square's candidates are then the elements of the cells from one
-        cell below and left of it to its upper-right corner, a contiguous
-        run of the bucketed elements per row of cells. Rounding may leave
-        out an element that only touches the square's edge.
-        """
+    def _bucket_grid(self) -> tuple:
+        """(origin, side, shape, order, starts, seeds), built once per mesh:
+        cell c = j * shape[0] + i, i-th from `origin` in x and j-th in y and
+        as wide as the widest element, holds order[starts[c]:starts[c + 1]],
+        the elements whose lower-left corner lies in it. seeds[c] is the
+        first element at or after cell c in that order, or the last one
+        before it when only that one is in the cell's row."""
         if self._buckets is None:
             lo, side = [], 0.0
             for axis in (0, 1):
@@ -275,8 +272,24 @@ class Mesh:
             key = cell[1] * shape[0] + cell[0]
             order = np.argsort(key, kind="stable")
             starts = np.searchsorted(key[order], np.arange(shape.prod() + 1))
-            self._buckets = (origin, side, shape, order, starts)
-        origin, side, shape, order, starts = self._buckets
+            i = np.minimum(starts[:-1], len(order) - 1)
+            row, own = key[order] // shape[0], np.arange(len(i)) // shape[0]
+            i -= (row[i] != own) & (row[i - 1] == own)
+            self._buckets = (origin, side, shape, order, starts, order[i])
+        return self._buckets
+
+    def elements_near(self, centers, half) -> tuple:
+        """Elements whose bounding boxes meet the square of half-width
+        `half` around each centre (a rectangle when `half` gives x and y
+        half-widths), as (centre, element) index pairs grouped by centre,
+        each centre's elements by cell, then number.
+
+        A square's candidates are the elements of the `_bucket_grid` cells
+        from one cell below and left of it to its upper-right corner, a
+        contiguous run of the bucketed elements per row of cells. Rounding
+        may leave out an element that only touches the square's edge.
+        """
+        origin, side, shape, order, starts, _ = self._bucket_grid()
         c = as_points(centers)
         # cell ranges per centre, clipped to the grid
         first = np.clip(np.floor((c - half - side - origin) / side), 0,
@@ -482,7 +495,7 @@ class Mesh:
         """
         m = self.num_triangles
         a = np.repeat(np.arange(m), 3)
-        b = self._tri.neighbors.ravel()
+        b = self.neighbors.ravel()
         a, b = a[b >= 0], b[b >= 0]
         same = self.comp[a] == self.comp[b]
         graph = sp.coo_matrix((np.ones(int(same.sum())), (a[same], b[same])),
@@ -493,20 +506,14 @@ class Mesh:
 
     def boundary_loop(self) -> np.ndarray:
         """Boundary node indices ordered counterclockwise."""
-        nxt = {}
-        for a, b in self.boundary_edges:
-            nxt.setdefault(int(a), []).append(int(b))
-            nxt.setdefault(int(b), []).append(int(a))
-        start = int(self.boundary_edges[0, 0])
-        loop = [start]
-        prev = None
-        while True:
-            cands = [n for n in nxt[loop[-1]] if n != prev]
-            prev = loop[-1]
-            loop.append(cands[0])
-            if loop[-1] == start:
-                loop.pop()
-                break
+        nbrs = {}
+        for a, b in self.boundary_edges.tolist():
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        loop = self.boundary_edges[0].tolist()
+        while len(loop) < len(nbrs):
+            u, v = nbrs[loop[-1]]
+            loop.append(v if u == loop[-2] else u)
         pts = self.points[loop]
         nxt_pts = np.roll(pts, -1, axis=0)
         area2 = (pts[:, 0] * nxt_pts[:, 1] - pts[:, 1] * nxt_pts[:, 0]).sum()
@@ -555,7 +562,6 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     extent = float(min(hi - lo))
 
     outer_nodes = scene.outer.nodes(h)
-    curves = [("outer", scene.outer, outer_nodes)]
 
     # the points where the inclusion crosses the interface are nodes of both
     breaks = None
@@ -565,7 +571,6 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     sigma_nodes = np.empty((0, 2))
     if scene.interface is not None:
         sigma_nodes = _curve_nodes(scene.interface, h, breaks)
-        curves.append(("interface", scene.interface, sigma_nodes))
 
     d_nodes = np.empty((0, 2))
     if scene.inclusion is not None:
@@ -577,13 +582,12 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
             on_sigma = dist < 1e-9 * extent
             keep = (dist > 0.4 * h) | on_sigma
             d_nodes = d_nodes[keep]
-        curves.append(("inclusion", scene.inclusion, d_nodes))
 
     clearance = 0.55 * h
     lattice = _hex_lattice(lo - 0.5 * h, hi + 0.5 * h, h)
     inside = scene.outer.signed_distance(lattice) < -clearance
     lattice = lattice[inside]
-    for _, curve, nodes in curves[1:]:
+    for nodes in (sigma_nodes, d_nodes):
         if len(nodes):
             dist = polyline_min_distance(lattice, nodes, cap=clearance)
             lattice = lattice[dist > clearance]
@@ -596,29 +600,23 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     if len(pts) < 5:
         raise MeshingError("too few nodes; decrease h")
 
-    tri = _Delaunay(pts)
-    triangles = tri.simplices
+    tri = Delaunay(pts, qhull_options=_QHULL_OPTIONS)
+    triangles, neighbors = tri.simplices, tri.neighbors
     centroids = pts[triangles].mean(axis=1)
     comp = scene.component(centroids)
     in_d = scene.in_inclusion(centroids)
 
-    boundary_edges = tri.convex_hull.copy()
-
-    interface_edges = np.empty((0, 2), dtype=int)
-    interface_tris = np.empty((0, 2), dtype=int)
-    if scene.interface is not None:
-        # each element pair (m, n > m) across a shared edge whose tags
-        # differ, in (m, k) order; edge k of m is opposite its vertex k
-        nb = tri.neighbors
-        m, k = np.nonzero(nb > np.arange(len(triangles))[:, None])
-        n = nb[m, k]
-        cross = comp[m] != comp[n]
-        m, k, n = m[cross], k[cross], n[cross]
-        interface_edges = np.column_stack(
-            [triangles[m, (k + 1) % 3], triangles[m, (k + 2) % 3]]).astype(int)
-        plus = comp[m] > 0
-        interface_tris = np.column_stack(
-            [np.where(plus, m, n), np.where(plus, n, m)]).astype(int)
+    # each element pair (m, n > m) across a shared edge whose tags differ,
+    # in (m, k) order; edge k of m is opposite its vertex k
+    m, k = np.nonzero(neighbors > np.arange(len(triangles))[:, None])
+    n = neighbors[m, k]
+    cross = comp[m] != comp[n]
+    m, k, n = m[cross], k[cross], n[cross]
+    interface_edges = np.column_stack(
+        [triangles[m, (k + 1) % 3], triangles[m, (k + 2) % 3]]).astype(int)
+    plus = comp[m] > 0
+    interface_tris = np.column_stack(
+        [np.where(plus, m, n), np.where(plus, n, m)]).astype(int)
 
     diagnostics = {}
     if scene.interface is not None and len(interface_edges):
@@ -639,15 +637,17 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
         diagnostics["straddling_triangles"] = int(
             ((vmin < -tol) & (vmax > tol)).sum())
 
-    mesh = Mesh(pts, triangles, comp, in_d, boundary_edges,
-                interface_edges, interface_tris, h, scene, tri, diagnostics)
+    mesh = Mesh(pts, triangles, neighbors, comp, in_d, tri.convex_hull,
+                interface_edges, interface_tris, h, scene, diagnostics)
     clusters = mesh.component_clusters()
     diagnostics["component_clusters"] = clusters
     if any(v != 1 for v in clusters.values()):
         raise MeshingError(
             f"domain minus interface splits into {clusters} clusters; "
             "expected one per component")
-    lens = mesh.edge_lengths()
+    p = pts[triangles]
+    lens = _norm(np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1],
+                                 p[:, 0] - p[:, 2]]))
     diagnostics["h_min"] = float(lens.min())
     diagnostics["h_max"] = float(lens.max())
     diagnostics["min_angle_deg"] = mesh.min_angle_deg()

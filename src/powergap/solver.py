@@ -51,6 +51,7 @@ __all__ = [
     "flux_balance",
     "export_solution_csv",
     "element_coefficients",
+    "inclusion_coefficients",
 ]
 
 # GMRES on the chiral block system: restart length, restart cycles and
@@ -131,20 +132,24 @@ class Solution:
         return (np.abs(self.gradient()) ** 2).sum(axis=1)
 
 
-def element_coefficients(mesh: Mesh, background: BackgroundTensor,
-                         law: Optional[InclusionLaw] = None):
-    """Per-element (sigma, eps, zeta) with the law applied on D elements."""
+def element_coefficients(mesh: Mesh, background: BackgroundTensor):
+    """Per-element (sigma, eps) of the background law."""
     c = mesh.centroids
-    sigma = background.sigma(c, mesh.comp)
-    eps = background.epsilon(c, mesh.comp)
-    zeta = None
-    if law is not None:
-        d = mesh.in_d
-        zeta = np.zeros_like(sigma)
-        if d.any():
-            sigma[d] = law.sigma1(c[d])
-            eps[d] = law.epsilon(c[d], background, mesh.comp[d])
-            zeta[d] = law.zeta1(c[d])
+    return background.sigma(c, mesh.comp), background.epsilon(c, mesh.comp)
+
+
+def inclusion_coefficients(mesh: Mesh, background: BackgroundTensor,
+                           law: InclusionLaw, sigma: np.ndarray,
+                           eps: np.ndarray):
+    """Per-element (sigma, eps, zeta) with the law applied on D elements:
+    copies of the background's sigma and eps, given, with the law's on D's
+    rows, and zeta, zero off D."""
+    d, c = mesh.in_d, mesh.centroids
+    sigma, eps, zeta = sigma.copy(), eps.copy(), np.zeros_like(sigma)
+    if d.any():
+        sigma[d] = law.sigma1(c[d])
+        eps[d] = law.epsilon(c[d], background, mesh.comp[d])
+        zeta[d] = law.zeta1(c[d])
     return sigma, eps, zeta
 
 
@@ -205,7 +210,7 @@ class BackgroundOperator:
     def __init__(self, mesh: Mesh, background: BackgroundTensor):
         self.mesh = mesh
         self.background = background
-        sigma, eps, _ = element_coefficients(mesh, background)
+        sigma, eps = element_coefficients(mesh, background)
         self.sigma_e, self.eps_e = sigma, eps
         self.k = assemble_stiffness(mesh, sigma + 1j * eps)
         self.m = mesh.node_mass()
@@ -340,7 +345,8 @@ def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
     SolverError.
     """
     mesh, background = op.mesh, op.background
-    sigma, eps, zeta = element_coefficients(mesh, background, law)
+    sigma, eps, zeta = inclusion_coefficients(mesh, background, law,
+                                              op.sigma_e, op.eps_e)
     if mesh.in_d.any():
         d = mesh.in_d
         lo = min(_eigvalsh2(sigma[d] + zeta[d])[:, 0].min(),

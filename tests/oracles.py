@@ -54,6 +54,7 @@ from powergap.solver import (
     assemble_stiffness,
     boundary_load,
     element_coefficients,
+    inclusion_coefficients,
 )
 
 
@@ -236,17 +237,20 @@ def polyline_distance_table(points, poly) -> np.ndarray:
 def stock_delaunay(mesh) -> Delaunay:
     """scipy's own triangulation of the mesh nodes, with its lazy transform.
 
-    The mesh's triangulation is the same Qhull run on the same points, so
-    the simplices must agree; only where the transform comes from differs.
+    The mesh's triangulation is Qhull on the same points with `Q5` added to
+    the default options, which changes no output, so the simplices and
+    their neighbours must agree.
     """
     tri = Delaunay(mesh.points)
     assert np.array_equal(tri.simplices, mesh.triangles)
+    assert np.array_equal(tri.neighbors, mesh.neighbors)
     return tri
 
 
 def stock_locate(mesh, points, tri=None) -> np.ndarray:
     """Element per point from stock `find_simplex`, misses taking the
-    element of the nearest centroid: the rule `Mesh.locate` follows."""
+    element of the nearest centroid: `Mesh.locate`'s answer wherever one
+    element holds the point or none does."""
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     tri = stock_delaunay(mesh) if tri is None else tri
     idx = tri.find_simplex(p)
@@ -561,7 +565,8 @@ def direct_block_solve(mesh, background, law, g):
     Returns the complex nodal field u and the two mean multipliers.
     """
     n = mesh.num_points
-    a = chiral_system(mesh, *element_coefficients(mesh, background, law))
+    a = chiral_system(mesh, *inclusion_coefficients(
+        mesh, background, law, *element_coefficients(mesh, background)))
     b, _ = boundary_load(mesh, g)
     x = spla.splu(a.tocsc()).solve(np.concatenate([b.real, b.imag, [0.0, 0.0]]))
     return x[:n] + 1j * x[n:2 * n], (float(x[-2]), float(x[-1]))

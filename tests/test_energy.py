@@ -284,7 +284,7 @@ class TestBracket:
 
     def test_state_matrix_maps_gradient(self, inclusion_setup):
         _, _, sol0, _, _ = inclusion_setup
-        t = gradient_to_state_matrices(sol0)
+        t = gradient_to_state_matrices(sol0, slice(None))
         grad = sol0.gradient()
         w = np.concatenate([grad.real, grad.imag], axis=1)
         v = state_vectors(sol0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from powergap import (
     Circle,
@@ -24,7 +25,7 @@ from powergap.geometry import (
     grid_integrate,
 )
 from powergap import smallness
-from powergap.mesh import Mesh, _Delaunay, build_mesh
+from powergap.mesh import Mesh, build_mesh
 from powergap.smallness import (
     _BoundaryShell,
     _FieldSampler,
@@ -54,6 +55,7 @@ from oracles import (
     point_grid_integrate,
     point_sampled_ball_sums,
     point_sq_sampler,
+    stock_delaunay,
     walked_chain_centers,
 )
 
@@ -500,13 +502,13 @@ def _random_disk_mesh(seed: int) -> Mesh:
     ang = rng.uniform(0.0, 2.0 * math.pi, 900)
     pts = np.vstack([np.column_stack([np.cos(rim), np.sin(rim)]),
                      np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])])
-    tri = _Delaunay(pts)
+    tri = Delaunay(pts)
     m = len(tri.simplices)
-    return Mesh(pts, tri.simplices, np.ones(m, dtype=np.int8),
+    return Mesh(pts, tri.simplices, tri.neighbors, np.ones(m, dtype=np.int8),
                 np.zeros(m, dtype=bool), tri.convex_hull.copy(),
                 np.empty((0, 2), dtype=int), np.empty((0, 2), dtype=int),
                 math.sqrt(math.pi / 900), Scene(outer=Circle((0, 0), 1.0)),
-                tri, {})
+                {})
 
 
 @functools.lru_cache(maxsize=None)
@@ -631,7 +633,7 @@ class TestBallKernel:
         r1, r2, r3 = 0.02, 0.06, 0.3
         centre = mid / np.linalg.norm(mid) * (1.0 - r3 - 1e-12)
         offsets, _, _, _ = grid_cells(Circle((0.0, 0.0), r3), 110)
-        assert (mesh._tri.find_simplex(centre + offsets) < 0).any()
+        assert (stock_delaunay(mesh).find_simplex(centre + offsets) < 0).any()
         chk = check_three_ball(sol, centre, r1, r2, r3)
         want = point_sampled_ball_sums(sol, centre, r3, 110)[0]
         assert chk.large_factor == pytest.approx(want, rel=1e-12)
@@ -653,8 +655,8 @@ class TestBallKernel:
                             mid / np.linalg.norm(mid) * (1.0 - radius - 1e-12),
                             [0.1, -0.2]])
         offsets, _, _, _ = grid_cells(Circle((0.0, 0.0), radius), 110)
-        past = [(mesh._tri.find_simplex(c + offsets) < 0).any()
-                for c in centres]
+        stock = stock_delaunay(mesh)
+        past = [(stock.find_simplex(c + offsets) < 0).any() for c in centres]
         assert past == [False, True, False]
         got = _ball_sums(sol, centres, radius, 110, gradient)
         for i, c in enumerate(centres):
@@ -748,7 +750,7 @@ class TestGridRaster:
         mesh, region, n, bbox = case
         xs, ys, cells, points = _grid_and_points(region, n, bbox)
         got = mesh.locate_grid(xs, ys, cells, mesh.grid_owners(xs, ys))
-        off = mesh._tri.find_simplex(points) < 0
+        off = stock_delaunay(mesh).find_simplex(points) < 0
         assert np.array_equal(got[off], mesh.locate(points[off]))
         assert (_barycentric_min(mesh, points[~off], got[~off])
                 >= -1e-12).all()

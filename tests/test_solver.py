@@ -28,6 +28,7 @@ from powergap.solver import (
     assemble_stiffness,
     boundary_load,
     element_coefficients,
+    inclusion_coefficients,
 )
 
 from corpus import (
@@ -404,7 +405,8 @@ class TestChiralOperator:
     @pytest.mark.parametrize("name,param", CORPUS + EPSILON1)
     def test_apply_matches_block_matrix(self, name, param, rng):
         mesh, bg, law, _ = krylov_case(name, param)
-        coeffs = element_coefficients(mesh, bg, law)
+        coeffs = inclusion_coefficients(mesh, bg, law,
+                                        *element_coefficients(mesh, bg))
         chiral = _ChiralOperator(BackgroundOperator(mesh, bg), *coeffs)
         if name == "epsilon1":
             assert np.abs(chiral.k_delta.data.imag).max() > 0
