@@ -2,16 +2,15 @@
 
 Everything here is immutable after construction and evaluates pointwise on
 numpy arrays of shape (n, 2), so it is safe to call from concurrent contexts.
-Distance queries against curved boundaries go through polyline
-discretizations whose resolution the caller controls; the resulting O(h)
-errors are absorbed by the fitted constants downstream. The distance to
-the polyline itself is exact: it equals the minimum over all segments.
+Curves answer their own queries exactly (containment, signed distance,
+the parameter of a point on them, the local chart), and the distance to a
+polygon is exact too: the minimum over all its segments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,12 +169,30 @@ class Circle:
         p = as_points(points)
         return _norm(p - np.asarray(self.center)) - self.radius
 
-    def polyline(self, n: int) -> np.ndarray:
-        return self.point_at(np.arange(n) / n)
-
     def nodes(self, h: float) -> np.ndarray:
         n = max(12, int(math.ceil(self.perimeter / h)))
-        return self.polyline(n)
+        return self.point_at(np.arange(n) / n)
+
+    def param_of(self, points) -> np.ndarray:
+        """Parameter t in [0,1) of points assumed to lie on the curve."""
+        p = as_points(points) - np.asarray(self.center)
+        ang = np.arctan2(p[:, 1], p[:, 0])
+        return np.mod(ang / (2.0 * np.pi), 1.0)
+
+    def chart(self, t: float, rho0: float) -> tuple:
+        """Anchor, tangent, outward normal and graph psi at parameter t."""
+        P = self.point_at(t).reshape(2)
+        c = np.asarray(self.center)
+        normal = (P - c) / np.linalg.norm(P - c)
+        tangent = np.array([-normal[1], normal[0]])
+        R = self.radius
+        if rho0 >= R:
+            raise ValueError("chart radius must be below the circle radius")
+
+        def psi(xp, R=R):
+            xp = np.asarray(xp, dtype=float)
+            return np.sqrt(R * R - xp * xp) - R
+        return P, tangent, normal, psi
 
     def bbox(self):
         c = np.asarray(self.center)
@@ -189,16 +206,11 @@ class Circle:
 
 @dataclass(frozen=True)
 class Ellipse:
-    """Axis-aligned ellipse with semi-axes (a, b).
-
-    Distance queries use a cached polyline discretization; containment is
-    exact via the implicit quadratic.
-    """
+    """Axis-aligned ellipse with semi-axes (a, b); all queries are exact."""
 
     center: tuple[float, float]
     a: float
     b: float
-    _poly_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -225,31 +237,90 @@ class Ellipse:
     def contains(self, points) -> np.ndarray:
         return self._implicit(points) < 0.0
 
-    def _dense_poly(self) -> np.ndarray:
-        if "poly" not in self._poly_cache:
-            self._poly_cache["poly"] = self.polyline(2048)
-        return self._poly_cache["poly"]
-
     def signed_distance(self, points) -> np.ndarray:
-        d = polyline_min_distance(points, self._dense_poly())
-        return np.where(self.contains(points), -d, d)
+        """Distance to the curve, negative where `contains` holds.
 
-    def polyline(self, n: int) -> np.ndarray:
-        return self.point_at(np.arange(n) / n)
+        Eberly's foot point (Distance from a Point to an Ellipse, an
+        Ellipsoid, or a Hyperellipsoid, Geometric Tools, 2013) of y =
+        |p - center|, with the longer semi-axis e0 first, z = y / e and
+        r = (e0 / e1)^2. Off the axes it is (r y0 / (u + r - 1), y1 / u)
+        at the root u > 0 of the decreasing F(u) = (r z0 / (u + r - 1))^2
+        + (z1 / u)^2 - 1, bisected to the last bit in [z1, 1] inside and
+        [1, |(r z0, z1)|] outside; Eberly's s = u - 1 would cancel near the
+        centre. The distance is then |1 - u| |(y0 / (u + r - 1), y1 / u)|.
+        On the axes the foot point has a closed form.
+        """
+        g = self._implicit(points)
+        p = np.abs(as_points(points) - np.asarray(self.center))
+        e0, e1 = max(self.a, self.b), min(self.a, self.b)
+        y0, y1 = (p if self.a >= self.b else p[:, ::-1]).T
+        d = np.abs(y1 - e1)  # the minor axis
+        major = np.flatnonzero((y1 == 0.0) & (y0 > 0.0))
+        d[major] = np.abs(y0[major] - e0)
+        k = major[e0 * y0[major] < e0 * e0 - e1 * e1]
+        x = e0 * y0[k] / (e0 * e0 - e1 * e1)
+        d[k] = np.hypot(e0 * x - y0[k], e1 * np.sqrt(1.0 - x * x))
+        off = np.flatnonzero((y0 > 0.0) & (y1 > 0.0))
+        y0, y1 = y0[off], y1[off]
+        z1, n0, rm1 = y1 / e1, (e0 / e1) * (y0 / e1), (e0 / e1) ** 2 - 1.0
+        inside = g[off] < 0.0
+        lo, hi = np.where(inside, z1, 1.0), np.where(inside, 1.0, np.hypot(n0, z1))
+        u, todo = np.empty(len(off)), np.arange(len(off))
+        while len(todo):
+            mid = 0.5 * (lo + hi)
+            f = (n0[todo] / (mid + rm1)) ** 2 + (z1[todo] / mid) ** 2 - 1.0
+            done = (mid == lo) | (mid == hi) | (f == 0.0)
+            u[todo[done]] = mid[done]
+            todo, mid, f, lo, hi = (v[~done] for v in (todo, mid, f, lo, hi))
+            lo, hi = np.where(f > 0.0, mid, lo), np.where(f > 0.0, hi, mid)
+        d[off] = np.abs(1.0 - u) * np.hypot(y0 / (u + rm1), y1 / u)
+        return np.where(g < 0.0, -d, d)
 
     def nodes(self, h: float) -> np.ndarray:
-        # even arc-length spacing via resampling of a dense parameter polyline
-        dense = self.polyline(4096)
+        # even arc-length spacing: the parameter interpolated in a
+        # 4096-chord arc-length table, so every node lies on the curve
+        dense = self.point_at(np.arange(4096) / 4096)
         seg = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
         s = np.concatenate([[0.0], np.cumsum(seg)])
-        total = s[-1]
-        n = max(12, int(math.ceil(total / h)))
-        targets = np.linspace(0.0, total, n, endpoint=False)
+        n = max(12, int(math.ceil(s[-1] / h)))
+        targets = np.linspace(0.0, s[-1], n, endpoint=False)
         idx = np.searchsorted(s, targets, side="right") - 1
-        idx = np.clip(idx, 0, len(dense) - 1)
         frac = (targets - s[idx]) / np.maximum(seg[idx], 1e-300)
-        nxt = (idx + 1) % len(dense)
-        return dense[idx] + frac[:, None] * (dense[nxt] - dense[idx])
+        return self.point_at((idx + frac) / 4096)
+
+    def param_of(self, points) -> np.ndarray:
+        """Parameter t in [0,1) of points assumed to lie on the curve."""
+        p = as_points(points) - np.asarray(self.center)
+        ang = np.arctan2(p[:, 1] / self.b, p[:, 0] / self.a)
+        return np.mod(ang / (2.0 * np.pi), 1.0)
+
+    def chart(self, t: float, rho0: float) -> tuple:
+        """Anchor, tangent, outward normal and graph psi at parameter t."""
+        P = self.point_at(t).reshape(2)
+        c = np.asarray(self.center)
+        w = P - c
+        grad = np.array([2.0 * w[0] / self.a ** 2, 2.0 * w[1] / self.b ** 2])
+        normal = grad / np.linalg.norm(grad)
+        tangent = np.array([-normal[1], normal[0]])
+
+        def psi(xp, P=P, c=c, t=tangent, n=normal, aa=self.a, bb=self.b):
+            # solve the implicit quadratic for the graph height along n
+            xp = np.asarray(xp, dtype=float)
+            scalar = xp.ndim == 0
+            xv = np.atleast_1d(xp)
+            base = (P - c)[None, :] + xv[:, None] * t[None, :]
+            A = (n[0] / aa) ** 2 + (n[1] / bb) ** 2
+            B = 2.0 * (base[:, 0] * n[0] / aa ** 2 + base[:, 1] * n[1] / bb ** 2)
+            Cc = (base[:, 0] / aa) ** 2 + (base[:, 1] / bb) ** 2 - 1.0
+            disc = B * B - 4.0 * A * Cc
+            if np.any(disc < 0):
+                raise ChartRangeError("chart leaves the ellipse graph range")
+            sq = np.sqrt(disc)
+            r1 = (-B + sq) / (2.0 * A)
+            r2 = (-B - sq) / (2.0 * A)
+            out = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
+            return out[0] if scalar else out
+        return P, tangent, normal, psi
 
     def bbox(self):
         c = np.asarray(self.center)
@@ -351,8 +422,7 @@ def dilate(region, s: float):
 _LAZY_BLOCK = 8
 
 # Slack of the block test, in cell sides: it covers the rounding of the
-# distances and the small jump of `Ellipse.signed_distance` (see
-# `_grid_rule`).
+# distances.
 _LAZY_SLACK = 0.25
 
 
@@ -366,7 +436,7 @@ def _grid_rule(region, n: int):
     square of the cell size for smooth boundaries; it is 0 for cells off the
     region. A box of zero width or height gives no cells.
 
-    `region.signed_distance` must be 1-Lipschitz, up to a jump below
+    `region.signed_distance` must be 1-Lipschitz, up to rounding below
     ``_LAZY_SLACK`` cell sides, and evaluate each point on its own. The
     rule then evaluates it first at the centre of each block of
     ``_LAZY_BLOCK`` x ``_LAZY_BLOCK`` cells (the last block of a row or
@@ -374,13 +444,9 @@ def _grid_rule(region, n: int):
     half-diagonal plus half a cell side plus the slack away from the
     boundary, every midpoint of the block is more than half a cell side
     away on the same side, so the formula gives exactly 0.0 or 1.0 there;
-    only the other blocks evaluate it per cell. Circles, boxes, their
-    scalings, erosions and dilations, and boundary shells are exactly
-    1-Lipschitz. An `Ellipse`'s distance is to a 2048-gon inscribed in it,
-    with the sign of the exact ellipse, so it jumps by twice the polygon's
-    largest sagitta, about 2.4e-6 of the longer semi-axis, across the
-    curve: below the slack for any grid of fewer than 100 000 cells over
-    the ellipse's box.
+    only the other blocks evaluate it per cell. Circles, ellipses, boxes,
+    their scalings, erosions and dilations, and boundary shells are
+    exactly 1-Lipschitz.
     """
     lo, hi = region.bbox()
     lo = np.asarray(lo, dtype=float)
@@ -733,52 +799,10 @@ class FlatteningMap:
 
 def flattening_map(curve, anchor_t: float, rho0: float,
                    K0: float) -> FlatteningMap:
-    """Build the local chart for a circle or ellipse interface at parameter t.
-
-    The normal points away from the enclosed (minus) component. The graph
-    psi is the curve's own: psi(0) is exactly 0 on a circle, and within
-    rounding of 0 on an ellipse.
-    """
-    P = curve.point_at(anchor_t).reshape(2)
-    if isinstance(curve, Circle):
-        c = np.asarray(curve.center)
-        normal = (P - c) / np.linalg.norm(P - c)
-        tangent = np.array([-normal[1], normal[0]])
-        R = curve.radius
-        if rho0 >= R:
-            raise ValueError("chart radius must be below the circle radius")
-
-        def psi(xp, R=R):
-            xp = np.asarray(xp, dtype=float)
-            return np.sqrt(R * R - xp * xp) - R
-    elif isinstance(curve, Ellipse):
-        c = np.asarray(curve.center)
-        w = P - c
-        grad = np.array([2.0 * w[0] / curve.a ** 2, 2.0 * w[1] / curve.b ** 2])
-        normal = grad / np.linalg.norm(grad)
-        tangent = np.array([-normal[1], normal[0]])
-        aa, bb = curve.a, curve.b
-
-        def psi(xp, P=P, c=c, t=tangent, n=normal, aa=aa, bb=bb):
-            # solve the implicit quadratic for the graph height along n
-            xp = np.asarray(xp, dtype=float)
-            scalar = xp.ndim == 0
-            xv = np.atleast_1d(xp)
-            base = (P - c)[None, :] + xv[:, None] * t[None, :]
-            A = (n[0] / aa) ** 2 + (n[1] / bb) ** 2
-            B = 2.0 * (base[:, 0] * n[0] / aa ** 2 + base[:, 1] * n[1] / bb ** 2)
-            Cc = (base[:, 0] / aa) ** 2 + (base[:, 1] / bb) ** 2 - 1.0
-            disc = B * B - 4.0 * A * Cc
-            if np.any(disc < 0):
-                raise ChartRangeError("chart leaves the ellipse graph range")
-            sq = np.sqrt(disc)
-            r1 = (-B + sq) / (2.0 * A)
-            r2 = (-B - sq) / (2.0 * A)
-            out = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-            return out[0] if scalar else out
-    else:
-        raise TypeError(f"no local graph available for {type(curve).__name__}")
-    return FlatteningMap(P, tangent, normal, psi, rho0, K0)
+    """The interface's own chart (`chart`) at parameter t; its normal points
+    away from the enclosed (minus) component, and psi(0) is exactly 0 on a
+    circle and within rounding of 0 on an ellipse."""
+    return FlatteningMap(*curve.chart(anchor_t, rho0), rho0, K0)
 
 
 # ---------------------------------------------------------------------------

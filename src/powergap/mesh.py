@@ -68,28 +68,23 @@ def circle_circle_intersections(c1: Circle, c2: Circle) -> np.ndarray:
     return np.vstack([mid + h * perp, mid - h * perp])
 
 
-# Polygon vertices along which `_generic_intersections` seeks sign changes.
+# Parameter samples of curve_b in `_generic_intersections`.
 _CROSSING_SAMPLES = 2048
 
 
 def _generic_intersections(curve_a, curve_b) -> np.ndarray:
-    """Crossing points via sign changes of curve_a membership along curve_b."""
-    poly = curve_b.polyline(_CROSSING_SAMPLES)
-    inside = curve_a.contains(poly)
-    flips = np.nonzero(inside != np.roll(inside, -1))[0]
-    pts = []
-    for i in flips:
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        fa = curve_a.signed_distance(a)[0]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = curve_a.signed_distance(m)[0]
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        pts.append(0.5 * (a + b))
-    return np.asarray(pts) if pts else np.empty((0, 2))
+    """Crossings bisected in curve_b's parameter where curve_a's
+    containment flips, so they lie on curve_b and, to the last bit of the
+    parameter, on curve_a."""
+    t = np.arange(_CROSSING_SAMPLES) / _CROSSING_SAMPLES
+    inside = curve_a.contains(curve_b.point_at(t))
+    i = np.nonzero(inside != np.roll(inside, -1))[0]
+    lo, hi = t[i], (i + 1) / _CROSSING_SAMPLES
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = curve_a.contains(curve_b.point_at(mid)) == inside[i]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return curve_b.point_at(0.5 * (lo + hi))
 
 
 def curve_intersections(curve_a, curve_b) -> np.ndarray:
@@ -98,21 +93,11 @@ def curve_intersections(curve_a, curve_b) -> np.ndarray:
     return _generic_intersections(curve_a, curve_b)
 
 
-def _param_of(curve, points) -> np.ndarray:
-    """Parameter t in [0,1) of points assumed to lie on the curve."""
-    p = as_points(points) - np.asarray(curve.center)
-    if isinstance(curve, Circle):
-        ang = np.arctan2(p[:, 1], p[:, 0])
-    else:  # ellipse parametrization
-        ang = np.arctan2(p[:, 1] / curve.b, p[:, 0] / curve.a)
-    return np.mod(ang / (2.0 * np.pi), 1.0)
-
-
 def _curve_nodes(curve, h: float, break_points: Optional[np.ndarray]) -> np.ndarray:
     """Nodes with spacing about h, forced to pass through the break points."""
     if break_points is None or len(break_points) == 0:
         return curve.nodes(h)
-    ts = np.sort(_param_of(curve, break_points))
+    ts = np.sort(curve.param_of(break_points))
     out = []
     for k, t0 in enumerate(ts):
         t1 = ts[(k + 1) % len(ts)]
@@ -579,9 +564,7 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
             # drop inclusion nodes crowding the interface polyline, but keep
             # the shared crossing nodes (they exist in both node sets)
             dist = polyline_min_distance(d_nodes, sigma_nodes, cap=0.4 * h)
-            on_sigma = dist < 1e-9 * extent
-            keep = (dist > 0.4 * h) | on_sigma
-            d_nodes = d_nodes[keep]
+            d_nodes = d_nodes[(dist > 0.4 * h) | (dist < 1e-9 * extent)]
 
     clearance = 0.55 * h
     lattice = _hex_lattice(lo - 0.5 * h, hi + 0.5 * h, h)
@@ -623,19 +606,12 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
         ends = pts[interface_edges.ravel()]
         diagnostics["interface_node_dist"] = float(
             np.abs(scene.interface.signed_distance(ends)).max())
-        # count elements whose vertices strictly straddle the interface.
-        # The curve's nodes may sit slightly off the zero set of its signed
-        # distance (an ellipse places them on a 4096-chord polyline and
-        # measures to an inscribed 2048-gon), so a vertex within twice the
-        # largest such offset counts as on the curve.
-        sd = scene.interface.signed_distance(pts)
-        on_curve = float(np.abs(scene.interface.signed_distance(
-            sigma_nodes)).max())
-        tol = max(1e-7 * extent, 2.0 * on_curve)
-        vmin = sd[triangles].min(axis=1)
-        vmax = sd[triangles].max(axis=1)
+        # count elements whose vertices strictly straddle the interface;
+        # a vertex within 1e-7 of the extent counts as on the curve
+        sd = scene.interface.signed_distance(pts)[triangles]
+        tol = 1e-7 * extent
         diagnostics["straddling_triangles"] = int(
-            ((vmin < -tol) & (vmax > tol)).sum())
+            ((sd.min(axis=1) < -tol) & (sd.max(axis=1) > tol)).sum())
 
     mesh = Mesh(pts, triangles, neighbors, comp, in_d, tri.convex_hull,
                 interface_edges, interface_tris, h, scene, diagnostics)

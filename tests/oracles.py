@@ -2,8 +2,9 @@
 
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
-come from Monte Carlo, covering counts from a direct 1d construction, and
-polyline distances from the full point x segment table, ball chains
+come from Monte Carlo, covering counts from a direct 1d construction,
+polyline distances from the full point x segment table, ellipse distances
+from dense parameter sampling refined by Newton's method, ball chains
 from a walk that finds each next centre as a sphere crossing, point location
 and P1 samples from a stock scipy Delaunay with its own LAPACK-built
 transform, the minimum angle from one arccos per angle, and the boundary
@@ -232,6 +233,40 @@ def polyline_distance_table(points, poly) -> np.ndarray:
     return np.concatenate(
         [_segment_distances(p[lo:lo + rows], a, b).min(axis=1)
          for lo in range(0, len(p), rows)])
+
+
+def ellipse_distance(ellipse, points, samples: int = 4096,
+                     steps: int = 50) -> np.ndarray:
+    """Distance from each point to an ellipse, by brute force.
+
+    The squared distance D(t) from the point to (a cos t, b sin t) is
+    sampled at `samples` angles; Newton's method on D'(t) = 0 then runs
+    `steps` times from every sampled local minimum, so each basin of a
+    point near the evolute is refined. Every value is the distance to a
+    point of the curve, so the least one found is the answer.
+    """
+    y = as_points(points) - np.asarray(ellipse.center, dtype=float)
+    a, b = float(ellipse.a), float(ellipse.b)
+
+    def sq(t, k):
+        return (a * np.cos(t) - y[k, 0, None]) ** 2 \
+            + (b * np.sin(t) - y[k, 1, None]) ** 2
+
+    th = 2.0 * np.pi * np.arange(samples) / samples
+    v = sq(th[None, :], np.arange(len(y)))
+    k, j = np.nonzero((v <= np.roll(v, 1, axis=1))
+                      & (v <= np.roll(v, -1, axis=1)))
+    t = th[j]
+    y0, y1 = y[k, 0], y[k, 1]
+    for _ in range(steps):
+        s, c = np.sin(t), np.cos(t)
+        d1 = (b * b - a * a) * s * c + a * y0 * s - b * y1 * c
+        d2 = (b * b - a * a) * (c * c - s * s) + a * y0 * c + b * y1 * s
+        convex = d2 > 0.0
+        t = t - np.where(convex, d1, 0.0) / np.where(convex, d2, 1.0)
+    best = v.min(axis=1)
+    np.minimum.at(best, k, sq(t[:, None], k)[:, 0])
+    return np.sqrt(best)
 
 
 def stock_delaunay(mesh) -> Delaunay:

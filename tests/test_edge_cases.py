@@ -31,9 +31,21 @@ class TestGenericCrossings:
         pts = curve_intersections(ell, disk)
         assert len(pts) == 2
         impl = (pts[:, 0] / 0.55) ** 2 + (pts[:, 1] / 0.4) ** 2
-        assert np.abs(impl - 1.0).max() < 1e-6
+        assert np.abs(impl - 1.0).max() < 1e-12
         assert np.abs(np.linalg.norm(pts - [0.55, 0.0], axis=1)
-                      - 0.12).max() < 1e-6
+                      - 0.12).max() < 1e-12
+
+    def test_crossing_is_a_node_of_both_curves(self):
+        # bisected along the circle's own parameter, the crossings lie on
+        # both curves, so the circle's copy of each survives as the shared
+        # node instead of falling to the inclusion-versus-interface filter
+        ell = Ellipse((0.0, 0.0), 0.55, 0.4)
+        disk = Circle((0.55, 0.0), 0.15)
+        mesh = build_mesh(Scene(outer=Circle((0, 0), 1.0), interface=ell,
+                                inclusion=disk), 0.03)
+        on_both = (np.abs(ell.signed_distance(mesh.points)) <= 1e-12) \
+            & (np.abs(disk.signed_distance(mesh.points)) <= 1e-12)
+        assert np.count_nonzero(on_both) == 2
 
     def test_ellipse_interface_crossing_mesh_and_solve(self):
         scene = Scene(outer=Circle((0, 0), 1.0),

@@ -39,6 +39,7 @@ from oracles import (
     Boxed,
     FnSampler,
     dense_grid_rule,
+    ellipse_distance,
     eta_norm,
     flatten,
     grid_cells,
@@ -410,6 +411,63 @@ class TestLengthKernels:
         want = (np.linalg.norm(np.maximum(q, 0.0), axis=1)
                 + np.minimum(np.max(q, axis=1), 0.0))
         assert np.array_equal(box.signed_distance(p), want)
+
+
+@st.composite
+def ellipse_queries(draw):
+    """(ellipse, points): semi-axes equal, wider, taller or as thin as
+    (0.4, 0.01), off-origin centres, and points in the box, on the axes,
+    at the centre, near the evolute and near the curve."""
+    a = draw(st.floats(0.05, 1.0))
+    b = draw(st.one_of(st.just(a), st.floats(0.05, 1.0)))
+    a, b = draw(st.sampled_from([(a, b), (0.4, 0.01), (0.01, 0.4)]))
+    c = draw(st.one_of(st.just((0.0, 0.0)),
+                       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = max(a, b)
+    box = rng.uniform(-2.0 * r, 2.0 * r, (16, 2))
+    s = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-2.0, 2.0, 5)])
+    axes = np.vstack([np.column_stack([a * s, 0.0 * s]),
+                      np.column_stack([0.0 * s, b * s]), [[0.0, 0.0]]])
+    t = rng.uniform(0.0, 2.0 * np.pi, 16)
+    evolute = np.column_stack([(a * a - b * b) / a * np.cos(t) ** 3,
+                               (b * b - a * a) / b * np.sin(t) ** 3])
+    evolute += rng.normal(size=(16, 2)) * 10.0 ** rng.uniform(-9, -2, (16, 1))
+    near = np.column_stack([a * np.cos(t), b * np.sin(t)]) \
+        + rng.normal(size=(16, 2)) * 10.0 ** rng.uniform(-12, -1, (16, 1))
+    pts = np.vstack([box, axes, evolute, near])
+    return Ellipse(c, a, b), np.asarray(c) + pts
+
+
+class TestEllipseDistance:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(ellipse_queries())
+    def test_matches_the_oracle(self, case):
+        ell, pts = case
+        sd = ell.signed_distance(pts)
+        assert np.abs(np.abs(sd) - ellipse_distance(ell, pts)).max() <= 1e-12
+        assert np.array_equal(sd < 0.0, ell.contains(pts))
+
+    @pytest.mark.parametrize("c, a, b", [
+        ((0.0, 0.0), 0.55, 0.4), ((0.0, 0.0), 0.35, 0.2),
+        ((0.3, -0.2), 0.2, 0.5), ((0.1, 0.1), 0.3, 0.3),
+        ((0.0, 0.0), 0.4, 0.01)])
+    def test_continuous_across_the_curve(self, c, a, b):
+        # a step of 2e-9 along the normal at each arc midpoint of the
+        # 2048-gon changes the distance by 2e-9 and nothing more
+        ell = Ellipse(c, a, b)
+        p = ell.point_at((np.arange(2048) + 0.5) / 2048)
+        w = p - np.asarray(c)
+        n = np.column_stack([w[:, 0] / a ** 2, w[:, 1] / b ** 2])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        jump = ell.signed_distance(p + 1e-9 * n) \
+            - ell.signed_distance(p - 1e-9 * n) - 2e-9
+        assert np.abs(jump).max() <= 1e-12
+
+    def test_nodes_lie_on_the_curve(self):
+        ell = Ellipse((0.1, -0.2), 0.55, 0.4)
+        assert np.abs(ell.signed_distance(ell.nodes(0.015))).max() <= 1e-15
 
 
 class TestPolylineDistance:

@@ -116,10 +116,9 @@ class TestBuildMesh:
 
     @pytest.mark.parametrize("h", [0.03, 0.015])
     def test_ellipse_interface_does_not_straddle(self, h):
-        # the ellipse's nodes lie on it, but its signed distance measures
-        # to an inscribed polygon and puts them up to its sagitta off
+        # the ellipse's nodes lie on it, and its signed distance is exact
         mesh = _config_mesh("curved_ellipse", h)
-        assert 1e-7 < mesh.diagnostics["interface_node_dist"] < 1e-6
+        assert mesh.diagnostics["interface_node_dist"] <= 1e-12
         assert mesh.diagnostics["straddling_triangles"] == 0
 
     def test_true_straddle_still_counted(self, monkeypatch):

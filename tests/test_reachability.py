@@ -73,6 +73,10 @@ _VARIANTS = {
         "scene": {"inclusion": {"kind": "ellipse", "center": [0.0, 0.0],
                                 "a": 0.25, "b": 0.15}}}),
     "three_ball": ("one_phase_disk", {"checks": ["three_ball"]}),
+    "ellipse_crossed": ("curved_ellipse", {
+        "checks": ["admissibility", "energy"],
+        "scene": {"inclusion": {"kind": "circle", "center": [0.55, 0.0],
+                                "radius": 0.12}}}),
 }
 
 
