@@ -173,6 +173,14 @@ class Circle:
         n = max(12, int(math.ceil(self.perimeter / h)))
         return self.point_at(np.arange(n) / n)
 
+    def arc_of(self, t):
+        """Share of the perimeter from parameter 0 to t: t itself."""
+        return t
+
+    def param_at_arc(self, share):
+        """Parameter at a share of the perimeter: the share itself."""
+        return share
+
     def param_of(self, points) -> np.ndarray:
         """Parameter t in [0,1) of points assumed to lie on the curve."""
         p = as_points(points) - np.asarray(self.center)
@@ -276,17 +284,36 @@ class Ellipse:
         d[off] = np.abs(1.0 - u) * np.hypot(y0 / (u + rm1), y1 / u)
         return np.where(g < 0.0, -d, d)
 
-    def nodes(self, h: float) -> np.ndarray:
-        # even arc-length spacing: the parameter interpolated in a
-        # 4096-chord arc-length table, so every node lies on the curve
+    def _arc_table(self) -> tuple:
+        """Chord lengths of 4096 even parameter steps, and their running
+        sum s from 0: the arc-length table every node placement reads."""
         dense = self.point_at(np.arange(4096) / 4096)
         seg = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
+        return seg, np.concatenate([[0.0], np.cumsum(seg)])
+
+    @staticmethod
+    def _param_at_length(lengths, seg, s) -> np.ndarray:
+        """Parameters at arc lengths in [0, s[-1]), interpolated in the table."""
+        idx = np.minimum(np.searchsorted(s, lengths, side="right") - 1, 4095)
+        frac = (lengths - s[idx]) / np.maximum(seg[idx], 1e-300)
+        return (idx + frac) / 4096
+
+    def nodes(self, h: float) -> np.ndarray:
+        # even arc-length spacing, so every node lies on the curve
+        seg, s = self._arc_table()
         n = max(12, int(math.ceil(s[-1] / h)))
         targets = np.linspace(0.0, s[-1], n, endpoint=False)
-        idx = np.searchsorted(s, targets, side="right") - 1
-        frac = (targets - s[idx]) / np.maximum(seg[idx], 1e-300)
-        return self.point_at((idx + frac) / 4096)
+        return self.point_at(self._param_at_length(targets, seg, s))
+
+    def arc_of(self, t) -> np.ndarray:
+        """Share of the perimeter from parameter 0 to t."""
+        _, s = self._arc_table()
+        return np.interp(np.asarray(t) * 4096, np.arange(4097), s) / s[-1]
+
+    def param_at_arc(self, share) -> np.ndarray:
+        """Parameter at a share in [0, 1) of the perimeter."""
+        seg, s = self._arc_table()
+        return self._param_at_length(np.asarray(share) * s[-1], seg, s)
 
     def param_of(self, points) -> np.ndarray:
         """Parameter t in [0,1) of points assumed to lie on the curve."""

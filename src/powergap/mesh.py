@@ -94,10 +94,14 @@ def curve_intersections(curve_a, curve_b) -> np.ndarray:
 
 
 def _curve_nodes(curve, h: float, break_points: Optional[np.ndarray]) -> np.ndarray:
-    """Nodes with spacing about h, forced to pass through the break points."""
+    """Nodes spaced about h in arc length, through the break points.
+
+    Between two break points the nodes are even in the share of the
+    perimeter (`arc_of`), which on an ellipse is not its parameter.
+    """
     if break_points is None or len(break_points) == 0:
         return curve.nodes(h)
-    ts = np.sort(curve.param_of(break_points))
+    ts = np.sort(curve.arc_of(curve.param_of(break_points)))
     out = []
     for k, t0 in enumerate(ts):
         t1 = ts[(k + 1) % len(ts)]
@@ -107,7 +111,7 @@ def _curve_nodes(curve, h: float, break_points: Optional[np.ndarray]) -> np.ndar
         arc = span * curve.perimeter
         n = max(1, int(math.ceil(arc / h)))
         out.append(np.mod(t0 + span * np.arange(n) / n, 1.0))
-    return curve.point_at(np.concatenate(out))
+    return curve.point_at(curve.param_at_arc(np.concatenate(out)))
 
 
 class Mesh:

@@ -3,8 +3,15 @@
 The background problem is complex-linear and assembled as one complex
 sparse system K0, bordered by the node-mass row m that enforces zero mean
 through one complex Lagrange multiplier, and factorized by a sparse direct
-LU. The perturbed problem is only real-linear because of the chiral term.
-Its operator is applied in complex form,
+LU. The LU takes the nodes in a nested-dissection order of the mesh
+(George, SIAM J. Numer. Anal. 10, 1973), with the border row second to
+last, and pivots on the diagonal only: K0's real part is the sigma
+stiffness, positive definite once one node is left out, so every pivot is
+nonzero (`_bordered_factor`). At h = 0.0075 that is 5.9 M fill, against
+10.3 M under splu's default COLAMD with partial pivoting.
+
+The perturbed problem is only real-linear because of the chiral term. Its
+operator is applied in complex form,
 
     K0 u + K_delta u + K_zeta conj(u) + m lambda,
 
@@ -59,6 +66,9 @@ __all__ = [
 _GMRES_RESTART = 50
 _GMRES_MAXITER = 4
 _GMRES_RTOL = 1e-12
+
+# most nodes a set of the nested dissection holds without being cut
+_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -193,14 +203,108 @@ def boundary_load(mesh: Mesh, g: NeumannData):
     return raw - mean * phi, mean
 
 
-def _bordered_factor(k: sp.csr_matrix, m: np.ndarray):
+def _dissection_order(points: np.ndarray, k: sp.csr_matrix) -> np.ndarray:
+    """George's nested dissection of the nodes by coordinate bisection.
+
+    A set of more than `_LEAF` nodes is cut at the median of its longer
+    coordinate extent (x on a tie); nodes with c <= median go left. Its
+    separator is the set of left nodes with a K0 neighbour on the right.
+    The order holds the left nodes less the separator, dissected, then the
+    right nodes, dissected, then the separator. A leaf, or a set with no
+    node right of its median, keeps its nodes in index order, as does a
+    separator.
+
+    The sets are visited depth first from an explicit stack. A nested
+    function that calls itself would be a reference cycle, holding its
+    arrays until the cycle collector runs; that raised fine_solve's
+    peak_rss_mb by about 13 MB.
+    """
+    indptr, indices = k.indptr, k.indices
+    degree = np.diff(indptr)
+    right = np.zeros(len(points), dtype=bool)
+    order, todo = [], [np.arange(len(points))]
+    while todo:
+        nodes = todo.pop()
+        if isinstance(nodes, tuple):  # a separator, after both its halves
+            order.append(nodes[0])
+            continue
+        if len(nodes) > _LEAF:
+            p = points[nodes]
+            extent = p.max(axis=0) - p.min(axis=0)
+            c = p[:, 0] if extent[0] >= extent[1] else p[:, 1]
+            left = c <= np.median(c)
+            if not left.all():
+                lo, hi = nodes[left], nodes[~left]
+                # the K0 row of each left node, flagged where it meets the right
+                ends = np.cumsum(degree[lo])
+                row_at = ends - degree[lo]
+                at = np.arange(ends[-1]) + np.repeat(indptr[lo] - row_at,
+                                                     degree[lo])
+                right[hi] = True
+                sep = np.logical_or.reduceat(right[indices[at]], row_at)
+                right[hi] = False
+                todo += [(lo[sep],), hi, lo[~sep]]
+                continue
+        order.append(nodes)
+    return np.concatenate(order)
+
+
+class _BorderedLU:
+    """The bordered LU, factored in a permuted order; `solve` takes and
+    returns vectors in the system's own order."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self.lu, self.perm = lu, perm
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(rhs[self.perm])
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
+def _permuted_bordered(k: sp.csr_matrix, m: np.ndarray,
+                       perm: np.ndarray) -> sp.csc_matrix:
+    """[[K, m], [m^T, 0]] with its rows and columns taken in the order
+    `perm`, built once from K's COO indices."""
     n = k.shape[0]
-    mcol = sp.csr_matrix(m.reshape(n, 1))
-    a = sp.bmat([[k, mcol], [mcol.T, None]], format="csc")
+    at = np.empty(n + 1, dtype=np.intp)
+    at[perm] = np.arange(n + 1)
+    rows = np.repeat(at[:n], np.diff(k.indptr))
+    border = np.full(n, at[n])
+    return sp.csc_matrix(
+        (np.concatenate([k.data, m, m]),
+         (np.concatenate([rows, at[:n], border]),
+          np.concatenate([at[k.indices], border, at[:n]]))),
+        shape=(n + 1, n + 1))
+
+
+def _bordered_factor(k: sp.csr_matrix, m: np.ndarray,
+                     points: np.ndarray) -> _BorderedLU:
+    """LU of the bordered system [[K0, m], [m^T, 0]], without pivoting.
+
+    The nodes come in `_dissection_order` and the border row goes second
+    to last, before the order's last node. SuperLU keeps that order
+    (NATURAL, symmetric mode; its postorder of the elimination tree leaves
+    the border and that node last, as the border row is full) and takes
+    every diagonal pivot. Each pivot is nonzero in exact arithmetic. K0 less its last node has a positive
+    definite real part (the sigma stiffness with one node pinned), so
+    Gaussian elimination on it needs no pivoting (Higham, Math. Comp. 67,
+    1998). The border's pivot -m^T K^-1 m then has a negative real part,
+    and the whole bordered matrix is nonsingular, so the last pivot is
+    nonzero too. With the border last instead, the last node's pivot is
+    that of the singular pure-Neumann K0: rounding, 2e-12 at h = 0.0075.
+    """
+    n = k.shape[0]
+    order = _dissection_order(points, k)
+    perm = np.concatenate([order[:-1], [n], order[-1:]])
+    a = _permuted_bordered(k, m, perm)
     try:
-        return spla.splu(a)
+        lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"factorization failed: {exc}") from exc
+    return _BorderedLU(lu, perm)
 
 
 class BackgroundOperator:
@@ -214,7 +318,7 @@ class BackgroundOperator:
         self.sigma_e, self.eps_e = sigma, eps
         self.k = assemble_stiffness(mesh, sigma + 1j * eps)
         self.m = mesh.node_mass()
-        self._lu = _bordered_factor(self.k, self.m)
+        self._lu = _bordered_factor(self.k, self.m, mesh.points)
         # the last one-column solve: (right-hand side bytes, solution)
         self._last = None
 

@@ -22,7 +22,10 @@ holds what a verb reaches: the weak residual of a solution from the
 operator it was solved with (`weak_residual`), the residual of the basic
 energy pairing (`basic_pairing_residual`), the pointwise current law
 (`ohm_apply`), and a chart's forward map and its constant sup |psi| / |x'|^2
-(`flatten`, `eta_norm`).
+(`flatten`, `eta_norm`). The background LU's nested-dissection order is
+restated with a Python scan of each left node's row for a right neighbour
+(`nested_dissection`), and its solve is redone by splu's pivoted defaults
+(`pivoted_bordered_solve`).
 """
 
 from __future__ import annotations
@@ -669,3 +672,55 @@ def eta_norm(fmap, samples: int = 4001) -> float:
     xp = np.linspace(-fmap.rho0, fmap.rho0, samples)
     xp = xp[np.abs(xp) > 1e-12]
     return float(np.max(np.abs(fmap.psi(xp)) / xp ** 2))
+
+
+def nested_dissection(points, k, leaf: int = 64):
+    """The nested-dissection rule, each separator found by scanning K's
+    rows in Python.
+
+    A set of more than `leaf` nodes is cut at np.median of its longer
+    coordinate extent (x on a tie), c <= median going left; its separator
+    is the left nodes with a neighbour on the right in K's pattern. The
+    order is the left nodes less the separator, the right nodes, each
+    dissected, then the separator; a leaf, or a set with nothing right of
+    its median, stays in index order. Returns the order and every cut as
+    (left less separator, right, separator).
+    """
+    k = sp.csr_matrix(k)
+    side = np.zeros(len(points), dtype=int)  # 1 left, 2 right, 0 neither
+    order, cuts = [], []
+
+    def visit(nodes):
+        if len(nodes) <= leaf:
+            order.extend(nodes)
+            return
+        p = points[nodes]
+        ext = p.max(axis=0) - p.min(axis=0)
+        c = p[:, 0] if ext[0] >= ext[1] else p[:, 1]
+        left = c <= np.median(c)
+        if left.all():
+            order.extend(nodes)
+            return
+        side[nodes] = np.where(left, 1, 2)
+        on_sep = np.array([
+            any(side[j] == 2 for j in k.indices[k.indptr[i]:k.indptr[i + 1]])
+            for i in nodes[left]], dtype=bool)
+        side[nodes] = 0
+        cut = nodes[left][~on_sep], nodes[~left], nodes[left][on_sep]
+        cuts.append(cut)
+        visit(cut[0])
+        visit(cut[1])
+        order.extend(cut[2])
+
+    visit(np.arange(len(points)))
+    return np.array(order, dtype=np.intp), cuts
+
+
+def pivoted_bordered_solve(k, m, b):
+    """(u, lambda) of [[K, m], [m^T, 0]] (u, lambda) = (b, 0), factored by
+    splu's defaults: COLAMD with partial pivoting, in the system's order."""
+    n = k.shape[0]
+    mcol = sp.csr_matrix(np.asarray(m, dtype=float).reshape(n, 1))
+    a = sp.bmat([[k, mcol], [mcol.T, None]], format="csc")
+    x = spla.splu(a).solve(np.concatenate([b, [0.0]]).astype(complex))
+    return x[:n], complex(x[n])

@@ -11,10 +11,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergap import cli, scenarios
+from powergap import cli, scenarios, solver
 from powergap.cli import (
     EXIT_OK,
     EXIT_STRUCTURAL,
@@ -571,6 +572,27 @@ class TestRun:
                 r["violation"]] for r in rep["checks"]["three_region"]["rows"]]
         # NaN-safe bitwise equality
         assert json.dumps(got) == json.dumps(want)
+
+    def test_one_run_makes_one_factorization(self, monkeypatch):
+        # the benchmark's tracer times `splu` as powergap.solver calls it,
+        # through its `spla` module reference; a factor made by any other
+        # name would leave solver.factor_s empty
+        calls = []
+
+        class CountingSpla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            @staticmethod
+            def splu(a, **kwargs):
+                calls.append(a.shape)
+                return spla.splu(a, **kwargs)
+
+        monkeypatch.setattr(solver, "spla", CountingSpla())
+        report, code = run(parse_config(corpus_config("concentric_disk")))
+        assert code == EXIT_OK
+        n = report["mesh"]["n_points"]
+        assert calls == [(n + 1, n + 1)]
 
     @pytest.mark.parametrize("checks", [["three_region"], ["energy"]])
     def test_solve_stage_releases_factorization(self, fast_concentric,

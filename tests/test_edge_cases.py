@@ -47,6 +47,26 @@ class TestGenericCrossings:
             & (np.abs(disk.signed_distance(mesh.points)) <= 1e-12)
         assert np.count_nonzero(on_both) == 2
 
+    def test_crossed_ellipse_nodes_even_in_arc_length(self):
+        # between two crossings the interface nodes are even in arc length,
+        # not in the ellipse's parameter (edges 0.0239 to 0.0344 that way)
+        ell = Ellipse((0.0, 0.0), 0.55, 0.4)
+        disk = Circle((0.55, 0.0), 0.12)
+        mesh = build_mesh(Scene(outer=Circle((0, 0), 1.0), interface=ell,
+                                inclusion=disk), 0.03)
+        nodes = mesh.points[np.abs(ell.signed_distance(mesh.points))
+                            <= 1e-12]
+        nodes = nodes[np.argsort(ell.param_of(nodes))]
+        edges = np.linalg.norm(np.roll(nodes, -1, axis=0) - nodes, axis=1)
+        crossings = np.sort([np.argmin(np.linalg.norm(nodes - p, axis=1))
+                             for p in curve_intersections(ell, disk)])
+        assert len(crossings) == 2
+        for span in np.split(np.roll(edges, -crossings[0]),
+                             [crossings[1] - crossings[0]]):
+            assert span.max() / span.min() <= 1.001
+        assert edges.max() / edges.min() <= 1.15
+        assert edges.max() <= 0.03
+
     def test_ellipse_interface_crossing_mesh_and_solve(self):
         scene = Scene(outer=Circle((0, 0), 1.0),
                       interface=Ellipse((0, 0), 0.55, 0.4),

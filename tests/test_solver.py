@@ -8,9 +8,14 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergap import (
     BackgroundOperator,
+    BackgroundTensor,
     Circle,
     InclusionLaw,
     MatrixField,
@@ -18,13 +23,17 @@ from powergap import (
     flux_balance,
     flux_jump_norm,
     fourier_data,
+    scenarios,
     solve_perturbed,
+    solver,
 )
 from powergap.cli import parse_config
 from powergap.errors import SolverError
 from powergap.mesh import build_mesh
 from powergap.solver import (
     _ChiralOperator,
+    _dissection_order,
+    _permuted_bordered,
     assemble_stiffness,
     boundary_load,
     element_coefficients,
@@ -42,6 +51,8 @@ from oracles import (
     chiral_system,
     constitutive_matrix,
     direct_block_solve,
+    nested_dissection,
+    pivoted_bordered_solve,
     weak_residual,
 )
 
@@ -256,6 +267,121 @@ class TestRepeatedSolves:
         assert op._last is None
         with pytest.raises(SolverError, match="released"):
             op.solve(cos_data)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_operator(name, index=None):
+    """The background operator of a corpus config, or of size_family scene
+    `index`, at the document's own h."""
+    doc = corpus_config(name) if index is None else \
+        scenarios.size_family(12, h=0.03)[index]
+    cfg = parse_config(doc)
+    return BackgroundOperator(build_mesh(cfg.scene, cfg.values["mesh.h"]),
+                              cfg.background)
+
+
+ORDERED = [(name, None) for name in SCENES] + [("size_family", 6)]
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("name,index", ORDERED)
+    def test_matches_recursive_oracle(self, name, index):
+        op = corpus_operator(name, index)
+        order = _dissection_order(op.mesh.points, op.k)
+        want, cuts = nested_dissection(op.mesh.points, op.k)
+        assert order.dtype == want.dtype
+        assert order.tobytes() == want.tobytes()
+        assert np.array_equal(np.sort(order), np.arange(op.mesh.num_points))
+        # no K0 edge joins the two sides of any separator
+        pattern = sp.csr_matrix((np.ones(op.k.nnz), op.k.indices,
+                                 op.k.indptr), shape=op.k.shape)
+        assert len(cuts) > 1
+        for lo, hi, sep in cuts:
+            assert len(sep) > 0
+            assert pattern[lo][:, hi].nnz == 0
+
+
+def _pivot_spread(lu) -> float:
+    d = np.abs(lu.U.diagonal())
+    return d.min() / d.max()
+
+
+def _rotated(draw, lo: float, hi: float) -> np.ndarray:
+    """A symmetric 2x2 matrix with both eigenvalues in [lo, hi]."""
+    e = np.diag([draw(st.floats(lo, hi)), draw(st.floats(lo, hi))])
+    t = draw(st.floats(0.0, math.pi))
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return rot @ e @ rot.T
+
+
+@st.composite
+def admissible_backgrounds(draw):
+    """M and N with eigenvalues in [lambda0, 1 / lambda0] on each side of
+    Sigma (drawn apart, so Sigma carries a jump), gamma >= 0, and M+
+    either constant or affine over the unit disk."""
+    lam = draw(st.floats(0.1, 1.0))
+    lo, hi = lam, 1.0 / lam
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 0.45)) * (hi - lo)
+        t = draw(st.floats(0.0, 2.0 * math.pi))
+        m_plus = MatrixField.affine(draw(st.floats(lo + r, hi - r)),
+                                    r * math.cos(t), r * math.sin(t))
+    else:
+        m_plus = MatrixField.constant(_rotated(draw, lo, hi))
+    return BackgroundTensor(
+        m_plus=m_plus, m_minus=MatrixField.constant(_rotated(draw, lo, hi)),
+        n_plus=MatrixField.constant(_rotated(draw, lo, hi)),
+        n_minus=MatrixField.constant(_rotated(draw, lo, hi)),
+        gamma=draw(st.floats(0.0, 10.0)), lambda0=lam)
+
+
+@functools.lru_cache(maxsize=None)
+def _two_phase_mesh():
+    return build_mesh(Scene(outer=Circle((0.0, 0.0), 1.0),
+                            interface=Circle((0.0, 0.0), 0.5)), 0.05)
+
+
+class TestPivotFreeFactor:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(background=admissible_backgrounds())
+    def test_matches_pivoted_oracle(self, background):
+        mesh = _two_phase_mesh()
+        g = fourier_data([(1, 1.0, 0.0), (2, 0.3, -0.5)])
+        sol = BackgroundOperator(mesh, background).solve(g)
+        assert sol.residual <= 1e-6
+        op = sol.operator
+        b, _ = boundary_load(mesh, g)
+        u_ref, lam_ref = pivoted_bordered_solve(op.k, op.m, b)
+        assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        # the multiplier vanishes to rounding for compatible data, so it
+        # is compared on the scale of the load it balances
+        assert abs(sol.multiplier - lam_ref) * np.linalg.norm(op.m) \
+            <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_pivots_bounded_away_from_zero(self, name):
+        assert _pivot_spread(corpus_operator(name)._lu.lu) > 1e-8
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_border_last_fails_the_pivot_bound(self, name, monkeypatch):
+        # with the border after every node, the last node's pivot is that
+        # of the singular pure-Neumann K0: rounding
+        options = []
+        real_splu = spla.splu
+
+        def recording(a, **kwargs):
+            options.append(kwargs)
+            return real_splu(a, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", recording)
+        op = corpus_operator.__wrapped__(name)
+        n = op.mesh.num_points
+        order = _dissection_order(op.mesh.points, op.k)
+        assert np.array_equal(op._lu.perm,
+                              np.concatenate([order[:-1], [n], order[-1:]]))
+        last = _permuted_bordered(op.k, op.m, np.concatenate([order, [n]]))
+        assert _pivot_spread(real_splu(last, **options[0])) < 1e-8
 
 
 class TestPerturbedSolve:
