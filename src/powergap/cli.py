@@ -201,7 +201,7 @@ def _solve_stage(st: _Run) -> dict:
     st.op = BackgroundOperator(mesh, background)
     st.sol0 = st.op.solve(st.g)
     out = {"residual_u0": st.sol0.residual,
-           "g_defect": st.g.compatibility_defect(mesh)}
+           "g_defect": st.sol0.diagnostics["g_defect"]}
     if st.law is not None and st.scene.inclusion is not None:
         st.sol1 = solve_perturbed(st.op, st.law, st.g)
         out["residual_u1"] = st.sol1.residual

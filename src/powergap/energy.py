@@ -10,9 +10,19 @@ which is positive definite under the boundedness/ellipticity hypothesis.
 With v_j = (Re I_j(grad u_j), Im grad u_j) and real boundary data g the
 power gap dW = W0 - W1 satisfies, exactly at the discrete level,
 
-    Re dW = int_D (B0 - B1) v0.v1                     (boundary form)
+    Re dW = int_D (B0 - B1) v0.v1                     (D form)
     Re dW = -int_Omega B0 (v0-v1).(v0-v1) + int_D (B0-B1) v1.v1
     Re dW =  int_Omega B1 (v0-v1).(v0-v1) + int_D (B0-B1) v0.v0
+
+Each W_j is read from its solve, never integrated here: the solve pairs
+u with its load, W = u^T b (`Solution.power`). The load b_i is the
+boundary rule applied to phi_i (g - mean), so u^T b is that rule applied
+to u (g - mean). The boundary form Re (W0 - W1), which `verify_identities`
+sets beside the two volume identities above, is so the Galerkin identity
+itself: u solves K u + m lambda = b with m^T u = 0, so the volume form
+conj(u)^T K u that `free_energy` integrates equals conj(u)^T b up to the
+solve's residual. g is real, so b is too, and conj(u)^T b is conj(W)
+exactly.
 
 Note the sign convention: under jump case (i) the inclusion is effectively
 resistive and Re dW < 0, under case (ii) effectively conductive and
@@ -38,7 +48,6 @@ from .solver import Solution, _element_flux
 __all__ = [
     "cg_transform",
     "state_vectors",
-    "boundary_power",
     "free_energy",
     "verify_identities",
     "energy_bracket",
@@ -60,17 +69,12 @@ def _mul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def cg_transform(sigma, eps, zeta=None) -> np.ndarray:
-    """4x4 symmetrizing matrices from (n,2,2) or (2,2) coefficient arrays."""
-    s = np.asarray(sigma, dtype=float)
-    single = s.ndim == 2
-    s = s[None] if single else s
-    e = np.broadcast_to(np.asarray(eps, dtype=float), s.shape)
-    if zeta is None:
-        z = np.zeros_like(s)
-    else:
-        z = np.broadcast_to(np.asarray(zeta, dtype=float), s.shape)
-    sz = s + z
+def cg_transform(sigma: np.ndarray, eps: np.ndarray,
+                 zeta: Optional[np.ndarray] = None) -> np.ndarray:
+    """4x4 symmetrizing matrices from (m, 2, 2) stacks of sigma, eps and
+    zeta; zeta None is zero."""
+    z = np.zeros_like(sigma) if zeta is None else zeta
+    sz = sigma + z
     lo = _eigvalsh2(sz)[:, 0].min()
     if lo <= 1e-14:
         raise StructuralError(
@@ -82,13 +86,13 @@ def cg_transform(sigma, eps, zeta=None) -> np.ndarray:
     inv[:, 0, 1] = -sz[:, 0, 1] / det
     inv[:, 1, 0] = -sz[:, 1, 0] / det
     inv[:, 1, 1] = sz[:, 0, 0] / det
-    e_inv = _mul2(e, inv)
-    b = np.empty(s.shape[:-2] + (4, 4))
-    b[..., :2, :2] = inv
-    b[..., :2, 2:] = _mul2(inv, e)
-    b[..., 2:, :2] = e_inv
-    b[..., 2:, 2:] = s - z + _mul2(e_inv, e)
-    return b[0] if single else b
+    e_inv = _mul2(eps, inv)
+    b = np.empty((len(sigma), 4, 4))
+    b[:, :2, :2] = inv
+    b[:, :2, 2:] = _mul2(inv, eps)
+    b[:, 2:, :2] = e_inv
+    b[:, 2:, 2:] = sigma - z + _mul2(e_inv, eps)
+    return b
 
 
 def state_vectors(sol: Solution) -> np.ndarray:
@@ -116,18 +120,6 @@ def gradient_to_state_matrices(sol: Solution, elements) -> np.ndarray:
     return t
 
 
-def boundary_power(sol: Solution, conjugate: bool = False) -> complex:
-    """W = int_boundary u g ds (or conj(u) g with conjugate=True)."""
-    e, nodes, weights, points, lens = sol.mesh.boundary_quadrature()
-    mean = sol.diagnostics.get("g_mean_offset", 0.0)
-    total = 0.0 + 0.0j
-    for q, w, x in zip(nodes, weights, points):
-        gv = sol.g.raw(x).astype(complex) - mean
-        uv = (1.0 - q) * sol.u[e[:, 0]] + q * sol.u[e[:, 1]]
-        total += (w * (np.conj(uv) if conjugate else uv) * gv * lens).sum()
-    return complex(total)
-
-
 # Relative volume-versus-boundary mismatch above which `free_energy` flags W'0.
 _MISMATCH_TOL = 1e-6
 
@@ -141,14 +133,15 @@ class FreeEnergyReport:
 
 
 def free_energy(sol: Solution) -> FreeEnergyReport:
-    """W'0 as the volume sesquilinear form, cross-checked against the boundary."""
+    """W'0 as the volume sesquilinear form, cross-checked against the
+    boundary form conj(W) (g is real, so its load is too)."""
     grad = sol.gradient()
     cg = np.conj(grad)
     s_part = np.einsum("mij,mj,mi->m", sol.sigma_e.astype(complex), grad, cg)
     e_part = np.einsum("mij,mj,mi->m", sol.eps_e.astype(complex), grad, cg)
     w = sol.mesh.areas
     volume = complex((s_part * w).sum() + 1j * (e_part * w).sum())
-    boundary = boundary_power(sol, conjugate=True)
+    boundary = sol.power.conjugate()
     mismatch = abs(volume - boundary) / max(abs(boundary), 1e-300)
     return FreeEnergyReport(volume=volume, boundary=boundary,
                             mismatch=float(mismatch),
@@ -178,7 +171,6 @@ class IdentityReport:
     re_dw_boundary: float
     re_dw_id1: float
     re_dw_id2: float
-    im_dw: float
     max_pairwise_rel: float
 
 
@@ -190,10 +182,7 @@ def verify_identities(sol0: Solution, sol1: Solution) -> IdentityReport:
     d = mesh.in_d
     v0, v1 = state_vectors(sol0), state_vectors(sol1)
     b0, b1 = element_cg(sol0), element_cg(sol1)
-
-    w0 = boundary_power(sol0, conjugate=True)
-    w1 = boundary_power(sol1, conjugate=True)
-    re_boundary = (w0 - w1).real
+    re_boundary = (sol0.power - sol1.power).real
 
     diff = v0 - v1
     id1 = -_quad_form(b0, diff, diff, areas) \
@@ -201,13 +190,12 @@ def verify_identities(sol0: Solution, sol1: Solution) -> IdentityReport:
     id2 = _quad_form(b1, diff, diff, areas) \
         + _quad_form(b0[d] - b1[d], v0[d], v0[d], areas[d])
 
-    dw = (boundary_power(sol0) - boundary_power(sol1))
     vals = np.array([re_boundary, id1, id2])
     scale = max(np.abs(vals).max(), 1e-300)
     rel = float(np.abs(vals[:, None] - vals[None, :]).max() / scale)
     return IdentityReport(re_dw_boundary=float(re_boundary),
                           re_dw_id1=float(id1), re_dw_id2=float(id2),
-                          im_dw=float(dw.imag), max_pairwise_rel=rel)
+                          max_pairwise_rel=rel)
 
 
 @dataclass(frozen=True)
@@ -226,27 +214,22 @@ class BracketReport:
 
 
 def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
-                   tol: float = 0.05,
-                   identities: Optional[IdentityReport] = None) -> BracketReport:
+                   re_dw: float, tol: float = 0.05) -> BracketReport:
     """Two-sided eigenvalue bracket for |Re dW| / int_D |grad u0|^2.
 
-    Case (i) brackets -Re dW, case (ii) brackets +Re dW; refuses when no
-    jump case holds, and returns a degenerate marker when the inclusion
-    carries no gradient energy (identical laws). identities is the
-    verify_identities report of the same pair, computed here when omitted.
+    re_dw is Re dW of the pair. Case (i) brackets -Re dW, case (ii)
+    brackets +Re dW; refuses when no jump case holds, and returns a
+    degenerate marker when the inclusion carries no gradient energy
+    (identical laws).
     """
     if case is JumpCase.NONE:
         raise StructuralError(
             "energy bracket is only asserted under jump condition (a0) "
             "case (i) or (ii)")
     _require_same_mesh(sol0, sol1)
-    mesh = sol0.mesh
-    d = mesh.in_d
-    if identities is None:
-        identities = verify_identities(sol0, sol1)
-    re_dw = identities.re_dw_boundary
+    d = sol0.mesh.in_d
     denom = grad_energy_inclusion(sol0)
-    total = float(sol0.gradient_density() @ mesh.areas)
+    total = sol0.gradient_energy()
     if denom <= 1e-14 * max(total, 1e-300):
         return BracketReport(case=case.value, re_dw=re_dw, grad_energy_d=denom,
                              ratio=math.nan, kappa_lo=0.0, kappa_hi=0.0,
@@ -331,14 +314,13 @@ class PowerReport:
 
 def power_report(sol0: Solution, sol1: Solution, case: JumpCase,
                  tol: float = 0.05) -> PowerReport:
-    w0 = boundary_power(sol0)
-    w1 = boundary_power(sol1)
+    w0, w1 = sol0.power, sol1.power
     fe = free_energy(sol0)
     identities = verify_identities(sol0, sol1)
     bracket = None
     if case is not JumpCase.NONE:
-        bracket = energy_bracket(sol0, sol1, case, tol=tol,
-                                 identities=identities)
+        bracket = energy_bracket(sol0, sol1, case, identities.re_dw_boundary,
+                                 tol=tol)
     return PowerReport(
         w0=w0, w1=w1, delta_w=w0 - w1, w0_free=fe.volume,
         grad_energy_d=grad_energy_inclusion(sol0),

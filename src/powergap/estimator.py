@@ -88,7 +88,7 @@ def interior_gradient_sup(u0: Solution) -> dict:
     """Max nodal-patch gradient over D and its ratio to the global L2 norm."""
     mesh = u0.mesh
     grads = u0.gradient()
-    total = math.sqrt(float(u0.gradient_density() @ mesh.areas))
+    total = math.sqrt(u0.gradient_energy())
     if not mesh.in_d.any() or total <= 0:
         return {"sup": 0.0, "ratio": 0.0, "l2_norm": total}
     # area-weighted patch average of element gradients at D's nodes, over

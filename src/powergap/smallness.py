@@ -49,7 +49,6 @@ __all__ = [
     "lipschitz_smallness",
     "boundary_layer",
     "l2_norm_sq",
-    "gradient_energy",
 ]
 
 
@@ -151,10 +150,6 @@ def l2_norm_sq(sol: Solution) -> float:
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     per = np.einsum("mi,ij,mj->m", np.conj(vals), mref, vals).real
     return float(per @ sol.mesh.areas)
-
-
-def gradient_energy(sol: Solution) -> float:
-    return float(sol.gradient_density() @ sol.mesh.areas)
 
 
 class _Stencil(NamedTuple):
@@ -717,7 +712,7 @@ def lipschitz_smallness(u0: Solution, a: float,
     `_ball_sums`).
     """
     centers = lipschitz_centers(u0.mesh.scene, a, max_centers)
-    total = gradient_energy(u0)
+    total = u0.gradient_energy()
     ratios = _ball_sums(u0, centers, a, _LIPSCHITZ_GRID,
                         gradient=True) / total
     i_min = int(np.argmin(ratios))

@@ -24,6 +24,14 @@ the inclusion the operator is exactly the background's, so the
 preconditioned system is the identity plus a perturbation supported on D
 and converges in a few tens of iterations.
 
+Every solve pairs its solution with its load. The load b of boundary
+data g is the Galerkin vector b_i = int phi_i (g - mean) ds on the
+boundary's 3-point rule, with the mean projected out so that the pure
+Neumann problem is compatible (`boundary_load`, one pass of g). The
+discrete boundary power is then W = u^T b = int u (g - mean) ds
+(`Solution.power`), set once by the solve that holds b; no later stage
+integrates the boundary again.
+
 `BackgroundOperator` is the one way into the solver: it assembles and
 factorizes the background once, `op.solve(g)` gives u0, and
 `solve_perturbed(op, law, g)` gives u1 on the same mesh and background.
@@ -81,11 +89,6 @@ class NeumannData:
     def raw(self, points) -> np.ndarray:
         return np.asarray(self.fn(as_points(points)))
 
-    def compatibility_defect(self, mesh: Mesh) -> float:
-        """|integral of g over the boundary| before projection."""
-        total, _, _ = _boundary_moments(mesh, self)
-        return abs(total)
-
 
 def fourier_data(modes) -> NeumannData:
     """Boundary data as Fourier modes in the boundary angle.
@@ -121,6 +124,9 @@ class Solution:
     # the zero-mean Lagrange multiplier
     multiplier: complex
     residual: float
+    # W = u^T b with the load b, the discrete boundary power int u g ds;
+    # a numpy sum, as a BLAS dot can depend on the BLAS build and threads
+    power: complex
     sigma_e: np.ndarray
     eps_e: np.ndarray
     zeta_e: Optional[np.ndarray]
@@ -140,6 +146,10 @@ class Solution:
     def gradient_density(self) -> np.ndarray:
         """Per-element |grad u|^2, shape (m,)."""
         return (np.abs(self.gradient()) ** 2).sum(axis=1)
+
+    def gradient_energy(self) -> float:
+        """int |grad u|^2 over the mesh."""
+        return float(self.gradient_density() @ self.mesh.areas)
 
 
 def element_coefficients(mesh: Mesh, background: BackgroundTensor):
@@ -180,8 +190,14 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray,
     return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _boundary_moments(mesh: Mesh, g: NeumannData):
-    """Raw load vector of g, its boundary integral, and the hat integrals."""
+def boundary_load(mesh: Mesh, g: NeumannData):
+    """Zero-mean-projected load vector b of g, the subtracted mean, and
+    |integral of g over the boundary| before projection.
+
+    One pass of the boundary quadrature gives all three: b_i is the 3-point
+    rule of phi_i (g - mean) on each boundary edge, with mean the integral
+    of g over the boundary's length.
+    """
     e, nodes, weights, points, lens = mesh.boundary_quadrature()
     raw = np.zeros(mesh.num_points, dtype=complex)
     total = 0.0 + 0.0j
@@ -193,14 +209,8 @@ def _boundary_moments(mesh: Mesh, g: NeumannData):
     phi = np.zeros(mesh.num_points)
     np.add.at(phi, e[:, 0], 0.5 * lens)
     np.add.at(phi, e[:, 1], 0.5 * lens)
-    return total, raw, phi
-
-
-def boundary_load(mesh: Mesh, g: NeumannData):
-    """Zero-mean-projected load vector and the subtracted mean."""
-    total, raw, phi = _boundary_moments(mesh, g)
     mean = total / phi.sum()
-    return raw - mean * phi, mean
+    return raw - mean * phi, mean, abs(total)
 
 
 def _dissection_order(points: np.ndarray, k: sp.csr_matrix) -> np.ndarray:
@@ -361,17 +371,19 @@ class BackgroundOperator:
 
         A list is solved by one multi-column LU solve and gives a list of
         Solutions; a single `g` is the one-column case. Each column must
-        pass the 1e-6 residual gate; a miss names its member.
+        pass the 1e-6 residual gate; a miss names its member. Each
+        Solution's ``diagnostics["g_defect"]`` is |int g ds| before
+        projection.
         """
         family = isinstance(g, list)
         gs = g if family else [g]
         loads = [boundary_load(self.mesh, gi) for gi in gs]
         rhs = np.zeros((self.mesh.num_points + 1, len(gs)), dtype=complex)
-        for j, (b, _) in enumerate(loads):
+        for j, (b, _, _) in enumerate(loads):
             rhs[:-1, j] = b
         x = self._lu_solve(rhs)
         sols = []
-        for j, (gi, (b, mean)) in enumerate(zip(gs, loads)):
+        for j, (gi, (b, _, defect)) in enumerate(zip(gs, loads)):
             u, lam = np.ascontiguousarray(x[:-1, j]), complex(x[-1, j])
             res = np.linalg.norm(self.apply(u, lam) - b)
             res /= max(np.linalg.norm(b), 1e-300)
@@ -382,9 +394,9 @@ class BackgroundOperator:
             sols.append(Solution(
                 mesh=self.mesh, u=u, g=gi, background=self.background,
                 law=None, multiplier=lam, residual=float(res),
-                sigma_e=self.sigma_e, eps_e=self.eps_e,
-                zeta_e=None, diagnostics={"g_mean_offset": complex(mean)},
-                operator=self))
+                power=complex((u * b).sum()), sigma_e=self.sigma_e,
+                eps_e=self.eps_e, zeta_e=None,
+                diagnostics={"g_defect": defect}, operator=self))
         return sols if family else sols[0]
 
 
@@ -465,7 +477,7 @@ def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
     chiral = _ChiralOperator(op, sigma, eps, zeta)
     a = spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=chiral.apply_real,
                             dtype=float)
-    b, mean = boundary_load(mesh, g)
+    b, _, _ = boundary_load(mesh, g)
     rhs = np.concatenate([b.real, b.imag, [0.0, 0.0]])
     iterations = 0
 
@@ -485,12 +497,12 @@ def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
         raise SolverError(
             f"perturbed GMRES failed (info {info}): {iterations} iterations, "
             f"true relative residual {krylov_res:.3e}")
+    u = x[:n] + 1j * x[n:2 * n]
     return Solution(
-        mesh=mesh, u=x[:n] + 1j * x[n:2 * n], g=g, background=background,
-        law=law, multiplier=complex(x[-2], x[-1]), residual=res,
-        sigma_e=sigma, eps_e=eps, zeta_e=zeta,
-        diagnostics={"g_mean_offset": complex(mean),
-                     "krylov_iterations": iterations,
+        mesh=mesh, u=u, g=g, background=background, law=law,
+        multiplier=complex(x[-2], x[-1]), residual=res,
+        power=complex((u * b).sum()), sigma_e=sigma, eps_e=eps, zeta_e=zeta,
+        diagnostics={"krylov_iterations": iterations,
                      "krylov_residual": krylov_res},
         operator=chiral)
 
@@ -501,7 +513,7 @@ def _load_residual(sol: Solution):
     K is the operator the solution was solved with, the background or the
     chiral one.
     """
-    b, _ = boundary_load(sol.mesh, sol.g)
+    b, _, _ = boundary_load(sol.mesh, sol.g)
     return sol.operator.apply(sol.u, sol.multiplier) - b, b
 
 

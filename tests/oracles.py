@@ -20,7 +20,9 @@ evaluate the signed distance at every cell and locate every kept point.
 The rest are quantities only tests ask for, kept out of the package, which
 holds what a verb reaches: the weak residual of a solution from the
 operator it was solved with (`weak_residual`), the residual of the basic
-energy pairing (`basic_pairing_residual`), the pointwise current law
+energy pairing (`basic_pairing_residual`), the boundary power as the
+3-point rule of u (g - mean) on each edge, against which a solve's pairing
+u^T b is checked (`quadrature_power`), the pointwise current law
 (`ohm_apply`), and a chart's forward map and its constant sup |psi| / |x'|^2
 (`flatten`, `eta_norm`). The background LU's nested-dissection order is
 restated with a Python scan of each left node's row for a right neighbour
@@ -605,7 +607,7 @@ def direct_block_solve(mesh, background, law, g):
     n = mesh.num_points
     a = chiral_system(mesh, *inclusion_coefficients(
         mesh, background, law, *element_coefficients(mesh, background)))
-    b, _ = boundary_load(mesh, g)
+    b, _, _ = boundary_load(mesh, g)
     x = spla.splu(a.tocsc()).solve(np.concatenate([b.real, b.imag, [0.0, 0.0]]))
     return x[:n] + 1j * x[n:2 * n], (float(x[-2]), float(x[-1]))
 
@@ -618,20 +620,34 @@ def weak_residual(sol) -> float:
 
 
 def basic_pairing_residual(solj, solk) -> float:
-    """Residual of int B_j v_j.v_k against its boundary pairing."""
+    """Residual of int B_j v_j.v_k against its boundary pairing
+    Re u_j.Re b + Im u_k.Im b, with b the load of solj's data."""
     _require_same_mesh(solj, solk)
     areas = solj.mesh.areas
     lhs = _quad_form(element_cg(solj), state_vectors(solj),
                      state_vectors(solk), areas)
-    e, nodes, weights, points, lens = solj.mesh.boundary_quadrature()
-    mean = solj.diagnostics.get("g_mean_offset", 0.0)
-    rhs = 0.0
-    for q, w, x in zip(nodes, weights, points):
-        gv = solj.g.raw(x).astype(complex) - mean
-        uj = (1.0 - q) * solj.u[e[:, 0]] + q * solj.u[e[:, 1]]
-        uk = (1.0 - q) * solk.u[e[:, 0]] + q * solk.u[e[:, 1]]
-        rhs += (w * (uj.real * gv.real + uk.imag * gv.imag) * lens).sum()
+    b, _, _ = boundary_load(solj.mesh, solj.g)
+    rhs = float((solj.u.real * b.real + solk.u.imag * b.imag).sum())
     return float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+
+
+def quadrature_power(sol):
+    """int u (g - mean) ds by the 3-point rule on each boundary edge, with
+    u interpolated along the edge, and |int g ds| from the same rule.
+
+    mean is int g ds over the boundary's length. Returns (W, |int g ds|).
+    """
+    e, nodes, weights, points, lens = sol.mesh.boundary_quadrature()
+    gvs = [sol.g.raw(x).astype(complex) for x in points]
+    total = 0.0 + 0.0j
+    for w, gv in zip(weights, gvs):
+        total += (w * gv * lens).sum()
+    mean = total / lens.sum()
+    power = 0.0 + 0.0j
+    for q, w, gv in zip(nodes, weights, gvs):
+        uv = (1.0 - q) * sol.u[e[:, 0]] + q * sol.u[e[:, 1]]
+        power += (w * uv * (gv - mean) * lens).sum()
+    return complex(power), abs(total)
 
 
 def ohm_apply(sigma, epsilon, zeta, grad) -> np.ndarray:

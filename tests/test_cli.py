@@ -594,6 +594,32 @@ class TestRun:
         n = report["mesh"]["n_points"]
         assert calls == [(n + 1, n + 1)]
 
+    def test_one_run_evaluates_g_once_per_load(self, monkeypatch):
+        # three rule nodes for each of the ten loads (u0, u1 and the 8
+        # three-region members) and one call for the norm ratio's nodes;
+        # the energy stage reads each W from its solve and evaluates none
+        calls = []
+        raw = solver.NeumannData.raw
+
+        def counting_raw(self, points):
+            calls.append(len(points))
+            return raw(self, points)
+
+        in_energy = []
+        energy_stage = cli._energy_stage
+
+        def counting_energy(st):
+            before = len(calls)
+            out = energy_stage(st)
+            in_energy.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(solver.NeumannData, "raw", counting_raw)
+        monkeypatch.setattr(cli, "_energy_stage", counting_energy)
+        report, code = run(parse_config(corpus_config("concentric_disk")))
+        assert code == EXIT_OK
+        assert len(calls) == 31 and in_energy == [0]
+
     @pytest.mark.parametrize("checks", [["three_region"], ["energy"]])
     def test_solve_stage_releases_factorization(self, fast_concentric,
                                                 checks):

@@ -88,7 +88,7 @@ class TestGenericCrossings:
         sol1 = solve_perturbed(op, law, g)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
-        br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
+        br = energy_bracket(sol0, sol1, JumpCase.CASE_II, rep.re_dw_boundary)
         assert br.sign_ok and br.bracket_ok
 
 
@@ -138,7 +138,7 @@ class TestAnisotropicLaw:
         sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
-        br = energy_bracket(sol0, sol1, case)
+        br = energy_bracket(sol0, sol1, case, rep.re_dw_boundary)
         assert br.re_dw < 0 and br.sign_ok and br.bracket_ok
 
     def test_rotated_anisotropy_identities_exact(self, cos_data):

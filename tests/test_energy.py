@@ -16,7 +16,6 @@ from powergap import (
     solve_perturbed,
 )
 from powergap.energy import (
-    boundary_power,
     cg_transform,
     element_cg,
     energy_bracket,
@@ -71,20 +70,19 @@ def oracle_layers(law_sigma, law_zeta):
 
 class TestBoundaryPower:
     def test_disk_oracle_pi(self, disk_solution):
-        assert boundary_power(disk_solution).real == pytest.approx(
-            math.pi, rel=1e-3)
+        assert disk_solution.power.real == pytest.approx(math.pi, rel=1e-3)
 
     def test_zero_data(self, disk_mesh_h05, identity_background):
         op = BackgroundOperator(disk_mesh_h05, identity_background)
         sol = op.solve(fourier_data([(1, 0.0, 0.0)]))
-        assert boundary_power(sol) == 0.0
+        assert sol.power == 0.0
 
     def test_quadratic_scaling(self, disk_mesh_h05, identity_background):
         g1 = fourier_data([(1, 1.0, 0.0)])
         g2 = fourier_data([(1, 2.0, 0.0)])
         op = BackgroundOperator(disk_mesh_h05, identity_background)
-        w1 = boundary_power(op.solve(g1))
-        w2 = boundary_power(op.solve(g2))
+        w1 = op.solve(g1).power
+        w2 = op.solve(g2).power
         assert w2 == pytest.approx(4.0 * w1, rel=1e-12)
 
 
@@ -113,18 +111,19 @@ class TestFreeEnergy:
 
 class TestCGTransform:
     def test_identity(self):
-        b = cg_transform(np.eye(2), np.zeros((2, 2)))
-        assert np.allclose(b, np.eye(4))
+        b = cg_transform(np.eye(2)[None], np.zeros((1, 2, 2)))
+        assert np.allclose(b[0], np.eye(4))
 
     def test_scalar_blocks(self):
-        b = cg_transform(2.0 * np.eye(2), 1.0 * np.eye(2))
+        b = cg_transform(2.0 * np.eye(2)[None], 1.0 * np.eye(2)[None])[0]
         expect = np.array([[0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5],
                            [0.5, 0, 2.5, 0], [0, 0.5, 0, 2.5]])
         assert np.allclose(b, expect)
 
     def test_singular_named(self):
         with pytest.raises(StructuralError, match=r"\(se0\)"):
-            cg_transform(np.eye(2), np.zeros((2, 2)), -1.0 * np.eye(2))
+            cg_transform(np.eye(2)[None], np.zeros((1, 2, 2)),
+                         -1.0 * np.eye(2)[None])
 
     def test_round_trip_through_constitutive_relation(self, rng):
         # transforming (Re I, Im grad) reproduces (Re grad, Im I) exactly
@@ -137,7 +136,7 @@ class TestCGTransform:
             zeta = 0.3 * (z + z.T)
             if np.linalg.eigvalsh(sigma + zeta)[0] < 0.05:
                 continue
-            b = cg_transform(sigma, eps, zeta)
+            b = cg_transform(sigma[None], eps[None], zeta[None])[0]
             p = rng.normal(size=2) + 1j * rng.normal(size=2)
             cur = (sigma + 1j * eps) @ p + zeta @ np.conj(p)
             v_in = np.concatenate([cur.real, p.imag])
@@ -167,7 +166,7 @@ class TestIdentities:
         sol0 = op.solve(cos_data)
         sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
-        w0 = abs(boundary_power(sol0).real)
+        w0 = abs(sol0.power.real)
         for v in (rep.re_dw_boundary, rep.re_dw_id1, rep.re_dw_id2):
             assert abs(v) < 1e-10 * w0
 
@@ -203,21 +202,23 @@ class TestIdentities:
 class TestBracket:
     def test_case_ii(self, inclusion_setup):
         _, _, sol0, sol_ii, _ = inclusion_setup
-        br = energy_bracket(sol0, sol_ii, JumpCase.CASE_II)
+        br = energy_bracket(sol0, sol_ii, JumpCase.CASE_II,
+                            (sol0.power - sol_ii.power).real)
         assert br.re_dw > 0 and br.sign_ok
         assert br.kappa_lo * 0.95 <= br.ratio <= br.kappa_hi * 1.05
         assert br.surrogate_valid
 
     def test_case_i(self, inclusion_setup):
         _, _, sol0, _, sol_i = inclusion_setup
-        br = energy_bracket(sol0, sol_i, JumpCase.CASE_I)
+        br = energy_bracket(sol0, sol_i, JumpCase.CASE_I,
+                            (sol0.power - sol_i.power).real)
         assert br.re_dw < 0 and br.sign_ok
         assert br.kappa_lo * 0.95 <= br.ratio <= br.kappa_hi * 1.05
 
     def test_refuses_case_none(self, inclusion_setup):
         _, _, sol0, sol_ii, _ = inclusion_setup
         with pytest.raises(StructuralError, match=r"\(a0\)"):
-            energy_bracket(sol0, sol_ii, JumpCase.NONE)
+            energy_bracket(sol0, sol_ii, JumpCase.NONE, 0.0)
 
     def test_degenerate_marker(self, cos_data):
         scene = Scene(outer=Circle((0, 0), 1.0),
@@ -234,7 +235,8 @@ class TestBracket:
         # force the degenerate path with an inclusion-free tagging clone
         mesh.in_d[:] = False
         try:
-            br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
+            br = energy_bracket(sol0, sol1, JumpCase.CASE_II,
+                                (sol0.power - sol1.power).real)
             assert br.degenerate
         finally:
             mesh.in_d[:] = scene.in_inclusion(mesh.centroids)
@@ -251,7 +253,8 @@ class TestBracket:
             sol0 = op.solve(cos_data)
             sol1 = solve_perturbed(op, CASE_II_LAW, cos_data)
             energies.append(grad_energy_inclusion(sol0))
-            br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
+            br = energy_bracket(sol0, sol1, JumpCase.CASE_II,
+                                (sol0.power - sol1.power).real)
             assert br.bracket_ok and br.sign_ok
         assert energies == sorted(energies)
 
@@ -323,5 +326,6 @@ class TestPowerReport:
             monkeypatch.setattr(energy, name, counting(name))
         rep = energy.power_report(sol0, sol_ii, JumpCase.CASE_II)
         assert counts == {"verify_identities": 1, "cg_transform": 2}
-        alone = energy_bracket(sol0, sol_ii, JumpCase.CASE_II)
+        alone = energy_bracket(sol0, sol_ii, JumpCase.CASE_II,
+                               rep.identities.re_dw_boundary)
         assert alone == rep.bracket

@@ -121,7 +121,7 @@ class TestEstimateSize:
         from powergap.energy import PowerReport, IdentityReport
         rep = PowerReport(w0=1.0 + 0j, w1=1.0 + 0j, delta_w=0.0 + 0j,
                           w0_free=1.0 + 0j, grad_energy_d=0.1,
-                          identities=IdentityReport(0, 0, 0, 0, 0),
+                          identities=IdentityReport(0, 0, 0, 0),
                           bracket=None, case="case_ii")
         est = estimate_size(rep, (0.5, 2.0))
         assert est.lower == 0.0 and est.upper == 0.0
@@ -130,14 +130,14 @@ class TestEstimateSize:
         from powergap.energy import PowerReport, IdentityReport
         rep = PowerReport(w0=0j, w1=0j, delta_w=0j, w0_free=0j,
                           grad_energy_d=0.0,
-                          identities=IdentityReport(0, 0, 0, 0, 0),
+                          identities=IdentityReport(0, 0, 0, 0),
                           bracket=None, case="case_ii")
         with pytest.raises(DegenerateMeasurementError):
             estimate_size(rep, (0.5, 2.0))
 
     def test_linear_in_gap_and_scale_invariant(self):
         from powergap.energy import PowerReport, IdentityReport
-        ident = IdentityReport(0, 0, 0, 0, 0)
+        ident = IdentityReport(0, 0, 0, 0)
         base = PowerReport(w0=2 + 0j, w1=1.9 + 0j, delta_w=0.1 + 0j,
                            w0_free=2.0 + 0j, grad_energy_d=0.1,
                            identities=ident, bracket=None, case="case_ii")
@@ -177,7 +177,7 @@ class TestEstimateSize:
         from powergap.energy import PowerReport, IdentityReport
         rep = PowerReport(w0=2 + 0j, w1=1.9 + 0j, delta_w=0.1 + 0j,
                           w0_free=2.0 + 0j, grad_energy_d=0.1,
-                          identities=IdentityReport(0, 0, 0, 0, 0),
+                          identities=IdentityReport(0, 0, 0, 0),
                           bracket=None, case="case_ii")
         est = estimate_size(rep, (0.5, 2.0), fatness_ok=False)
         assert est.upper_conditional

@@ -144,7 +144,8 @@ class TestBracketConstant:
         d = mesh.in_d
         assert np.array_equal(b0[~d], b1[~d])
 
-        br = energy_bracket(sol0, sol1, JumpCase.CASE_II)
+        br = energy_bracket(sol0, sol1, JumpCase.CASE_II,
+                            (sol0.power - sol1.power).real)
         c_hat = float((np.linalg.eigvalsh(b0)[:, -1]
                        / np.linalg.eigvalsh(b1)[:, 0]).max())
         assert br.kappa_hi == (c_hat + 1.0) * br.details["lambda_max_diff"] \

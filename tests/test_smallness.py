@@ -524,7 +524,7 @@ def _nodal_solution(mesh: Mesh, u) -> Solution:
     """A Solution holding only a nodal field, for the samplers."""
     return Solution(mesh=mesh, u=np.asarray(u, dtype=complex), g=None,
                     background=None, law=None, multiplier=0j, residual=0.0,
-                    sigma_e=None, eps_e=None, zeta_e=None)
+                    power=0j, sigma_e=None, eps_e=None, zeta_e=None)
 
 
 def _rough_field(mesh: Mesh, seed: int) -> Solution:

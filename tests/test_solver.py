@@ -17,6 +17,7 @@ from powergap import (
     BackgroundOperator,
     BackgroundTensor,
     Circle,
+    Ellipse,
     InclusionLaw,
     MatrixField,
     Scene,
@@ -28,6 +29,7 @@ from powergap import (
     solver,
 )
 from powergap.cli import parse_config
+from powergap.energy import free_energy
 from powergap.errors import SolverError
 from powergap.mesh import build_mesh
 from powergap.solver import (
@@ -53,6 +55,7 @@ from oracles import (
     direct_block_solve,
     nested_dissection,
     pivoted_bordered_solve,
+    quadrature_power,
     weak_residual,
 )
 
@@ -116,7 +119,7 @@ class TestBackgroundSolve:
         g = fourier_data([(1, 1.0, 0.0)])
         lifted = fourier_data([(1, 1.0, 0.0)])
         shifted = type(g)(fn=lambda p: g.raw(p) + 0.37, label="shifted")
-        b, mean = boundary_load(disk_mesh_h05, shifted)
+        b, mean, _ = boundary_load(disk_mesh_h05, shifted)
         assert mean == pytest.approx(0.37, rel=1e-3)
         assert abs(b.sum()) < 1e-12 * np.abs(b).sum()
 
@@ -351,7 +354,7 @@ class TestPivotFreeFactor:
         sol = BackgroundOperator(mesh, background).solve(g)
         assert sol.residual <= 1e-6
         op = sol.operator
-        b, _ = boundary_load(mesh, g)
+        b, _, _ = boundary_load(mesh, g)
         u_ref, lam_ref = pivoted_bordered_solve(op.k, op.m, b)
         assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         # the multiplier vanishes to rounding for compatible data, so it
@@ -494,7 +497,7 @@ class TestKrylovSolve:
         assert np.linalg.norm(sol.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         # the multiplier vanishes to rounding for compatible data, so it
         # is compared on the scale of the load it balances
-        b, _ = boundary_load(mesh, g)
+        b, _, _ = boundary_load(mesh, g)
         gap = abs(sol.multiplier - complex(*lams_ref))
         assert gap * np.linalg.norm(mesh.node_mass()) \
             <= 1e-10 * np.linalg.norm(b)
@@ -562,6 +565,68 @@ class TestChiralOperator:
         n_d = int(mesh.in_d.sum())
         assert 0 < n_d < mesh.num_triangles
         assert assembled == [n_d, n_d]
+
+
+def assert_power_is_the_quadrature(sol0, sol1):
+    """The power of u0 and of u1 against the 3-point rule of u (g - mean),
+    their conjugate forms, and u0's g_defect exactly; returns |int g ds|."""
+    for sol in (sol0, sol1):
+        b, _, _ = boundary_load(sol.mesh, sol.g)
+        want, g_total = quadrature_power(sol)
+        assert abs(sol.power - want) <= 1e-13 * np.abs(sol.u * b).sum()
+        # g is real, so b is, and the conjugate pairing is conj(W) bit for
+        # bit
+        assert complex((np.conj(sol.u) * b).sum()) == np.conj(sol.power)
+        assert free_energy(sol).boundary == np.conj(sol.power)
+    assert sol0.diagnostics["g_defect"] == g_total
+    return g_total
+
+
+PAIRED = [(name, "case_ii") for name in SCENES] + [("concentric_disk",
+                                                    "case_i")]
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing_operator(outer):
+    """A background operator at h = 0.08 on a circle or an ellipse, each
+    with an off-centre inclusion."""
+    scene = Scene(outer=outer, inclusion=Circle((0.1, -0.05), 0.2))
+    return BackgroundOperator(build_mesh(scene, 0.08),
+                              isotropic_background(1.0, 1.0))
+
+
+PAIRING_LAW = InclusionLaw(sigma1=isotropic_field(1.5),
+                           zeta1=isotropic_field(1.2), lambda1=0.2,
+                           varrho=0.5)
+
+
+class TestPowerPairing:
+    @pytest.mark.parametrize("name,case", PAIRED)
+    def test_corpus_power_is_the_quadrature(self, name, case):
+        # every config of configs/, at its own h
+        cfg = parse_config(corpus_config(name, case=case))
+        op = corpus_operator(name)
+        assert_power_is_the_quadrature(op.solve(cfg.g),
+                                       solve_perturbed(op, cfg.law, cfg.g))
+
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(ellipse=st.booleans(),
+           cos2=st.floats(0.25, 1.0),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_fourier_data_power_is_the_quadrature(self, ellipse, cos2,
+                                                  coeffs):
+        outer = Ellipse((0.0, 0.0), 1.0, 0.7) if ellipse \
+            else Circle((0.0, 0.0), 1.0)
+        op = _pairing_operator(outer)
+        a1, b1, b2, a3, b3, a4 = coeffs
+        g = fourier_data([(1, a1, b1), (2, cos2, b2), (3, a3, b3),
+                          (4, a4, 0.0)])
+        g_total = assert_power_is_the_quadrature(
+            op.solve(g), solve_perturbed(op, PAIRING_LAW, g))
+        # on the ellipse cos 2t has a mean, which the load projects out
+        assert (g_total > 1e-3) == ellipse
+
 
 class TestResidualsAndFluxes:
     def test_converged_residual_small(self, disk_solution):
