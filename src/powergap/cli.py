@@ -227,12 +227,16 @@ def _energy_stage(st: _Run) -> dict:
     st.power = energy.power_report(
         st.sol0, st.sol1, st.case if want_bracket else JumpCase.NONE,
         tol=st.cfg.values["bracket_tol"])
-    bracket = st.power.bracket
+    bracket, free = st.power.bracket, st.power.free
     if want_bracket and not bracket.degenerate \
             and not (bracket.sign_ok and bracket.bracket_ok):
         st.violations.append(
             f"energy bracket failed (sign_ok={bracket.sign_ok}, "
             f"bracket_ok={bracket.bracket_ok})")
+    if free.flagged:
+        st.violations.append(
+            f"W'0 volume and boundary forms differ by {free.mismatch:.3e} "
+            "relative")
     return {**st.power.as_dict(), "case": st.case.value}
 
 

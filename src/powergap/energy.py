@@ -18,11 +18,13 @@ Each W_j is read from its solve, never integrated here: the solve pairs
 u with its load, W = u^T b (`Solution.power`). The load b_i is the
 boundary rule applied to phi_i (g - mean), so u^T b is that rule applied
 to u (g - mean). The boundary form Re (W0 - W1), which `verify_identities`
-sets beside the two volume identities above, is so the Galerkin identity
-itself: u solves K u + m lambda = b with m^T u = 0, so the volume form
-conj(u)^T K u that `free_energy` integrates equals conj(u)^T b up to the
-solve's residual. g is real, so b is too, and conj(u)^T b is conj(W)
-exactly.
+sets beside the D form and the two volume identities above, is so the
+Galerkin identity itself: u solves K u + m lambda = b with m^T u = 0, so
+the volume form conj(u)^T K u that `free_energy` integrates equals
+conj(u)^T b up to the solve's residual. g is real, so b is too, and
+conj(u)^T b is conj(W) exactly. The reported Re dW is the D form: the
+boundary form subtracts two powers that agree to about two digits, the
+D form subtracts nothing.
 
 Note the sign convention: under jump case (i) the inclusion is effectively
 resistive and Re dW < 0, under case (ii) effectively conductive and
@@ -168,6 +170,7 @@ def _require_same_mesh(sol0: Solution, sol1: Solution):
 
 @dataclass(frozen=True)
 class IdentityReport:
+    re_dw_d: float
     re_dw_boundary: float
     re_dw_id1: float
     re_dw_id2: float
@@ -175,25 +178,25 @@ class IdentityReport:
 
 
 def verify_identities(sol0: Solution, sol1: Solution) -> IdentityReport:
-    """Compute Re dW three ways and report their pairwise agreement."""
+    """Compute Re dW four ways and report their pairwise agreement."""
     _require_same_mesh(sol0, sol1)
     mesh = sol0.mesh
     areas = mesh.areas
     d = mesh.in_d
     v0, v1 = state_vectors(sol0), state_vectors(sol1)
     b0, b1 = element_cg(sol0), element_cg(sol1)
+    bd, v0d, v1d, ad = b0[d] - b1[d], v0[d], v1[d], areas[d]
+    d_form = _quad_form(bd, v0d, v1d, ad)
     re_boundary = (sol0.power - sol1.power).real
 
     diff = v0 - v1
-    id1 = -_quad_form(b0, diff, diff, areas) \
-        + _quad_form(b0[d] - b1[d], v1[d], v1[d], areas[d])
-    id2 = _quad_form(b1, diff, diff, areas) \
-        + _quad_form(b0[d] - b1[d], v0[d], v0[d], areas[d])
+    id1 = -_quad_form(b0, diff, diff, areas) + _quad_form(bd, v1d, v1d, ad)
+    id2 = _quad_form(b1, diff, diff, areas) + _quad_form(bd, v0d, v0d, ad)
 
-    vals = np.array([re_boundary, id1, id2])
+    vals = np.array([d_form, re_boundary, id1, id2])
     scale = max(np.abs(vals).max(), 1e-300)
     rel = float(np.abs(vals[:, None] - vals[None, :]).max() / scale)
-    return IdentityReport(re_dw_boundary=float(re_boundary),
+    return IdentityReport(re_dw_d=d_form, re_dw_boundary=float(re_boundary),
                           re_dw_id1=float(id1), re_dw_id2=float(id2),
                           max_pairwise_rel=rel)
 
@@ -287,6 +290,9 @@ class PowerReport:
     identities: IdentityReport
     bracket: Optional[BracketReport]
     case: str
+    # both forms of W'0, whose w0_free is the volume one; None when built
+    # by hand
+    free: Optional[FreeEnergyReport] = None
 
     def as_dict(self) -> dict:
         out = {
@@ -319,9 +325,8 @@ def power_report(sol0: Solution, sol1: Solution, case: JumpCase,
     identities = verify_identities(sol0, sol1)
     bracket = None
     if case is not JumpCase.NONE:
-        bracket = energy_bracket(sol0, sol1, case, identities.re_dw_boundary,
-                                 tol=tol)
+        bracket = energy_bracket(sol0, sol1, case, identities.re_dw_d, tol=tol)
     return PowerReport(
-        w0=w0, w1=w1, delta_w=w0 - w1, w0_free=fe.volume,
-        grad_energy_d=grad_energy_inclusion(sol0),
-        identities=identities, bracket=bracket, case=case.value)
+        w0=w0, w1=w1, delta_w=complex(identities.re_dw_d, (w0 - w1).imag),
+        w0_free=fe.volume, grad_energy_d=grad_energy_inclusion(sol0),
+        identities=identities, bracket=bracket, case=case.value, free=fe)

@@ -202,41 +202,39 @@ def surrogate_size_constants(kappa_lo: float, kappa_hi: float,
     return c1, c2
 
 
-def _boundary_matrices(lens) -> tuple:
-    """Periodic P1 mass and stiffness matrices of a closed boundary loop.
-
-    Edge i joins loop nodes i and i + 1 and has length lens[i]. Each
-    diagonal entry is the sum of its two edges' terms, taken here as
-    (edge i - 1) + (edge i); addition commutes, so this is bitwise the
-    edge-by-edge assembly.
-    """
-    nb = len(lens)
-    i = np.arange(nb)
-    j = np.roll(i, -1)
-    prev = np.roll(lens, 1)
-    mass = np.zeros((nb, nb))
-    stiff = np.zeros((nb, nb))
-    mass[i, i] = prev / 3.0 + lens / 3.0
-    mass[i, j] = mass[j, i] = lens / 6.0
-    stiff[i, i] = 1.0 / prev + 1.0 / lens
-    stiff[i, j] = stiff[j, i] = -(1.0 / lens)
-    return mass, stiff
-
-
 def boundary_data_norm_ratio(mesh, g: NeumannData) -> float:
     """||g||_L2 / ||g||_H^{-1/2} on the discrete boundary.
 
-    The negative-order norm comes from the generalized eigenproblem of the
-    periodic boundary P1 stiffness against the boundary mass matrix.
+    With M and S the periodic P1 boundary mass and stiffness and mu their
+    generalized eigenvalues, ||g||^2_H^{-1/2} = g^T M (1 + mu)^{-1/2} g
+    = (2/pi) int_0^inf g^T M ((1 + t^2) M + S)^{-1} M g dt, taken by the
+    trapezoid rule on t = lam^{1/4} exp((pi/2) sinh x), x = -4, -3.9, ..., 4
+    (Takahasi & Mori, Publ. RIMS 9, 1974), where 1 + mu <= lam = 1 + 12 /
+    min(len)^2. The 81 shifted systems are one banded Cholesky solve.
     """
     pts = mesh.points[mesh.boundary_loop()]
-    mass, stiff = _boundary_matrices(_norm(np.roll(pts, -1, axis=0) - pts))
+    lens = _norm(np.roll(pts, -1, axis=0) - pts)
+    nb, prev = len(lens), np.roll(lens, 1)
     gv = np.asarray(g.raw(pts), dtype=float)
-    gv = gv - (mass.sum(axis=1) @ gv) / mass.sum()
-    mu, w = scipy.linalg.eigh(stiff, mass)
-    coeff = w.T @ (mass @ gv)
-    l2_sq = float((coeff ** 2).sum())
-    neg_sq = float(((1.0 + np.maximum(mu, 0.0)) ** (-0.5) * coeff ** 2).sum())
+    gv = gv - ((prev + lens) @ gv) / (2.0 * lens.sum())
+    nxt = np.roll(gv, -1)
+    mg = (lens * (2.0 * gv + nxt) + np.roll(lens * (gv + 2.0 * nxt), 1)) / 6.0
+    x = np.linspace(-4.0, 4.0, 81)
+    t = (1.0 + 12.0 / lens.min() ** 2) ** 0.25 * np.exp(0.5 * np.pi * np.sinh(x))
+    # numbered 0, 1, nb-1, 2, nb-2, ..., both ends of an edge lie within two
+    k = np.arange(nb)
+    pos = np.argsort(np.where(k % 2, (k + 1) // 2, -(k // 2)) % nb)
+    slot = np.arange(len(t))[:, None] * nb + pos  # node i of system j
+    shift = 1.0 + t[:, None] ** 2
+    band = np.zeros((3, slot.size))
+    band[2, slot] = shift * (prev + lens) / 3.0 + 1.0 / prev + 1.0 / lens
+    band[2 - np.abs(pos - np.roll(pos, -1)),
+         np.maximum(slot, np.roll(slot, -1, axis=1))] = \
+        shift * lens / 6.0 - 1.0 / lens
+    rhs = np.zeros(slot.size)
+    rhs[slot] = mg
+    y = scipy.linalg.solveh_banded(band, rhs)[slot]
+    neg_sq = float((0.1 * t * np.cosh(x)) @ (y @ mg))
     if neg_sq <= 0:
         return math.inf
-    return math.sqrt(l2_sq / neg_sq)
+    return math.sqrt(float(gv @ mg) / neg_sq)

@@ -8,7 +8,8 @@ from dense parameter sampling refined by Newton's method, ball chains
 from a walk that finds each next centre as a sphere crossing, point location
 and P1 samples from a stock scipy Delaunay with its own LAPACK-built
 transform, the minimum angle from one arccos per angle, and the boundary
-mass and stiffness matrices from an edge-by-edge loop. The FEM references,
+norm ratio from a dense generalized eigensolve of the boundary mass and
+stiffness matrices, assembled edge by edge. The FEM references,
 `chiral_system` and `direct_block_solve`, reuse the package's element
 assembly but build the chiral problem as the full-mesh real 2x2 block
 matrix and factorize it directly instead of iterating on it. The 2x2
@@ -27,11 +28,14 @@ u^T b is checked (`quadrature_power`), the pointwise current law
 (`flatten`, `eta_norm`). The background LU's nested-dissection order is
 restated with a Python scan of each left node's row for a right neighbour
 (`nested_dissection`), and its solve is redone by splu's pivoted defaults
-(`pivoted_bordered_solve`).
+(`pivoted_bordered_solve`). A solved pair is redone by pivoted direct
+solves, each refined by its residual, and Re dW taken from its D form
+(`refined_d_form`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -732,11 +736,43 @@ def nested_dissection(points, k, leaf: int = 64):
     return np.array(order, dtype=np.intp), cuts
 
 
-def pivoted_bordered_solve(k, m, b):
+def _refined_lu_solve(a, rhs, refine: int):
+    """a x = rhs by splu's defaults, COLAMD with partial pivoting, then
+    `refine` steps x += a^-1 (rhs - a x)."""
+    lu = spla.splu(sp.csc_matrix(a))
+    x = lu.solve(rhs)
+    for _ in range(refine):
+        x = x + lu.solve(rhs - a @ x)
+    return x
+
+
+def pivoted_bordered_solve(k, m, b, refine: int = 0):
     """(u, lambda) of [[K, m], [m^T, 0]] (u, lambda) = (b, 0), factored by
-    splu's defaults: COLAMD with partial pivoting, in the system's order."""
+    splu's defaults: COLAMD with partial pivoting, in the system's order,
+    and refined `refine` times."""
     n = k.shape[0]
     mcol = sp.csr_matrix(np.asarray(m, dtype=float).reshape(n, 1))
     a = sp.bmat([[k, mcol], [mcol.T, None]], format="csc")
-    x = spla.splu(a).solve(np.concatenate([b, [0.0]]).astype(complex))
+    x = _refined_lu_solve(a, np.concatenate([b, [0.0]]).astype(complex),
+                          refine)
     return x[:n], complex(x[n])
+
+
+def refined_d_form(sol0, sol1, refine: int = 3) -> float:
+    """Re dW = int_D (B0 - B1) v0.v1 of the pair, with u0 and u1 solved
+    again by pivoted direct LUs of the bordered K0 and of `chiral_system`,
+    each refined `refine` times."""
+    mesh = sol0.mesh
+    n = mesh.num_points
+    b, _, _ = boundary_load(mesh, sol0.g)
+    u0, _ = pivoted_bordered_solve(sol0.operator.k, sol0.operator.m, b,
+                                   refine)
+    x = _refined_lu_solve(
+        chiral_system(mesh, sol1.sigma_e, sol1.eps_e, sol1.zeta_e),
+        np.concatenate([b.real, b.imag, [0.0, 0.0]]), refine)
+    d = mesh.in_d
+    v0 = state_vectors(dataclasses.replace(sol0, u=u0, _grad=None))[d]
+    v1 = state_vectors(dataclasses.replace(
+        sol1, u=x[:n] + 1j * x[n:2 * n], _grad=None))[d]
+    bdiff = element_cg(sol0)[d] - element_cg(sol1)[d]
+    return float(np.einsum("mij,mj,mi,m->", bdiff, v0, v1, mesh.areas[d]))

@@ -501,6 +501,36 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == EXIT_STRUCTURAL
 
+    def test_w0_free_mismatch_is_a_violation(self, tmp_path, fast_concentric,
+                                             monkeypatch):
+        # u0's boundary pairing off by 1e-3 relative: the volume form of W'0
+        # no longer matches it
+        solve = BackgroundOperator.solve
+
+        def skewed(self, g):
+            sols = solve(self, g)
+            if not isinstance(sols, list):
+                sols.power *= 1.0 + 1e-3
+            return sols
+
+        monkeypatch.setattr(BackgroundOperator, "solve", skewed)
+        doc = dict(fast_concentric, checks=["energy"])
+        rep, code = run(parse_config(doc))
+        assert code == EXIT_VIOLATION
+        assert rep["violations"] == [
+            "W'0 volume and boundary forms differ by 9.990e-04 relative"]
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_corpus_w0_free_forms_agree(self, path):
+        doc = json.loads(path.read_text())
+        doc["mesh"]["h"], doc["checks"] = 0.06, ["energy"]
+        rep, code = run(parse_config(doc))
+        assert code == EXIT_OK and rep["violations"] == []
+
     @pytest.mark.parametrize("name,stages", [
         ("concentric_disk", ["mesh", "admissibility", "solve", "energy",
                              "three_region", "vitali", "size"]),

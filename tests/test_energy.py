@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,14 +27,17 @@ from powergap.energy import (
     state_vectors,
     verify_identities,
 )
+from powergap.cli import parse_config
 from powergap.errors import StructuralError
 from powergap.mesh import build_mesh
+from powergap.scenarios import size_family
 
-from corpus import isotropic_background, isotropic_field
+from corpus import CONFIGS, isotropic_background, isotropic_field
 from oracles import (
     LayeredDiskSolution,
     basic_pairing_residual,
     constitutive_matrix,
+    refined_d_form,
 )
 
 GAMMA = 0.05
@@ -167,7 +171,8 @@ class TestIdentities:
         sol1 = solve_perturbed(op, law, cos_data)
         rep = verify_identities(sol0, sol1)
         w0 = abs(sol0.power.real)
-        for v in (rep.re_dw_boundary, rep.re_dw_id1, rep.re_dw_id2):
+        for v in (rep.re_dw_d, rep.re_dw_boundary, rep.re_dw_id1,
+                  rep.re_dw_id2):
             assert abs(v) < 1e-10 * w0
 
     @pytest.mark.parametrize("which", ["case_i", "case_ii"])
@@ -197,6 +202,28 @@ class TestIdentities:
         for sj in (sol0, sol_ii):
             for sk in (sol0, sol_ii):
                 assert basic_pairing_residual(sj, sk) < 1e-10
+
+
+D_FORM_SCENES = [json.loads(p.read_text())
+                 for p in sorted(CONFIGS.glob("*.json"))] \
+    + [doc for i, doc in enumerate(size_family(12)) if i in (0, 3, 8, 11)]
+
+
+class TestDeltaWDForm:
+    @pytest.mark.parametrize("doc", D_FORM_SCENES,
+                             ids=lambda doc: doc["label"])
+    def test_reported_delta_w_is_the_refined_d_form(self, doc):
+        # the D form subtracts nothing, so it follows u1's residual; the
+        # boundary form W0 - W1 is off by up to 1.2e-11 on these scenes
+        cfg = parse_config(doc)
+        mesh = build_mesh(cfg.scene, cfg.values["mesh.h"],
+                          cfg.values["mesh.min_angle_deg"])
+        op = BackgroundOperator(mesh, cfg.background)
+        sol0 = op.solve(cfg.g)
+        sol1 = solve_perturbed(op, cfg.law, cfg.g)
+        got = power_report(sol0, sol1, JumpCase.NONE).as_dict()["delta_w_re"]
+        assert got == pytest.approx(refined_d_form(sol0, sol1), rel=1e-13,
+                                    abs=0.0)
 
 
 class TestBracket:
@@ -327,5 +354,5 @@ class TestPowerReport:
         rep = energy.power_report(sol0, sol_ii, JumpCase.CASE_II)
         assert counts == {"verify_identities": 1, "cg_transform": 2}
         alone = energy_bracket(sol0, sol_ii, JumpCase.CASE_II,
-                               rep.identities.re_dw_boundary)
+                               rep.identities.re_dw_d)
         assert alone == rep.bracket
