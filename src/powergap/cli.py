@@ -88,7 +88,8 @@ class ExperimentConfig(SimpleNamespace):
 
     It holds in `values` the checked value at every path of `_FIELDS`,
     defaults filled in; `label` is an attribute too, as callers file a
-    run's outputs under it. Then the `scene`, `background`, `law` (None
+    run's outputs under it. Then the `scene` and its `scene_validation`,
+    the separations `Scene.validate` measured, the `background`, `law` (None
     without one), boundary data `g` and `weights`, and `regions`, the
     regions and chart of the three-region check (None without it). `raw`
     is the document as given, for the report's `config` echo and `sweep`'s
@@ -115,6 +116,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 _fail("checks", f"check '{stage.name}' needs check '{need}'")
     cfg = ExperimentConfig(raw=doc, values=v, label=v["label"], regions=None)
     cfg.scene = _build(Scene, "scene", v)
+    try:
+        cfg.scene_validation = cfg.scene.validate()
+    except StructuralError as exc:
+        _fail(f"scene.{exc.field}", str(exc))
     cfg.background = _build(BackgroundTensor, "background", v)
     cfg.law = None if v["law"] is None else _build(InclusionLaw, "law", v)
     with _naming("weights"):
@@ -167,10 +172,9 @@ class _Run:
 
 
 def _mesh_stage(st: _Run) -> dict:
-    validation = st.scene.validate()
     st.mesh = build_mesh(st.scene, st.cfg.values["mesh.h"],
                          st.cfg.values["mesh.min_angle_deg"])
-    return {"scene_validation": validation,
+    return {"scene_validation": st.cfg.scene_validation,
             "mesh": {"n_points": st.mesh.num_points,
                      "n_triangles": st.mesh.num_triangles,
                      **st.mesh.diagnostics}}

@@ -77,7 +77,7 @@ def cg_transform(sigma: np.ndarray, eps: np.ndarray,
     zeta; zeta None is zero."""
     z = np.zeros_like(sigma) if zeta is None else zeta
     sz = sigma + z
-    lo = _eigvalsh2(sz)[:, 0].min()
+    lo = _eigvalsh2(sz)[:, 0].min(initial=np.inf)
     if lo <= 1e-14:
         raise StructuralError(
             "sigma + zeta is singular on a sample; hypothesis (se0) "
@@ -103,10 +103,18 @@ def state_vectors(sol: Solution) -> np.ndarray:
                           axis=1)
 
 
-def element_cg(sol: Solution) -> np.ndarray:
-    """Per-element 4x4 matrices of the solution's law, computed once per solution."""
+def element_cg(sol: Solution, base: Optional[Solution] = None) -> np.ndarray:
+    """Per-element 4x4 matrices of the solution's law, computed once per
+    solution; given `base`, the background solution on the same mesh, whose
+    law it shares off D, only D's rows are transformed, the rest are base's."""
     if sol._cg is None:
-        sol._cg = cg_transform(sol.sigma_e, sol.eps_e, sol.zeta_e)
+        if base is None:
+            sol._cg = cg_transform(sol.sigma_e, sol.eps_e, sol.zeta_e)
+        else:
+            d = sol.mesh.in_d
+            sol._cg = element_cg(base).copy()
+            sol._cg[d] = cg_transform(sol.sigma_e[d], sol.eps_e[d],
+                                      sol.zeta_e[d])
         sol._cg.flags.writeable = False
     return sol._cg
 
@@ -184,7 +192,7 @@ def verify_identities(sol0: Solution, sol1: Solution) -> IdentityReport:
     areas = mesh.areas
     d = mesh.in_d
     v0, v1 = state_vectors(sol0), state_vectors(sol1)
-    b0, b1 = element_cg(sol0), element_cg(sol1)
+    b0, b1 = element_cg(sol0), element_cg(sol1, sol0)
     bd, v0d, v1d, ad = b0[d] - b1[d], v0[d], v1[d], areas[d]
     d_form = _quad_form(bd, v0d, v1d, ad)
     re_boundary = (sol0.power - sol1.power).real
@@ -239,7 +247,7 @@ def energy_bracket(sol0: Solution, sol1: Solution, case: JumpCase,
                              sign_ok=True, bracket_ok=True,
                              surrogate_valid=False, degenerate=True)
 
-    b0, b1 = element_cg(sol0), element_cg(sol1)
+    b0, b1 = element_cg(sol0), element_cg(sol1, sol0)
     bdiff = (b1[d] - b0[d]) if case is JumpCase.CASE_I else (b0[d] - b1[d])
     eig_diff = np.linalg.eigvalsh(bdiff)
     lam_lo = float(eig_diff[:, 0].min())

@@ -6,7 +6,10 @@ class PowerGapError(Exception):
 
 
 class StructuralError(PowerGapError):
-    """A structural hypothesis on the data is violated (names the condition)."""
+    """A structural hypothesis on the data is violated (names the condition);
+    `field`, when given, names the input field at fault."""
+
+    field = None
 
 
 class MeshingError(PowerGapError):

@@ -37,6 +37,7 @@ __all__ = [
     "grid_integrate",
     "region_area",
     "vitali_cover",
+    "curve_distance",
 ]
 
 
@@ -592,23 +593,35 @@ class Scene:
         return CurveInterior(self.outer)
 
     def validate(self) -> dict:
-        """Check the separation hypotheses; returns measured distances."""
+        """Check the separation hypotheses; returns the measured distances.
+        A refusal's `field` is 'interface' or 'd0', the field at fault."""
         out = {}
-        outer_poly = self.outer.nodes(self.outer.perimeter / 512)
         if self.interface is not None:
-            sig_poly = self.interface.nodes(self.interface.perimeter / 512)
-            d = float(polyline_min_distance(sig_poly, outer_poly).min())
+            d = curve_distance(self.interface, self.outer)
             out["dist_interface_boundary"] = d
             if d <= 0:
-                raise StructuralError("dist(Sigma, boundary) must be positive")
+                exc = StructuralError("dist(Sigma, boundary) must be positive")
+                exc.field = "interface"
+                raise exc
         if self.inclusion is not None:
-            d_poly = self.inclusion.nodes(self.inclusion.perimeter / 512)
-            d = float(polyline_min_distance(d_poly, outer_poly).min())
+            d = curve_distance(self.inclusion, self.outer)
             out["dist_inclusion_boundary"] = d
             if d < self.d0:
-                raise StructuralError(
-                    f"dist(D, boundary) = {d:.4g} below required d0 = {self.d0:.4g}")
+                exc = StructuralError(f"dist(D, boundary) = {d:.4g} below "
+                                      f"required d0 = {self.d0:.4g}")
+                exc.field = "d0"
+                raise exc
         return out
+
+
+def curve_distance(curve, other) -> float:
+    """Distance between two closed curves: the least distance from a vertex
+    of curve's 512-gon to other's 512-gon, vertices even in arc length;
+    negated when a vertex lies outside other, so a curve that leaves other's
+    interior is never a positive distance from it."""
+    poly, other_poly = (c.nodes(c.perimeter / 512) for c in (curve, other))
+    d = float(polyline_min_distance(poly, other_poly).min())
+    return d if other.contains(poly).all() else -d
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Interface- and inclusion-conforming triangulation of a scene.
 
 Nodes are placed exactly on the outer boundary, the interface and the
-inclusion boundary (with shared nodes at curve crossings), a hexagonal
-lattice fills the interior with a clearance band around every curve, and a
-Delaunay triangulation of the node set then conforms to the discretized
-curves. Component and inclusion tags are assigned per element from the
-centroid, so every triangle carries a single coefficient value.
+inclusion boundary (a crossing of the two is one node, the interface's), a
+hexagonal lattice fills the interior with a clearance band around every
+curve, and a Delaunay triangulation of the node set then conforms to the
+discretized curves. Component and inclusion tags are assigned per element
+from the centroid, so every triangle carries a single coefficient value.
 """
 
 from __future__ import annotations
@@ -552,7 +552,7 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
 
     outer_nodes = scene.outer.nodes(h)
 
-    # the points where the inclusion crosses the interface are nodes of both
+    # both curves place nodes through the points where D crosses Sigma
     breaks = None
     if scene.interface is not None and scene.inclusion is not None:
         breaks = curve_intersections(scene.interface, scene.inclusion)
@@ -561,29 +561,26 @@ def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
     if scene.interface is not None:
         sigma_nodes = _curve_nodes(scene.interface, h, breaks)
 
-    d_nodes = np.empty((0, 2))
+    d_nodes = d_poly = np.empty((0, 2))
     if scene.inclusion is not None:
-        d_nodes = _curve_nodes(scene.inclusion, h, breaks)
+        d_nodes = d_poly = _curve_nodes(scene.inclusion, h, breaks)
         if scene.interface is not None:
-            # drop inclusion nodes crowding the interface polyline, but keep
-            # the shared crossing nodes (they exist in both node sets)
+            # drop D's nodes crowding Sigma's polyline; D's polyline keeps
+            # the crossings, but their nodes are Sigma's
             dist = polyline_min_distance(d_nodes, sigma_nodes, cap=0.4 * h)
-            d_nodes = d_nodes[(dist > 0.4 * h) | (dist < 1e-9 * extent)]
+            d_poly = d_nodes[(dist > 0.4 * h) | (dist < 1e-9 * extent)]
+            d_nodes = d_nodes[dist > 0.4 * h]
 
     clearance = 0.55 * h
     lattice = _hex_lattice(lo - 0.5 * h, hi + 0.5 * h, h)
     inside = scene.outer.signed_distance(lattice) < -clearance
     lattice = lattice[inside]
-    for nodes in (sigma_nodes, d_nodes):
-        if len(nodes):
-            dist = polyline_min_distance(lattice, nodes, cap=clearance)
+    for poly in (sigma_nodes, d_poly):
+        if len(poly):
+            dist = polyline_min_distance(lattice, poly, cap=clearance)
             lattice = lattice[dist > clearance]
 
     pts = np.vstack([outer_nodes, sigma_nodes, d_nodes, lattice])
-    # dedupe exactly coincident nodes (shared crossing points)
-    _, keep_idx = np.unique(np.round(pts / (1e-9 * max(extent, 1.0))),
-                            axis=0, return_index=True)
-    pts = pts[np.sort(keep_idx)]
     if len(pts) < 5:
         raise MeshingError("too few nodes; decrease h")
 

@@ -25,10 +25,10 @@ from .geometry import (
     _cell_points,
     _grid_rule,
     as_points,
+    curve_distance,
     dilate,
     erode,
     grid_integrate,
-    polyline_min_distance,
 )
 from .mesh import _SAMPLE_BLOCK
 from .solver import Solution
@@ -581,12 +581,10 @@ def chain_precondition(scene, region, x0, r: float,
         raise ValueError(f"chain h must be positive, got {h:g}")
     if float(region.signed_distance(np.asarray(x0, float)[None, :])[0]) > -r:
         raise StructuralError("seed ball B_r(x0) is not contained in D")
-    # distance from D to the outer boundary, via polylines when D is given
-    # as a closed curve (predicate-only regions skip this precondition)
+    # dist(D, boundary) as `Scene.validate` measures it, for D given as a
+    # closed curve (predicate-only regions skip this precondition)
     if hasattr(region, "curve"):
-        d_poly = region.curve.nodes(region.curve.perimeter / 720)
-        outer_poly = scene.outer.nodes(scene.outer.perimeter / 720)
-        gap = float(polyline_min_distance(d_poly, outer_poly).min())
+        gap = curve_distance(region.curve, scene.outer)
         if gap < h * (1 - 1e-9):
             raise StructuralError(
                 f"dist(D, boundary) = {gap:.4g} below the requested h = {h:.4g}")

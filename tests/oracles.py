@@ -3,7 +3,8 @@
 Nothing here touches the FEM solve path: the layered-disk solutions come
 from transfer-style linear systems for the radial mode coefficients, areas
 come from Monte Carlo, covering counts from a direct 1d construction,
-polyline distances from the full point x segment table, ellipse distances
+polyline distances from the full point x segment table, a mesh's nodes
+by the keep-and-dedupe placement at curve crossings, ellipse distances
 from dense parameter sampling refined by Newton's method, ball chains
 from a walk that finds each next centre as a sphere crossing, point location
 and P1 samples from a stock scipy Delaunay with its own LAPACK-built
@@ -59,6 +60,7 @@ from powergap.geometry import (
     _segment_distances,
     as_points,
 )
+from powergap.mesh import _curve_nodes, _hex_lattice, curve_intersections
 from powergap.solver import (
     _load_residual,
     assemble_stiffness,
@@ -242,6 +244,42 @@ def polyline_distance_table(points, poly) -> np.ndarray:
     return np.concatenate(
         [_segment_distances(p[lo:lo + rows], a, b).min(axis=1)
          for lo in range(0, len(p), rows)])
+
+
+def crossing_deduped_nodes(scene, h: float) -> np.ndarray:
+    """`build_mesh`'s node array placed by keeping and then deduping.
+
+    The inclusion's nodes within 0.4h of the interface's polyline are
+    dropped unless within 1e-9 of the extent of it, which keeps its copies
+    of the crossing nodes; the lattice is cleared against what is left,
+    and then the nodes are rounded to a grid of 1e-9 of the extent and the
+    first of each rounded point kept. Distances come from
+    `polyline_distance_table`.
+    """
+    lo, hi = scene.outer.bbox()
+    extent = float(min(hi - lo))
+    breaks = None
+    if scene.interface is not None and scene.inclusion is not None:
+        breaks = curve_intersections(scene.interface, scene.inclusion)
+    sigma_nodes = d_nodes = np.empty((0, 2))
+    if scene.interface is not None:
+        sigma_nodes = _curve_nodes(scene.interface, h, breaks)
+    if scene.inclusion is not None:
+        d_nodes = _curve_nodes(scene.inclusion, h, breaks)
+        if scene.interface is not None:
+            dist = polyline_distance_table(d_nodes, sigma_nodes)
+            d_nodes = d_nodes[(dist > 0.4 * h) | (dist < 1e-9 * extent)]
+    clearance = 0.55 * h
+    lattice = _hex_lattice(lo - 0.5 * h, hi + 0.5 * h, h)
+    lattice = lattice[scene.outer.signed_distance(lattice) < -clearance]
+    for nodes in (sigma_nodes, d_nodes):
+        if len(nodes):
+            lattice = lattice[polyline_distance_table(lattice, nodes)
+                              > clearance]
+    pts = np.vstack([scene.outer.nodes(h), sigma_nodes, d_nodes, lattice])
+    _, keep = np.unique(np.round(pts / (1e-9 * max(extent, 1.0))), axis=0,
+                        return_index=True)
+    return pts[np.sort(keep)]
 
 
 def ellipse_distance(ellipse, points, samples: int = 4096,

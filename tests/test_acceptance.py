@@ -310,6 +310,8 @@ def test_criterion_10_size_estimation(case_ii_measurements):
         doc["mesh"]["h"] = 0.04
         doc["scene"]["inclusion"] = {"kind": "circle", "center": list(c),
                                      "radius": r}
+        # the family's d0: two of these lie nearer than 0.3 to the boundary
+        doc["scene"]["d0"] = 0.25
         doc["scene"]["d1"] = r / 5.0
         held_docs.append(doc)
     crossing = corpus_config("crossing_inclusion")

@@ -359,6 +359,25 @@ class TestConfigParsing:
         pytest.param("concentric_disk", "bracket_tl", 0.5, None,
                      "config field 'bracket_tl': not a config field",
                      id="bracket_tl-typo"),
+        # scenes once refused only by the mesh stage, without a path: D
+        # nearer than d0 to the boundary, Sigma on it
+        pytest.param("one_phase_disk", "scene.d0", 0.9, None,
+                     "config field 'scene.d0': dist(D, boundary) = 0.8 "
+                     "below required d0 = 0.9\n", id="scene.d0-0.9"),
+        pytest.param("concentric_disk", "scene.interface.radius", 1.0, None,
+                     "config field 'scene.interface': dist(Sigma, "
+                     "boundary) must be positive\n",
+                     id="scene.interface-on-boundary"),
+        # and scenes once valid by their polygons' distance alone: Sigma
+        # across the boundary, D outside the body
+        pytest.param("concentric_disk", "scene.interface.center", [0.6, 0.0],
+                     None, "config field 'scene.interface': dist(Sigma, "
+                     "boundary) must be positive\n",
+                     id="scene.interface-crossing"),
+        pytest.param("one_phase_disk", "scene.inclusion.center", [2.0, 0.0],
+                     None, "config field 'scene.d0': dist(D, boundary) = "
+                     "-0.8 below required d0 = 0.3\n",
+                     id="scene.inclusion-outside"),
     ])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
                                                monkeypatch, name, path, value,
@@ -812,6 +831,22 @@ class TestSweep:
             == "config field 'weights.delta': must be a number > 0, got -1.0"
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
         assert len(list(out.glob("*.json"))) == 1
+
+    def test_refused_separation_in_its_row(self, tmp_path, capsys,
+                                           fast_concentric):
+        # d0 = 0.9 puts D too near the boundary: the config parser refuses
+        # it, in its own row, and the d0 = 0.3 run is kept
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "scene.d0", "--values", "0.3,0.9"]) == EXIT_STRUCTURAL
+        agg = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in agg["rows"]] \
+            == [EXIT_OK, EXIT_STRUCTURAL]
+        assert agg["rows"][1]["error"] == "config field 'scene.d0': " \
+            "dist(D, boundary) = 0.75 below required d0 = 0.9"
 
     def test_unknown_param_path_is_fatal(self, tmp_path, capsys,
                                          fast_concentric):

@@ -367,6 +367,24 @@ class TestScene:
         with pytest.raises(StructuralError, match="d0"):
             scene.validate()
 
+    @pytest.mark.parametrize("interface, inclusion, field", [
+        (Circle((0, 0), 1.0), None, "interface"),
+        (Circle((0.6, 0), 0.5), None, "interface"),
+        (Circle((0, 0), 1.2), None, "interface"),
+        (None, Circle((2.0, 0), 0.2), "d0"),
+        (None, Ellipse((0.9, 0), 0.3, 0.1), "d0"),
+    ])
+    def test_validate_refuses_curves_leaving_the_body(self, interface,
+                                                      inclusion, field):
+        # a curve on the boundary, across it or outside it is refused, and
+        # the error names the scene field at fault
+        from powergap.errors import StructuralError
+        scene = Scene(outer=Circle((0, 0), 1.0), interface=interface,
+                      inclusion=inclusion, d0=0.05)
+        with pytest.raises(StructuralError) as exc:
+            scene.validate()
+        assert exc.value.field == field
+
 
 @st.composite
 def walks(draw):

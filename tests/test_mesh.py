@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from powergap import Circle, Ellipse, Scene, cli, scenarios
 from powergap.errors import MeshingError
@@ -470,6 +471,47 @@ class TestAffineSampling:
         slack = 24 * block * 16 + 9 * mesh.num_triangles
         assert peak < out.nbytes + slack
         assert slack < mesh.num_triangles * 3 * 16
+
+
+@st.composite
+def crossing_scenes(draw):
+    """A unit disk, a circle interface and an inclusion circle crossing it,
+    a third of them within h of tangency from outside and a third from
+    inside, and an h."""
+    h = draw(st.floats(0.04, 0.08))
+    rs = draw(st.floats(0.3, 0.5))
+    rd = draw(st.floats(0.08, 0.2))
+    near = draw(st.sampled_from(["outer", "inner", "free"]))
+    gap = h * 10.0 ** draw(st.floats(-3.0, 0.0))
+    lo, hi = abs(rs - rd), rs + rd
+    c = {"outer": hi - gap, "inner": lo + gap,
+         "free": lo + (hi - lo) * draw(st.floats(0.05, 0.95))}[near]
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    scene = Scene(outer=Circle((0.0, 0.0), 1.0),
+                  interface=Circle((0.0, 0.0), rs),
+                  inclusion=Circle((c * np.cos(phi), c * np.sin(phi)), rd))
+    return scene, h
+
+
+class TestCrossingNodes:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(crossing_scenes())
+    def test_interface_owns_crossing_nodes(self, scene_h):
+        # D's nodes crowding the interface go, its crossing copies too, and
+        # the lattice clears D's polyline through the crossings: the nodes
+        # are those of keeping the copies and deduping on a rounding grid,
+        # no two nodes nearly coincide, and each crossing is one node
+        scene, h = scene_h
+        crossings = circle_circle_intersections(scene.interface,
+                                                scene.inclusion)
+        assert len(crossings) == 2
+        pts = build_mesh(scene, h).points
+        assert np.array_equal(pts, oracles.crossing_deduped_nodes(scene, h))
+        dist, _ = cKDTree(pts).query(pts, k=2)
+        assert dist[:, 1].min() >= 1e-3 * h
+        for x in crossings:
+            assert np.count_nonzero(np.hypot(*(pts - x).T) < 1e-9) == 1
 
 
 class TestIntersections:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from powergap import (
     flattening_map,
     fourier_data,
 )
-from powergap.errors import CoverageError
+from powergap.cli import parse_config
+from powergap.errors import CoverageError, StructuralError
 from powergap.geometry import (
     CurveInterior,
+    Ellipse,
     _cell_points,
     _grid_rule,
+    curve_distance,
     grid_integrate,
 )
 from powergap import smallness
@@ -44,7 +48,7 @@ from powergap.smallness import (
 )
 from powergap.solver import BackgroundOperator, Solution
 
-from corpus import isotropic_background
+from corpus import SCENES, corpus_config, isotropic_background
 from oracles import (
     Boxed,
     FnSampler,
@@ -302,6 +306,35 @@ class TestChain:
         assert len(steps) == math.ceil(L / (2 * r1))
         assert np.allclose(steps[:-1], 2 * r1, atol=1e-12)
         assert steps[-1] <= 2 * r1 + 1e-12
+
+    @pytest.mark.parametrize("name", SCENES + ("ellipse",))
+    def test_precondition_gap_is_the_validated_distance(self, name,
+                                                        monkeypatch):
+        # the chain measures dist(D, boundary) as Scene.validate does, bit
+        # for bit, so its refusal agrees with the report's scene_validation
+        if name == "ellipse":
+            scene = Scene(outer=Circle((0, 0), 1.0),
+                          inclusion=Ellipse((0.1, -0.2), 0.3, 0.15))
+        else:
+            scene = parse_config(corpus_config(name)).scene
+        want = scene.validate()["dist_inclusion_boundary"]
+        seen = []
+
+        def spy(*curves):
+            seen.append(curve_distance(*curves))
+            return seen[-1]
+
+        monkeypatch.setattr(smallness, "curve_distance", spy)
+        region = scene.inclusion_region()
+        x0 = scene.inclusion.center
+        assert smallness.chain_precondition(scene, region, x0, 0.01, want) \
+            == (want / 30.0, want / 10.0, want / 2.0)
+        assert seen == [want]
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"dist(D, boundary) = {want:.4g} "
+                                           "below the requested h")):
+            smallness.chain_precondition(scene, region, x0, 0.01,
+                                         want * (1 + 1e-6))
 
     def test_degenerate_single_link(self, cos_data):
         scene = Scene(outer=Circle((0, 0), 1.0),
