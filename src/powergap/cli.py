@@ -126,7 +126,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg.weights = _build(WeightParams, "weights", v)
     cfg.g = fourier_data(v["boundary_data"])
     with _naming("mesh.h"):
-        mesh_size_precondition(cfg.scene.outer, v["mesh.h"])
+        mesh_size_precondition(cfg.scene, v["mesh.h"], cfg.scene_validation
+                               .get("dist_interface_boundary"))
     for stage in _stages():
         if stage.read is not None and stage.name in checks:
             stage.read(cfg)
@@ -173,7 +174,8 @@ class _Run:
 
 def _mesh_stage(st: _Run) -> dict:
     st.mesh = build_mesh(st.scene, st.cfg.values["mesh.h"],
-                         st.cfg.values["mesh.min_angle_deg"])
+                         st.cfg.values["mesh.min_angle_deg"],
+                         st.cfg.scene_validation.get("dist_interface_boundary"))
     return {"scene_validation": st.cfg.scene_validation,
             "mesh": {"n_points": st.mesh.num_points,
                      "n_triangles": st.mesh.num_triangles,
@@ -207,7 +209,7 @@ def _solve_stage(st: _Run) -> dict:
     out = {"residual_u0": st.sol0.residual,
            "g_defect": st.sol0.diagnostics["g_defect"]}
     if st.law is not None and st.scene.inclusion is not None:
-        st.sol1 = solve_perturbed(st.op, st.law, st.g)
+        st.sol1 = solve_perturbed(st.sol0, st.law)
         out["residual_u1"] = st.sol1.residual
         d_pts = mesh.centroids[mesh.in_d]
         if len(d_pts):

@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import CoverageError, MeshingError
-from .geometry import Circle, _dot, _norm, as_points, polyline_min_distance
+from .geometry import (Circle, _dot, _norm, as_points, curve_distance,
+                       polyline_min_distance)
 
 __all__ = ["Mesh", "build_mesh", "mesh_size_precondition"]
 
@@ -525,11 +526,15 @@ def _hex_lattice(lo, hi, h: float) -> np.ndarray:
     return np.vstack(rows)
 
 
-def mesh_size_precondition(outer, h: float) -> None:
+def mesh_size_precondition(scene, h: float, sigma_gap=None) -> None:
     """MeshingError unless h > 0, h is at most a sixth of the outer curve's
-    extent, and h is within the node budget; it needs only the curve."""
+    extent, h is within the node budget, and the interface, if any, is at
+    least h/2 from the outer curve; nearer, the lattice's clearance bands
+    can cut the strip between them. `sigma_gap` is that distance as
+    `Scene.validate` measured it; None measures it again."""
     if h <= 0:
         raise MeshingError("h must be positive")
+    outer = scene.outer
     lo, hi = outer.bbox()
     extent = float(min(hi - lo))
     if h > extent / 6.0:
@@ -542,11 +547,23 @@ def mesh_size_precondition(outer, h: float) -> None:
         raise MeshingError(
             f"h = {h:.3g} needs about {nodes:.3g} nodes, above the budget of "
             f"{_MAX_NODES}; try h >= {h * math.sqrt(nodes / _MAX_NODES):.3g}")
+    if scene.interface is not None:
+        gap = curve_distance(scene.interface, outer) if sigma_gap is None \
+            else sigma_gap
+        if gap < h / 2:
+            msg = f"dist(Sigma, boundary) = {gap:.4g} is below h/2 = {h / 2:.4g}"
+            if gap > 0:
+                # the largest h with gap >= h/2, rounded down to 3 digits
+                step = 10.0 ** (math.floor(math.log10(2.0 * gap)) - 2)
+                msg += f"; try h <= {math.floor(2.0 * gap / step) * step:.3g}"
+            raise MeshingError(msg)
 
 
-def build_mesh(scene, h: float, min_angle_deg: float = 5.0) -> Mesh:
-    """Conforming triangulation of the scene at target resolution h."""
-    mesh_size_precondition(scene.outer, h)
+def build_mesh(scene, h: float, min_angle_deg: float = 5.0,
+               sigma_gap=None) -> Mesh:
+    """Conforming triangulation of the scene at target resolution h;
+    `sigma_gap` is as in `mesh_size_precondition`."""
+    mesh_size_precondition(scene, h, sigma_gap)
     lo, hi = scene.outer.bbox()
     extent = float(min(hi - lo))
 

@@ -17,12 +17,15 @@ operator is applied in complex form,
 
 where K_delta, with coefficient (sigma1 - sigma0) + i (eps1 - eps0), and
 K_zeta are assembled over the inclusion's elements only, so the background
-stiffness is reused and never assembled again. GMRES runs on its real form
-in the unknowns (Re u, Im u, lambda_re, lambda_im), with the border rows
-m.Re u and m.Im u, preconditioned with the complex background LU. Outside
-the inclusion the operator is exactly the background's, so the
-preconditioned system is the identity plus a perturbation supported on D
-and converges in a few tens of iterations.
+stiffness is reused and never assembled again. The two laws differ only on
+D, so u1 is u0 corrected on the nodes of D's elements, S: u1 = u0 + P w,
+with P the bordered background LU solve and w on S. With E u = K_delta u
++ K_zeta conj(u), the correction solves (I + E P) w = -E u0 on S, the
+identity plus a perturbation supported on D. GMRES runs on its 2|S| real
+unknowns (Re w, Im w) and converges in a few tens of iterations, the
+capacitance-matrix method (Proskurowski & Widlund, Math. Comp. 30, 1976).
+One refinement step on the whole bordered system then removes u0's own LU
+rounding, which a correction on S cannot reach.
 
 Every solve pairs its solution with its load. The load b of boundary
 data g is the Galerkin vector b_i = int phi_i (g - mean) ds on the
@@ -34,11 +37,11 @@ integrates the boundary again.
 
 `BackgroundOperator` is the one way into the solver: it assembles and
 factorizes the background once, `op.solve(g)` gives u0, and
-`solve_perturbed(op, law, g)` gives u1 on the same mesh and background.
-The LU is the largest object a run holds (about 200 MB of fill at
-h = 0.0075). A run's solve stage makes every LU solve it needs, u0, the
-GMRES for u1 and the three-region family, and then releases the
-factorization (`BackgroundOperator.release`). K0 and m stay, so residuals
+`solve_perturbed(sol0, law)` gives u1 with u0's data, mesh, background
+and factorization. The LU is the largest object a run holds (about
+200 MB of fill at h = 0.0075). A run's solve stage makes every LU solve
+it needs, u0, the GMRES for u1 and the three-region family, and then
+releases the factorization (`BackgroundOperator.release`). K0 and m stay, so residuals
 and flux balances keep working, and a later solve raises SolverError.
 """
 
@@ -69,7 +72,7 @@ __all__ = [
     "inclusion_coefficients",
 ]
 
-# GMRES on the chiral block system: restart length, restart cycles and
+# GMRES on the correction over D's nodes: restart length, restart cycles and
 # relative tolerance. rtol=1e-13 sits on the rounding floor and stagnates.
 _GMRES_RESTART = 50
 _GMRES_MAXITER = 4
@@ -329,8 +332,6 @@ class BackgroundOperator:
         self.k = assemble_stiffness(mesh, sigma + 1j * eps)
         self.m = mesh.node_mass()
         self._lu = _bordered_factor(self.k, self.m, mesh.points)
-        # the last one-column solve: (right-hand side bytes, solution)
-        self._last = None
 
     def release(self):
         """Free the LU factorization; K0 and m, and so `apply`, stay.
@@ -339,28 +340,12 @@ class BackgroundOperator:
         operator, raises SolverError.
         """
         self._lu = None
-        self._last = None
 
     def _factorization(self):
         if self._lu is None:
             raise SolverError("the background factorization was released; "
                               "build a new BackgroundOperator to solve again")
         return self._lu
-
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The bordered LU solve of rhs, (n + 1,) or (n + 1, k).
-
-        A one-column right-hand side bitwise equal to the last one gets a
-        copy of the last solution: GMRES applies the preconditioner twice to
-        b from x0 = 0, and b is u0's load when the same data drive both.
-        """
-        lu = self._factorization()
-        if rhs.ndim == 2 and rhs.shape[1] > 1:
-            return lu.solve(rhs)
-        key = np.ascontiguousarray(rhs).tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = (key, lu.solve(rhs).reshape(-1))
-        return self._last[1].reshape(rhs.shape).copy()
 
     def apply(self, u: np.ndarray, lam: complex) -> np.ndarray:
         """K u + m lam, the rows of the bordered system without its border."""
@@ -381,7 +366,7 @@ class BackgroundOperator:
         rhs = np.zeros((self.mesh.num_points + 1, len(gs)), dtype=complex)
         for j, (b, _, _) in enumerate(loads):
             rhs[:-1, j] = b
-        x = self._lu_solve(rhs)
+        x = self._factorization().solve(rhs)
         sols = []
         for j, (gi, (b, _, defect)) in enumerate(zip(gs, loads)):
             u, lam = np.ascontiguousarray(x[:-1, j]), complex(x[-1, j])
@@ -410,7 +395,6 @@ class _ChiralOperator:
     def __init__(self, op: BackgroundOperator, sigma: np.ndarray,
                  eps: np.ndarray, zeta: np.ndarray):
         mesh, d = op.mesh, op.mesh.in_d
-        self.n = mesh.num_points
         self.k0, self.m = op.k, op.m
         self.k_delta = assemble_stiffness(
             mesh, sigma[d] - op.sigma_e[d] + 1j * (eps[d] - op.eps_e[d]), d)
@@ -421,46 +405,20 @@ class _ChiralOperator:
         return (self.k0 @ u + self.k_delta @ u + self.k_zeta @ np.conj(u)
                 + self.m * lam)
 
-    def apply_real(self, x: np.ndarray) -> np.ndarray:
-        """The operator on (Re u, Im u, lam_re, lam_im), with its borders."""
-        n = self.n
-        y = self.apply(x[:n] + 1j * x[n:2 * n], x[2 * n] + 1j * x[2 * n + 1])
-        return np.concatenate([y.real, y.imag,
-                               [self.m @ x[:n], self.m @ x[n:2 * n]]])
 
+def solve_perturbed(sol0: Solution, law: InclusionLaw) -> Solution:
+    """Weak solution of the chiral problem with sol0's data, on the mesh,
+    background and factorization of sol0's operator.
 
-def _real_form_preconditioner(op: BackgroundOperator) -> spla.LinearOperator:
-    """The complex bordered LU of `op` acting on real block vectors.
-
-    (x_re, x_im, lam_re, lam_im) is solved as (x_re + i x_im, lam_re +
-    i lam_im) and split back into real and imaginary parts.
-    """
-    n = op.mesh.num_points
-    op._factorization()  # a released operator is refused here
-
-    def apply(r):
-        z = op._lu_solve(np.concatenate(
-            [r[:n] + 1j * r[n:2 * n], [r[2 * n] + 1j * r[2 * n + 1]]]))
-        return np.concatenate([z[:n].real, z[:n].imag, [z[n].real, z[n].imag]])
-
-    return spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=apply,
-                               dtype=float)
-
-
-def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
-                    g: NeumannData) -> Solution:
-    """Weak solution of the chiral problem on `op`'s mesh and background.
-
-    The operator reuses the stiffness K0 of `op` and adds the inclusion's
-    terms assembled over its elements only; GMRES runs on its real form,
-    preconditioned by the complex LU of `op`. An `op` whose factorization
-    was released raises SolverError. The iteration count and the final
-    true relative residual of the whole system land in
+    GMRES solves (I + E P) w = -E u0 on D's nodes, u1 = u0 + P w, and one
+    refinement step follows (see the module docstring). An operator whose
+    factorization was released raises SolverError. The iteration count and
+    the final true relative residual of the bordered system land in
     ``diagnostics["krylov_iterations"]`` and ``["krylov_residual"]``; a
     miss of the GMRES tolerance or of the 1e-6 residual gate raises
     SolverError.
     """
-    mesh, background = op.mesh, op.background
+    op, mesh, background = sol0.operator, sol0.mesh, sol0.background
     sigma, eps, zeta = inclusion_coefficients(mesh, background, law,
                                               op.sigma_e, op.eps_e)
     if mesh.in_d.any():
@@ -472,35 +430,53 @@ def solve_perturbed(op: BackgroundOperator, law: InclusionLaw,
                 f"block system loses coercivity: min eig(sigma1 +/- zeta1) = "
                 f"{lo:.3e} (hypothesis (se0))")
 
-    n = mesh.num_points
-    precondition = _real_form_preconditioner(op)
+    lu = op._factorization()
     chiral = _ChiralOperator(op, sigma, eps, zeta)
-    a = spla.LinearOperator((2 * n + 2, 2 * n + 2), matvec=chiral.apply_real,
-                            dtype=float)
-    b, _, _ = boundary_load(mesh, g)
-    rhs = np.concatenate([b.real, b.imag, [0.0, 0.0]])
+    n = mesh.num_points
+    s = np.unique(mesh.triangles[mesh.in_d])
+    k_delta, k_zeta = chiral.k_delta[s][:, s], chiral.k_zeta[s][:, s]
+
+    def lift(w):
+        """P w, the bordered LU solve of w placed on S."""
+        rhs = np.zeros(n + 1, dtype=complex)
+        rhs[s] = w
+        return lu.solve(rhs)
+
+    # GMRES's real unknowns are (Re w, Im w) interleaved, as numpy lays
+    # out a complex array, so each view is free
+    def matvec(x):
+        w = x.view(complex)
+        p = lift(w)[s]
+        return (w + k_delta @ p + k_zeta @ np.conj(p)).view(float)
+
+    f = -(k_delta @ sol0.u[s] + k_zeta @ np.conj(sol0.u[s]))
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    x, info = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
+    a = spla.LinearOperator((2 * len(s),) * 2, matvec=matvec, dtype=float)
+    x, info = spla.gmres(a, f.view(float), rtol=_GMRES_RTOL, atol=0.0,
                          restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-                         M=precondition, callback=count,
-                         callback_type="pr_norm")
-    r = chiral.apply_real(x) - rhs
+                         callback=count, callback_type="pr_norm")
+    z = lift(x.view(complex))
+    u, lam = sol0.u + z[:n], sol0.multiplier + z[n]
+    b, _, _ = boundary_load(mesh, sol0.g)
+    z = lu.solve(np.append(b - chiral.apply(u, lam), -(op.m @ u)))
+    u, lam = u + z[:n], lam + z[n]
+
+    r = chiral.apply(u, lam) - b
     bnorm = max(np.linalg.norm(b), 1e-300)
-    krylov_res = float(np.linalg.norm(r) / bnorm)  # |rhs| = |b|
-    res = float(np.linalg.norm(r[:2 * n]) / bnorm)
+    res = float(np.linalg.norm(r) / bnorm)
+    krylov_res = float(np.hypot(np.linalg.norm(r), abs(op.m @ u)) / bnorm)
     if info != 0 or not np.isfinite(krylov_res) or res > 1e-6:
         raise SolverError(
             f"perturbed GMRES failed (info {info}): {iterations} iterations, "
             f"true relative residual {krylov_res:.3e}")
-    u = x[:n] + 1j * x[n:2 * n]
     return Solution(
-        mesh=mesh, u=u, g=g, background=background, law=law,
-        multiplier=complex(x[-2], x[-1]), residual=res,
+        mesh=mesh, u=u, g=sol0.g, background=background, law=law,
+        multiplier=complex(lam), residual=res,
         power=complex((u * b).sum()), sigma_e=sigma, eps_e=eps, zeta_e=zeta,
         diagnostics={"krylov_iterations": iterations,
                      "krylov_residual": krylov_res},

@@ -65,7 +65,7 @@ def _measure(doc):
     g = cfg.g
     op = BackgroundOperator(mesh, bg)
     sol0 = op.solve(g)
-    sol1 = solve_perturbed(op, law, g)
+    sol1 = solve_perturbed(sol0, law)
     d_pts = mesh.centroids[mesh.in_d]
     case = check_jump_condition(bg.sigma(d_pts, mesh.comp[mesh.in_d]),
                                 law.sigma1(d_pts), law.zeta1(d_pts),
@@ -155,7 +155,7 @@ def test_criterion_04_energy_identities(cos_data):
         law = cfg.law
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         rep = verify_identities(sol0, sol1)
         worst = max(worst, rep.max_pairwise_rel)
     ok = worst < 0.005
@@ -200,7 +200,7 @@ def test_criterion_06_cg_properties(case_ii_measurements, rng):
         op = BackgroundOperator(mesh, cfg.background)
         g = cfg.g
         sol0 = op.solve(g)
-        sol1 = solve_perturbed(op, cfg.law, g)
+        sol1 = solve_perturbed(sol0, cfg.law)
         for sol in (sol0, sol1):
             b = element_cg(sol)
             worst_sym = max(worst_sym,

@@ -378,6 +378,12 @@ class TestConfigParsing:
                      None, "config field 'scene.d0': dist(D, boundary) = "
                      "-0.8 below required d0 = 0.3\n",
                      id="scene.inclusion-outside"),
+        # Sigma nearer than h/2 to the boundary, once refused only after
+        # meshing, by the cluster check, without a path
+        pytest.param("concentric_disk", "scene.interface.radius", 0.995, None,
+                     "config field 'mesh.h': dist(Sigma, boundary) = 0.005 "
+                     "is below h/2 = 0.04; try h <= 0.00999\n",
+                     id="scene.interface-near-boundary"),
     ])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
                                                monkeypatch, name, path, value,
@@ -847,6 +853,24 @@ class TestSweep:
             == [EXIT_OK, EXIT_STRUCTURAL]
         assert agg["rows"][1]["error"] == "config field 'scene.d0': " \
             "dist(D, boundary) = 0.75 below required d0 = 0.9"
+
+    def test_refused_interface_gap_in_its_row(self, tmp_path, capsys,
+                                              fast_concentric):
+        # Sigma 0.02 from the boundary is below h/2 at h = 0.05: refused at
+        # parse in its own row, and the radius 0.5 run is kept
+        doc = json.loads(json.dumps(fast_concentric))
+        doc["checks"] = ["energy"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "scene.interface.radius", "--values", "0.5,0.98"]) \
+            == EXIT_STRUCTURAL
+        agg = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in agg["rows"]] \
+            == [EXIT_OK, EXIT_STRUCTURAL]
+        assert agg["rows"][1]["error"] == "config field 'mesh.h': " \
+            "dist(Sigma, boundary) = 0.02 is below h/2 = 0.025; " \
+            "try h <= 0.0399"
 
     def test_unknown_param_path_is_fatal(self, tmp_path, capsys,
                                          fast_concentric):

@@ -85,7 +85,7 @@ class TestGenericCrossings:
         g = fourier_data([(1, 1.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g)
-        sol1 = solve_perturbed(op, law, g)
+        sol1 = solve_perturbed(sol0, law)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
         br = energy_bracket(sol0, sol1, JumpCase.CASE_II, rep.re_dw_boundary)
@@ -135,7 +135,7 @@ class TestAnisotropicLaw:
         assert case is JumpCase.CASE_I
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9
         br = energy_bracket(sol0, sol1, case, rep.re_dw_boundary)
@@ -158,6 +158,6 @@ class TestAnisotropicLaw:
                            lambda1=0.15, varrho=0.2)
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         rep = verify_identities(sol0, sol1)
         assert rep.max_pairwise_rel < 1e-9

@@ -58,8 +58,8 @@ def inclusion_setup(cos_data):
     bg = isotropic_background(1.0, 2.0, gamma=GAMMA)
     op = BackgroundOperator(mesh, bg)
     sol0 = op.solve(cos_data)
-    sol_ii = solve_perturbed(op, CASE_II_LAW, cos_data)
-    sol_i = solve_perturbed(op, CASE_I_LAW, cos_data)
+    sol_ii = solve_perturbed(sol0, CASE_II_LAW)
+    sol_i = solve_perturbed(sol0, CASE_I_LAW)
     return mesh, bg, sol0, sol_ii, sol_i
 
 
@@ -168,7 +168,7 @@ class TestIdentities:
                            lambda1=0.4, varrho=0.5)
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         rep = verify_identities(sol0, sol1)
         w0 = abs(sol0.power.real)
         for v in (rep.re_dw_d, rep.re_dw_boundary, rep.re_dw_id1,
@@ -220,7 +220,7 @@ class TestDeltaWDForm:
                           cfg.values["mesh.min_angle_deg"])
         op = BackgroundOperator(mesh, cfg.background)
         sol0 = op.solve(cfg.g)
-        sol1 = solve_perturbed(op, cfg.law, cfg.g)
+        sol1 = solve_perturbed(sol0, cfg.law)
         got = power_report(sol0, sol1, JumpCase.NONE).as_dict()["delta_w_re"]
         assert got == pytest.approx(refined_d_form(sol0, sol1), rel=1e-13,
                                     abs=0.0)
@@ -258,7 +258,7 @@ class TestBracket:
                            lambda1=0.4, varrho=0.5)
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         # force the degenerate path with an inclusion-free tagging clone
         mesh.in_d[:] = False
         try:
@@ -278,7 +278,7 @@ class TestBracket:
             mesh = build_mesh(scene, 0.04)
             op = BackgroundOperator(mesh, bg)
             sol0 = op.solve(cos_data)
-            sol1 = solve_perturbed(op, CASE_II_LAW, cos_data)
+            sol1 = solve_perturbed(sol0, CASE_II_LAW)
             energies.append(grad_energy_inclusion(sol0))
             br = energy_bracket(sol0, sol1, JumpCase.CASE_II,
                                 (sol0.power - sol1.power).real)
@@ -305,7 +305,7 @@ class TestBracket:
             else isotropic_field(epsilon1))
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(cos_data)
-        sol1 = solve_perturbed(op, law, cos_data)
+        sol1 = solve_perturbed(sol0, law)
         off = ~mesh.in_d
         assert off.any() and mesh.in_d.any()
         assert np.array_equal(element_cg(sol0)[off], element_cg(sol1)[off])

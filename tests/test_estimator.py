@@ -50,7 +50,7 @@ def measure_scene(radius, center=(0.0, 0.0), h=0.04, label=""):
     g = fourier_data([(1, 1.0, 0.0)])
     op = BackgroundOperator(mesh, bg)
     sol0 = op.solve(g)
-    sol1 = solve_perturbed(op, CASE_II_LAW, g)
+    sol1 = solve_perturbed(sol0, CASE_II_LAW)
     rep = power_report(sol0, sol1, JumpCase.CASE_II)
     return scene, rep, SizeMeasurement(
         delta_w_re=rep.delta_w.real, w0_free_re=rep.w0_free.real,
@@ -169,7 +169,7 @@ class TestEstimateSize:
         g3 = fourier_data([(1, 3.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g3)
-        sol1 = solve_perturbed(op, CASE_II_LAW, g3)
+        sol1 = solve_perturbed(sol0, CASE_II_LAW)
         rep3 = power_report(sol0, sol1, JumpCase.CASE_II)
         e1 = estimate_size(rep1, (0.5, 2.0))
         e3 = estimate_size(rep3, (0.5, 2.0))
@@ -247,7 +247,7 @@ class TestContrastAndNesting:
         g = fourier_data([(1, 1.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g)
-        sol1 = solve_perturbed(op, strong, g)
+        sol1 = solve_perturbed(sol0, strong)
         rep = power_report(sol0, sol1, JumpCase.CASE_II)
         base_dw = next(m.delta_w_re for m in family if m.label == "r0.2")
         assert abs(rep.delta_w.real) > abs(base_dw)  # contrast moved the gap

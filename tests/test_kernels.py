@@ -139,7 +139,7 @@ class TestBracketConstant:
         g = fourier_data([(1, 1.0, 0.0)])
         op = BackgroundOperator(mesh, bg)
         sol0 = op.solve(g)
-        sol1 = solve_perturbed(op, law, g)
+        sol1 = solve_perturbed(sol0, law)
         b0, b1 = element_cg(sol0), element_cg(sol1)
         d = mesh.in_d
         assert np.array_equal(b0[~d], b1[~d])

@@ -68,6 +68,36 @@ class TestBuildMesh:
         with pytest.raises(MeshingError, match="budget"):
             build_mesh(disk_scene, 1e-4)
 
+    def test_interface_near_boundary_refused_before_lattice(self,
+                                                            monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("lattice built for a refused h")
+
+        monkeypatch.setattr("powergap.mesh._hex_lattice", no_lattice)
+        scene = Scene(outer=Circle((0, 0), 1.0),
+                      interface=Circle((0, 0), 0.995))
+        with pytest.raises(MeshingError, match=r"below h/2 = 0\.015; "
+                                               r"try h <= 0\.00999$"):
+            build_mesh(scene, 0.03)
+        # a distance measured elsewhere is taken as given
+        with pytest.raises(MeshingError, match=r"= 0\.01 is below"):
+            build_mesh(Scene(outer=Circle((0, 0), 1.0),
+                             interface=Circle((0, 0), 0.5)), 0.03, 5.0, 0.01)
+
+    @pytest.mark.parametrize("ellipse", [False, True])
+    def test_interface_gaps_from_half_h_mesh(self, ellipse):
+        # below h/2 the clearance bands of Sigma and the boundary once cut
+        # the strip between them (gaps 0.05h to 0.4h); from h/2 on every
+        # gap meshes with one cluster per component
+        h = 0.06
+        for k in range(11, 41, 3):
+            gap = 0.05 * k * h
+            sigma = Ellipse((0, 0), 1.0 - gap, 0.6) if ellipse \
+                else Circle((0, 0), 1.0 - gap)
+            mesh = build_mesh(Scene(outer=Circle((0, 0), 1.0),
+                                    interface=sigma), h)
+            assert mesh.component_clusters() == {-1: 1, 1: 1}
+
     @pytest.mark.parametrize("name", sorted(CONFIG_MESHES))
     def test_config_mesh_sizes_pinned(self, name):
         mesh = _config_mesh(name, 0.03)

@@ -106,7 +106,7 @@ def test_identities_and_sign_over_admissible_laws(scene, background, data):
     assert jump_case == case.value
     op = BackgroundOperator(mesh, background)
     sol0 = op.solve(G)
-    sol1 = solve_perturbed(op, law, G)
+    sol1 = solve_perturbed(sol0, law)
     rep = verify_identities(sol0, sol1)
     assert rep.max_pairwise_rel <= 1e-9
     for re_dw in (rep.re_dw_boundary, rep.re_dw_id1, rep.re_dw_id2):
@@ -124,7 +124,6 @@ def test_background_law_gives_zero_gap(scene, background):
     law = InclusionLaw(sigma1=MatrixField(sigma_bg, "sigma0"),
                        zeta1=isotropic_field(0.0))
     mesh = build_mesh(scene, H)
-    op = BackgroundOperator(mesh, background)
-    w0 = op.solve(G).power
-    w1 = solve_perturbed(op, law, G).power
+    sol0 = BackgroundOperator(mesh, background).solve(G)
+    w0, w1 = sol0.power, solve_perturbed(sol0, law).power
     assert abs(w0 - w1) <= 1e-12 * abs(w0)
